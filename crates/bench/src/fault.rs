@@ -12,7 +12,7 @@ use speakql_core::{
     CounterId, FaultHook, SpeakQl, SpeakQlConfig, SpeakQlError, StreamingTranscriber,
 };
 use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
-use speakql_grammar::ClauseKind;
+use speakql_grammar::{ClauseKind, Keyword, StructTok, StructTokId};
 use speakql_index::StructureIndex;
 use speakql_server::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, Server,
@@ -349,9 +349,10 @@ pub fn run_fault_injection() -> FaultReport {
     // decode to an error, never a panic. ---
     outcomes.extend(run_corrupted_index_cases());
 
-    // --- Delta persistence: corruptions specific to the v3 segment
+    // --- Delta persistence: corruptions specific to the segment
     // replace/append path (stale segment table, stale reseal, tombstone
-    // list lies) must map to typed errors too. ---
+    // list lies) and resealed lies in the structure planes must map to
+    // typed errors too. ---
     outcomes.extend(run_delta_corruption_cases());
 
     // --- Server layer: hostile clients and concurrent faults against a
@@ -775,6 +776,10 @@ fn fnv_checksum64(data: &[u8]) -> u64 {
 /// Byte offsets of interest inside a version-3 image, recovered by walking
 /// the format the same way the decoder does.
 struct V3Layout {
+    /// Byte range of the token plane (one byte per token, arena order).
+    tok_plane: std::ops::Range<usize>,
+    /// Offset of the placeholder plane (3-byte records, category first).
+    ph_plane_at: usize,
     /// Offset of the first removed id (after the removed-count word).
     removed_ids_at: usize,
     /// Offset of the block A checksum (u64 LE).
@@ -802,16 +807,18 @@ fn v3_layout(bytes: &[u8]) -> Option<V3Layout> {
     let mut pos = HEADER_LEN;
     // Token offsets + plane (padded to 4).
     let tok_total = read_u32_le(bytes, pos + count * 4);
-    pos += (count + 1) * 4 + tok_total;
+    let tok_plane = pos + (count + 1) * 4..pos + (count + 1) * 4 + tok_total;
+    pos = tok_plane.end;
     pos += (4 - pos % 4) % 4;
     // Placeholder offsets + 3-byte records (padded to 4).
     let ph_total = read_u32_le(bytes, pos + count * 4);
-    pos += (count + 1) * 4 + ph_total * 3;
+    let ph_plane_at = pos + (count + 1) * 4;
+    pos = ph_plane_at + ph_total * 3;
     pos += (4 - pos % 4) % 4;
     // Posting offsets + plane.
     let inv_total = read_u32_le(bytes, pos + INV_LISTS * 4);
     pos += (INV_LISTS + 1) * 4 + inv_total * 4;
-    // Removed list (v3): count word then the ids.
+    // Removed list: count word then the ids.
     let removed_count = read_u32_le(bytes, pos);
     let removed_ids_at = pos + 4;
     pos += 4 + removed_count * 4;
@@ -827,6 +834,8 @@ fn v3_layout(bytes: &[u8]) -> Option<V3Layout> {
         pos += node_count + (4 - node_count % 4) % 4 + node_count * 12 + 8;
     }
     (removed_count >= 2 && pos == bytes.len()).then_some(V3Layout {
+        tok_plane,
+        ph_plane_at,
         removed_ids_at,
         block_a_checksum_at,
         seg_table_at,
@@ -834,10 +843,11 @@ fn v3_layout(bytes: &[u8]) -> Option<V3Layout> {
     })
 }
 
-/// Corruptions specific to images a delta produced: a stale segment table
+/// Corruptions specific to images a delta produced — a stale segment table
 /// left behind by a replace, planes changed under a reused (stale) reseal,
-/// truncation exactly at a replaced segment's boundary, and removed-id
-/// lists that lie — resealed so only structural validation can catch them.
+/// truncation exactly at a replaced segment's boundary, removed-id lists
+/// that lie — and lies in block A's structure content. Every lie in block A
+/// is resealed so only structural validation can catch it.
 fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
     const HEADER_LEN: usize = 32;
     let mut outcomes = Vec::new();
@@ -848,7 +858,7 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
         observed,
     };
 
-    // A delta'd index with tombstones serializes as version 3.
+    // A delta'd index with tombstones: its image carries a removed list.
     let cfg = SpeakQlConfig::small();
     let base = StructureIndex::from_grammar(&cfg.generator, cfg.weights);
     let delta = speakql_index::IndexDelta::new().remove_structures([5u32, 10]);
@@ -937,6 +947,38 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
     reseal_block_a(&mut data);
     check(
         "delta_resurrected_structure".to_string(),
+        data,
+        &["corrupt"],
+    );
+
+    // Structure content the decoder checks plane by plane (resealed): a
+    // token id outside the structure alphabet ...
+    let mut data = bytes.clone();
+    data[layout.tok_plane.start] = u8::MAX;
+    reseal_block_a(&mut data);
+    check("block_a_bad_token_id".to_string(), data, &["corrupt"]);
+
+    // ... a placeholder record with an unknown category code ...
+    let mut data = bytes.clone();
+    data[layout.ph_plane_at] = 0x7f;
+    reseal_block_a(&mut data);
+    check("block_a_bad_category_code".to_string(), data, &["corrupt"]);
+
+    // ... and a Var token turned into a keyword, so its structure's Var
+    // count no longer matches its placeholder count. (An arena without a
+    // Var would leave the image pristine, and the case would fail as
+    // decoded.)
+    let mut data = bytes.clone();
+    let select = StructTokId::from_tok(StructTok::Keyword(Keyword::Select));
+    if let Some(t) = data[layout.tok_plane.clone()]
+        .iter_mut()
+        .find(|t| **t == StructTokId::VAR.0)
+    {
+        *t = select.0;
+    }
+    reseal_block_a(&mut data);
+    check(
+        "block_a_placeholder_count_mismatch".to_string(),
         data,
         &["corrupt"],
     );

@@ -83,26 +83,6 @@ impl ColumnWorkspace {
         ColumnWorkspace { cols, cells: 0 }
     }
 
-    /// Re-target this workspace at a new `source` query, reusing every
-    /// column buffer already allocated. Equivalent to
-    /// [`ColumnWorkspace::new`] but amortizes allocation when one workspace
-    /// serves many searches (the search engine pools workspaces across
-    /// queries). Any pending cell count is discarded.
-    pub fn reset(&mut self, source: &[StructTokId], w: Weights, max_depth: usize) {
-        if self.cols.len() < max_depth + 1 {
-            self.cols.resize(max_depth + 1, Vec::new());
-        }
-        let base = &mut self.cols[0];
-        base.clear();
-        base.push(0);
-        let mut acc = 0;
-        for &a in source {
-            acc += w.of(a);
-            base.push(acc);
-        }
-        self.cells = 0;
-    }
-
     /// Compute the column at `depth + 1` by extending the column at `depth`
     /// with target token `token`, and return it.
     pub fn advance(

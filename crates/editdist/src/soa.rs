@@ -120,62 +120,41 @@ impl SoaWorkspace {
     /// `max_depth`; `None` when the query is outside the u16 envelope (the
     /// caller then uses the scalar kernel).
     pub fn new(source: &[StructTokId], w: Weights, max_depth: usize) -> Option<SoaWorkspace> {
-        let mut ws = SoaWorkspace {
-            src_tok: Vec::new(),
-            src_w: Vec::new(),
-            lane_w: LaneWeights {
-                by_tok: [0; speakql_grammar::STRUCT_ALPHABET],
-            },
-            blocks: Vec::new(),
-            lb: Vec::new(),
-            rows: 0,
-            depths: 0,
-            cells: 0,
-        };
-        ws.reset(source, w, max_depth).then_some(ws)
-    }
-
-    /// Re-target this workspace at a new `source` query, reusing the block
-    /// arena. Returns `false` (leaving the workspace unusable until the next
-    /// successful reset) when the query is outside the u16 envelope.
-    pub fn reset(&mut self, source: &[StructTokId], w: Weights, max_depth: usize) -> bool {
         if !SoaWorkspace::fits(source.len(), max_depth, w) {
-            return false;
+            return None;
         }
-        let Some(lane_w) = LaneWeights::lower(w) else {
-            return false;
-        };
-        self.lane_w = lane_w;
-        self.src_tok.clear();
-        self.src_tok.extend(source.iter().map(|t| t.0 as u16));
-        self.src_w.clear();
-        self.src_w
-            .extend(source.iter().map(|t| lane_w.by_tok[t.0 as usize]));
-        self.rows = source.len() + 1;
-        self.depths = max_depth + 1;
-        self.blocks.clear();
-        self.blocks.resize(self.depths * self.block_len(), 0);
+        let lane_w = LaneWeights::lower(w)?;
+        let src_w: Vec<u16> = source.iter().map(|t| lane_w.by_tok[t.0 as usize]).collect();
+        let rows = source.len() + 1;
+        let depths = max_depth + 1;
+        let mut blocks = vec![0u16; depths * rows * SOA_LANES];
         // Depth-0 block, lane 0: the base column (cumulative deletion cost
         // of the source prefix), exactly `base_column` in u16.
         let mut acc = 0u16;
-        self.blocks[0] = 0;
-        for (i, &wi) in self.src_w.iter().enumerate() {
+        for (i, &wi) in src_w.iter().enumerate() {
             acc += wi;
-            self.blocks[(i + 1) * SOA_LANES] = acc;
+            blocks[(i + 1) * SOA_LANES] = acc;
         }
         // Banded completion costs, one row-shaped slice per remaining target
         // depth (`fits` guarantees the products stay inside u16).
         let m = source.len();
         let wmin = w.min_weight() as u16;
-        self.lb.clear();
-        self.lb.reserve(self.depths * self.rows);
-        for rem in 0..self.depths {
-            for i in 0..self.rows {
-                self.lb.push(wmin * (m - i).abs_diff(rem) as u16);
+        let mut lb = Vec::with_capacity(depths * rows);
+        for rem in 0..depths {
+            for i in 0..rows {
+                lb.push(wmin * (m - i).abs_diff(rem) as u16);
             }
         }
-        self.cells = 0;
-        true
+        Some(SoaWorkspace {
+            src_tok: source.iter().map(|t| t.0 as u16).collect(),
+            src_w,
+            lane_w,
+            blocks,
+            lb,
+            rows,
+            depths,
+            cells: 0,
+        })
     }
 
     #[inline]
@@ -499,28 +478,6 @@ mod tests {
                 d,
                 crate::lcs::weighted_lcs_distance(&source, &target, w)
             );
-        }
-
-        /// Reset reuses the arena and stays exact for a fresh query.
-        #[test]
-        fn reset_retargets_exactly(
-            first in arb_toks(0, 12),
-            second in arb_toks(0, 12),
-            t in (0..STRUCT_ALPHABET as u8).prop_map(StructTokId),
-        ) {
-            let w = Weights::PAPER;
-            let mut ws = match SoaWorkspace::new(&first, w, 4) {
-                Some(ws) => ws,
-                None => return Err(TestCaseError::fail("small query must fit u16")),
-            };
-            ws.advance_chunk(0, 0, &[t], 0);
-            prop_assert!(ws.reset(&second, w, 4));
-            let stats = ws.advance_chunk(0, 0, &[t], 0);
-            prop_assert_eq!(
-                stats.last[0],
-                crate::lcs::weighted_lcs_distance(&second, &[t], w)
-            );
-            prop_assert_eq!(ws.take_cells(), second.len() as u64 + 1);
         }
     }
 

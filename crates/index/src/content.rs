@@ -1,25 +1,22 @@
 //! Content hashing shared by persistence and generation derivation.
 //!
-//! Two FNV-1a-64 flavors live here, with one contract between them:
+//! Two FNV-1a-64 flavors live here:
 //!
-//! - [`checksum64`] / [`StreamChecksum`] — the persisted-format checksum:
-//!   FNV-1a folded over little-endian 64-bit words with the byte length
-//!   premixed (so zero-padded tails still bind). `StreamChecksum` is the
-//!   incremental form and produces **bit-identical** digests to the
-//!   one-shot function for the same byte stream; an owned trie can hash
-//!   its would-be serialization without materializing it, and the digest
-//!   equals the checksum a persisted image records for that segment.
+//! - [`checksum64`] — the persisted-format checksum: FNV-1a folded over
+//!   little-endian 64-bit words with the byte length premixed (so
+//!   zero-padded tails still bind).
 //! - [`WordFold`] — a plain word-level fold for composing *content ids*
 //!   (the arena generation rolls up per-segment ids plus the structure
 //!   planes). No length premix; callers frame every variable-length field
 //!   with an explicit length word, which is what makes the composed
 //!   stream unambiguous.
 //!
-//! The persisted segment checksum doubles as the segment's content id:
-//! a zero-copy loader reuses the (already verified) recorded checksum
-//! instead of rehashing multi-megabyte planes, and a built index computes
-//! the same value via `StreamChecksum` — so built, loaded, and
-//! delta-reused segments all agree on identity by construction.
+//! The persisted segment checksum doubles as the segment's content id. A
+//! trie segment is sealed into its persisted byte layout once, when it is
+//! built, and its checksum is taken then; a zero-copy loader reuses the
+//! (already verified) recorded checksum instead of rehashing multi-megabyte
+//! planes. Built, loaded, and delta-reused segments therefore agree on
+//! identity by construction.
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -44,74 +41,6 @@ pub(crate) fn checksum64(data: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-/// Incremental [`checksum64`]: construct with the total byte length the
-/// stream will have, feed it in arbitrary pieces, and `finish` yields the
-/// identical digest the one-shot function computes over the concatenation.
-pub(crate) struct StreamChecksum {
-    h: u64,
-    buf: [u8; 8],
-    fill: usize,
-}
-
-impl StreamChecksum {
-    /// `total_len` must equal the total number of bytes subsequently fed
-    /// through [`StreamChecksum::update`]; the length premix is what binds
-    /// zero-padded tails, exactly as in [`checksum64`].
-    pub(crate) fn new(total_len: usize) -> StreamChecksum {
-        StreamChecksum {
-            h: FNV_OFFSET ^ (total_len as u64).wrapping_mul(FNV_PRIME),
-            buf: [0u8; 8],
-            fill: 0,
-        }
-    }
-
-    #[inline]
-    fn fold(&mut self, word: [u8; 8]) {
-        self.h ^= u64::from_le_bytes(word);
-        self.h = self.h.wrapping_mul(FNV_PRIME);
-    }
-
-    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
-        if self.fill > 0 {
-            let need = (8 - self.fill).min(bytes.len());
-            self.buf[self.fill..self.fill + need].copy_from_slice(&bytes[..need]);
-            self.fill += need;
-            bytes = &bytes[need..];
-            if self.fill == 8 {
-                let word = self.buf;
-                self.fold(word);
-                self.fill = 0;
-            } else {
-                return;
-            }
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            if let &[a, b, c0, d, e, f, g, i] = c {
-                self.fold([a, b, c0, d, e, f, g, i]);
-            }
-        }
-        let rem = chunks.remainder();
-        self.buf[..rem.len()].copy_from_slice(rem);
-        self.fill = rem.len();
-    }
-
-    pub(crate) fn update_u32_le(&mut self, v: u32) {
-        self.update(&v.to_le_bytes());
-    }
-
-    pub(crate) fn finish(mut self) -> u64 {
-        if self.fill > 0 {
-            for b in &mut self.buf[self.fill..] {
-                *b = 0;
-            }
-            let word = self.buf;
-            self.fold(word);
-        }
-        self.h
-    }
 }
 
 /// Word-level FNV-1a fold for composing content ids out of framed fields.
@@ -188,48 +117,6 @@ impl std::hash::BuildHasher for BuildFx {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_checksum_matches_one_shot() {
-        // Deterministic pseudo-random byte strings fed through every split
-        // pattern that exercises the carry buffer: byte-at-a-time, odd
-        // chunks, one shot, and u32-sized pieces.
-        let mut state = 0x5EEDu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        };
-        for len in [0usize, 1, 3, 7, 8, 9, 12, 13, 64, 257, 1024] {
-            let data: Vec<u8> = (0..len).map(|_| next()).collect();
-            let expect = checksum64(&data);
-
-            let mut s = StreamChecksum::new(len);
-            for b in &data {
-                s.update(std::slice::from_ref(b));
-            }
-            assert_eq!(s.finish(), expect, "byte-at-a-time len={len}");
-
-            let mut s = StreamChecksum::new(len);
-            for chunk in data.chunks(5) {
-                s.update(chunk);
-            }
-            assert_eq!(s.finish(), expect, "chunks-of-5 len={len}");
-
-            let mut s = StreamChecksum::new(len);
-            s.update(&data);
-            assert_eq!(s.finish(), expect, "one-shot len={len}");
-        }
-    }
-
-    #[test]
-    fn stream_checksum_u32_helper_is_le() {
-        let mut s = StreamChecksum::new(8);
-        s.update_u32_le(0x0403_0201);
-        s.update_u32_le(0x0807_0605);
-        assert_eq!(s.finish(), checksum64(&[1, 2, 3, 4, 5, 6, 7, 8]));
-    }
 
     #[test]
     fn word_fold_separates_tags_and_is_deterministic() {

@@ -9,7 +9,7 @@
 //! stays meaningful), additions append at the arena tail, and only the trie
 //! segments of the **affected lengths** (lengths that lost or gained a
 //! structure) are rebuilt. Every other segment is carried over as-is: an
-//! O(1) refcount bump for zero-copy views, a plane memcpy for owned tries.
+//! O(1) refcount bump on its sealed buffer.
 //!
 //! ## Equivalence to a full rebuild
 //!
@@ -26,8 +26,8 @@
 //! module pin the equivalence across thread counts.
 
 use crate::content::BuildFx;
-use crate::search::{push_postings, shard_count, StructureIndex};
-use crate::store::{FlatStore, StructStore};
+use crate::search::{push_postings, seal_shards, StructureIndex};
+use crate::store::StructStore;
 use crate::trie::Trie;
 use speakql_grammar::{StructTokId, Structure};
 use speakql_observe::{CounterId, Recorder};
@@ -213,75 +213,42 @@ impl StructureIndex {
         }
 
         // Affected lengths: everything that lost or gained a structure.
-        let old_store = self.store();
+        let base = self.store();
         let max_candidate = self
             .max_len()
             .max(delta.add.iter().map(Structure::len).max().unwrap_or(0));
         let mut affected = vec![false; max_candidate + 1];
         for &id in &removes {
-            affected[old_store.token_len(id as usize)] = true;
+            affected[base.token_len(id as usize)] = true;
         }
         for s in &delta.add {
             affected[s.len()] = true;
         }
 
-        // The widened arena, flattened. Tombstoned slots keep their windows
-        // so ids stay stable and the persisted layout stays uniform — which
-        // also means a base that is already flat (any loaded index, the
-        // shape a deployment maintains incrementally) carries its planes
-        // over with four bulk copies instead of one append per structure.
+        // The widened arena. Tombstoned slots keep their windows so ids stay
+        // stable and the persisted layout stays uniform; the base planes
+        // carry over with four bulk copies.
         let added_toks: usize = delta.add.iter().map(|s| s.tokens.len()).sum();
         let added_phs: usize = delta.add.iter().map(|s| s.placeholders.len()).sum();
-        let (old_toks, old_phs) = match old_store {
-            StructStore::Flat(f) => (f.tokens.len(), f.placeholders.len()),
-            StructStore::Owned(v) => (
-                v.iter().map(|s| s.tokens.len()).sum(),
-                v.iter().map(|s| s.placeholders.len()).sum(),
-            ),
-        };
-        let mut flat = {
-            // Exact final capacities up front: cloning the planes and then
-            // appending would reallocate (and re-copy) every plane once more.
-            let mut flat = FlatStore {
-                tok_offsets: Vec::with_capacity(new_arena + 1),
-                tokens: Vec::with_capacity(old_toks + added_toks),
-                ph_offsets: Vec::with_capacity(new_arena + 1),
-                placeholders: Vec::with_capacity(old_phs + added_phs),
-            };
-            match old_store {
-                StructStore::Flat(f) => {
-                    flat.tok_offsets.extend_from_slice(&f.tok_offsets);
-                    flat.tokens.extend_from_slice(&f.tokens);
-                    flat.ph_offsets.extend_from_slice(&f.ph_offsets);
-                    flat.placeholders.extend_from_slice(&f.placeholders);
-                }
-                StructStore::Owned(_) => {
-                    flat.tok_offsets.push(0);
-                    flat.ph_offsets.push(0);
-                    for id in 0..old_arena {
-                        flat.tokens.extend_from_slice(old_store.tokens(id));
-                        flat.placeholders
-                            .extend_from_slice(old_store.placeholders(id));
-                        flat.tok_offsets.push(flat.tokens.len() as u32);
-                        flat.ph_offsets.push(flat.placeholders.len() as u32);
-                    }
-                }
-            }
-            flat
-        };
+        // Exact final capacities up front: cloning the planes and then
+        // appending would reallocate (and re-copy) every plane once more.
+        let mut store = StructStore::with_capacity(
+            new_arena,
+            base.tokens.len() + added_toks,
+            base.placeholders.len() + added_phs,
+        );
+        store.tok_offsets.extend_from_slice(&base.tok_offsets[1..]);
+        store.tokens.extend_from_slice(&base.tokens);
+        store.ph_offsets.extend_from_slice(&base.ph_offsets[1..]);
+        store.placeholders.extend_from_slice(&base.placeholders);
         for s in &delta.add {
-            flat.tokens.extend_from_slice(&s.tokens);
-            flat.placeholders.extend_from_slice(&s.placeholders);
-            flat.tok_offsets.push(flat.tokens.len() as u32);
-            flat.ph_offsets.push(flat.placeholders.len() as u32);
+            store.push(&s.tokens, &s.placeholders);
         }
-        let store = StructStore::Flat(flat);
 
-        // One pass over the live arena: per-length live counts, the new max
-        // length, and the affected lengths' id buckets (arena order — the
-        // order `build` would see them in).
+        // One pass over the live arena: the new max length and the affected
+        // lengths' id buckets (arena order — the order `build` would see
+        // them in).
         let is_removed = |id: usize| removed.get(id).copied().unwrap_or(false);
-        let mut live_per_len = vec![0usize; max_candidate + 1];
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_candidate + 1];
         let mut max_len = 0usize;
         for id in 0..new_arena {
@@ -289,7 +256,6 @@ impl StructureIndex {
                 continue;
             }
             let l = store.token_len(id);
-            live_per_len[l] += 1;
             max_len = max_len.max(l);
             if affected[l] {
                 buckets[l].push(id as u32);
@@ -312,22 +278,15 @@ impl StructureIndex {
                 continue;
             }
             stats.lengths_affected += 1;
-            let n = live_per_len[l];
-            if n == 0 {
-                tries.push(Vec::new());
-                continue;
-            }
-            let mut shards: Vec<Trie> = (0..shard_count(n)).map(|_| Trie::new(l)).collect();
-            let block = n.div_ceil(shards.len());
             let mut seen: HashSet<&[StructTokId], BuildFx> =
-                HashSet::with_capacity_and_hasher(n, BuildFx);
-            for (i, &id) in buckets[l].iter().enumerate() {
-                let tokens = store.tokens(id as usize);
-                if !seen.insert(tokens) {
-                    return Err(DeltaError::DuplicateStructure);
-                }
-                shards[i / block].insert(tokens, id);
+                HashSet::with_capacity_and_hasher(buckets[l].len(), BuildFx);
+            if !buckets[l]
+                .iter()
+                .all(|&id| seen.insert(store.tokens(id as usize)))
+            {
+                return Err(DeltaError::DuplicateStructure);
             }
+            let shards = seal_shards(&store, l, &buckets[l]);
             stats.segments_rebuilt += shards.len();
             tries.push(shards);
         }
@@ -583,7 +542,7 @@ mod tests {
     {
         let base = small_index();
         let bytes = crate::to_bytes(base)?;
-        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 2);
+        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 3);
         let loaded = crate::from_shared(bytes)?;
         // Tentpole regression: a byte-identical reload derives the same
         // generation the built index had.
@@ -599,9 +558,8 @@ mod tests {
         );
 
         // Serializing the delta'd index exercises the segment replace
-        // path: reused view segments are memcpy'd and resealed, rebuilt
-        // segments re-serialized, and the image carries the v3 removed
-        // list.
+        // path: every segment — reused or freshly sealed — is memcpy'd with
+        // its stored content id, and the image carries the removed list.
         let bytes2 = crate::to_bytes(&next)?;
         assert_eq!(u16::from_be_bytes([bytes2[4], bytes2[5]]), 3);
         let reloaded = crate::from_shared(bytes2.clone())?;

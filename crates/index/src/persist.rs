@@ -1,18 +1,25 @@
 //! Binary persistence for the structure index.
 //!
 //! The Structure Generator is an *offline* component (paper §3.2); real
-//! deployments build the ~1.6M-structure space once and ship it. Version 2
-//! of the on-disk format is a **segmented, fixed-layout image** designed for
+//! deployments build the ~1.6M-structure space once and ship it. The
+//! on-disk format is a **segmented, fixed-layout image** designed for
 //! validate-then-borrow loading: the header and per-segment table are
 //! validated in O(segments) bounds checks, the bulk planes in linear
-//! checksum + structural passes, and then the trie node planes are borrowed
-//! **zero-copy** as [`Bytes`] views (`Trie::from_view`) — no per-node
-//! rebuild, no per-node allocation. Only the structure arena (two small
-//! `Vec`s per structure) and the 19 inverted posting lists are materialized,
-//! one linear decode each; the tries, which dominate build cost, are not
-//! reconstructed at all.
+//! checksum + structural passes, and then each trie segment is borrowed
+//! **zero-copy** as one [`Bytes`] view — no per-node rebuild, no per-node
+//! allocation. Only the structure arena (two flat planes and their offset
+//! tables) and the 19 inverted posting lists are materialized, one linear
+//! decode each; the tries, which dominate build cost, are not reconstructed
+//! at all.
 //!
-//! ## Format (versions 2 and 3, all offsets relative to the image start)
+//! There is one format version, 3. A built index holds its segments in the
+//! same layout (see [`crate::trie`]), so an index built in memory and the
+//! index loaded from its image are the same index: same planes, same
+//! generation, same search work. Images written by older versions (1 and 2)
+//! fail with [`PersistError::BadVersion`]; rebuild them with
+//! `speakql index-build`.
+//!
+//! ## Format (all offsets relative to the image start)
 //!
 //! ```text
 //! header   (32 B): magic "SQLX" · version u16 BE · weights 3×u32 BE ·
@@ -22,8 +29,8 @@
 //!                  ph_offsets  (count+1)×u32 LE  · placeholder plane
 //!                  (category u8 + governor u16 LE each, pad4) ·
 //!                  inv_offsets 20×u32 LE · posting plane (u32 LE) ·
-//!                  [v3 only: removed count u32 LE · removed ids (u32 LE,
-//!                  strictly increasing)] ·
+//!                  removed count u32 LE · removed ids (u32 LE, strictly
+//!                  increasing) ·
 //!                  checksum u64 LE (FNV-1a-64 over block A)
 //! seg table      : per segment: trie length u32 LE · node count u32 LE
 //! per segment    : token plane (u8, pad4) · first-child plane (u32 LE) ·
@@ -31,35 +38,32 @@
 //!                  checksum u64 LE (FNV-1a-64 over the four planes)
 //! ```
 //!
-//! Version 3 is version 2 plus the removed-id list: an index that was
-//! modified by an [`crate::IndexDelta`] carries tombstoned arena slots
-//! (their windows are persisted unchanged so ids stay stable), and the list
-//! records which. The writer only emits version 3 when removals exist —
-//! an untouched index keeps producing byte-identical version-2 images.
+//! The removed-id list records the arena slots an [`crate::IndexDelta`]
+//! tombstoned (their windows are persisted unchanged so ids stay stable);
+//! it is empty for an index nothing was removed from.
 //!
 //! ## Segment replace and append
 //!
 //! The per-segment checksum doubles as the segment's *content id*
-//! ([`Trie::content_id`]), which is what makes delta persistence cheap:
-//! re-serializing an index after [`crate::StructureIndex::apply_delta`]
-//! memcpys every zero-copy segment's planes verbatim and reseals them with
-//! the stored checksum (no rehash), re-serializes only the rebuilt
-//! (owned) segments, and rewrites the small segment table to describe the
-//! new mix — an in-place replace/append of the affected segments, with
-//! header, block A tail, and table updated around them.
+//! (`Trie::content_id`), taken when the segment was sealed. Serializing an
+//! index therefore copies each segment's buffer and its stored content id
+//! with one memcpy each, whether the segment was built, loaded, or rebuilt
+//! by [`crate::StructureIndex::apply_delta`]; after a delta the small
+//! segment table is rewritten to describe the new mix — an in-place
+//! replace/append of the affected segments, with header, block A tail, and
+//! table updated around them.
 //!
 //! Every plane starts 4-byte-aligned (the header is padded to 32 bytes and
 //! each sub-4 plane is zero-padded), so a future typed-cast loader could
 //! borrow the `u32` planes directly; today's accessors read little-endian
 //! words through safe byte views, for which the padding is merely layout
-//! hygiene. Version 1 images (structure arena only, tries rebuilt on load)
-//! remain readable through the legacy deserialize-and-rebuild path.
+//! hygiene.
 
 use crate::content::{checksum64, BuildFx};
 use crate::search::StructureIndex;
-use crate::store::{FlatStore, StructStore};
-use crate::trie::Trie;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::store::StructStore;
+use crate::trie::{segment_len, Planes, Trie, NONE};
+use bytes::{BufMut, Bytes, BytesMut};
 use speakql_editdist::Weights;
 use speakql_grammar::{LitCategory, Placeholder, StructTokId, Structure, STRUCT_ALPHABET};
 use speakql_observe::{CounterId, Recorder};
@@ -69,21 +73,14 @@ use std::io;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SQLX";
-/// Segmented, zero-copy format version; written when no slot is tombstoned.
-const VERSION: u16 = 2;
-/// Version 2 plus the removed-id list; written only when a delta left
-/// tombstoned arena slots behind.
-const VERSION_V3: u16 = 3;
-/// Legacy structure-arena-only format, rebuilt on load.
-const VERSION_V1: u16 = 1;
+/// The one format version this crate writes and reads.
+const VERSION: u16 = 3;
 const GOVERNOR_NONE: u16 = u16::MAX;
 /// Header size including the 2 alignment padding bytes.
 const HEADER_LEN: usize = 32;
 /// Number of inverted posting lists (one per non-SELECT/FROM/WHERE keyword
 /// slot; see `StructureIndex::build`).
 const INV_LISTS: usize = 19;
-/// Sentinel for "no child / no sibling / no structure" in the node planes.
-const NODE_NONE: u32 = u32::MAX;
 
 /// Errors loading a persisted index.
 #[derive(Debug)]
@@ -170,13 +167,25 @@ fn len_u32(n: usize, what: &'static str) -> Result<u32, PersistError> {
 }
 
 /// Serialize the index — structure arena, inverted posting lists, and the
-/// sharded trie node planes — into a version-2 segmented image.
+/// sharded trie segments — into a segmented image.
 ///
 /// Fails with [`PersistError::TooLarge`] if any length exceeds the format's
 /// fixed-width fields instead of silently truncating.
 pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
     let store = index.store();
     let count = len_u32(store.len(), "more than u32::MAX structures")?;
+    len_u32(store.tokens.len(), "token plane exceeds u32")?;
+    len_u32(store.placeholders.len(), "placeholder plane exceeds u32")?;
+    for id in 0..store.len() {
+        if store.token_len(id) > 255 {
+            return Err(PersistError::TooLarge("structure longer than 255 tokens"));
+        }
+        if store.placeholders(id).len() > 255 {
+            return Err(PersistError::TooLarge(
+                "structure with more than 255 placeholders",
+            ));
+        }
+    }
     let segments: Vec<&Trie> = index.tries().iter().flatten().collect();
     let total_nodes = index.total_nodes();
     let removed_ids: Vec<u32> = index
@@ -189,14 +198,7 @@ pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
     let mut buf = BytesMut::with_capacity(HEADER_LEN + store.len() * 32 + total_nodes * 16);
 
     buf.put_slice(MAGIC);
-    // Tombstones need the v3 removed-id list; without them the image is
-    // plain v2, byte for byte, so persisting an unmodified index keeps
-    // producing the artifact it always did.
-    buf.put_u16(if removed_ids.is_empty() {
-        VERSION
-    } else {
-        VERSION_V3
-    });
+    buf.put_u16(VERSION);
     let w = index.weights();
     buf.put_u32(w.keyword);
     buf.put_u32(w.splchar);
@@ -207,47 +209,22 @@ pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
     buf.put_u16(0); // pad the header to 32 bytes (4-byte plane alignment)
     debug_assert_eq!(buf.len(), HEADER_LEN);
 
-    // Block A: structure token/placeholder planes + inverted posting lists.
+    // Block A: structure token/placeholder planes + inverted posting lists
+    // + the removed-id list. The arena planes are written as held.
     let block_a = buf.len();
-    let mut off: u32 = 0;
-    for id in 0..store.len() {
+    for &off in &store.tok_offsets {
         buf.put_u32_le(off);
-        let n_tok = store.token_len(id);
-        if n_tok > 255 {
-            return Err(PersistError::TooLarge("structure longer than 255 tokens"));
-        }
-        off = off
-            // lossy: n_tok <= 255 is checked above
-            .checked_add(n_tok as u32)
-            .ok_or(PersistError::TooLarge("token plane exceeds u32"))?;
     }
-    buf.put_u32_le(off);
-    for id in 0..store.len() {
-        for t in store.tokens(id) {
-            buf.put_u8(t.0);
-        }
+    for t in &store.tokens {
+        buf.put_u8(t.0);
     }
     pad4(&mut buf);
-    let mut off: u32 = 0;
-    for id in 0..store.len() {
+    for &off in &store.ph_offsets {
         buf.put_u32_le(off);
-        let n_ph = store.placeholders(id).len();
-        if n_ph > 255 {
-            return Err(PersistError::TooLarge(
-                "structure with more than 255 placeholders",
-            ));
-        }
-        off = off
-            // lossy: n_ph <= 255 is checked above
-            .checked_add(n_ph as u32)
-            .ok_or(PersistError::TooLarge("placeholder plane exceeds u32"))?;
     }
-    buf.put_u32_le(off);
-    for id in 0..store.len() {
-        for p in store.placeholders(id) {
-            buf.put_u8(category_code(p.category));
-            buf.put_u16_le(p.governor.unwrap_or(GOVERNOR_NONE));
-        }
+    for p in &store.placeholders {
+        buf.put_u8(category_code(p.category));
+        buf.put_u16_le(p.governor.unwrap_or(GOVERNOR_NONE));
     }
     pad4(&mut buf);
     let mut off: u32 = 0;
@@ -263,54 +240,22 @@ pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
             buf.put_u32_le(id);
         }
     }
-    if !removed_ids.is_empty() {
-        buf.put_u32_le(len_u32(removed_ids.len(), "removed list exceeds u32")?);
-        for &id in &removed_ids {
-            buf.put_u32_le(id);
-        }
+    buf.put_u32_le(len_u32(removed_ids.len(), "removed list exceeds u32")?);
+    for &id in &removed_ids {
+        buf.put_u32_le(id);
     }
     let ck = checksum64(&buf[block_a..]);
     buf.put_u64_le(ck);
 
-    // Segment table, then the per-segment node planes.
+    // Segment table, then each sealed segment with its content id, which is
+    // the checksum of exactly those bytes.
     for trie in &segments {
         buf.put_u32_le(len_u32(trie.len, "trie length exceeds u32")?);
         buf.put_u32_le(len_u32(trie.node_count(), "segment exceeds u32 nodes")?);
     }
     for trie in &segments {
-        if let Some((token, first_child, next_sibling, structure)) = trie.view_planes() {
-            // Zero-copy segment: memcpy the borrowed planes verbatim and
-            // reseal with the stored content id — which *is* the checksum
-            // the source image recorded (verified at load), so no rehash.
-            // After a delta this is the segment replace/append path:
-            // untouched segments take this branch, rebuilt (owned)
-            // segments the per-node serialization below.
-            buf.put_slice(token);
-            pad4(&mut buf);
-            buf.put_slice(first_child);
-            buf.put_slice(next_sibling);
-            buf.put_slice(structure);
-            buf.put_u64_le(trie.content_id());
-            continue;
-        }
-        // lossy: node_count fits u32 (validated by len_u32 just above)
-        let n = trie.node_count() as u32;
-        let seg_start = buf.len();
-        for i in 0..n {
-            buf.put_u8(trie.token(i).0);
-        }
-        pad4(&mut buf);
-        for i in 0..n {
-            buf.put_u32_le(trie.first_child(i));
-        }
-        for i in 0..n {
-            buf.put_u32_le(trie.next_sibling(i));
-        }
-        for i in 0..n {
-            buf.put_u32_le(trie.structure(i));
-        }
-        let ck = checksum64(&buf[seg_start..]);
-        buf.put_u64_le(ck);
+        buf.put_slice(trie.segment());
+        buf.put_u64_le(trie.content_id());
     }
     Ok(buf.freeze())
 }
@@ -332,12 +277,12 @@ fn take(
 }
 
 /// Read the `i`-th little-endian u32 of a plane (caller has bounds-checked
-/// the plane; an out-of-range read yields the inert `NODE_NONE`).
+/// the plane; an out-of-range read yields the inert `NONE`).
 #[inline]
 fn plane_u32(plane: &[u8], i: usize) -> u32 {
     match plane.get(i * 4..i * 4 + 4) {
         Some(&[a, b, c, d]) => u32::from_le_bytes([a, b, c, d]),
-        _ => NODE_NONE,
+        _ => NONE,
     }
 }
 
@@ -349,12 +294,9 @@ fn read_u64_le(data: &Bytes, pos: &mut usize, what: &'static str) -> Result<u64,
     }
 }
 
-/// Deserialize an index, borrowing the underlying buffer where possible.
-///
-/// For version-2 images this copies `data` into one shared [`Bytes`] buffer
-/// and then runs the zero-copy [`from_shared`] path; callers that already
-/// hold a [`Bytes`] (e.g. [`load_from_path`]) skip even that single copy.
-/// Version-1 images take the legacy deserialize-and-rebuild path.
+/// Deserialize an index: copy `data` into one shared [`Bytes`] buffer, then
+/// run the zero-copy [`from_shared`] path. Callers that already hold a
+/// [`Bytes`] (e.g. [`load_from_path`]) skip even that single copy.
 pub fn from_bytes(data: &[u8]) -> Result<StructureIndex, PersistError> {
     from_bytes_observed(data, &Recorder::disabled())
 }
@@ -364,10 +306,7 @@ pub fn from_bytes_observed(
     data: &[u8],
     recorder: &Recorder,
 ) -> Result<StructureIndex, PersistError> {
-    match peek_version(data)? {
-        VERSION_V1 => from_bytes_v1(&data[6..], recorder),
-        _ => from_shared_observed(Bytes::copy_from_slice(data), recorder),
-    }
+    from_shared_observed(Bytes::copy_from_slice(data), recorder)
 }
 
 /// Zero-copy load: validate the segmented image and borrow its planes.
@@ -385,9 +324,6 @@ pub fn from_shared_observed(
     data: Bytes,
     recorder: &Recorder,
 ) -> Result<StructureIndex, PersistError> {
-    if peek_version(&data)? == VERSION_V1 {
-        return from_bytes_v1(&data[6..], recorder);
-    }
     let header = Header::parse(&data)?;
     let mut pos = HEADER_LEN;
     let arena = decode_block_a(&data, &mut pos, &header)?;
@@ -398,7 +334,7 @@ pub fn from_shared_observed(
     recorder.incr(CounterId::IndexLoadZeroCopy);
     recorder.add(CounterId::IndexLoadSegments, header.seg_count as u64);
     Ok(StructureIndex::from_parts(
-        StructStore::Flat(arena.store),
+        arena.store,
         tries,
         arena.inverted,
         header.weights,
@@ -408,9 +344,9 @@ pub fn from_shared_observed(
 }
 
 /// Deserialize-and-rebuild reference path: decode the structure arena and
-/// run a full [`StructureIndex::build`] (trie inserts, posting lists), as a
-/// version-1 loader would. The scale benchmark measures the zero-copy path
-/// against this one; production loads should prefer [`from_shared`].
+/// run a full [`StructureIndex::build`] (trie inserts, posting lists). The
+/// scale benchmark measures the zero-copy path against this one; production
+/// loads should prefer [`from_shared`].
 pub fn from_bytes_rebuilt(data: &[u8]) -> Result<StructureIndex, PersistError> {
     from_bytes_rebuilt_observed(data, &Recorder::disabled())
 }
@@ -420,15 +356,11 @@ pub fn from_bytes_rebuilt_observed(
     data: &[u8],
     recorder: &Recorder,
 ) -> Result<StructureIndex, PersistError> {
-    if peek_version(data)? == VERSION_V1 {
-        return from_bytes_v1(&data[6..], recorder);
-    }
     let shared = Bytes::copy_from_slice(data);
     let header = Header::parse(&shared)?;
     let mut pos = HEADER_LEN;
     let arena = decode_block_a(&shared, &mut pos, &header)?;
-    let removed = arena.removed;
-    let store = StructStore::Flat(arena.store);
+    let (store, removed) = (arena.store, arena.removed);
     // A rebuild compacts: tombstoned slots are dropped and live structures
     // renumbered, exactly as `apply_delta`'s documented full-rebuild
     // equivalent. Only the zero-copy path preserves arena ids.
@@ -447,24 +379,8 @@ pub fn from_bytes_rebuilt_observed(
     Ok(StructureIndex::build(structures, header.weights))
 }
 
-/// Magic + version sniffing shared by every entry point.
-fn peek_version(data: &[u8]) -> Result<u16, PersistError> {
-    if data.len() < 4 || &data[..4] != MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    if data.len() < 6 {
-        return Err(PersistError::Corrupt("truncated header"));
-    }
-    let version = u16::from_be_bytes([data[4], data[5]]);
-    if version != VERSION && version != VERSION_V3 && version != VERSION_V1 {
-        return Err(PersistError::BadVersion(version));
-    }
-    Ok(version)
-}
-
-/// Parsed version-2/3 header.
+/// Parsed header.
 struct Header {
-    version: u16,
     weights: Weights,
     count: usize,
     max_len: usize,
@@ -472,11 +388,21 @@ struct Header {
 }
 
 impl Header {
+    /// Check magic and version, then parse the fixed-width fields.
     fn parse(data: &Bytes) -> Result<Header, PersistError> {
-        if data.len() < HEADER_LEN {
+        if data.len() < 4 || &data[..4] != MAGIC {
+            return Err(PersistError::BadMagic);
+        }
+        if data.len() < 6 {
             return Err(PersistError::Corrupt("truncated header"));
         }
         let version = u16::from_be_bytes([data[4], data[5]]);
+        if version != VERSION {
+            return Err(PersistError::BadVersion(version));
+        }
+        if data.len() < HEADER_LEN {
+            return Err(PersistError::Corrupt("truncated header"));
+        }
         let be = |o: usize| u32::from_be_bytes([data[o], data[o + 1], data[o + 2], data[o + 3]]);
         let weights = Weights {
             keyword: be(6),
@@ -502,7 +428,6 @@ impl Header {
             return Err(PersistError::Corrupt("max length exceeds format"));
         }
         Ok(Header {
-            version,
             weights,
             count,
             max_len,
@@ -512,16 +437,16 @@ impl Header {
 }
 
 /// Decoded block A: the materialized structure arena, posting lists, and
-/// (version 3) tombstone flags — empty when nothing is removed.
+/// tombstone flags — empty when nothing is removed.
 struct ArenaBlock {
-    store: FlatStore,
+    store: StructStore,
     inverted: Vec<Vec<u32>>,
     removed: Vec<bool>,
 }
 
-/// Validate block A's checksum and decode the structure arena (as a
-/// [`FlatStore`] — whole-plane sweeps and a handful of large allocations,
-/// never one `Vec` per structure) and the inverted posting lists.
+/// Validate block A's checksum and decode the structure arena (whole-plane
+/// sweeps and a handful of large allocations, never one `Vec` per
+/// structure), the inverted posting lists, and the removed-id list.
 fn decode_block_a(
     data: &Bytes,
     pos: &mut usize,
@@ -555,30 +480,28 @@ fn decode_block_a(
         return Err(PersistError::Corrupt("posting plane exceeds payload"));
     }
     let inv_plane = take(data, pos, inv_total * 4, "truncated posting plane")?;
-    // Version 3: the removed-id list sits inside block A, so the checksum
-    // below binds it too.
+    // The removed-id list sits inside block A, so the checksum below binds
+    // it too.
+    let rc_plane = take(data, pos, 4, "truncated removed count")?;
+    let removed_count = plane_u32(&rc_plane, 0) as usize;
+    if removed_count > header.count || removed_count > (data.len() - *pos) / 4 {
+        return Err(PersistError::Corrupt("removed count exceeds payload"));
+    }
+    let removed_plane = take(data, pos, removed_count * 4, "truncated removed list")?;
     let mut removed: Vec<bool> = Vec::new();
-    if header.version == VERSION_V3 {
-        let rc_plane = take(data, pos, 4, "truncated removed count")?;
-        let removed_count = plane_u32(&rc_plane, 0) as usize;
-        if removed_count > header.count || removed_count > (data.len() - *pos) / 4 {
-            return Err(PersistError::Corrupt("removed count exceeds payload"));
-        }
-        let removed_plane = take(data, pos, removed_count * 4, "truncated removed list")?;
-        if removed_count > 0 {
-            removed = vec![false; header.count];
-            let mut prev: Option<u32> = None;
-            for e in 0..removed_count {
-                let id = plane_u32(&removed_plane, e);
-                if id as usize >= header.count {
-                    return Err(PersistError::Corrupt("removed id out of range"));
-                }
-                if prev.is_some_and(|p| p >= id) {
-                    return Err(PersistError::Corrupt("removed list not increasing"));
-                }
-                prev = Some(id);
-                removed[id as usize] = true;
+    if removed_count > 0 {
+        removed = vec![false; header.count];
+        let mut prev: Option<u32> = None;
+        for e in 0..removed_count {
+            let id = plane_u32(&removed_plane, e);
+            if id as usize >= header.count {
+                return Err(PersistError::Corrupt("removed id out of range"));
             }
+            if prev.is_some_and(|p| p >= id) {
+                return Err(PersistError::Corrupt("removed list not increasing"));
+            }
+            prev = Some(id);
+            removed[id as usize] = true;
         }
     }
     let recorded = read_u64_le(data, pos, "truncated structure checksum")?;
@@ -673,7 +596,7 @@ fn decode_block_a(
         inverted.push(list);
     }
     Ok(ArenaBlock {
-        store: FlatStore {
+        store: StructStore {
             tok_offsets: tok_offs,
             tokens,
             ph_offsets: ph_offs,
@@ -685,7 +608,7 @@ fn decode_block_a(
 }
 
 /// Validate the segment table and every segment's node planes, then borrow
-/// them as zero-copy [`Trie`] views.
+/// each segment zero-copy as a [`Trie`].
 ///
 /// The structural pass is what makes the borrow safe to *search* without
 /// per-access checks: child/sibling links must point strictly forward (so
@@ -699,7 +622,7 @@ fn borrow_segments(
     data: &Bytes,
     pos: &mut usize,
     header: &Header,
-    store: &FlatStore,
+    store: &StructStore,
     removed: &[bool],
 ) -> Result<Vec<Vec<Trie>>, PersistError> {
     let table = take(data, pos, header.seg_count * 8, "truncated segment table")?;
@@ -722,19 +645,14 @@ fn borrow_segments(
         if node_count as u64 > (data.len() - *pos) as u64 / 13 {
             return Err(PersistError::Corrupt("segment node count exceeds payload"));
         }
-        let seg_start = *pos;
-        let token = take(data, pos, node_count, "truncated segment tokens")?;
-        take(
+        let segment = take(
             data,
             pos,
-            (4 - node_count % 4) % 4,
-            "truncated segment padding",
+            segment_len(node_count),
+            "truncated segment planes",
         )?;
-        let first_child = take(data, pos, node_count * 4, "truncated first-child plane")?;
-        let next_sibling = take(data, pos, node_count * 4, "truncated next-sibling plane")?;
-        let structure = take(data, pos, node_count * 4, "truncated structure plane")?;
         let recorded = read_u64_le(data, pos, "truncated segment checksum")?;
-        if checksum64(&data[seg_start..*pos - 8]) != recorded {
+        if checksum64(&segment) != recorded {
             return Err(PersistError::BadChecksum("segment planes"));
         }
 
@@ -742,14 +660,17 @@ fn borrow_segments(
         // nodes are appended after the node that references them), so one
         // in-order sweep can propagate depths and validate every invariant
         // in O(nodes) with a single transient byte array.
+        let planes = Planes::split(&segment, node_count);
         let mut depth = vec![0u8; node_count];
         for i in 0..node_count {
-            if (token[i] as usize) >= STRUCT_ALPHABET {
+            // lossy: i < node_count, which the table stores as u32
+            let node = i as u32;
+            if planes.token(node).0 as usize >= STRUCT_ALPHABET {
                 return Err(PersistError::Corrupt("bad node token"));
             }
             let d = depth[i] as usize;
-            let fc = plane_u32(&first_child, i);
-            if fc != NODE_NONE {
+            let fc = planes.first_child(node);
+            if fc != NONE {
                 if fc as usize <= i || fc as usize >= node_count {
                     return Err(PersistError::Corrupt("child link not forward"));
                 }
@@ -759,15 +680,15 @@ fn borrow_segments(
                 // lossy: d < trie_len <= 255, so d + 1 fits u8
                 depth[fc as usize] = (d + 1) as u8;
             }
-            let ns = plane_u32(&next_sibling, i);
-            if ns != NODE_NONE {
+            let ns = planes.next_sibling(node);
+            if ns != NONE {
                 if ns as usize <= i || ns as usize >= node_count {
                     return Err(PersistError::Corrupt("sibling link not forward"));
                 }
                 depth[ns as usize] = depth[i];
             }
-            let st = plane_u32(&structure, i);
-            if st != NODE_NONE {
+            let st = planes.structure(node);
+            if st != NONE {
                 if st as usize >= header.count {
                     return Err(PersistError::Corrupt("bad terminal structure id"));
                 }
@@ -776,9 +697,7 @@ fn borrow_segments(
                         "terminal references removed structure",
                     ));
                 }
-                let s_len =
-                    (store.tok_offsets[st as usize + 1] - store.tok_offsets[st as usize]) as usize;
-                if d != trie_len || s_len != trie_len {
+                if d != trie_len || store.token_len(st as usize) != trie_len {
                     return Err(PersistError::Corrupt("terminal at wrong depth"));
                 }
                 if std::mem::replace(&mut terminated[st as usize], true) {
@@ -786,15 +705,7 @@ fn borrow_segments(
                 }
             }
         }
-        tries[trie_len].push(Trie::from_view(
-            trie_len,
-            node_count,
-            recorded,
-            token,
-            first_child,
-            next_sibling,
-            structure,
-        ));
+        tries[trie_len].push(Trie::from_segment(trie_len, node_count, recorded, segment));
     }
     for (id, &t) in terminated.iter().enumerate() {
         if !t && !removed.get(id).copied().unwrap_or(false) {
@@ -804,81 +715,11 @@ fn borrow_segments(
     Ok(tries)
 }
 
-/// Legacy version-1 decoder: sequential structure records, tries rebuilt.
-fn from_bytes_v1(mut data: &[u8], recorder: &Recorder) -> Result<StructureIndex, PersistError> {
-    if data.remaining() < 16 {
-        return Err(PersistError::Corrupt("truncated header"));
-    }
-    let weights = Weights {
-        keyword: data.get_u32(),
-        splchar: data.get_u32(),
-        literal: data.get_u32(),
-    };
-    let count = data.get_u32() as usize;
-    // Every structure occupies at least 2 bytes (token count + placeholder
-    // count), so a count exceeding remaining/2 is certainly corrupt.
-    if count > data.remaining() / 2 {
-        return Err(PersistError::Corrupt("structure count exceeds payload"));
-    }
-    let mut structures = Vec::with_capacity(count);
-    for _ in 0..count {
-        if data.remaining() < 1 {
-            return Err(PersistError::Corrupt("truncated structure"));
-        }
-        let n_tok = data.get_u8() as usize;
-        if data.remaining() < n_tok {
-            return Err(PersistError::Corrupt("truncated tokens"));
-        }
-        let mut tokens = Vec::with_capacity(n_tok);
-        for _ in 0..n_tok {
-            let id = data.get_u8();
-            if id as usize >= STRUCT_ALPHABET {
-                return Err(PersistError::Corrupt("bad token id"));
-            }
-            tokens.push(StructTokId(id));
-        }
-        if data.remaining() < 1 {
-            return Err(PersistError::Corrupt("truncated placeholders"));
-        }
-        let n_ph = data.get_u8() as usize;
-        if data.remaining() < n_ph * 3 {
-            return Err(PersistError::Corrupt("truncated placeholders"));
-        }
-        let mut placeholders = Vec::with_capacity(n_ph);
-        for _ in 0..n_ph {
-            let category = category_from(data.get_u8())?;
-            let gov = data.get_u16();
-            placeholders.push(Placeholder {
-                category,
-                governor: (gov != GOVERNOR_NONE).then_some(gov),
-            });
-        }
-        let vars = tokens.iter().filter(|t| t.is_var()).count();
-        if vars != n_ph {
-            return Err(PersistError::Corrupt("placeholder count mismatch"));
-        }
-        structures.push(Structure {
-            tokens,
-            placeholders,
-        });
-    }
-    if data.has_remaining() {
-        return Err(PersistError::Corrupt("trailing bytes"));
-    }
-    reject_duplicates(
-        structures.iter().map(|s| s.tokens.as_slice()),
-        structures.len(),
-    )?;
-    recorder.incr(CounterId::IndexLoadRebuild);
-    Ok(StructureIndex::build(structures, weights))
-}
-
 /// Reject duplicate token sequences before handing structures to
-/// [`StructureIndex::build`], whose `Trie::insert` requires distinct
-/// sequences (duplicates would collide on one terminal). Only the
-/// rebuild paths need this sweep: the zero-copy path never inserts, and
-/// its structural pass already pins every structure to exactly one
-/// terminal. The Fx-style hasher matters — SipHash over a million short
+/// [`StructureIndex::build`], whose trie inserts require distinct
+/// sequences (duplicates would collide on one terminal). Only the rebuild
+/// path needs this sweep: the zero-copy path never inserts, and its
+/// structural pass already pins every structure to exactly one terminal. The Fx-style hasher matters — SipHash over a million short
 /// keys costs more than every checksum in the file combined.
 fn reject_duplicates<'a>(
     keys: impl Iterator<Item = &'a [StructTokId]>,
@@ -1065,40 +906,12 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_images() -> Result<(), PersistError> {
-        // Hand-roll a v1 image: header + one 2-token structure with one
-        // placeholder, in the old big-endian sequential record format.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC);
-        v1.extend_from_slice(&1u16.to_be_bytes());
-        for w in [2u32, 3, 4] {
-            v1.extend_from_slice(&w.to_be_bytes());
-        }
-        v1.extend_from_slice(&1u32.to_be_bytes()); // count
-        v1.push(2); // tokens
-        v1.push(StructTokId::VAR.0);
-        v1.push(StructTokId::VAR.0);
-        v1.push(2); // placeholders
-        for _ in 0..2 {
-            v1.push(0); // Table
-            v1.extend_from_slice(&GOVERNOR_NONE.to_be_bytes());
-        }
-        let rec = Recorder::enabled();
-        let idx = from_bytes_observed(&v1, &rec)?;
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.weights().keyword, 2);
-        assert_eq!(rec.report().counter(CounterId::IndexLoadRebuild), 1);
-        assert_eq!(rec.report().counter(CounterId::IndexLoadZeroCopy), 0);
-        Ok(())
-    }
-
-    #[test]
     fn compactness() -> Result<(), PersistError> {
         let index = small_index();
         let bytes = to_bytes(&index)?;
-        // The v2 image trades bytes for load speed: it carries the trie
-        // node planes (13 B/node) alongside the ~20 B/structure arena so
-        // loads can borrow instead of rebuild. Still well under 128 B per
+        // The image trades bytes for load speed: it carries the trie node
+        // planes (13 B/node) alongside the ~20 B/structure arena so loads
+        // can borrow instead of rebuild. Still well under 128 B per
         // structure for the small grammar.
         assert!(
             bytes.len() < index.len() * 128,

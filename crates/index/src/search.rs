@@ -10,8 +10,7 @@
 
 use crate::content::WordFold;
 use crate::store::StructStore;
-use crate::trie::{Trie, NONE};
-use parking_lot::Mutex;
+use crate::trie::{Planes, Trie, TrieBuilder, NONE};
 use speakql_editdist::{
     lower_bound, weighted_lcs_distance, weighted_lcs_distance_bounded, ColumnWorkspace, Dist,
     SoaWorkspace, Weights, DIST_INF, SOA_LANES,
@@ -21,11 +20,6 @@ use speakql_grammar::{
 };
 use speakql_observe::{CounterId, Recorder, SpanId};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-/// Upper bound on idle [`ColumnWorkspace`]s kept in an index's pool. Steady
-/// state needs one workspace per concurrently searching worker; anything
-/// beyond this cap is dropped on check-in rather than hoarded.
-const WORKSPACE_POOL_CAP: usize = 64;
 
 /// Target structures per trie shard. Each per-length trie is split into
 /// `ceil(n / SHARD_TARGET)` shards (capped at [`MAX_SHARDS_PER_LEN`]) over
@@ -41,15 +35,33 @@ const SHARD_TARGET: usize = 8192;
 const MAX_SHARDS_PER_LEN: usize = 64;
 
 /// Number of shards the `n` structures of one length are split into.
-pub(crate) fn shard_count(n: usize) -> usize {
+fn shard_count(n: usize) -> usize {
     n.div_ceil(SHARD_TARGET).clamp(1, MAX_SHARDS_PER_LEN)
+}
+
+/// Seal the shard tries over `ids` — the live structures of length `len`,
+/// in arena order — split into [`shard_count`] contiguous blocks. The
+/// layout depends only on `ids`, so [`StructureIndex::build`] and the delta
+/// path produce identical segments for identical runs. Empty when `ids` is.
+pub(crate) fn seal_shards(store: &StructStore, len: usize, ids: &[u32]) -> Vec<Trie> {
+    if ids.is_empty() {
+        return Vec::new();
+    }
+    let mut shards: Vec<TrieBuilder> = (0..shard_count(ids.len()))
+        .map(|_| TrieBuilder::new(len))
+        .collect();
+    let block = ids.len().div_ceil(shards.len());
+    for (i, &id) in ids.iter().enumerate() {
+        shards[i / block].insert(store.tokens(id as usize), id);
+    }
+    shards.into_iter().map(TrieBuilder::seal).collect()
 }
 
 /// The DP column buffers one search worker walks a trie with: either the
 /// scalar reference [`ColumnWorkspace`] or the branchless SoA
 /// [`SoaWorkspace`]. The variant is chosen once per search (see
-/// [`StructureIndex::choose_kernel`]); both kernels produce byte-identical
-/// hits and counters, so the choice is pure mechanism.
+/// [`StructureIndex::workspace`]); both kernels produce byte-identical hits
+/// and counters, so the choice is pure mechanism.
 enum DpCols {
     Scalar(ColumnWorkspace),
     Soa(SoaWorkspace),
@@ -62,97 +74,6 @@ impl DpCols {
             DpCols::Scalar(ws) => ws.take_cells(),
             DpCols::Soa(ws) => ws.take_cells(),
         }
-    }
-}
-
-/// A pool of reusable DP workspaces ([`ColumnWorkspace`] and
-/// [`SoaWorkspace`], pooled separately) shared by every search against one
-/// index. Column buffers are the only per-search allocation on the trie
-/// walk, so recycling them across queries (and across the jobs of one batch)
-/// removes the allocator from the steady-state hot path. Check-outs reset
-/// the workspace for the new query; check-ins above [`WORKSPACE_POOL_CAP`]
-/// (per kernel) drop the workspace instead.
-struct WorkspacePool {
-    scalar: Mutex<Vec<ColumnWorkspace>>,
-    soa: Mutex<Vec<SoaWorkspace>>,
-}
-
-impl WorkspacePool {
-    fn new() -> WorkspacePool {
-        WorkspacePool {
-            scalar: Mutex::new(Vec::new()),
-            soa: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A workspace of the requested kernel targeted at `masked`, recycled
-    /// from the pool when one is available (counted in
-    /// [`SearchStats::workspaces_reused`]). `soa` must only be requested
-    /// after [`SoaWorkspace::fits`] passed for this query.
-    fn checkout(
-        &self,
-        soa: bool,
-        masked: &[StructTokId],
-        w: Weights,
-        max_depth: usize,
-        stats: &mut SearchStats,
-    ) -> DpCols {
-        if soa {
-            if let Some(mut ws) = self.soa.lock().pop() {
-                if ws.reset(masked, w, max_depth) {
-                    stats.workspaces_reused += 1;
-                    return DpCols::Soa(ws);
-                }
-            }
-            if let Some(ws) = SoaWorkspace::new(masked, w, max_depth) {
-                return DpCols::Soa(ws);
-            }
-            // Unreachable when the caller honored the `fits` contract; fall
-            // through to the scalar kernel rather than panic.
-        }
-        match self.scalar.lock().pop() {
-            Some(mut ws) => {
-                ws.reset(masked, w, max_depth);
-                stats.workspaces_reused += 1;
-                DpCols::Scalar(ws)
-            }
-            None => DpCols::Scalar(ColumnWorkspace::new(masked, w, max_depth)),
-        }
-    }
-
-    /// Return a workspace for later reuse.
-    fn checkin(&self, ws: DpCols) {
-        match ws {
-            DpCols::Scalar(ws) => {
-                let mut free = self.scalar.lock();
-                if free.len() < WORKSPACE_POOL_CAP {
-                    free.push(ws);
-                }
-            }
-            DpCols::Soa(ws) => {
-                let mut free = self.soa.lock();
-                if free.len() < WORKSPACE_POOL_CAP {
-                    free.push(ws);
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkspacePool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkspacePool")
-            .field("idle_scalar", &self.scalar.lock().len())
-            .field("idle_soa", &self.soa.lock().len())
-            .finish()
-    }
-}
-
-impl Clone for WorkspacePool {
-    /// Cloned indexes start with an empty pool; workspaces are cheap to
-    /// rebuild and tied to no particular query.
-    fn clone(&self) -> WorkspacePool {
-        WorkspacePool::new()
     }
 }
 
@@ -249,7 +170,11 @@ impl SearchConfig {
     }
 }
 
-/// Counters describing the work one search performed.
+/// Counters describing the work one search performed. In sequential mode
+/// every field is a pure function of the index content, the query, and the
+/// configuration: the same search on the same index always reports the same
+/// stats. (Parallel searches prune on a threshold shared between workers,
+/// so their counters depend on the schedule.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Trie nodes whose DP column was computed.
@@ -262,8 +187,6 @@ pub struct SearchStats {
     pub structures_scanned: u64,
     /// Weighted-LCS DP cells evaluated by the trie-walk workspaces.
     pub cells_evaluated: u64,
-    /// DP workspaces recycled from the index pool instead of allocated.
-    pub workspaces_reused: u64,
     /// Trie shards actually walked. A length split into `s` shards can
     /// contribute up to `s` here but at most 1 to `tries_searched`.
     pub shards_searched: u32,
@@ -282,7 +205,6 @@ impl SearchStats {
         recorder.add(CounterId::SearchTriesPruned, self.tries_pruned as u64);
         recorder.add(CounterId::SearchStructuresScanned, self.structures_scanned);
         recorder.add(CounterId::EditDistCells, self.cells_evaluated);
-        recorder.add(CounterId::SearchWorkspacesReused, self.workspaces_reused);
         recorder.add(CounterId::SearchShardsSearched, self.shards_searched as u64);
         recorder.add(CounterId::SearchShardsPruned, self.shards_pruned as u64);
     }
@@ -381,8 +303,7 @@ impl<'a> SearchState<'a> {
 /// length, and an inverted keyword index for the INV optimization.
 #[derive(Debug, Clone)]
 pub struct StructureIndex {
-    /// The structure arena — owned `Structure`s when built, flattened
-    /// planes when loaded from a persisted image (see [`StructStore`]).
+    /// The structure arena, as flattened planes (see [`StructStore`]).
     store: StructStore,
     /// `tries[l]` holds the shard tries over the structures of length `l`
     /// (empty for lengths with no structures; index 0 is unused). Shards
@@ -394,8 +315,6 @@ pub struct StructureIndex {
     /// Posting lists by keyword index (SELECT/FROM/WHERE left empty).
     inverted: Vec<Vec<u32>>,
     max_len: usize,
-    /// Recycled DP workspaces, shared by every search against this index.
-    workspaces: WorkspacePool,
     /// Tombstone flags for arena slots removed by a delta (`removed[id]`),
     /// or empty when no slot was ever removed. Removed slots keep their
     /// arena window (ids stay stable) but are absent from every trie and
@@ -444,56 +363,25 @@ impl LaneFold {
     }
 }
 
-/// Packs a token plane into LE `u64` words and folds each into a
-/// [`LaneFold`], carrying partial words across slice boundaries. An Owned
-/// arena feeds one slice per structure, a Flat arena feeds its whole plane
-/// at once (the hot path: `chunks_exact` over the plane, no per-slot
-/// boundary work) — both fold the identical word stream because the carry
-/// makes word boundaries independent of how the plane is sliced.
-#[derive(Default)]
-struct PlaneFold {
-    w: u64,
-    shift: u32,
-}
-
-impl PlaneFold {
-    fn feed(&mut self, f: &mut LaneFold, bytes: &[StructTokId]) {
-        let mut i = 0;
-        while self.shift != 0 && i < bytes.len() {
-            self.w |= (bytes[i].0 as u64) << self.shift;
-            self.shift += 8;
-            if self.shift == 64 {
-                f.word(self.w);
-                self.w = 0;
-                self.shift = 0;
-            }
-            i += 1;
-        }
-        let mut chunks = bytes[i..].chunks_exact(8);
-        for c in &mut chunks {
-            f.word(
-                c[0].0 as u64
-                    | (c[1].0 as u64) << 8
-                    | (c[2].0 as u64) << 16
-                    | (c[3].0 as u64) << 24
-                    | (c[4].0 as u64) << 32
-                    | (c[5].0 as u64) << 40
-                    | (c[6].0 as u64) << 48
-                    | (c[7].0 as u64) << 56,
-            );
-        }
-        for b in chunks.remainder() {
-            self.w |= (b.0 as u64) << self.shift;
-            self.shift += 8;
+/// Packs the token plane into LE `u64` words and folds each into a
+/// [`LaneFold`]. A trailing partial word is zero-padded, which is safe
+/// because the plane length is bound by the offset framing words.
+fn fold_plane(f: &mut LaneFold, plane: &[StructTokId]) {
+    let mut chunks = plane.chunks_exact(8);
+    for c in &mut chunks {
+        if let &[a, b, c0, d, e, g, h, i] = c {
+            f.word(u64::from_le_bytes([
+                a.0, b.0, c0.0, d.0, e.0, g.0, h.0, i.0,
+            ]));
         }
     }
-
-    /// Fold any trailing partial word (zero-padded high bytes; safe because
-    /// the plane length is bound by the offset framing words).
-    fn flush(self, f: &mut LaneFold) {
-        if self.shift != 0 {
-            f.word(self.w);
+    let rem = chunks.remainder();
+    if !rem.is_empty() {
+        let mut word = [0u8; 8];
+        for (b, t) in word.iter_mut().zip(rem) {
+            *b = t.0;
         }
+        f.word(u64::from_le_bytes(word));
     }
 }
 
@@ -523,20 +411,8 @@ fn derive_generation(
     f.word(arena as u64);
     // Window framing: one (token end | placeholder end << 32) word per slot.
     let mut off = LaneFold::new(u64::from_be_bytes(*b"SQLXOFF1"));
-    match store {
-        StructStore::Flat(fs) => {
-            for id in 0..arena {
-                off.word(fs.tok_offsets[id + 1] as u64 | (fs.ph_offsets[id + 1] as u64) << 32);
-            }
-        }
-        StructStore::Owned(v) => {
-            let (mut tok_end, mut ph_end) = (0u64, 0u64);
-            for s in v {
-                tok_end += s.tokens.len() as u64;
-                ph_end += s.placeholders.len() as u64;
-                off.word(tok_end | ph_end << 32);
-            }
-        }
+    for (&tok_end, &ph_end) in store.tok_offsets[1..].iter().zip(&store.ph_offsets[1..]) {
+        off.word(tok_end as u64 | (ph_end as u64) << 32);
     }
     off.finish(&mut f);
     // Tombstones: 64 flags packed per word over the arena width (an empty
@@ -556,33 +432,12 @@ fn derive_generation(
     }
     // Token plane: concatenated token bytes packed LE into u64 words.
     let mut toks = LaneFold::new(u64::from_be_bytes(*b"SQLXTOK1"));
-    let mut plane = PlaneFold::default();
-    match store {
-        StructStore::Flat(fs) => plane.feed(&mut toks, &fs.tokens),
-        StructStore::Owned(v) => {
-            for s in v {
-                plane.feed(&mut toks, &s.tokens);
-            }
-        }
-    }
-    plane.flush(&mut toks);
+    fold_plane(&mut toks, &store.tokens);
     toks.finish(&mut f);
     // Placeholder plane: one word per record, in plane order.
-    match store {
-        StructStore::Flat(fs) => {
-            for p in &fs.placeholders {
-                let gov = p.governor.map_or(u16::MAX as u64, u64::from);
-                f.word(p.category as u64 | gov << 8);
-            }
-        }
-        StructStore::Owned(v) => {
-            for s in v {
-                for p in &s.placeholders {
-                    let gov = p.governor.map_or(u16::MAX as u64, u64::from);
-                    f.word(p.category as u64 | gov << 8);
-                }
-            }
-        }
+    for p in &store.placeholders {
+        let gov = p.governor.map_or(u16::MAX as u64, u64::from);
+        f.word(p.category as u64 | gov << 8);
     }
     f.word(tries.iter().map(Vec::len).sum::<usize>() as u64);
     for (len, shards) in tries.iter().enumerate() {
@@ -615,55 +470,32 @@ pub(crate) fn push_postings(inverted: &mut [Vec<u32>], id: u32, tokens: &[Struct
 impl StructureIndex {
     /// Build an index over the given structures.
     ///
-    /// Each length's structures are deterministically split into
-    /// `shard_count` shard tries over contiguous blocks (in arena order,
-    /// preserving prefix sharing within a shard), so the layout depends only
-    /// on the structure sequence — a persisted image reloads to the
-    /// identical shard geometry and therefore identical work counters.
+    /// The arena is appended straight into its flat planes. Each length's
+    /// structures are deterministically split into `shard_count` shard
+    /// tries over contiguous blocks (in arena order, preserving prefix
+    /// sharing within a shard), and each shard is sealed into the persisted
+    /// segment layout. The result is exactly the index that
+    /// [`crate::from_shared`] loads from [`crate::to_bytes`] of it: same
+    /// planes, same segments, same generation, same work counters.
     pub fn build(structures: Vec<Structure>, weights: Weights) -> StructureIndex {
         let max_len = structures.iter().map(Structure::len).max().unwrap_or(0);
-        let mut per_len = vec![0usize; max_len + 1];
-        for s in &structures {
-            per_len[s.len()] += 1;
+        let tokens = structures.iter().map(Structure::len).sum();
+        let placeholders = structures.iter().map(|s| s.placeholders.len()).sum();
+        let mut store = StructStore::with_capacity(structures.len(), tokens, placeholders);
+        let mut by_len: Vec<Vec<u32>> = vec![Vec::new(); max_len + 1];
+        let mut inverted: Vec<Vec<u32>> = vec![Vec::new(); 19];
+        for (id, s) in structures.into_iter().enumerate() {
+            let id = id as u32;
+            by_len[s.len()].push(id);
+            push_postings(&mut inverted, id, &s.tokens);
+            store.push(&s.tokens, &s.placeholders);
         }
-        let mut tries: Vec<Vec<Trie>> = per_len
+        let tries = by_len
             .iter()
             .enumerate()
-            .map(|(len, &n)| {
-                if n == 0 {
-                    Vec::new()
-                } else {
-                    (0..shard_count(n)).map(|_| Trie::new(len)).collect()
-                }
-            })
+            .map(|(len, ids)| seal_shards(&store, len, ids))
             .collect();
-        // Contiguous block partition: shard s of a length holds positions
-        // [s * block, (s + 1) * block) of that length's arena-order run.
-        let mut seen_of_len = vec![0usize; max_len + 1];
-        let mut inverted: Vec<Vec<u32>> = vec![Vec::new(); 19];
-        for (id, s) in structures.iter().enumerate() {
-            let id = id as u32;
-            let l = s.len();
-            let block = per_len[l].div_ceil(tries[l].len().max(1));
-            let shard = seen_of_len[l] / block.max(1);
-            seen_of_len[l] += 1;
-            tries[l][shard].insert(&s.tokens, id);
-            push_postings(&mut inverted, id, &s.tokens);
-        }
-        let live = structures.len();
-        let store = StructStore::Owned(structures);
-        let generation = derive_generation(&store, &[], &tries, weights, max_len);
-        StructureIndex {
-            store,
-            tries,
-            weights,
-            inverted,
-            max_len,
-            workspaces: WorkspacePool::new(),
-            removed: Vec::new(),
-            live,
-            generation,
-        }
+        StructureIndex::from_parts(store, tries, inverted, weights, max_len, Vec::new())
     }
 
     /// Generate structures from the grammar under `cfg` and index them.
@@ -671,9 +503,9 @@ impl StructureIndex {
         StructureIndex::build(generate_structures(cfg), weights)
     }
 
-    /// Assemble an index from already-validated parts — the persist loader's
-    /// zero-copy path (tries are [`Trie`] views borrowing a persisted image)
-    /// and the delta path (a mix of reused and freshly rebuilt segments).
+    /// Assemble an index from already-validated parts — the build, the
+    /// persist loader's zero-copy path (tries borrow a persisted image), and
+    /// the delta path (a mix of reused and freshly sealed segments).
     /// The parts must describe the same arena a [`StructureIndex::build`]
     /// over the live structures would produce, up to tombstoned slots;
     /// callers guarantee this by construction. The generation is derived
@@ -695,7 +527,6 @@ impl StructureIndex {
             weights,
             inverted,
             max_len,
-            workspaces: WorkspacePool::new(),
             removed,
             live,
             generation,
@@ -779,9 +610,9 @@ impl StructureIndex {
     }
 
     /// Owned copy of a structure by arena id (as returned in a
-    /// [`SearchHit`]). Loaded indexes hold the arena flattened, so there is
-    /// no resident `Structure` to borrow — callers that only need the token
-    /// sequence should prefer [`StructureIndex::structure_tokens`].
+    /// [`SearchHit`]). The arena is held flattened, so there is no resident
+    /// `Structure` to borrow — callers that only need the token sequence
+    /// should prefer [`StructureIndex::structure_tokens`].
     pub fn structure(&self, id: u32) -> Structure {
         self.store.materialize(id as usize)
     }
@@ -830,19 +661,21 @@ impl StructureIndex {
         (hits, stats)
     }
 
-    /// Resolve `cfg.kernel` for this query: `true` = SoA kernel.
-    ///
-    /// DAP's prime pre-pass re-derives individual sibling columns out of
-    /// chunk order, so the approximate DAP mode stays on the scalar
-    /// reference kernel; everything else takes the SoA kernel whenever the
-    /// query fits the u16 lane envelope.
-    fn choose_kernel(&self, masked: &[StructTokId], cfg: &SearchConfig) -> bool {
-        match cfg.kernel {
-            DpKernel::Scalar => false,
-            DpKernel::Auto | DpKernel::Soa => {
-                !cfg.dap && SoaWorkspace::fits(masked.len(), self.max_len, self.weights)
+    /// A fresh DP workspace for one search worker. The SoA kernel runs
+    /// whenever `cfg.kernel` allows it and the query fits the u16 lane
+    /// envelope; DAP's prime pre-pass re-derives individual sibling columns
+    /// out of chunk order, so the approximate DAP mode stays on the scalar
+    /// reference kernel. A workspace is allocated per search rather than
+    /// pooled: that costs a few microseconds against a search of a
+    /// millisecond or more, and keeps every counter independent of what
+    /// earlier searches left behind.
+    fn workspace(&self, masked: &[StructTokId], cfg: &SearchConfig) -> DpCols {
+        if cfg.kernel != DpKernel::Scalar && !cfg.dap {
+            if let Some(ws) = SoaWorkspace::new(masked, self.weights, self.max_len) {
+                return DpCols::Soa(ws);
             }
         }
+        DpCols::Scalar(ColumnWorkspace::new(masked, self.weights, self.max_len))
     }
 
     fn search_inner(
@@ -872,20 +705,16 @@ impl StructureIndex {
             .filter(|&(j, s)| !self.tries[j][s].is_empty())
             .collect();
 
-        let soa = self.choose_kernel(masked, cfg);
         let workers = cfg.effective_threads().min(order.len().max(1));
         if workers > 1 {
-            return self.search_parallel(masked, cfg, soa, &order, workers, recorder);
+            return self.search_parallel(masked, cfg, &order, workers, recorder);
         }
 
-        let mut cols =
-            self.workspaces
-                .checkout(soa, masked, self.weights, self.max_len, &mut state.stats);
+        let mut cols = self.workspace(masked, cfg);
         for &(j, s) in &order {
             self.search_shard(j, s, masked, cfg, &mut state, &mut cols, recorder);
         }
         state.stats.cells_evaluated += cols.take_cells();
-        self.workspaces.checkin(cols);
         (state.topk.into_vec(), state.stats)
     }
 
@@ -909,7 +738,6 @@ impl StructureIndex {
         &self,
         masked: &[StructTokId],
         cfg: &SearchConfig,
-        soa: bool,
         order: &[(usize, usize)],
         workers: usize,
         recorder: &Recorder,
@@ -922,12 +750,9 @@ impl StructureIndex {
         // algorithm would have BDB-skipped outright.
         let mut seed = SearchState::new(cfg.k, Some(&shared));
         if let Some(&(j0, s0)) = order.first() {
-            let mut cols =
-                self.workspaces
-                    .checkout(soa, masked, self.weights, self.max_len, &mut seed.stats);
+            let mut cols = self.workspace(masked, cfg);
             self.search_shard(j0, s0, masked, cfg, &mut seed, &mut cols, recorder);
             seed.stats.cells_evaluated += cols.take_cells();
-            self.workspaces.checkin(cols);
         }
         let cursor = AtomicUsize::new(1);
         let worker_results: Vec<(TopK, SearchStats)> = std::thread::scope(|scope| {
@@ -935,20 +760,13 @@ impl StructureIndex {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut state = SearchState::new(cfg.k, Some(&shared));
-                        let mut cols = self.workspaces.checkout(
-                            soa,
-                            masked,
-                            self.weights,
-                            self.max_len,
-                            &mut state.stats,
-                        );
+                        let mut cols = self.workspace(masked, cfg);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(&(j, s)) = order.get(i) else { break };
                             self.search_shard(j, s, masked, cfg, &mut state, &mut cols, recorder);
                         }
                         state.stats.cells_evaluated += cols.take_cells();
-                        self.workspaces.checkin(cols);
                         (state.topk, state.stats)
                     })
                 })
@@ -975,7 +793,6 @@ impl StructureIndex {
             state.stats.tries_pruned += stats.tries_pruned;
             state.stats.structures_scanned += stats.structures_scanned;
             state.stats.cells_evaluated += stats.cells_evaluated;
-            state.stats.workspaces_reused += stats.workspaces_reused;
             state.stats.shards_searched += stats.shards_searched;
             state.stats.shards_pruned += stats.shards_pruned;
         }
@@ -1047,6 +864,7 @@ impl StructureIndex {
         cols: &mut DpCols,
         recorder: &Recorder,
     ) {
+        let trie = trie.planes();
         match cols {
             DpCols::Scalar(cols) => TrieWalk {
                 index: self,
@@ -1154,7 +972,7 @@ impl StructureIndex {
 /// query, config, per-worker state, and DP columns bundled together.
 struct TrieWalk<'a, 'b, 'c> {
     index: &'a StructureIndex,
-    trie: &'a Trie,
+    trie: Planes<'a>,
     /// Token length of every structure in this trie (tries are per-length).
     target_len: usize,
     masked: &'a [StructTokId],
@@ -1253,7 +1071,7 @@ impl TrieWalk<'_, '_, '_> {
 /// point. Hits, `nodes_visited`, and `cells_evaluated` are all
 /// byte-identical; the kernel-parity suite enforces this.
 struct SoaTrieWalk<'a, 'b, 'c> {
-    trie: &'a Trie,
+    trie: Planes<'a>,
     /// Token length of every structure in this trie (tries are per-length).
     target_len: usize,
     state: &'b mut SearchState<'c>,
@@ -1566,6 +1384,32 @@ mod tests {
             },
         );
         assert_ne!(a.generation(), reweighted.generation());
+    }
+
+    #[test]
+    fn repeated_search_reports_identical_stats() {
+        // Sequential stats are a pure function of (index, query, config):
+        // the second run of a query on the same index reports exactly the
+        // work of the first, on either kernel and under DAP.
+        let idx = StructureIndex::from_grammar(
+            &GeneratorConfig {
+                max_structures: Some(2_000),
+                ..GeneratorConfig::small()
+            },
+            Weights::PAPER,
+        );
+        let p = process_transcript_text("select sales from employers wear first name equals jon");
+        for cfg in [
+            SearchConfig::default(),
+            SearchConfig::top_k(5).with_kernel(DpKernel::Scalar),
+            SearchConfig {
+                dap: true,
+                ..SearchConfig::default()
+            },
+        ] {
+            let first = idx.search_with_stats(&p.masked, &cfg);
+            assert_eq!(idx.search_with_stats(&p.masked, &cfg), first, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -10,17 +10,21 @@
 //!
 //! Nodes live in four structure-of-arrays planes (token / first-child /
 //! next-sibling / structure) in the compact first-child/next-sibling
-//! representation: 13 bytes per node, no per-node allocation. The planes
-//! come in two forms behind one accessor surface:
+//! representation: 13 bytes per node, no per-node allocation. A [`Trie`]
+//! has one form, a *sealed segment*: one immutable [`Bytes`] buffer in the
+//! persisted layout — the token plane (one byte per node), zero padding to
+//! a 4-byte boundary, then the first-child, next-sibling, and structure
+//! planes as little-endian `u32`s. A build grows each shard in a
+//! crate-private `TrieBuilder` and seals it; a load borrows the same
+//! bytes zero-copy out of a validated image (see `persist`). A built and a
+//! loaded trie therefore hold identical buffers, and walk, hash, and
+//! serialize identically.
 //!
-//! - **Owned** — `Vec` planes built in memory by [`Trie::insert`].
-//! - **View** — [`Bytes`] planes borrowed zero-copy from a validated
-//!   persisted image (see `persist`). Views are immutable; they are only
-//!   constructed after the loader has bounds- and checksum-validated the
-//!   planes, so accessors never need to re-check on the hot path beyond the
-//!   slice bounds checks the borrow checker already demands.
+//! Search reads a trie through `Planes`, which borrows the four planes as
+//! byte slices once per walk, so the hot loop never goes back through the
+//! refcounted buffer.
 
-use crate::content::StreamChecksum;
+use crate::content::checksum64;
 use bytes::Bytes;
 use speakql_grammar::StructTokId;
 
@@ -41,36 +45,16 @@ pub struct Node {
     pub structure: u32,
 }
 
-/// Node storage: four planes, either owned and growable or borrowed
-/// zero-copy from a persisted image.
-#[derive(Debug, Clone)]
-enum NodeStore {
-    Owned {
-        token: Vec<StructTokId>,
-        first_child: Vec<u32>,
-        next_sibling: Vec<u32>,
-        structure: Vec<u32>,
-    },
-    View {
-        count: usize,
-        /// The segment's content id — the persisted-format checksum of the
-        /// planes, recorded (and verified) at load time so identity checks
-        /// never rehash the borrowed bytes. See [`Trie::content_id`].
-        content: u64,
-        /// One byte per node.
-        token: Bytes,
-        /// Little-endian `u32` per node.
-        first_child: Bytes,
-        next_sibling: Bytes,
-        structure: Bytes,
-    },
+/// Byte length of the sealed segment of a `count`-node trie.
+pub(crate) fn segment_len(count: usize) -> usize {
+    count.next_multiple_of(4) + 12 * count
 }
 
-/// Read the `idx`-th little-endian `u32` of a validated plane. Out-of-range
-/// reads (impossible on validated views) yield the inert `NONE` sentinel
-/// instead of panicking.
+/// Read the `idx`-th little-endian `u32` of a plane. Out-of-range reads
+/// (impossible on a sealed or validated segment) yield the inert `NONE`
+/// sentinel instead of panicking.
 #[inline]
-fn plane_u32(plane: &Bytes, idx: u32) -> u32 {
+fn plane_u32(plane: &[u8], idx: u32) -> u32 {
     let i = idx as usize * 4;
     match plane.get(i..i + 4) {
         Some(&[a, b, c, d]) => u32::from_le_bytes([a, b, c, d]),
@@ -78,249 +62,145 @@ fn plane_u32(plane: &Bytes, idx: u32) -> u32 {
     }
 }
 
-/// A trie over equal-length token sequences.
-#[derive(Debug, Clone)]
-pub struct Trie {
-    /// Token length of every sequence stored here.
-    pub len: usize,
-    nodes: NodeStore,
+/// The four node planes of one segment, borrowed as byte slices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Planes<'a> {
+    token: &'a [u8],
+    first_child: &'a [u8],
+    next_sibling: &'a [u8],
+    structure: &'a [u8],
 }
 
-impl Trie {
-    /// An empty, owned trie for token sequences of exactly `len` tokens,
-    /// holding only the root node.
-    pub fn new(len: usize) -> Trie {
-        Trie {
-            len,
-            nodes: NodeStore::Owned {
-                token: vec![StructTokId::VAR],
-                first_child: vec![NONE],
-                next_sibling: vec![NONE],
-                structure: vec![NONE],
-            },
-        }
-    }
-
-    /// A trie whose node planes are zero-copy views over a validated
-    /// persisted image. `count` is the node count; each `u32` plane holds
-    /// `count` little-endian values and the token plane `count` bytes.
-    /// `content` is the segment's verified plane checksum, kept as the
-    /// content id. The caller (the persist loader) has already validated
-    /// bounds, checksums, and structural invariants.
-    pub(crate) fn from_view(
-        len: usize,
-        count: usize,
-        content: u64,
-        token: Bytes,
-        first_child: Bytes,
-        next_sibling: Bytes,
-        structure: Bytes,
-    ) -> Trie {
-        Trie {
-            len,
-            nodes: NodeStore::View {
-                count,
-                content,
-                token,
-                first_child,
-                next_sibling,
-                structure,
-            },
-        }
-    }
-
-    /// The segment's content id: the persisted-format checksum
-    /// (`content::checksum64` semantics) of this trie's serialized node
-    /// planes — token bytes, zero-padding to a 4-byte boundary, then the
-    /// first-child / next-sibling / structure planes as little-endian
-    /// `u32`s. Views return the checksum recorded (and verified) at load
-    /// time without touching the planes; owned tries stream the identical
-    /// byte sequence the persist writer would emit. Equal planes therefore
-    /// yield equal ids whether a segment was built, loaded, or carried
-    /// across a delta, which is what lets the arena generation be derived
-    /// from content rather than minted per process.
-    pub(crate) fn content_id(&self) -> u64 {
-        match &self.nodes {
-            NodeStore::View { content, .. } => *content,
-            NodeStore::Owned {
-                token,
-                first_child,
-                next_sibling,
-                structure,
-            } => {
-                let n = token.len();
-                let padded = n.next_multiple_of(4);
-                let mut h = StreamChecksum::new(padded + 12 * n);
-                let mut tmp = [0u8; 64];
-                for chunk in token.chunks(tmp.len()) {
-                    for (b, t) in tmp.iter_mut().zip(chunk) {
-                        *b = t.0;
-                    }
-                    h.update(&tmp[..chunk.len()]);
-                }
-                h.update(&[0u8; 4][..padded - n]);
-                for plane in [first_child, next_sibling, structure] {
-                    for &v in plane {
-                        h.update_u32_le(v);
-                    }
-                }
-                h.finish()
-            }
-        }
-    }
-
-    /// The four borrowed planes of a zero-copy view (token, first-child,
-    /// next-sibling, structure), or `None` for an owned trie. The persist
-    /// writer uses this to bulk-copy unchanged segments instead of
-    /// re-serializing them node by node.
-    pub(crate) fn view_planes(&self) -> Option<(&Bytes, &Bytes, &Bytes, &Bytes)> {
-        match &self.nodes {
-            NodeStore::Owned { .. } => None,
-            NodeStore::View {
-                token,
-                first_child,
-                next_sibling,
-                structure,
-                ..
-            } => Some((token, first_child, next_sibling, structure)),
+impl<'a> Planes<'a> {
+    /// Split a segment of `count` nodes into its planes. A segment shorter
+    /// than [`segment_len`] yields short planes whose reads fall back to
+    /// sentinels.
+    pub(crate) fn split(segment: &'a [u8], count: usize) -> Planes<'a> {
+        let at = |s: &'a [u8], n: usize| s.split_at(n.min(s.len()));
+        let (token, rest) = at(segment, count);
+        let (_, rest) = at(rest, count.next_multiple_of(4) - count);
+        let (first_child, rest) = at(rest, 4 * count);
+        let (next_sibling, structure) = at(rest, 4 * count);
+        Planes {
+            token,
+            first_child,
+            next_sibling,
+            structure,
         }
     }
 
     /// Token on the incoming edge of node `idx`.
     #[inline]
-    pub fn token(&self, idx: u32) -> StructTokId {
-        match &self.nodes {
-            NodeStore::Owned { token, .. } => token[idx as usize],
-            NodeStore::View { token, .. } => {
-                StructTokId(token.get(idx as usize).copied().unwrap_or(0))
-            }
+    pub(crate) fn token(&self, idx: u32) -> StructTokId {
+        StructTokId(self.token.get(idx as usize).copied().unwrap_or(0))
+    }
+
+    /// Arena index of node `idx`'s first child (`NONE` = leaf).
+    #[inline]
+    pub(crate) fn first_child(&self, idx: u32) -> u32 {
+        plane_u32(self.first_child, idx)
+    }
+
+    /// Arena index of node `idx`'s next sibling (`NONE` = last child).
+    #[inline]
+    pub(crate) fn next_sibling(&self, idx: u32) -> u32 {
+        plane_u32(self.next_sibling, idx)
+    }
+
+    /// Structure id terminated at node `idx` (`NONE` = none).
+    #[inline]
+    pub(crate) fn structure(&self, idx: u32) -> u32 {
+        plane_u32(self.structure, idx)
+    }
+
+    /// Iterate the children of node `idx` in insertion order.
+    pub(crate) fn children(self, idx: u32) -> ChildIter<'a> {
+        ChildIter {
+            next: self.first_child(idx),
+            planes: self,
+        }
+    }
+}
+
+/// A sealed trie over equal-length token sequences.
+#[derive(Debug, Clone)]
+pub struct Trie {
+    /// Token length of every sequence stored here.
+    pub len: usize,
+    count: usize,
+    /// The segment's content id: the persisted-format checksum
+    /// (`content::checksum64`) of `segment`, taken when the segment was
+    /// sealed or verified when it was loaded.
+    content: u64,
+    segment: Bytes,
+}
+
+impl Trie {
+    /// A trie over a sealed segment of `count` nodes whose checksum is
+    /// `content`. The caller — [`TrieBuilder::seal`], or the persist loader
+    /// after validating bounds, checksum, and structural invariants —
+    /// guarantees the layout.
+    pub(crate) fn from_segment(len: usize, count: usize, content: u64, segment: Bytes) -> Trie {
+        Trie {
+            len,
+            count,
+            content,
+            segment,
         }
     }
 
-    /// Arena index of node `idx`'s first child (`u32::MAX` = leaf).
-    #[inline]
-    pub fn first_child(&self, idx: u32) -> u32 {
-        match &self.nodes {
-            NodeStore::Owned { first_child, .. } => first_child[idx as usize],
-            NodeStore::View { first_child, .. } => plane_u32(first_child, idx),
-        }
+    /// The segment's content id. Equal segments yield equal ids whether
+    /// they were built, loaded, or carried across a delta, which is what
+    /// lets the arena generation be derived from content rather than minted
+    /// per process.
+    pub(crate) fn content_id(&self) -> u64 {
+        self.content
     }
 
-    /// Arena index of node `idx`'s next sibling (`u32::MAX` = last child).
-    #[inline]
-    pub fn next_sibling(&self, idx: u32) -> u32 {
-        match &self.nodes {
-            NodeStore::Owned { next_sibling, .. } => next_sibling[idx as usize],
-            NodeStore::View { next_sibling, .. } => plane_u32(next_sibling, idx),
-        }
+    /// The sealed segment bytes, in the persisted layout.
+    pub(crate) fn segment(&self) -> &[u8] {
+        &self.segment
     }
 
-    /// Structure id terminated at node `idx` (`u32::MAX` = none).
-    #[inline]
-    pub fn structure(&self, idx: u32) -> u32 {
-        match &self.nodes {
-            NodeStore::Owned { structure, .. } => structure[idx as usize],
-            NodeStore::View { structure, .. } => plane_u32(structure, idx),
-        }
+    /// The node planes, borrowed once for a walk.
+    pub(crate) fn planes(&self) -> Planes<'_> {
+        Planes::split(&self.segment, self.count)
     }
 
     /// Materialize a node by arena index (0 = root).
     pub fn node(&self, idx: u32) -> Node {
+        let p = self.planes();
         Node {
-            token: self.token(idx),
-            first_child: self.first_child(idx),
-            next_sibling: self.next_sibling(idx),
-            structure: self.structure(idx),
+            token: p.token(idx),
+            first_child: p.first_child(idx),
+            next_sibling: p.next_sibling(idx),
+            structure: p.structure(idx),
         }
     }
 
     /// Number of nodes in the arena, including the root.
     pub fn node_count(&self) -> usize {
-        match &self.nodes {
-            NodeStore::Owned { token, .. } => token.len(),
-            NodeStore::View { count, .. } => *count,
-        }
+        self.count
     }
 
     /// True when no sequence has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.first_child(0) == NONE
+        self.planes().first_child(0) == NONE
     }
 
     /// Iterate the children of a node in insertion order.
     pub fn children(&self, idx: u32) -> ChildIter<'_> {
-        ChildIter {
-            trie: self,
-            next: self.first_child(idx),
-        }
-    }
-
-    /// Insert a token sequence; `structure` is its arena id. Sequences must
-    /// have exactly `self.len` tokens and be unique. Insertion targets
-    /// owned tries only; zero-copy views are sealed at load time, and
-    /// inserting into one is an inert no-op.
-    pub fn insert(&mut self, tokens: &[StructTokId], structure: u32) {
-        debug_assert_eq!(tokens.len(), self.len);
-        let mut cur = 0u32;
-        for &tok in tokens {
-            cur = self.child_or_insert(cur, tok);
-        }
-        debug_assert_eq!(self.structure(cur), NONE, "duplicate structure");
-        if let NodeStore::Owned {
-            structure: plane, ..
-        } = &mut self.nodes
-        {
-            plane[cur as usize] = structure;
-        }
-    }
-
-    fn child_or_insert(&mut self, parent: u32, tok: StructTokId) -> u32 {
-        // Find an existing child with this token.
-        let mut prev = NONE;
-        let mut cur = self.first_child(parent);
-        while cur != NONE {
-            if self.token(cur) == tok {
-                return cur;
-            }
-            prev = cur;
-            cur = self.next_sibling(cur);
-        }
-        let NodeStore::Owned {
-            token,
-            first_child,
-            next_sibling,
-            structure,
-        } = &mut self.nodes
-        else {
-            // Views are sealed (see `insert`); returning the parent keeps a
-            // misuse inert instead of panicking.
-            debug_assert!(false, "insert into a zero-copy trie view");
-            return parent;
-        };
-        // Append a new child at the end of the sibling list so iteration
-        // order matches insertion (= arena) order, keeping search results
-        // deterministic.
-        let new_idx = token.len() as u32;
-        token.push(tok);
-        first_child.push(NONE);
-        next_sibling.push(NONE);
-        structure.push(NONE);
-        if prev == NONE {
-            first_child[parent as usize] = new_idx;
-        } else {
-            next_sibling[prev as usize] = new_idx;
-        }
-        new_idx
+        self.planes().children(idx)
     }
 }
 
 /// Iterator over the children of a trie node.
 pub struct ChildIter<'a> {
-    trie: &'a Trie,
+    planes: Planes<'a>,
     next: u32,
 }
 
-impl<'a> Iterator for ChildIter<'a> {
+impl Iterator for ChildIter<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
@@ -328,8 +208,87 @@ impl<'a> Iterator for ChildIter<'a> {
             return None;
         }
         let cur = self.next;
-        self.next = self.trie.next_sibling(cur);
+        self.next = self.planes.next_sibling(cur);
         Some(cur)
+    }
+}
+
+/// A trie under construction: growable planes that [`TrieBuilder::insert`]
+/// appends to, sealed into a [`Trie`] once every sequence is in.
+pub(crate) struct TrieBuilder {
+    len: usize,
+    token: Vec<u8>,
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    structure: Vec<u32>,
+}
+
+impl TrieBuilder {
+    /// An empty builder for token sequences of exactly `len` tokens,
+    /// holding only the root node.
+    pub(crate) fn new(len: usize) -> TrieBuilder {
+        TrieBuilder {
+            len,
+            token: vec![StructTokId::VAR.0],
+            first_child: vec![NONE],
+            next_sibling: vec![NONE],
+            structure: vec![NONE],
+        }
+    }
+
+    /// Insert a token sequence; `structure` is its arena id. Sequences must
+    /// have exactly `len` tokens and be unique.
+    pub(crate) fn insert(&mut self, tokens: &[StructTokId], structure: u32) {
+        debug_assert_eq!(tokens.len(), self.len);
+        let mut cur = 0u32;
+        for &tok in tokens {
+            cur = self.child_or_insert(cur, tok.0);
+        }
+        debug_assert_eq!(self.structure[cur as usize], NONE, "duplicate structure");
+        self.structure[cur as usize] = structure;
+    }
+
+    fn child_or_insert(&mut self, parent: u32, tok: u8) -> u32 {
+        // Find an existing child with this token.
+        let mut prev = NONE;
+        let mut cur = self.first_child[parent as usize];
+        while cur != NONE {
+            if self.token[cur as usize] == tok {
+                return cur;
+            }
+            prev = cur;
+            cur = self.next_sibling[cur as usize];
+        }
+        // Append a new child at the end of the sibling list so iteration
+        // order matches insertion (= arena) order, keeping search results
+        // deterministic.
+        let new_idx = self.token.len() as u32;
+        self.token.push(tok);
+        self.first_child.push(NONE);
+        self.next_sibling.push(NONE);
+        self.structure.push(NONE);
+        if prev == NONE {
+            self.first_child[parent as usize] = new_idx;
+        } else {
+            self.next_sibling[prev as usize] = new_idx;
+        }
+        new_idx
+    }
+
+    /// Seal the planes into one buffer in the persisted segment layout; its
+    /// checksum becomes the trie's content id.
+    pub(crate) fn seal(self) -> Trie {
+        let count = self.token.len();
+        let mut segment = Vec::with_capacity(segment_len(count));
+        segment.extend_from_slice(&self.token);
+        segment.resize(count.next_multiple_of(4), 0);
+        for plane in [&self.first_child, &self.next_sibling, &self.structure] {
+            for v in plane {
+                segment.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let content = checksum64(&segment);
+        Trie::from_segment(self.len, count, content, Bytes::from(segment))
     }
 }
 
@@ -347,87 +306,74 @@ mod tests {
 
     #[test]
     fn shared_prefixes_share_nodes() {
-        let mut t = Trie::new(3);
+        let mut b = TrieBuilder::new(3);
         // SELECT x FROM  /  SELECT x WHERE (not a real structure; trie is
         // agnostic) share the 2-token prefix.
-        t.insert(&[kw(Keyword::Select), var(), kw(Keyword::From)], 0);
-        t.insert(&[kw(Keyword::Select), var(), kw(Keyword::Where)], 1);
+        b.insert(&[kw(Keyword::Select), var(), kw(Keyword::From)], 0);
+        b.insert(&[kw(Keyword::Select), var(), kw(Keyword::Where)], 1);
         // root + SELECT + x + FROM + WHERE = 5 nodes
-        assert_eq!(t.node_count(), 5);
+        assert_eq!(b.seal().node_count(), 5);
     }
 
     #[test]
     fn leaves_store_structure_ids() {
-        let mut t = Trie::new(2);
-        t.insert(&[kw(Keyword::Select), var()], 42);
+        let mut b = TrieBuilder::new(2);
+        b.insert(&[kw(Keyword::Select), var()], 42);
+        let t = b.seal();
         let Some(c1) = t.children(0).next() else {
             panic!("root must have a child after insert");
         };
         let Some(c2) = t.children(c1).next() else {
             panic!("depth-1 node must have a child after insert");
         };
-        assert_eq!(t.structure(c2), 42);
-        assert_eq!(t.structure(c1), NONE);
+        assert_eq!(t.node(c2).structure, 42);
+        assert_eq!(t.node(c1).structure, NONE);
     }
 
     #[test]
     fn children_iterate_in_insertion_order() {
-        let mut t = Trie::new(1);
-        t.insert(&[kw(Keyword::Where)], 0);
-        t.insert(&[kw(Keyword::Select)], 1);
-        t.insert(&[var()], 2);
-        let toks: Vec<StructTokId> = t.children(0).map(|c| t.token(c)).collect();
+        let mut b = TrieBuilder::new(1);
+        b.insert(&[kw(Keyword::Where)], 0);
+        b.insert(&[kw(Keyword::Select)], 1);
+        b.insert(&[var()], 2);
+        let t = b.seal();
+        let toks: Vec<StructTokId> = t.children(0).map(|c| t.node(c).token).collect();
         assert_eq!(toks, vec![kw(Keyword::Where), kw(Keyword::Select), var()]);
     }
 
     #[test]
     fn empty_trie() {
-        let t = Trie::new(5);
+        let t = TrieBuilder::new(5).seal();
         assert!(t.is_empty());
         assert_eq!(t.children(0).count(), 0);
     }
 
     #[test]
     fn view_matches_owned() {
-        // Build an owned trie, serialize its planes by hand, and check the
-        // zero-copy view is observationally identical node for node —
-        // including the content id, which for the view is the serialized
-        // segment checksum and for the owned trie is streamed on demand.
-        let mut t = Trie::new(2);
-        t.insert(&[kw(Keyword::Select), var()], 7);
-        t.insert(&[kw(Keyword::Where), var()], 8);
-        t.insert(&[kw(Keyword::Where), kw(Keyword::From)], 9);
-        let n = t.node_count();
-        let mut token = Vec::new();
-        let mut fc = Vec::new();
-        let mut ns = Vec::new();
-        let mut st = Vec::new();
-        for i in 0..n as u32 {
-            token.push(t.token(i).0);
-            fc.extend_from_slice(&t.first_child(i).to_le_bytes());
-            ns.extend_from_slice(&t.next_sibling(i).to_le_bytes());
-            st.extend_from_slice(&t.structure(i).to_le_bytes());
-        }
-        let mut serialized = token.clone();
+        // Serialize a builder's owned planes by hand in the persisted
+        // layout: the sealed segment must be exactly those bytes, its
+        // content id their checksum, and a view borrowed over a copy of
+        // them (as the loader makes) must be observationally identical node
+        // for node.
+        let mut b = TrieBuilder::new(2);
+        b.insert(&[kw(Keyword::Select), var()], 7);
+        b.insert(&[kw(Keyword::Where), var()], 8);
+        b.insert(&[kw(Keyword::Where), kw(Keyword::From)], 9);
+        let mut serialized = b.token.clone();
         while !serialized.len().is_multiple_of(4) {
             serialized.push(0);
         }
-        serialized.extend_from_slice(&fc);
-        serialized.extend_from_slice(&ns);
-        serialized.extend_from_slice(&st);
-        let content = crate::content::checksum64(&serialized);
-        assert_eq!(t.content_id(), content, "owned content id = plane checksum");
-        let v = Trie::from_view(
-            2,
-            n,
-            content,
-            Bytes::from(token),
-            Bytes::from(fc),
-            Bytes::from(ns),
-            Bytes::from(st),
-        );
-        assert_eq!(v.content_id(), t.content_id());
-        assert!(v.view_planes().is_some() && t.view_planes().is_none());
+        for plane in [&b.first_child, &b.next_sibling, &b.structure] {
+            for v in plane {
+                serialized.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let n = b.token.len();
+        let t = b.seal();
+        assert_eq!(t.segment(), serialized.as_slice());
+        assert_eq!(serialized.len(), segment_len(n));
+        assert_eq!(t.content_id(), checksum64(&serialized));
+        let v = Trie::from_segment(2, n, t.content_id(), Bytes::from(serialized));
         assert_eq!(v.node_count(), n);
         assert!(!v.is_empty());
         for i in 0..n as u32 {

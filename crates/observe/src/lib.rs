@@ -79,9 +79,6 @@ pub enum CounterId {
     /// Placeholder fills answered from the per-transcript fill memo instead
     /// of re-running window enumeration and voting.
     LiteralFillMemoHits,
-    /// DP column workspaces checked out of the search pool instead of being
-    /// freshly allocated.
-    SearchWorkspacesReused,
     /// Transcriptions rejected because the transcript had no words.
     ErrorsEmptyTranscript,
     /// Transcriptions rejected because the transcript exceeded the word cap.
@@ -115,10 +112,10 @@ pub enum CounterId {
     /// Trie shards skipped by the bidirectional bounds before walking.
     SearchShardsPruned,
     /// Persisted indexes loaded through the zero-copy validate-then-borrow
-    /// path (segmented v2 images): no per-node trie rebuild occurred.
+    /// path (every production load): no per-node trie rebuild occurred.
     IndexLoadZeroCopy,
-    /// Persisted indexes loaded by deserializing and rebuilding the arena
-    /// (legacy v1 images, or an explicit rebuild request).
+    /// Persisted indexes loaded by decoding the arena and rebuilding the
+    /// tries (the explicit `from_bytes_rebuilt` reference path).
     IndexLoadRebuild,
     /// Trie segments bounds/checksum/structure-validated during zero-copy
     /// index loads.
@@ -142,7 +139,7 @@ pub const COUNTER_COUNT: usize = CounterId::ALL.len();
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 36] = [
+    pub const ALL: [CounterId; 35] = [
         CounterId::SearchNodesVisited,
         CounterId::SearchTriesSearched,
         CounterId::SearchTriesPruned,
@@ -159,7 +156,6 @@ impl CounterId {
         CounterId::CacheSkeletonEvictions,
         CounterId::PhoneticExactHits,
         CounterId::LiteralFillMemoHits,
-        CounterId::SearchWorkspacesReused,
         CounterId::ErrorsEmptyTranscript,
         CounterId::ErrorsTranscriptTooLong,
         CounterId::ErrorsEmptyIndex,
@@ -200,7 +196,6 @@ impl CounterId {
             CounterId::CacheSkeletonEvictions => "cache.skeleton_evictions",
             CounterId::PhoneticExactHits => "phonetics.exact_hits",
             CounterId::LiteralFillMemoHits => "literal.fill_memo_hits",
-            CounterId::SearchWorkspacesReused => "search.workspaces_reused",
             CounterId::ErrorsEmptyTranscript => "engine.errors.empty_transcript",
             CounterId::ErrorsTranscriptTooLong => "engine.errors.transcript_too_long",
             CounterId::ErrorsEmptyIndex => "engine.errors.empty_index",

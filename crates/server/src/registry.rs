@@ -18,11 +18,14 @@
 //!   ages them out); every other tenant's warm entries — including entries
 //!   for segments the delta never touched on *other* tenants sharing the
 //!   old index — keep hitting.
-//! - Re-registering a tenant over an index with the generation it already
-//!   serves is a **no-op** ([`Registration::Unchanged`]): the existing
-//!   engine, its warm state, and its `Arc` identity are all kept. Content
-//!   derivation makes this the common restart/reconcile case — reloading
-//!   the same image bytes yields the same generation.
+//! - Re-registering a tenant over the database it already serves and an
+//!   index with the generation it already serves is a **no-op**
+//!   ([`Registration::Unchanged`]): the existing engine, its warm state,
+//!   and its `Arc` identity are all kept. Content derivation makes this the
+//!   common restart/reconcile case — reloading the same image bytes yields
+//!   the same generation. A changed database (a catalog update: a row
+//!   added, a table reshaped) swaps the engine even over an unchanged
+//!   index, because the engine's phonetic catalog is built from the rows.
 //!
 //! Request-path lookups clone the tenant's `Arc<SpeakQl>` under a read
 //! lock held for the duration of one `HashMap` probe; the lock is
@@ -40,21 +43,28 @@ use std::sync::Arc;
 pub enum Registration {
     /// The tenant was new; a fresh engine now serves it.
     Inserted,
-    /// The tenant existed and the new index's generation differs: a fresh
-    /// engine replaced the old one (in-flight requests holding the old
-    /// `Arc` finish against the old arena; the shared cache keeps every
-    /// other tenant warm).
+    /// The tenant existed and its database or its index's generation
+    /// differs: a fresh engine replaced the old one (in-flight requests
+    /// holding the old `Arc` finish against the old arena; the shared cache
+    /// keeps every other tenant warm).
     Swapped,
-    /// The tenant already serves an index with this exact generation — the
-    /// existing engine and all of its warm state were kept, and the
-    /// supplied index was dropped.
+    /// The tenant already serves this exact database and an index with this
+    /// exact generation — the existing engine and all of its warm state were
+    /// kept, and the supplied index was dropped.
     Unchanged,
+}
+
+/// One registered tenant: its engine and the database the engine's catalog
+/// was built from (kept to tell a catalog update from a no-op).
+struct Tenant {
+    engine: Arc<SpeakQl>,
+    db: Database,
 }
 
 /// A tenant → engine map over one shared skeleton cache and one shared
 /// metrics recorder, supporting warm in-place engine swaps.
 pub struct TenantRegistry {
-    tenants: RwLock<HashMap<String, Arc<SpeakQl>>>,
+    tenants: RwLock<HashMap<String, Tenant>>,
     cache: Arc<SkeletonCache>,
     recorder: Recorder,
 }
@@ -75,10 +85,11 @@ impl TenantRegistry {
 
     /// Register `name` as an engine over `db` and `index`, sharing the
     /// registry's skeleton cache and recorder. Re-registering a name over
-    /// an index whose generation the tenant already serves is a no-op that
-    /// keeps the existing engine warm ([`Registration::Unchanged`]); a
-    /// different generation swaps the engine ([`Registration::Swapped`])
-    /// without touching the shared cache.
+    /// the database and index generation the tenant already serves is a
+    /// no-op that keeps the existing engine warm
+    /// ([`Registration::Unchanged`]); a different database or generation
+    /// swaps the engine ([`Registration::Swapped`]) without touching the
+    /// shared cache.
     pub fn register(
         &self,
         name: &str,
@@ -90,7 +101,7 @@ impl TenantRegistry {
         {
             let tenants = self.tenants.read();
             if let Some(existing) = tenants.get(name) {
-                if existing.index().generation() == incoming {
+                if existing.engine.index().generation() == incoming && existing.db == *db {
                     return Registration::Unchanged;
                 }
             }
@@ -105,10 +116,14 @@ impl TenantRegistry {
             self.recorder.clone(),
             config,
         ));
+        let tenant = Tenant {
+            engine,
+            db: db.clone(),
+        };
         let mut tenants = self.tenants.write();
-        match tenants.insert(name.to_string(), engine) {
+        match tenants.insert(name.to_string(), tenant) {
             None => Registration::Inserted,
-            // A racing register of the same generation loses benignly: the
+            // A racing register of the same content loses benignly: the
             // last writer's engine wins, both share the same warm cache.
             Some(_) => Registration::Swapped,
         }
@@ -118,7 +133,10 @@ impl TenantRegistry {
     /// the engine for the caller even if the tenant is concurrently
     /// hot-swapped; later lookups observe the replacement.
     pub fn engine(&self, tenant: &str) -> Option<Arc<SpeakQl>> {
-        self.tenants.read().get(tenant).cloned()
+        self.tenants
+            .read()
+            .get(tenant)
+            .map(|t| Arc::clone(&t.engine))
     }
 
     /// Registered tenant names, sorted (for listings and reports).

@@ -4,6 +4,7 @@
 
 use speakql_core::{FaultHook, SpeakQl, SpeakQlConfig};
 use speakql_data::{employees_db, yelp_db};
+use speakql_db::{Date, Value};
 use speakql_grammar::GeneratorConfig;
 use speakql_index::StructureIndex;
 use speakql_observe::CounterId;
@@ -320,6 +321,56 @@ fn re_registering_unchanged_index_is_a_noop_that_stays_warm() {
         Response::Ok { .. }
     ));
     assert!(server.recorder().counter(CounterId::CacheSkeletonHits) > hits_before);
+    server.shutdown();
+}
+
+#[test]
+fn re_registering_with_a_grown_database_swaps_the_engine() {
+    // A catalog update over an unchanged index: the index generation
+    // matches, but the engine's phonetic catalog is built from the rows, so
+    // keeping the old engine would answer the new row's value from the old
+    // catalog.
+    let registry = TenantRegistry::new(256, true);
+    let base = employees_db();
+    registry.register("employees", &base, shared_index(), small_config());
+    let mut grown = base.clone();
+    let date = |y, m, d| Value::Date(Date::new(y, m, d).expect("valid date"));
+    grown
+        .table_mut("Employees")
+        .expect("Employees table")
+        .push_row(vec![
+            Value::Int(90_001),
+            date(1970, 1, 1),
+            Value::Text("Zebulon".into()),
+            Value::Text("Halvorsen".into()),
+            Value::Text("F".into()),
+            date(1999, 9, 9),
+        ]);
+    let probe = "select last name from employees where first name equals zebulon";
+    let server = Server::serve(registry, ServerConfig::default()).expect("spawn workers");
+    let handle = server.handle();
+    let Response::Ok { sql: before } = handle.request("employees", probe) else {
+        panic!("probe must transcribe");
+    };
+    assert!(!before.contains("Zebulon"), "{before}");
+
+    assert_eq!(
+        server
+            .registry()
+            .register("employees", &grown, shared_index(), small_config()),
+        Registration::Swapped
+    );
+    let Response::Ok { sql: after } = handle.request("employees", probe) else {
+        panic!("probe must transcribe");
+    };
+    assert!(after.contains("'Zebulon'"), "{after}");
+    // Registering the same database again is the no-op.
+    assert_eq!(
+        server
+            .registry()
+            .register("employees", &grown, shared_index(), small_config()),
+        Registration::Unchanged
+    );
     server.shutdown();
 }
 

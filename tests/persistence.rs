@@ -9,7 +9,8 @@ use speakql_data::employees_db;
 use speakql_editdist::Weights;
 use speakql_grammar::{GeneratorConfig, LitCategory, Placeholder, StructTokId, Structure};
 use speakql_index::{
-    from_bytes, save_to_path, to_bytes, DpKernel, PersistError, SearchConfig, StructureIndex,
+    from_bytes, from_shared, save_to_path, to_bytes, DpKernel, PersistError, SearchConfig,
+    StructureIndex,
 };
 use std::sync::Arc;
 
@@ -63,7 +64,7 @@ fn persisted_file_size_is_compact() {
     };
     let index = StructureIndex::from_grammar(&cfg, Weights::PAPER);
     let bytes = speakql_index::to_bytes(&index).expect("serialize");
-    // The v2 image carries the trie node planes (13 bytes/node) alongside
+    // The image carries the trie node planes (13 bytes/node) alongside
     // the ~20-30 bytes/structure arena, trading bytes at rest for a
     // zero-copy load; certainly under 128 per structure.
     assert!(
@@ -107,6 +108,27 @@ fn arb_structure() -> impl Strategy<Value = Structure> {
                 placeholders: pool[..vars].to_vec(),
             }
         })
+}
+
+/// The first structure of each distinct token sequence: the trie index
+/// (like the grammar generator feeding it) requires distinct sequences.
+fn distinct(structures: Vec<Structure>) -> Vec<Structure> {
+    let mut seen = std::collections::HashSet::new();
+    structures
+        .into_iter()
+        .filter(|s| seen.insert(s.tokens.clone()))
+        .collect()
+}
+
+/// A one-structure index, for tests that only need a valid image.
+fn tiny_index() -> StructureIndex {
+    StructureIndex::build(
+        vec![Structure {
+            tokens: vec![StructTokId(1), StructTokId(0)],
+            placeholders: vec![Placeholder::table()],
+        }],
+        Weights::PAPER,
+    )
 }
 
 fn arb_weights() -> impl Strategy<Value = Weights> {
@@ -221,16 +243,62 @@ proptest! {
         let _ = from_bytes(&bytes);
     }
 
-    /// A syntactically plausible preamble (good magic + current version)
-    /// followed by arbitrary bytes must never panic the loader.
+    /// A syntactically plausible preamble (good magic + current version,
+    /// both taken from a fresh image) followed by arbitrary bytes must never
+    /// panic the loader.
     #[test]
     fn arbitrary_payload_after_valid_preamble_never_panics(
         payload in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        let mut image = b"SQLX".to_vec();
-        image.extend_from_slice(&2u16.to_be_bytes());
+        let mut image = to_bytes(&tiny_index()).expect("serialize")[..6].to_vec();
         image.extend_from_slice(&payload);
         let _ = from_bytes(&image);
+    }
+
+    /// A built index is its loaded form: re-serializing the index loaded
+    /// from a built index's image reproduces that image byte for byte, and
+    /// the built and loaded indexes agree on the generation and on every
+    /// search's hits and work counters.
+    #[test]
+    fn built_index_equals_its_loaded_form(
+        structures in prop::collection::vec(arb_structure(), 1..40),
+        weights in arb_weights(),
+        masked in prop::collection::vec(0u8..28, 0..16),
+        k in 1usize..6,
+    ) {
+        let built = StructureIndex::build(distinct(structures), weights);
+        let bytes = to_bytes(&built).expect("serialize");
+        let loaded = from_shared(bytes.clone()).expect("validate-borrow");
+        prop_assert_eq!(to_bytes(&loaded).expect("re-serialize"), bytes);
+        prop_assert_eq!(loaded.generation(), built.generation());
+        let masked: Vec<StructTokId> = masked.into_iter().map(StructTokId).collect();
+        for kernel in [DpKernel::Scalar, DpKernel::Soa] {
+            let cfg = SearchConfig { k, kernel, ..SearchConfig::default() };
+            prop_assert_eq!(
+                built.search_with_stats(&masked, &cfg),
+                loaded.search_with_stats(&masked, &cfg),
+                "kernel={:?}", kernel
+            );
+        }
+    }
+}
+
+#[test]
+fn old_version_preambles_fail_with_bad_version() {
+    // Versions 1 and 2 are no longer decoded: an old image, whatever its
+    // payload, must be rebuilt rather than loaded.
+    let good = to_bytes(&tiny_index()).expect("serialize").to_vec();
+    for old in [1u16, 2] {
+        let mut image = good.clone();
+        image[4..6].copy_from_slice(&old.to_be_bytes());
+        match from_bytes(&image) {
+            Err(PersistError::BadVersion(v)) => assert_eq!(v, old),
+            other => panic!("expected BadVersion({old}), got {other:?}"),
+        }
+        match speakql_index::from_bytes_rebuilt(&image) {
+            Err(PersistError::BadVersion(v)) => assert_eq!(v, old),
+            other => panic!("expected BadVersion({old}), got {other:?}"),
+        }
     }
 }
 
