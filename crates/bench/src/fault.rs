@@ -8,6 +8,7 @@
 //! The same runner backs the `fault_injection` CI binary and the
 //! `fault_injection` integration test.
 
+use crate::load::reference_response;
 use speakql_core::{
     CounterId, FaultHook, SpeakQl, SpeakQlConfig, SpeakQlError, StreamingTranscriber,
 };
@@ -15,8 +16,8 @@ use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
 use speakql_grammar::{ClauseKind, Keyword, StructTok, StructTokId};
 use speakql_index::StructureIndex;
 use speakql_server::{
-    decode_response, encode_request, read_frame, write_frame, Request, Response, Server,
-    ServerConfig, TenantRegistry, CLASS_UNKNOWN_TENANT,
+    decode_response, encode_request, encode_response, read_frame, write_frame, Request, Response,
+    Server, ServerConfig, TenantRegistry, CLASS_UNKNOWN_TENANT,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -362,16 +363,22 @@ pub fn run_fault_injection() -> FaultReport {
     FaultReport { outcomes }
 }
 
-/// A one-tenant server over the harness schema (tenant `"fault"`, poisoned
-/// transcripts panic via the fault hook), bound to an ephemeral loopback
-/// port.
-fn fault_server(workers: usize, io_timeout: Duration) -> (Server, Option<std::net::SocketAddr>) {
-    let cfg = SpeakQlConfig::small()
+/// The engine configuration of the fault server's tenant: poisoned
+/// transcripts panic via the fault hook.
+fn fault_tenant_config() -> SpeakQlConfig {
+    SpeakQlConfig::small()
         .with_threads(1)
         .with_max_transcript_words(1024)
         .with_fault_hook(FaultHook::new(|t| {
             assert!(!t.contains(POISON_MARKER), "injected fault");
-        }));
+        }))
+}
+
+/// A one-tenant server over the harness schema (tenant `"fault"`, poisoned
+/// transcripts panic via the fault hook), bound to an ephemeral loopback
+/// port.
+fn fault_server(workers: usize, io_timeout: Duration) -> (Server, Option<std::net::SocketAddr>) {
+    let cfg = fault_tenant_config();
     let index = Arc::new(StructureIndex::from_grammar(&cfg.generator, cfg.weights));
     let registry = TenantRegistry::new(64, true);
     registry.register("fault", &harness_db(), index, cfg);
@@ -406,6 +413,24 @@ fn server_request(addr: std::net::SocketAddr, tenant: &str, transcript: &str) ->
     decode_response(&payload).ok()
 }
 
+/// The response payload the library path produces for `transcript` — what
+/// the server must send back byte for byte.
+fn library_payload(engine: &SpeakQl, transcript: &str) -> Vec<u8> {
+    encode_response(&reference_response(engine, transcript))
+}
+
+/// One encoded request frame for the fault tenant.
+fn request_frame(transcript: &str) -> Vec<u8> {
+    let req = Request {
+        tenant: "fault".to_string(),
+        transcript: transcript.to_string(),
+    };
+    let mut wire = Vec::new();
+    // Writing into a `Vec` cannot fail.
+    let _ = write_frame(&mut wire, &encode_request(&req));
+    wire
+}
+
 /// Wait (bounded) for a server counter to reach `want` — hostile-client
 /// cases race the handler thread's bookkeeping.
 fn await_counter(server: &Server, id: CounterId, want: u64) -> u64 {
@@ -422,12 +447,14 @@ fn await_counter(server: &Server, id: CounterId, want: u64) -> u64 {
 /// Hostile clients and concurrent faults against a live server: a
 /// slow-loris client must be disconnected by the io timeout, a mid-request
 /// disconnect must not wedge the handler, a poisoned request in a busy
-/// pool must fail alone, and a tenant whose persisted index bytes are
+/// pool must fail alone, a tenant whose persisted index bytes are
 /// corrupted must be rejected at load time while the healthy fleet keeps
-/// serving.
+/// serving, and frames that do not arrive one per segment (two in one
+/// write, one dribbled a byte at a time) must be answered as if they had.
 fn run_server_fault_cases() -> Vec<CaseOutcome> {
     let healthy = "select salary from employees";
     let mut outcomes = Vec::new();
+    let library = SpeakQl::new(&harness_db(), fault_tenant_config());
 
     // --- Slow loris: a client that sends two bytes of a length prefix and
     // stalls is disconnected once `io_timeout` fires (we observe the
@@ -481,14 +508,7 @@ fn run_server_fault_cases() -> Vec<CaseOutcome> {
             let Some(addr) = addr else {
                 return "bind failed".to_string();
             };
-            let mut wire = Vec::new();
-            let req = Request {
-                tenant: "fault".to_string(),
-                transcript: healthy.to_string(),
-            };
-            if write_frame(&mut wire, &encode_request(&req)).is_err() {
-                return "frame encode failed".to_string();
-            }
+            let wire = request_frame(healthy);
             match TcpStream::connect(addr) {
                 Ok(mut stream) => {
                     if stream.write_all(&wire[..wire.len() / 2]).is_err() {
@@ -605,6 +625,101 @@ fn run_server_fault_cases() -> Vec<CaseOutcome> {
             case: "corrupted_index_tenant".to_string(),
             layer: "server",
             pass: got == "rejected_at_load_time",
+            observed: got,
+        });
+    }
+
+    // --- Pipelined frames: two request frames in one write on one
+    // connection. The server reads them off the stream one at a time and
+    // answers both, in order, each byte-identical to the library path. ---
+    {
+        let (server, addr) = fault_server(2, Duration::from_secs(5));
+        let got = trap(|| {
+            let Some(addr) = addr else {
+                return "bind failed".to_string();
+            };
+            let second = "select name from employees where salary equals 82000";
+            let want = [
+                library_payload(&library, healthy),
+                library_payload(&library, second),
+            ];
+            if want[0] == want[1] {
+                return "both transcripts answer alike; order unobservable".to_string();
+            }
+            let mut wire = request_frame(healthy);
+            wire.extend(request_frame(second));
+            let Ok(mut stream) = TcpStream::connect(addr) else {
+                return "connect failed".to_string();
+            };
+            if stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .is_err()
+                || stream.write_all(&wire).is_err()
+            {
+                return "pipelined write failed".to_string();
+            }
+            for (i, want) in want.iter().enumerate() {
+                match read_frame(&mut stream) {
+                    Ok(Some(payload)) if &payload == want => {}
+                    Ok(Some(_)) => return format!("response {i} differs from the library path"),
+                    _ => return format!("response {i} missing"),
+                }
+            }
+            "two_in_order".to_string()
+        });
+        server.shutdown();
+        outcomes.push(CaseOutcome {
+            case: "pipelined_frames".to_string(),
+            layer: "server",
+            pass: got == "two_in_order",
+            observed: got,
+        });
+    }
+
+    // --- Dribbled frame: one request written a byte at a time, each gap
+    // well under `io_timeout` but the whole frame slower than it. The io
+    // timeout bounds a stall, not a frame, so the request is answered
+    // normally and no protocol error is counted. ---
+    {
+        let io_timeout = Duration::from_millis(250);
+        let (server, addr) = fault_server(2, io_timeout);
+        let got = trap(|| {
+            let Some(addr) = addr else {
+                return "bind failed".to_string();
+            };
+            let Ok(mut stream) = TcpStream::connect(addr) else {
+                return "connect failed".to_string();
+            };
+            // Nagle off, so each byte leaves as its own segment.
+            if stream.set_nodelay(true).is_err()
+                || stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .is_err()
+            {
+                return "socket setup failed".to_string();
+            }
+            for byte in request_frame(healthy) {
+                if stream.write_all(&[byte]).is_err() {
+                    return "dribbled write failed".to_string();
+                }
+                std::thread::sleep(io_timeout / 25);
+            }
+            let answered = matches!(
+                read_frame(&mut stream),
+                Ok(Some(payload)) if payload == library_payload(&library, healthy)
+            );
+            let counted = server.recorder().counter(CounterId::ServerProtocolErrors);
+            if answered && counted == 0 {
+                "answered_uncounted".to_string()
+            } else {
+                format!("answered like the library path: {answered}, protocol errors {counted}")
+            }
+        });
+        server.shutdown();
+        outcomes.push(CaseOutcome {
+            case: "dribbled_frame".to_string(),
+            layer: "server",
+            pass: got == "answered_uncounted",
             observed: got,
         });
     }

@@ -167,7 +167,7 @@ fn tenant_config() -> SpeakQlConfig {
 
 /// What the library path answers for `transcript`: the exact [`Response`]
 /// the server must produce for the same input.
-fn reference_response(engine: &SpeakQl, transcript: &str) -> Response {
+pub(crate) fn reference_response(engine: &SpeakQl, transcript: &str) -> Response {
     match engine.transcribe(transcript) {
         Ok(t) => Response::Ok {
             sql: t

@@ -245,8 +245,10 @@ pub enum SpanId {
     /// Time a server request waited in the admission queue before a worker
     /// dequeued it (the backpressure signal under load).
     ServerQueueWait,
-    /// End-to-end server-side handling of one request: queue wait plus
-    /// transcription plus any retries.
+    /// Server-side service time of one dequeued request, from dequeue to
+    /// the response handed back: budget check, tenant lookup,
+    /// transcription and any retries. Queue wait is
+    /// [`SpanId::ServerQueueWait`] and is not included.
     ServerHandle,
 }
 

@@ -113,11 +113,18 @@ pub enum Response {
 }
 
 /// Write `payload` as one length-prefixed frame.
+///
+/// Prefix and payload go out in a single `write_all`, so on a socket the
+/// frame leaves as one send. Two writes would let Nagle's algorithm hold
+/// the payload until the peer ACKs the prefix, and a peer that delays its
+/// ACK (~40 ms on Linux) stalls every round trip.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
     let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -254,6 +261,39 @@ mod tests {
     fn frame_roundtrip_preserves_bytes() {
         for payload in [&b""[..], b"hello", "sélect × fröm ütf8".as_bytes()] {
             assert_eq!(roundtrip_frame(payload), payload);
+        }
+    }
+
+    /// A `Write` that records every call it receives.
+    #[derive(Default)]
+    struct CallLog {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CallLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_and_one_flush() {
+        let max = vec![b'x'; MAX_FRAME];
+        for payload in [&b""[..], b"employees\nselect salary from employees", &max] {
+            let mut log = CallLog::default();
+            assert!(write_frame(&mut log, payload).is_ok());
+            let mut want = (payload.len() as u32).to_be_bytes().to_vec();
+            want.extend_from_slice(payload);
+            assert_eq!(log.writes.len(), 1, "{}-byte payload", payload.len());
+            assert_eq!(log.writes[0], want, "{}-byte payload", payload.len());
+            assert_eq!(log.flushes, 1, "{}-byte payload", payload.len());
         }
     }
 

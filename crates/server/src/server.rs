@@ -280,7 +280,7 @@ fn worker_loop(shared: &Shared) {
         let _ = job.respond.send(response);
         shared
             .recorder
-            .record_duration(SpanId::ServerHandle, waited + t0.elapsed());
+            .record_duration(SpanId::ServerHandle, t0.elapsed());
     }
 }
 
@@ -382,6 +382,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
+    // Nagle off: a response segment never waits for the client's delayed
+    // ACK of the previous one, including the tail of a response longer
+    // than one MSS.
+    let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(r) => r,
         Err(_) => return,

@@ -7,7 +7,7 @@ use speakql_data::{employees_db, yelp_db};
 use speakql_db::{Date, Value};
 use speakql_grammar::GeneratorConfig;
 use speakql_index::StructureIndex;
-use speakql_observe::CounterId;
+use speakql_observe::{CounterId, SpanId};
 use speakql_server::{
     decode_response, encode_request, read_frame, write_frame, Registration, Request, Response,
     Server, ServerConfig, TenantRegistry, CLASS_PROTOCOL, CLASS_UNKNOWN_TENANT,
@@ -16,7 +16,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_config() -> SpeakQlConfig {
     SpeakQlConfig::small().with_threads(1)
@@ -89,6 +89,68 @@ fn tcp_roundtrip_matches_the_library_path() {
     drop(conn);
     assert_eq!(server.recorder().counter(CounterId::ServerUnknownTenant), 1);
     server.shutdown();
+}
+
+#[test]
+fn nagle_on_client_round_trips_do_not_wait_for_delayed_acks() {
+    // The client leaves Nagle's algorithm on, as a plain socket client
+    // would. A frame sent in two segments, or a response segment held for
+    // the client's delayed ACK, costs ~40 ms per round trip; one segment
+    // per frame each way costs well under a millisecond. Unknown-tenant
+    // requests are answered without engine work, so the median measures
+    // the wire.
+    let registry = two_tenant_registry();
+    let mut server = Server::serve(registry, ServerConfig::default()).expect("spawn workers");
+    let addr = server.listen("127.0.0.1:0").expect("bind localhost");
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    let mut round_trips: Vec<Duration> = (0..64)
+        .map(|_| {
+            let t0 = Instant::now();
+            let response = tcp_request(&mut conn, "nobody", TRANSCRIPT);
+            assert!(
+                matches!(response, Response::Err { ref class, .. } if class == CLASS_UNKNOWN_TENANT),
+                "{response:?}"
+            );
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median round trip {median:?} is at the delayed-ACK stall floor"
+    );
+    drop(conn);
+    server.shutdown();
+}
+
+#[test]
+fn server_handle_span_excludes_queue_wait() {
+    let registry = two_tenant_registry();
+    let server = Server::serve(registry, ServerConfig::default()).expect("spawn workers");
+    server.hold_workers(true);
+    let rx = server.handle().submit("nobody", TRANSCRIPT);
+    std::thread::sleep(Duration::from_millis(200));
+    server.hold_workers(false);
+    let response = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("held request is answered after release");
+    assert!(
+        matches!(response, Response::Err { ref class, .. } if class == CLASS_UNKNOWN_TENANT),
+        "{response:?}"
+    );
+    // The worker records its span after it hands the response back, so
+    // shutdown (which joins the workers) orders the read after the record.
+    let recorder = server.recorder().clone();
+    server.shutdown();
+    let report = recorder.report();
+    let sum = |id| report.stage(id).map_or(0, |s| s.sum_micros);
+    let (waited, handled) = (sum(SpanId::ServerQueueWait), sum(SpanId::ServerHandle));
+    assert!(waited >= 200_000, "queue wait {waited} µs");
+    assert!(
+        handled < 50_000,
+        "service time {handled} µs counts queue wait"
+    );
 }
 
 #[test]
