@@ -25,36 +25,33 @@
 //!
 //! ```text
 //! delta_churn [--structures N] [--out FILE]   run the workload (default 500k)
-//! delta_churn --check BASELINE [--out FILE]   CI mode: also gate the exact
-//!                                             delta/cache counters and an
-//!                                             apply wall-clock band against
-//!                                             the committed baseline
+//! delta_churn --check BASELINE [--out FILE]   CI mode: also judge the run
+//!                                             against the committed baseline
+//!                                             by the rules in `GATE`
 //! ```
 //!
-//! Counters are exact (deterministic workload, sequential search); apply
-//! wall-clock gets the usual ±30% band plus a 10x drift floor.
+//! Counters are exact (deterministic workload, sequential search), and the
+//! warm hit rates may move at most 5 points from the baseline. Apply
+//! wall-clock fails more than 30% above baseline, or more than 10x below it
+//! (a drift floor: the workload must have changed under the baseline).
 
 use serde_json::{json, Map, Value};
+use speakql_bench::gate::{take_flag, Gate, Rule};
+use speakql_bench::synthetic::{best_of, encode, queries, structures, QUERIES, TAIL_LENS};
 use speakql_core::{CounterId, Recorder, SkeletonCache};
 use speakql_editdist::Weights;
-use speakql_grammar::{StructTokId, Structure, STRUCT_ALPHABET};
+use speakql_grammar::{StructTokId, Structure};
 use speakql_index::{from_shared, to_bytes, IndexDelta, SearchConfig, StructureIndex};
 use std::process::ExitCode;
 use std::time::Instant;
 
 /// Structure count CI gates on.
 const CHECK_SIZE: usize = 500_000;
-/// Token length that dominates the synthetic space (90% of structures).
-const DOMINANT_LEN: usize = 12;
-/// Lengths the remaining 10% spread over.
-const TAIL_LENS: [usize; 8] = [4, 6, 8, 10, 14, 16, 18, 20];
 /// The churned ("one table") length and its position in [`TAIL_LENS`].
 const CHURN_LEN: usize = 14;
 const CHURN_LEN_SLOT: usize = 4;
 /// Structures removed and added by the churn delta.
 const CHURN: usize = 1_000;
-/// Probe queries replayed against every index variant.
-const QUERIES: usize = 24;
 /// Seed for the probe-query mutations.
 const QUERY_SEED: u64 = 0xC4u64 << 8 | 0x51;
 /// Required incremental-vs-rebuild wall-clock speedup.
@@ -63,10 +60,30 @@ const MIN_DELTA_SPEEDUP: f64 = 10.0;
 const MIN_REUSE_FRACTION: f64 = 0.95;
 /// Maximum warm-hit-rate movement for an untouched tenant, in points.
 const MAX_HIT_RATE_DELTA: f64 = 0.05;
-/// Apply wall-clock regression tolerance vs baseline.
-const WALL_CLOCK_TOLERANCE: f64 = 0.30;
-/// Drift floor on apply wall-clock.
-const MAX_IMPROVEMENT: f64 = 10.0;
+/// The baseline rules for `--check`.
+const GATE: Gate = {
+    const RATE: Rule = Rule::Points {
+        max: MAX_HIT_RATE_DELTA,
+    };
+    Gate {
+        bin: "delta_churn",
+        counters: &[],
+        other_counters: Some(Rule::Exact),
+        fields: &[
+            ("warm_hit_rate_pre", RATE),
+            ("warm_hit_rate_post", RATE),
+            ("warm_hit_rate_reload", RATE),
+            (
+                "apply_delta_ms",
+                Rule::Band {
+                    tol: 0.30,
+                    grace: 0.0,
+                    floor: Some(10.0),
+                },
+            ),
+        ],
+    }
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -94,129 +111,7 @@ fn main() -> ExitCode {
     let out = out.unwrap_or_else(|| "DELTA_CHURN.json".to_string());
 
     let (snapshot, pass) = run_churn(n);
-    match serde_json::to_string_pretty(&snapshot) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write(&out, text) {
-                eprintln!("error writing {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[delta_churn] wrote {out}");
-        }
-        Err(e) => {
-            eprintln!("error serializing snapshot: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if !pass {
-        eprintln!("[delta_churn] FAIL: in-run invariant violated (see above)");
-        return ExitCode::FAILURE;
-    }
-    if let Some(baseline_path) = check {
-        let baseline: Value = match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error reading baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return compare(&baseline, &snapshot, &baseline_path);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Split off a `--flag value` pair from free-form args.
-fn take_flag(args: &[String], flag: &str) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag && i + 1 < args.len() {
-            value = Some(args[i + 1].clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (rest, value)
-}
-
-/// SplitMix64, the deterministic platform-stable RNG for probe mutations.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Encode `i` as a length-`len` token sequence over the non-VAR alphabet
-/// (most-significant digit first, so consecutive indexes share prefixes).
-fn encode(i: u64, len: usize) -> Structure {
-    let base = (STRUCT_ALPHABET - 1) as u64;
-    let mut tokens = vec![StructTokId(1); len];
-    let mut v = i;
-    for pos in (0..len).rev() {
-        tokens[pos] = StructTokId(1 + (v % base) as u8);
-        v /= base;
-    }
-    Structure {
-        tokens,
-        placeholders: Vec::new(),
-    }
-}
-
-/// `n` synthetic structures, `scale_curve`'s shape: 90% at [`DOMINANT_LEN`],
-/// the rest cycling over [`TAIL_LENS`]. Tail slot `i` has length
-/// `TAIL_LENS[i % 8]` and payload `encode(i / 8, len)`, which the churn
-/// construction below relies on to address length-[`CHURN_LEN`] ids.
-fn synthetic_structures(n: usize) -> Vec<Structure> {
-    let dom = n - n / 10;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..dom {
-        out.push(encode(i as u64, DOMINANT_LEN));
-    }
-    for i in 0..(n - dom) {
-        let len = TAIL_LENS[i % TAIL_LENS.len()];
-        out.push(encode((i / TAIL_LENS.len()) as u64, len));
-    }
-    out
-}
-
-/// Deterministic probe queries: structure token sequences with two mutated
-/// positions, drawn from the whole space (dominant and tail lengths both).
-fn queries(structures: &[Structure]) -> Vec<Vec<StructTokId>> {
-    let mut state = QUERY_SEED;
-    (0..QUERIES)
-        .map(|_| {
-            let s = &structures[(splitmix64(&mut state) % structures.len() as u64) as usize];
-            let mut q = s.tokens.clone();
-            for _ in 0..2 {
-                let pos = (splitmix64(&mut state) % q.len() as u64) as usize;
-                q[pos] = StructTokId(1 + (splitmix64(&mut state) % 27) as u8);
-            }
-            q
-        })
-        .collect()
-}
-
-/// Best-of-`n` wall-clock of `work`, in milliseconds.
-fn best_of<T>(n: usize, mut work: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..n {
-        let t = Instant::now();
-        let r = work();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        last = Some(r);
-    }
-    let Some(last) = last else {
-        unreachable!("best_of requires n >= 1");
-    };
-    (best, last)
+    GATE.finish(&snapshot, pass, &out, check.as_deref())
 }
 
 /// Resolve hits to `(token sequence, distance)` so indexes with different
@@ -259,8 +154,8 @@ fn run_churn(n: usize) -> (Value, bool) {
     };
 
     eprintln!("[delta_churn] === {n} structures, churn {CHURN}±{CHURN} at length {CHURN_LEN} ===");
-    let structures = synthetic_structures(n);
-    let qs = queries(&structures);
+    let structures = structures(n);
+    let qs = queries(&structures, QUERY_SEED);
     let dom = n - n / 10;
 
     let t = Instant::now();
@@ -530,110 +425,114 @@ fn run_churn(n: usize) -> (Value, bool) {
     (snapshot, pass)
 }
 
-/// Gate the snapshot against the committed baseline: exact delta and cache
-/// counters, warm hit rates within the 5-point band, and a two-sided band
-/// on apply wall-clock.
-fn compare(baseline: &Value, current: &Value, baseline_path: &str) -> ExitCode {
-    let mut regressions = 0usize;
-    let base_counters = baseline
-        .get("counters")
-        .and_then(Value::as_object)
-        .cloned()
-        .unwrap_or_default();
-    let cur_counters = current
-        .get("counters")
-        .and_then(Value::as_object)
-        .cloned()
-        .unwrap_or_default();
-    let mut names: Vec<&String> = base_counters.keys().chain(cur_counters.keys()).collect();
-    names.sort();
-    names.dedup();
-    println!(
-        "{:<34} {:>16} {:>16}  status",
-        "metric", "baseline", "current"
-    );
-    for name in names {
-        let base = base_counters.get(name.as_str()).and_then(Value::as_u64);
-        let cur = cur_counters.get(name.as_str()).and_then(Value::as_u64);
-        let status = match (base, cur) {
-            (Some(b), Some(c)) if b == c => "ok".to_string(),
-            (Some(_), Some(_)) => {
-                regressions += 1;
-                "MISMATCH".to_string()
-            }
-            _ => {
-                regressions += 1;
-                "MISSING".to_string()
-            }
-        };
-        println!(
-            "{name:<34} {:>16} {:>16}  {status}",
-            base.map_or("-".into(), |v: u64| v.to_string()),
-            cur.map_or("-".into(), |v: u64| v.to_string()),
-        );
-    }
+#[cfg(test)]
+mod tests {
+    use super::GATE;
+    use serde_json::{json, Map, Value};
 
-    for rate in [
+    const RATES: [&str; 3] = [
         "warm_hit_rate_pre",
         "warm_hit_rate_post",
         "warm_hit_rate_reload",
-    ] {
-        let b = baseline.get(rate).and_then(Value::as_f64);
-        let c = current.get(rate).and_then(Value::as_f64);
-        let status = match (b, c) {
-            (Some(b), Some(c)) if (b - c).abs() <= MAX_HIT_RATE_DELTA => {
-                format!("ok ({:+.0} points)", (c - b) * 100.0)
-            }
-            (Some(b), Some(c)) => {
-                regressions += 1;
-                format!("REGRESSION ({:+.0} points)", (c - b) * 100.0)
-            }
-            _ => {
-                regressions += 1;
-                "MISSING".to_string()
-            }
-        };
-        println!(
-            "{rate:<34} {:>16} {:>16}  {status}",
-            b.map_or("-".into(), |v| format!("{v:.2}")),
-            c.map_or("-".into(), |v| format!("{v:.2}")),
-        );
+    ];
+
+    fn baseline() -> Value {
+        match serde_json::from_str(include_str!("../../../../results/delta_baseline.json")) {
+            Ok(v) => v,
+            Err(e) => panic!("results/delta_baseline.json does not parse: {e}"),
+        }
     }
 
-    let base_ms = baseline.get("apply_delta_ms").and_then(Value::as_f64);
-    let cur_ms = current.get("apply_delta_ms").and_then(Value::as_f64);
-    if let (Some(b), Some(c)) = (base_ms, cur_ms) {
-        let ratio = if b > 0.0 { c / b } else { f64::INFINITY };
-        let status = if ratio > 1.0 + WALL_CLOCK_TOLERANCE {
-            regressions += 1;
-            format!("REGRESSION (+{:.0}%)", (ratio - 1.0) * 100.0)
-        } else if ratio * MAX_IMPROVEMENT < 1.0 {
-            regressions += 1;
-            format!(
-                "DRIFT ({:.0}x faster than baseline; refresh it)",
-                1.0 / ratio.max(1e-9)
-            )
-        } else {
-            format!("ok ({:+.0}%)", (ratio - 1.0) * 100.0)
-        };
-        println!("{:<34} {b:>16.2} {c:>16.2}  {status}", "apply_delta_ms");
-    } else {
-        regressions += 1;
-        println!("{:<34} {:>16} {:>16}  MISSING", "apply_delta_ms", "-", "-");
+    fn number(base: &Value, key: &str) -> f64 {
+        match base.get(key).and_then(Value::as_f64) {
+            Some(x) => x,
+            None => panic!("the baseline has no {key}"),
+        }
     }
 
-    if regressions > 0 {
-        eprintln!(
-            "\n[delta_churn] FAIL: {regressions} metric(s) regressed vs {baseline_path}. \
-             If the change is intentional, regenerate the baseline with \
-             `cargo run --release -p speakql-bench --bin delta_churn -- --out {baseline_path}`."
-        );
-        ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "\n[delta_churn] PASS: delta counters exact, hit rates in band, \
-             apply wall-clock within the two-sided band."
-        );
-        ExitCode::SUCCESS
+    /// The baseline's gated metrics, with `counter` and `field` (when
+    /// given) set.
+    fn run(base: &Value, counter: Option<(&str, u64)>, field: Option<(&str, f64)>) -> Value {
+        let mut counters = base
+            .get("counters")
+            .and_then(Value::as_object)
+            .cloned()
+            .unwrap_or_default();
+        if let Some((name, value)) = counter {
+            counters.insert(name.to_string(), json!(value));
+        }
+        let mut run = Map::new();
+        run.insert("counters".to_string(), Value::Object(counters));
+        for key in RATES.iter().chain(&["apply_delta_ms"]) {
+            run.insert(key.to_string(), json!(number(base, key)));
+        }
+        if let Some((key, value)) = field {
+            run.insert(key.to_string(), json!(value));
+        }
+        Value::Object(run)
+    }
+
+    #[test]
+    fn committed_baseline_passes_against_itself() {
+        let base = baseline();
+        assert_eq!(GATE.check(&base, &base), 0);
+        assert_eq!(GATE.check(&base, &run(&base, None, None)), 0);
+    }
+
+    #[test]
+    fn every_counter_is_exact() {
+        let base = baseline();
+        let Some(counters) = base.get("counters").and_then(Value::as_object) else {
+            panic!("the baseline has no counters");
+        };
+        assert!(!counters.is_empty());
+        for (name, value) in counters.iter() {
+            let Some(b) = value.as_u64() else {
+                panic!("{name} is not an integer");
+            };
+            let passes = |c: u64| GATE.check(&base, &run(&base, Some((name, c)), None)) == 0;
+            assert!(!passes(b + 1), "{name} one above baseline");
+            assert!(!passes(b - 1), "{name} one below baseline");
+        }
+    }
+
+    #[test]
+    fn hit_rates_hold_five_points_either_side() {
+        let base = baseline();
+        for key in RATES {
+            let b = number(&base, key);
+            let passes = |rate: f64| GATE.check(&base, &run(&base, None, Some((key, rate)))) == 0;
+            assert!(
+                passes(b - 0.049) && passes(b + 0.049),
+                "{key} inside 5 points"
+            );
+            assert!(
+                !passes(b - 0.051) && !passes(b + 0.051),
+                "{key} past 5 points"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_time_fails_past_thirty_percent_above_or_ten_x_below() {
+        let base = baseline();
+        let b = number(&base, "apply_delta_ms");
+        let passes =
+            |ms: f64| GATE.check(&base, &run(&base, None, Some(("apply_delta_ms", ms)))) == 0;
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let limit = b * 1.3;
+        assert!(passes(limit));
+        assert!(!passes(up(limit)));
+        // The smallest apply time whose tenfold is not below the baseline.
+        let mut floor = b / 10.0;
+        while floor * 10.0 < b {
+            floor = up(floor);
+        }
+        while down(floor) * 10.0 >= b {
+            floor = down(floor);
+        }
+        assert!(passes(floor));
+        assert!(!passes(down(floor)));
     }
 }

@@ -10,10 +10,12 @@
 //! ```text
 //! load_gen [--out FILE]            write a snapshot (default SERVER_LOAD_<date>.json)
 //! load_gen --check BASELINE [--out FILE]
-//!                                  also compare against a committed baseline:
-//!                                  traffic and error-class counters must match
-//!                                  exactly, wall-clock and steady p99 within
-//!                                  ±30%; exits 1 with a diff table on regression
+//!                                  also judge it against a committed baseline by
+//!                                  the rules in [`speakql_bench::load::GATE`]:
+//!                                  traffic and error-class counters exact,
+//!                                  wall-clock and steady p99 at most 30% (plus
+//!                                  250 ms / 2 ms) above it; exits 1 with a diff
+//!                                  table on regression
 //! ```
 //!
 //! Exit status is nonzero when a run-level gate fails (responses diverging
@@ -21,8 +23,8 @@
 //! a cache hit rate below the floor, or a lost client), with or without
 //! `--check`.
 
-use serde_json::Value;
-use speakql_bench::load::{compare_load, run_load};
+use speakql_bench::gate::{take_flag, today_utc};
+use speakql_bench::load::{run_load, GATE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,79 +36,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let out = out.unwrap_or_else(|| format!("SERVER_LOAD_{}.json", today_utc()));
-
     let (snapshot, pass) = run_load();
-
-    match serde_json::to_string_pretty(&snapshot) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write(&out, text) {
-                eprintln!("error writing {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[load_gen] wrote {out}");
-        }
-        Err(e) => {
-            eprintln!("error serializing snapshot: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let Some(baseline_path) = check {
-        let baseline: Value = match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error reading baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !compare_load(&baseline, &snapshot, &baseline_path) || !pass {
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-    if pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Split off a `--flag value` pair from free-form args.
-fn take_flag(args: &[String], flag: &str) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag && i + 1 < args.len() {
-            value = Some(args[i + 1].clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (rest, value)
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (civil-from-days; no chrono dependency).
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let days = (secs / 86_400) as i64;
-    // Howard Hinnant's civil_from_days algorithm.
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
+    GATE.finish(&snapshot, pass, &out, check.as_deref())
 }

@@ -8,14 +8,9 @@
 //!
 //! ```text
 //! perf_snapshot [--out FILE]              write a snapshot (default BENCH_<date>.json)
-//! perf_snapshot --kernel {auto|scalar|soa}
-//!                                         force a DP kernel for the replay (default
-//!                                         auto); outputs are byte-identical across
-//!                                         kernels, so this only moves wall-clock
 //! perf_snapshot --check BASELINE [--out FILE]
-//!                                         also compare against a committed baseline:
-//!                                         counters must match exactly, wall-clock may
-//!                                         not regress more than +30%; exits 1 with a
+//!                                         also judge it against a committed baseline
+//!                                         by the rules in `GATE`; exits 1 with a
 //!                                         diff table on regression
 //! perf_snapshot --zipf [--out FILE]       replay a Zipfian repeated-query workload
 //!                                         twice over one shared index — skeleton
@@ -28,27 +23,27 @@
 //!
 //! Counter totals are exact because every seed is pinned and both the trie
 //! search and the batch queue run on one thread; wall-clock is the only
-//! machine-dependent field, so the check gives it a ±30% band while holding
-//! every counter to equality — except the two *ratcheted* work counters,
-//! `editdist.cells_evaluated` and `search.nodes_visited`, which get a
-//! two-sided band instead: the check fails if they regress above baseline
-//! **or** improve by more than 10x without a baseline refresh. The upper
-//! side catches regressions; the lower side catches silent drift — a search
-//! suddenly doing 10x less work than its committed baseline means the
-//! workload or the algorithm changed out from under the baseline, which
-//! must be acknowledged by regenerating it, exactly like the lint-waiver
-//! ratchet. The Zipfian mode gates only on counters and output equality for
-//! the same reason — its wall-clock improvement is reported but never
-//! failed on.
+//! machine-dependent field. So `GATE` holds every counter to equality,
+//! except the two *ratcheted* work counters, `editdist.cells_evaluated` and
+//! `search.nodes_visited`: they fail above baseline **or** more than 10x
+//! below it. The upper side catches regressions; the lower side catches
+//! silent drift — a search suddenly doing 10x less work than its committed
+//! baseline means the workload or the algorithm changed out from under the
+//! baseline, which must be acknowledged by regenerating it, exactly like
+//! the lint-waiver ratchet. Wall-clock fails more than 30% above baseline
+//! and never for being faster. The Zipfian mode gates only on counters and
+//! output equality for the same reason — its wall-clock improvement is
+//! reported but never failed on.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::{json, Map, Value};
 use speakql_asr::{AsrEngine, AsrProfile};
+use speakql_bench::gate::{take_flag, today_utc, Gate, Rule};
 use speakql_core::{CounterId, PipelineReport, SpanId, SpeakQl, SpeakQlConfig};
 use speakql_data::{employees_db, generate_cases, training_vocabulary};
 use speakql_grammar::GeneratorConfig;
-use speakql_index::{DpKernel, StructureIndex};
+use speakql_index::StructureIndex;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,14 +54,25 @@ const MAX_STRUCTURES: usize = 50_000;
 const NUM_TRANSCRIPTS: usize = 200;
 /// Seed for the spoken-SQL case generator.
 const CASE_SEED: u64 = 0xBE9C;
-/// Wall-clock regression tolerance (fraction of baseline).
-const WALL_CLOCK_TOLERANCE: f64 = 0.30;
-/// Counters under the two-sided ratchet instead of strict equality: the
-/// bulk work metrics that every search-engine optimization moves.
-const RATCHETED_COUNTERS: [&str; 2] = ["editdist.cells_evaluated", "search.nodes_visited"];
-/// Lower side of the ratchet band: a ratcheted counter improving by more
-/// than this factor without a baseline refresh fails the check.
-const RATCHET_MAX_IMPROVEMENT: u64 = 10;
+/// The baseline rules for `--check`: the bulk work metrics that every
+/// search-engine optimization moves are ratcheted, every other counter is
+/// exact, and wall-clock has an upper band only.
+const GATE: Gate = Gate {
+    bin: "perf_snapshot",
+    counters: &[
+        ("editdist.cells_evaluated", Rule::Ratchet { floor: 10 }),
+        ("search.nodes_visited", Rule::Ratchet { floor: 10 }),
+    ],
+    other_counters: Some(Rule::Exact),
+    fields: &[(
+        "wall_clock_ms",
+        Rule::Band {
+            tol: 0.30,
+            grace: 0.0,
+            floor: None,
+        },
+    )],
+};
 /// Distinct transcripts in the Zipfian workload.
 const ZIPF_DISTINCT: usize = 40;
 /// Total draws replayed from the Zipfian rank distribution.
@@ -87,112 +93,33 @@ fn main() -> ExitCode {
     let args: Vec<String> = args.into_iter().filter(|a| a != "--zipf").collect();
     let (args, out) = take_flag(&args, "--out");
     let (args, check) = take_flag(&args, "--check");
-    let (args, kernel) = take_flag(&args, "--kernel");
-    let kernel = match kernel.as_deref() {
-        None | Some("auto") => DpKernel::Auto,
-        Some("scalar") => DpKernel::Scalar,
-        Some("soa") => DpKernel::Soa,
-        Some(other) => {
-            eprintln!("unknown --kernel {other:?} (expected auto, scalar, or soa)");
-            return ExitCode::from(2);
-        }
-    };
     if !args.is_empty() || (zipf && check.is_some()) {
-        eprintln!(
-            "usage: perf_snapshot [--out FILE] [--kernel auto|scalar|soa] \
-             [--check BASELINE.json | --zipf]"
-        );
+        eprintln!("usage: perf_snapshot [--out FILE] [--check BASELINE.json | --zipf]");
         return ExitCode::from(2);
     }
     if zipf {
         let out = out.unwrap_or_else(|| format!("ZIPF_{}.json", today_utc()));
         let (snapshot, pass) = run_zipf_workload();
-        match serde_json::to_string_pretty(&snapshot) {
-            Ok(text) => {
-                if let Err(e) = std::fs::write(&out, text) {
-                    eprintln!("error writing {out}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("[perf_snapshot] wrote {out}");
-            }
-            Err(e) => {
-                eprintln!("error serializing snapshot: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return if pass {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return GATE.finish(&snapshot, pass, &out, None);
     }
     let out = out.unwrap_or_else(|| format!("BENCH_{}.json", today_utc()));
-
-    let snapshot = run_workload(kernel);
-
-    let text = match serde_json::to_string_pretty(&snapshot) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error serializing snapshot: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(&out, text) {
-        eprintln!("error writing {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[perf_snapshot] wrote {out}");
-
-    if let Some(baseline_path) = check {
-        let baseline: Value = match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error reading baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return compare(&baseline, &snapshot, &baseline_path);
-    }
-    ExitCode::SUCCESS
+    GATE.finish(&run_workload(), true, &out, check.as_deref())
 }
 
-/// Split off a `--flag value` pair from free-form args.
-fn take_flag(args: &[String], flag: &str) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag && i + 1 < args.len() {
-            value = Some(args[i + 1].clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (rest, value)
-}
-
-/// Build the fixed-seed workload, run it under `kernel`, and snapshot the
-/// recorder. The kernel never changes outputs or counters — only wall-clock
-/// — so snapshots taken under different kernels diff cleanly.
-fn run_workload(kernel: DpKernel) -> Value {
-    eprintln!("[perf_snapshot] building {MAX_STRUCTURES}-structure engine ({kernel:?} kernel) ...");
+/// Build the fixed-seed workload, run it, and snapshot the recorder.
+fn run_workload() -> Value {
+    eprintln!("[perf_snapshot] building {MAX_STRUCTURES}-structure engine ...");
     let gen_cfg = GeneratorConfig {
         max_structures: Some(MAX_STRUCTURES),
         ..GeneratorConfig::paper()
     };
     let db = employees_db();
-    let mut cfg = SpeakQlConfig {
+    let cfg = SpeakQlConfig {
         generator: gen_cfg,
         ..SpeakQlConfig::paper()
     }
     .with_threads(1)
     .with_observability(true);
-    cfg.search.kernel = kernel;
     let engine = SpeakQl::new(&db, cfg);
 
     eprintln!("[perf_snapshot] generating {NUM_TRANSCRIPTS} transcripts ...");
@@ -243,7 +170,6 @@ fn run_workload(kernel: DpKernel) -> Value {
             "transcripts": NUM_TRANSCRIPTS,
             "case_seed": CASE_SEED,
             "threads": 1,
-            "kernel": format!("{kernel:?}"),
         },
         "wall_clock_ms": wall_clock_ms,
         "counters": Value::Object(counters),
@@ -443,134 +369,85 @@ fn zipf_run_json(report: &PipelineReport, wall_ms: f64, hot_us: u64) -> Value {
     })
 }
 
-/// Compare a fresh snapshot against the committed baseline.
-///
-/// Counters must match exactly (they are seed-deterministic); wall-clock may
-/// drift but fails the check when more than [`WALL_CLOCK_TOLERANCE`] slower
-/// than baseline. Prints a row-per-metric diff table either way.
-fn compare(baseline: &Value, current: &Value, baseline_path: &str) -> ExitCode {
-    let mut rows: Vec<(String, String, String, String)> = Vec::new();
-    let mut regressions = 0usize;
+#[cfg(test)]
+mod tests {
+    use super::GATE;
+    use serde_json::{json, Map, Value};
 
-    let base_counters = baseline
-        .get("counters")
-        .and_then(Value::as_object)
-        .cloned()
-        .unwrap_or_default();
-    let cur_counters = current
-        .get("counters")
-        .and_then(Value::as_object)
-        .cloned()
-        .unwrap_or_default();
-    let mut names: Vec<&String> = base_counters.keys().chain(cur_counters.keys()).collect();
-    names.sort();
-    names.dedup();
-    for name in names {
-        let base = base_counters.get(name.as_str()).and_then(Value::as_u64);
-        let cur = cur_counters.get(name.as_str()).and_then(Value::as_u64);
-        let ratcheted = RATCHETED_COUNTERS.contains(&name.as_str());
-        let status = match (base, cur) {
-            (Some(b), Some(c)) if b == c => "ok".to_string(),
-            // Two-sided ratchet: within (baseline / 10, baseline) is an
-            // acceptable improvement; above baseline is a regression; at or
-            // below a tenth of baseline is silent drift that demands a
-            // baseline refresh.
-            (Some(b), Some(c)) if ratcheted && c > b => {
-                regressions += 1;
-                format!("REGRESSION (+{:.0}%)", (c as f64 / b as f64 - 1.0) * 100.0)
-            }
-            (Some(b), Some(c)) if ratcheted && c.saturating_mul(RATCHET_MAX_IMPROVEMENT) < b => {
-                regressions += 1;
-                format!(
-                    "DRIFT ({:.0}x better than baseline; refresh it)",
-                    b as f64 / c.max(1) as f64
-                )
-            }
-            (Some(b), Some(c)) if ratcheted => {
-                format!(
-                    "ok (-{:.0}%, ratchet band)",
-                    (1.0 - c as f64 / b as f64) * 100.0
-                )
-            }
-            (Some(_), Some(_)) => {
-                regressions += 1;
-                "MISMATCH".to_string()
-            }
-            _ => {
-                regressions += 1;
-                "MISSING".to_string()
-            }
+    fn baseline() -> Value {
+        match serde_json::from_str(include_str!("../../../../results/bench_baseline.json")) {
+            Ok(v) => v,
+            Err(e) => panic!("results/bench_baseline.json does not parse: {e}"),
+        }
+    }
+
+    /// The baseline's counters with `counter` (when given) set, and a wall
+    /// clock when given.
+    fn run(base: &Value, counter: Option<(&str, u64)>, wall_ms: Option<f64>) -> Value {
+        let mut counters = base
+            .get("counters")
+            .and_then(Value::as_object)
+            .cloned()
+            .unwrap_or_default();
+        if let Some((name, value)) = counter {
+            counters.insert(name.to_string(), json!(value));
+        }
+        let mut run = Map::new();
+        run.insert("counters".to_string(), Value::Object(counters));
+        if let Some(ms) = wall_ms {
+            run.insert("wall_clock_ms".to_string(), json!(ms));
+        }
+        Value::Object(run)
+    }
+
+    fn wall(base: &Value) -> f64 {
+        match base.get("wall_clock_ms").and_then(Value::as_f64) {
+            Some(ms) => ms,
+            None => panic!("the baseline has no wall_clock_ms"),
+        }
+    }
+
+    #[test]
+    fn committed_baseline_passes_against_itself() {
+        let base = baseline();
+        assert_eq!(GATE.check(&base, &base), 0);
+    }
+
+    #[test]
+    fn counters_are_exact_except_two_ratcheted_within_ten_x() {
+        let base = baseline();
+        let wall = Some(wall(&base));
+        let Some(counters) = base.get("counters").and_then(Value::as_object) else {
+            panic!("the baseline has no counters");
         };
-        rows.push((
-            name.clone(),
-            base.map_or("-".into(), |v| v.to_string()),
-            cur.map_or("-".into(), |v| v.to_string()),
-            status,
-        ));
+        assert!(!counters.is_empty());
+        for (name, value) in counters.iter() {
+            let Some(b) = value.as_u64() else {
+                panic!("{name} is not an integer");
+            };
+            let passes = |c: u64| GATE.check(&base, &run(&base, Some((name, c)), wall)) == 0;
+            assert!(!passes(b + 1), "{name} one above baseline");
+            if ["editdist.cells_evaluated", "search.nodes_visited"].contains(&name.as_str()) {
+                let floor = b.div_ceil(10);
+                assert!(passes(b - 1), "{name} one below baseline");
+                assert!(passes(floor), "{name} 10x below baseline");
+                assert!(!passes(floor - 1), "{name} past 10x below baseline");
+            } else if b > 0 {
+                assert!(!passes(b - 1), "{name} one below baseline");
+            }
+        }
     }
 
-    let base_wall = baseline.get("wall_clock_ms").and_then(Value::as_f64);
-    let cur_wall = current.get("wall_clock_ms").and_then(Value::as_f64);
-    if let (Some(b), Some(c)) = (base_wall, cur_wall) {
-        let ratio = if b > 0.0 { c / b } else { f64::INFINITY };
-        let status = if ratio > 1.0 + WALL_CLOCK_TOLERANCE {
-            regressions += 1;
-            format!("REGRESSION (+{:.0}%)", (ratio - 1.0) * 100.0)
-        } else if ratio < 1.0 - WALL_CLOCK_TOLERANCE {
-            // Faster than the band: fine for CI, but worth refreshing the
-            // baseline so the band re-centres.
-            format!("ok (faster, {:.0}%)", (1.0 - ratio) * 100.0)
-        } else {
-            format!("ok ({:+.0}%)", (ratio - 1.0) * 100.0)
-        };
-        rows.push((
-            "wall_clock_ms".into(),
-            format!("{b:.1}"),
-            format!("{c:.1}"),
-            status,
-        ));
+    #[test]
+    fn wall_clock_fails_only_past_thirty_percent_above_or_missing() {
+        let base = baseline();
+        let b = wall(&base);
+        let limit = b * 1.3;
+        let passes = |ms: Option<f64>| GATE.check(&base, &run(&base, None, ms)) == 0;
+        assert!(passes(Some(limit)));
+        assert!(!passes(Some(f64::from_bits(limit.to_bits() + 1))));
+        assert!(passes(Some(b / 100.0)), "faster never fails");
+        assert!(!passes(None), "a run without wall_clock_ms fails");
+        assert_ne!(GATE.check(&run(&base, None, None), &base), 0);
     }
-
-    println!(
-        "{:<34} {:>16} {:>16}  status",
-        "metric", "baseline", "current"
-    );
-    for (name, base, cur, status) in &rows {
-        println!("{name:<34} {base:>16} {cur:>16}  {status}");
-    }
-
-    if regressions > 0 {
-        eprintln!(
-            "\n[perf_snapshot] FAIL: {regressions} metric(s) regressed vs {baseline_path}. \
-             If the change is intentional, regenerate the baseline with \
-             `cargo run --release -p speakql-bench --bin perf_snapshot -- --out {baseline_path}`."
-        );
-        ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "\n[perf_snapshot] PASS: counters exact (ratcheted ones in band), \
-             wall-clock within ±30% of baseline."
-        );
-        ExitCode::SUCCESS
-    }
-}
-
-/// Today's UTC date as `YYYY-MM-DD` (civil-from-days; no chrono dependency).
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let days = (secs / 86_400) as i64;
-    // Howard Hinnant's civil_from_days algorithm.
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
 }

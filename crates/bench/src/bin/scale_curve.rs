@@ -23,25 +23,25 @@
 //!                                                parallel byte-identical to
 //!                                                sequential, load counters
 //!                                                proving the borrow path ran;
-//!                                                (b) baseline invariants: exact
-//!                                                `index.load.*` and search
-//!                                                counters (two-sided ratchet on
-//!                                                the bulk work counters) and a
-//!                                                two-sided band on load
-//!                                                wall-clock
+//!                                                (b) the baseline rules in
+//!                                                `GATE`
 //! ```
 //!
-//! Counters are exact because the workload is deterministic (hand-rolled
-//! splitmix64, no thread-schedule dependence in sequential stats); load
-//! wall-clock is the only machine-dependent gate and gets the same ±30%
-//! band `perf_snapshot` uses, plus a 10x drift floor: loads suddenly 10x
-//! faster than the committed baseline mean the workload changed and the
-//! baseline must be regenerated.
+//! Counters are exact because the workload is deterministic (the shared
+//! [`speakql_bench::synthetic`] space, no thread-schedule dependence in
+//! sequential stats), so `GATE` holds the `index.load.*` and search
+//! counters to equality, except the two bulk work counters, which are
+//! ratcheted as in `perf_snapshot` (above baseline or more than 10x below
+//! it fails). Load wall-clock is the only machine-dependent metric: it
+//! fails more than 30% above baseline, and more than 10x below it, since
+//! loads that much faster mean the workload changed and the baseline must
+//! be regenerated.
 
 use serde_json::{json, Map, Value};
+use speakql_bench::gate::{take_flag, Gate, Rule};
+use speakql_bench::synthetic::{best_of, queries, structures, DOMINANT_LEN, QUERIES};
 use speakql_core::{CounterId, Recorder};
 use speakql_editdist::Weights;
-use speakql_grammar::{StructTokId, Structure, STRUCT_ALPHABET};
 use speakql_index::{from_bytes_rebuilt_observed, to_bytes, SearchConfig, StructureIndex};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -50,22 +50,28 @@ use std::time::Instant;
 const DEFAULT_SIZES: [usize; 2] = [50_000, 500_000];
 /// The size CI gates on.
 const CHECK_SIZE: usize = 500_000;
-/// Token length that dominates the synthetic space (90% of structures).
-const DOMINANT_LEN: usize = 12;
-/// Lengths the remaining 10% spread over.
-const TAIL_LENS: [usize; 8] = [4, 6, 8, 10, 14, 16, 18, 20];
-/// Masked queries replayed per size.
-const QUERIES: usize = 24;
 /// Seed for the query mutations.
 const QUERY_SEED: u64 = 0x5CA1E;
 /// Required in-run zero-copy vs rebuild load speedup at the check size.
 const MIN_LOAD_SPEEDUP: f64 = 5.0;
-/// Load wall-clock regression tolerance vs baseline.
-const WALL_CLOCK_TOLERANCE: f64 = 0.30;
-/// Counters under the two-sided ratchet instead of strict equality.
-const RATCHETED_COUNTERS: [&str; 2] = ["editdist.cells_evaluated", "search.nodes_visited"];
-/// Drift floor shared by the ratcheted counters and load wall-clock.
-const MAX_IMPROVEMENT: f64 = 10.0;
+/// The baseline rules for `--check`, over the check point's counters and
+/// zero-copy load time.
+const GATE: Gate = Gate {
+    bin: "scale_curve",
+    counters: &[
+        ("editdist.cells_evaluated", Rule::Ratchet { floor: 10 }),
+        ("search.nodes_visited", Rule::Ratchet { floor: 10 }),
+    ],
+    other_counters: Some(Rule::Exact),
+    fields: &[(
+        "load_zero_copy_ms",
+        Rule::Band {
+            tol: 0.30,
+            grace: 0.0,
+            floor: Some(10.0),
+        },
+    )],
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -117,117 +123,7 @@ fn main() -> ExitCode {
         "load_zero_copy_ms": check_point.get("load_zero_copy_ms").cloned().unwrap_or(Value::Null),
         "points": points,
     });
-    match serde_json::to_string_pretty(&snapshot) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write(&out, text) {
-                eprintln!("error writing {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("[scale_curve] wrote {out}");
-        }
-        Err(e) => {
-            eprintln!("error serializing snapshot: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if !gates_pass {
-        eprintln!("[scale_curve] FAIL: in-run invariant violated (see above)");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(baseline_path) = check {
-        let baseline: Value = match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error reading baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return compare(&baseline, &snapshot, &baseline_path);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Split off a `--flag value` pair from free-form args.
-fn take_flag(args: &[String], flag: &str) -> (Vec<String>, Option<String>) {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag && i + 1 < args.len() {
-            value = Some(args[i + 1].clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (rest, value)
-}
-
-/// SplitMix64: the deterministic RNG for query mutations (no external
-/// dependency, stable across platforms).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Encode `i` as a length-`len` token sequence, most-significant digit
-/// first, over the non-VAR alphabet. Consecutive indexes share long
-/// prefixes — the trie shape real grammars produce — and distinct indexes
-/// yield distinct sequences, so no dedup pass is needed.
-fn encode(i: u64, len: usize) -> Structure {
-    let base = (STRUCT_ALPHABET - 1) as u64;
-    let mut tokens = vec![StructTokId(1); len];
-    let mut v = i;
-    for pos in (0..len).rev() {
-        tokens[pos] = StructTokId(1 + (v % base) as u8);
-        v /= base;
-    }
-    Structure {
-        tokens,
-        placeholders: Vec::new(),
-    }
-}
-
-/// `n` synthetic structures: 90% at [`DOMINANT_LEN`], the rest spread over
-/// [`TAIL_LENS`]. One dominant length is the worst case for per-length
-/// parallelism — exactly what segment sharding exists to fix.
-fn synthetic_structures(n: usize) -> Vec<Structure> {
-    let dom = n - n / 10;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..dom {
-        out.push(encode(i as u64, DOMINANT_LEN));
-    }
-    for i in 0..(n - dom) {
-        let len = TAIL_LENS[i % TAIL_LENS.len()];
-        out.push(encode((i / TAIL_LENS.len()) as u64, len));
-    }
-    out
-}
-
-/// Deterministic masked queries: a structure's token sequence with two
-/// positions mutated — close enough to hit the trie's band, far enough to
-/// exercise the DP.
-fn queries(structures: &[Structure]) -> Vec<Vec<StructTokId>> {
-    let mut state = QUERY_SEED;
-    (0..QUERIES)
-        .map(|_| {
-            let s = &structures[(splitmix64(&mut state) % structures.len() as u64) as usize];
-            let mut q = s.tokens.clone();
-            for _ in 0..2 {
-                let pos = (splitmix64(&mut state) % q.len() as u64) as usize;
-                q[pos] = StructTokId(1 + (splitmix64(&mut state) % 27) as u8);
-            }
-            q
-        })
-        .collect()
+    GATE.finish(&snapshot, gates_pass, &out, check.as_deref())
 }
 
 /// Current resident set size in KiB (Linux), or 0 where unavailable.
@@ -241,23 +137,6 @@ fn vm_rss_kb() -> u64 {
                 .and_then(|v| v.parse().ok())
         })
         .unwrap_or(0)
-}
-
-/// Best-of-`n` wall-clock of `work`, in milliseconds, keeping the last
-/// result alive so the optimizer cannot elide the work.
-fn best_of<T>(n: usize, mut work: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..n {
-        let t = Instant::now();
-        let r = work();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        last = Some(r);
-    }
-    let Some(last) = last else {
-        unreachable!("best_of requires n >= 1");
-    };
-    (best, last)
 }
 
 /// Percentile of a sorted slice of millisecond samples.
@@ -274,8 +153,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 fn run_size(n: usize) -> (Value, bool) {
     eprintln!("[scale_curve] === {n} structures ===");
     let rss0 = vm_rss_kb();
-    let structures = synthetic_structures(n);
-    let qs = queries(&structures);
+    let structures = structures(n);
+    let qs = queries(&structures, QUERY_SEED);
 
     // Build: the cost a zero-copy load avoids.
     let t = Instant::now();
@@ -478,105 +357,92 @@ fn run_size(n: usize) -> (Value, bool) {
     (point, pass)
 }
 
-/// Gate the check-size counters and load wall-clock against the committed
-/// baseline: exact counters (two-sided ratchet on the bulk work metrics)
-/// and a two-sided band on load wall-clock.
-fn compare(baseline: &Value, current: &Value, baseline_path: &str) -> ExitCode {
-    let mut regressions = 0usize;
-    let base_counters = baseline
-        .get("counters")
-        .and_then(Value::as_object)
-        .cloned()
-        .unwrap_or_default();
-    let cur_counters = current
-        .get("counters")
-        .and_then(Value::as_object)
-        .cloned()
-        .unwrap_or_default();
-    let mut names: Vec<&String> = base_counters.keys().chain(cur_counters.keys()).collect();
-    names.sort();
-    names.dedup();
-    println!(
-        "{:<34} {:>16} {:>16}  status",
-        "metric", "baseline", "current"
-    );
-    for name in names {
-        let base = base_counters.get(name.as_str()).and_then(Value::as_u64);
-        let cur = cur_counters.get(name.as_str()).and_then(Value::as_u64);
-        let ratcheted = RATCHETED_COUNTERS.contains(&name.as_str());
-        let status = match (base, cur) {
-            (Some(b), Some(c)) if b == c => "ok".to_string(),
-            (Some(b), Some(c)) if ratcheted && c > b => {
-                regressions += 1;
-                format!("REGRESSION (+{:.0}%)", (c as f64 / b as f64 - 1.0) * 100.0)
-            }
-            (Some(b), Some(c)) if ratcheted && (c as f64) * MAX_IMPROVEMENT < b as f64 => {
-                regressions += 1;
-                format!(
-                    "DRIFT ({:.0}x better than baseline; refresh it)",
-                    b as f64 / c.max(1) as f64
-                )
-            }
-            (Some(b), Some(c)) if ratcheted => {
-                format!(
-                    "ok (-{:.0}%, ratchet band)",
-                    (1.0 - c as f64 / b as f64) * 100.0
-                )
-            }
-            (Some(_), Some(_)) => {
-                regressions += 1;
-                "MISMATCH".to_string()
-            }
-            _ => {
-                regressions += 1;
-                "MISSING".to_string()
-            }
-        };
-        println!(
-            "{name:<34} {:>16} {:>16}  {status}",
-            base.map_or("-".into(), |v: u64| v.to_string()),
-            cur.map_or("-".into(), |v: u64| v.to_string()),
-        );
+#[cfg(test)]
+mod tests {
+    use super::GATE;
+    use serde_json::{json, Map, Value};
+
+    fn baseline() -> Value {
+        match serde_json::from_str(include_str!("../../../../results/scale_baseline.json")) {
+            Ok(v) => v,
+            Err(e) => panic!("results/scale_baseline.json does not parse: {e}"),
+        }
     }
 
-    let base_load = baseline.get("load_zero_copy_ms").and_then(Value::as_f64);
-    let cur_load = current.get("load_zero_copy_ms").and_then(Value::as_f64);
-    if let (Some(b), Some(c)) = (base_load, cur_load) {
-        let ratio = if b > 0.0 { c / b } else { f64::INFINITY };
-        let status = if ratio > 1.0 + WALL_CLOCK_TOLERANCE {
-            regressions += 1;
-            format!("REGRESSION (+{:.0}%)", (ratio - 1.0) * 100.0)
-        } else if ratio * MAX_IMPROVEMENT < 1.0 {
-            regressions += 1;
-            format!(
-                "DRIFT ({:.0}x faster than baseline; refresh it)",
-                1.0 / ratio.max(1e-9)
-            )
-        } else {
-            format!("ok ({:+.0}%)", (ratio - 1.0) * 100.0)
-        };
-        println!("{:<34} {b:>16.2} {c:>16.2}  {status}", "load_zero_copy_ms");
-    } else {
-        regressions += 1;
-        println!(
-            "{:<34} {:>16} {:>16}  MISSING",
-            "load_zero_copy_ms", "-", "-"
-        );
+    fn load_ms(base: &Value) -> f64 {
+        match base.get("load_zero_copy_ms").and_then(Value::as_f64) {
+            Some(ms) => ms,
+            None => panic!("the baseline has no load_zero_copy_ms"),
+        }
     }
 
-    if regressions > 0 {
-        eprintln!(
-            "\n[scale_curve] FAIL: {regressions} metric(s) regressed vs {baseline_path}. \
-             If the change is intentional, regenerate the baseline with \
-             `cargo run --release -p speakql-bench --bin scale_curve -- --out {baseline_path}` \
-             (CI runs the {CHECK_SIZE}-structure point)."
-        );
-        ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "\n[scale_curve] PASS: load counters exact, work counters in band, \
-             load wall-clock within the two-sided band."
-        );
-        ExitCode::SUCCESS
+    /// The baseline's counters with `counter` (when given) set, and a
+    /// zero-copy load time.
+    fn run(base: &Value, counter: Option<(&str, u64)>, load_ms: f64) -> Value {
+        let mut counters = base
+            .get("counters")
+            .and_then(Value::as_object)
+            .cloned()
+            .unwrap_or_default();
+        if let Some((name, value)) = counter {
+            counters.insert(name.to_string(), json!(value));
+        }
+        let mut run = Map::new();
+        run.insert("counters".to_string(), Value::Object(counters));
+        run.insert("load_zero_copy_ms".to_string(), json!(load_ms));
+        Value::Object(run)
+    }
+
+    #[test]
+    fn committed_baseline_passes_against_itself() {
+        let base = baseline();
+        assert_eq!(GATE.check(&base, &base), 0);
+    }
+
+    #[test]
+    fn counters_are_exact_except_two_ratcheted_within_ten_x() {
+        let base = baseline();
+        let load = load_ms(&base);
+        let Some(counters) = base.get("counters").and_then(Value::as_object) else {
+            panic!("the baseline has no counters");
+        };
+        assert!(!counters.is_empty());
+        for (name, value) in counters.iter() {
+            let Some(b) = value.as_u64() else {
+                panic!("{name} is not an integer");
+            };
+            let passes = |c: u64| GATE.check(&base, &run(&base, Some((name, c)), load)) == 0;
+            assert!(!passes(b + 1), "{name} one above baseline");
+            if ["editdist.cells_evaluated", "search.nodes_visited"].contains(&name.as_str()) {
+                let floor = b.div_ceil(10);
+                assert!(passes(b - 1), "{name} one below baseline");
+                assert!(passes(floor), "{name} 10x below baseline");
+                assert!(!passes(floor - 1), "{name} past 10x below baseline");
+            } else if b > 0 {
+                assert!(!passes(b - 1), "{name} one below baseline");
+            }
+        }
+    }
+
+    #[test]
+    fn load_time_fails_past_thirty_percent_above_or_ten_x_below() {
+        let base = baseline();
+        let b = load_ms(&base);
+        let passes = |ms: f64| GATE.check(&base, &run(&base, None, ms)) == 0;
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let limit = b * 1.3;
+        assert!(passes(limit));
+        assert!(!passes(up(limit)));
+        // The smallest load time whose tenfold is not below the baseline.
+        let mut floor = b / 10.0;
+        while floor * 10.0 < b {
+            floor = up(floor);
+        }
+        while down(floor) * 10.0 >= b {
+            floor = down(floor);
+        }
+        assert!(passes(floor));
+        assert!(!passes(down(floor)));
     }
 }

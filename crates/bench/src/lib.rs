@@ -9,10 +9,12 @@
 pub mod context;
 pub mod experiments;
 pub mod fault;
+pub mod gate;
 pub mod load;
 pub mod report;
 pub mod runs;
 pub mod suite;
+pub mod synthetic;
 
 pub use context::{Context, Scale};
 pub use runs::{run_case, run_split, CaseRun};

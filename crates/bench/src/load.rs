@@ -23,13 +23,14 @@
 //! Everything that can be pinned is pinned (seeds, queue capacity, worker
 //! count, single-threaded tenant engines), so the error-class and traffic
 //! counters in the emitted snapshot are exact across runs; only wall-clock
-//! and latency percentiles are machine-dependent, and the baseline check
-//! gives those a banded tolerance while holding the counter set to
-//! equality. Skeleton-cache hits race benignly under concurrency (two
-//! clients can miss the same key at once), so cache and search-work
-//! counters are reported but gated only by the [`MIN_HIT_RATE`] floor.
+//! and latency percentiles are machine-dependent, and [`GATE`] gives those
+//! an upper band while holding the counter set to equality. Skeleton-cache
+//! hits race benignly under concurrency (two clients can miss the same key
+//! at once), so cache and search-work counters are reported but gated only
+//! by the [`MIN_HIT_RATE`] floor.
 
 use crate::fault::POISON_MARKER;
+use crate::gate::{Gate, Rule};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde_json::{json, Map, Value};
@@ -75,29 +76,54 @@ pub const RECOVERY_CLIENTS: usize = 8;
 pub const RECOVERY_PER_CLIENT: usize = 4;
 /// Minimum acceptable skeleton-cache hit rate across the whole run.
 pub const MIN_HIT_RATE: f64 = 0.5;
-/// Banded tolerance for wall-clock and latency comparisons.
-pub const WALL_CLOCK_TOLERANCE: f64 = 0.30;
-/// Counters compared for exact equality against the baseline: traffic and
-/// error-class totals, which the pinned seeds and the deterministic
-/// overload gate make reproducible. Cache and search-work counters are
-/// excluded — concurrent clients race benignly on cache misses — and are
-/// covered by the hit-rate floor instead.
-pub const EXACT_COUNTERS: [&str; 14] = [
-    "server.requests",
-    "server.retries",
-    "server.unknown_tenant",
-    "server.protocol_errors",
-    "engine.errors.overloaded",
-    "engine.errors.timeout",
-    "engine.errors.empty_transcript",
-    "engine.errors.transcript_too_long",
-    "engine.errors.empty_index",
-    "engine.errors.worker_panic",
-    "engine.transcriptions",
-    "engine.candidates_built",
-    "engine.batch_jobs",
-    "engine.nested_splits",
-];
+/// The baseline rules for `load_gen --check`. The traffic and error-class
+/// totals are exact: the pinned seeds and the deterministic overload make
+/// them reproducible. Cache counters race benignly under concurrent clients
+/// (two can miss one key at once), so they are shown but gated only by the
+/// run's [`MIN_HIT_RATE`] floor, and other counters are not compared.
+/// Timings fail only above their band, with absolute grace so fast runs do
+/// not flake, and the run's own gates must have passed.
+pub const GATE: Gate = Gate {
+    bin: "load_gen",
+    counters: &[
+        ("server.requests", Rule::Exact),
+        ("server.retries", Rule::Exact),
+        ("server.unknown_tenant", Rule::Exact),
+        ("server.protocol_errors", Rule::Exact),
+        ("engine.errors.overloaded", Rule::Exact),
+        ("engine.errors.timeout", Rule::Exact),
+        ("engine.errors.empty_transcript", Rule::Exact),
+        ("engine.errors.transcript_too_long", Rule::Exact),
+        ("engine.errors.empty_index", Rule::Exact),
+        ("engine.errors.worker_panic", Rule::Exact),
+        ("engine.transcriptions", Rule::Exact),
+        ("engine.candidates_built", Rule::Exact),
+        ("engine.batch_jobs", Rule::Exact),
+        ("engine.nested_splits", Rule::Exact),
+        ("cache.skeleton_hits", Rule::Info),
+        ("cache.skeleton_misses", Rule::Info),
+    ],
+    other_counters: None,
+    fields: &[
+        (
+            "wall_clock_ms",
+            Rule::Band {
+                tol: 0.30,
+                grace: 250.0,
+                floor: None,
+            },
+        ),
+        (
+            "latency.steady_p99_micros",
+            Rule::Band {
+                tol: 0.30,
+                grace: 2_000.0,
+                floor: None,
+            },
+        ),
+        ("gates.pass", Rule::True),
+    ],
+};
 
 /// Seed for the spoken-SQL case generator (Employees pool; the Yelp pool
 /// derives from it).
@@ -582,141 +608,116 @@ pub fn run_load() -> (Value, bool) {
     (snapshot, pass)
 }
 
-/// Compare a fresh load snapshot against the committed baseline. Exact
-/// counters ([`EXACT_COUNTERS`]) must match to the unit; wall-clock and the
-/// steady-phase p99 get a banded tolerance (upper side fails, lower side is
-/// noted — refresh the baseline to re-centre the band); the current run's
-/// own gates must have passed. Prints a row-per-metric diff table and
-/// returns whether the check passed.
-pub fn compare_load(baseline: &Value, current: &Value, baseline_path: &str) -> bool {
-    let mut rows: Vec<(String, String, String, String)> = Vec::new();
-    let mut regressions = 0usize;
+#[cfg(test)]
+mod tests {
+    use super::GATE;
+    use crate::gate::field;
+    use serde_json::{json, Map, Value};
 
-    let counters_of = |v: &Value| {
-        v.get("counters")
+    /// The counters the baseline holds to equality.
+    const EXACT: [&str; 14] = [
+        "server.requests",
+        "server.retries",
+        "server.unknown_tenant",
+        "server.protocol_errors",
+        "engine.errors.overloaded",
+        "engine.errors.timeout",
+        "engine.errors.empty_transcript",
+        "engine.errors.transcript_too_long",
+        "engine.errors.empty_index",
+        "engine.errors.worker_panic",
+        "engine.transcriptions",
+        "engine.candidates_built",
+        "engine.batch_jobs",
+        "engine.nested_splits",
+    ];
+
+    fn baseline() -> Value {
+        match serde_json::from_str(include_str!("../../../results/server_baseline.json")) {
+            Ok(v) => v,
+            Err(e) => panic!("results/server_baseline.json does not parse: {e}"),
+        }
+    }
+
+    fn number(v: &Value, path: &str) -> f64 {
+        match field(v, path).and_then(Value::as_f64) {
+            Some(x) => x,
+            None => panic!("the baseline has no {path}"),
+        }
+    }
+
+    /// A run over the baseline's counters (with `counter` set, when given)
+    /// and the given wall clock, steady p99 and run verdict.
+    fn run(base: &Value, counter: Option<(&str, u64)>, wall: f64, p99: f64, pass: bool) -> Value {
+        let mut counters = base
+            .get("counters")
             .and_then(Value::as_object)
             .cloned()
-            .unwrap_or_default()
-    };
-    let base_counters = counters_of(baseline);
-    let cur_counters = counters_of(current);
-    for name in EXACT_COUNTERS {
-        let base = base_counters.get(name).and_then(Value::as_u64);
-        let cur = cur_counters.get(name).and_then(Value::as_u64);
-        let status = match (base, cur) {
-            (Some(b), Some(c)) if b == c => "ok".to_string(),
-            (Some(_), Some(_)) => {
-                regressions += 1;
-                "MISMATCH".to_string()
-            }
-            _ => {
-                regressions += 1;
-                "MISSING".to_string()
-            }
-        };
-        rows.push((
-            name.to_string(),
-            base.map_or("-".into(), |v| v.to_string()),
-            cur.map_or("-".into(), |v| v.to_string()),
-            status,
-        ));
-    }
-    // Cache counters are racy under concurrency: report, never fail.
-    for name in ["cache.skeleton_hits", "cache.skeleton_misses"] {
-        let base = base_counters.get(name).and_then(Value::as_u64);
-        let cur = cur_counters.get(name).and_then(Value::as_u64);
-        rows.push((
-            name.to_string(),
-            base.map_or("-".into(), |v| v.to_string()),
-            cur.map_or("-".into(), |v| v.to_string()),
-            "info (racy; gated by hit-rate floor)".to_string(),
-        ));
+            .unwrap_or_default();
+        if let Some((name, value)) = counter {
+            counters.insert(name.to_string(), json!(value));
+        }
+        let mut run = Map::new();
+        run.insert("counters".to_string(), Value::Object(counters));
+        run.insert("wall_clock_ms".to_string(), json!(wall));
+        run.insert("latency".to_string(), json!({ "steady_p99_micros": p99 }));
+        run.insert("gates".to_string(), json!({ "pass": pass }));
+        Value::Object(run)
     }
 
-    // Banded timings: machine-dependent, so only an upper-side failure,
-    // with a small absolute grace so micro-fast runs don't flake.
-    let mut banded = |name: &str, base: Option<f64>, cur: Option<f64>, grace: f64| {
-        let (Some(b), Some(c)) = (base, cur) else {
-            regressions += 1;
-            rows.push((name.to_string(), "-".into(), "-".into(), "MISSING".into()));
-            return;
-        };
-        let limit = b * (1.0 + WALL_CLOCK_TOLERANCE) + grace;
-        let status = if c > limit {
-            regressions += 1;
-            format!("REGRESSION (+{:.0}%)", (c / b.max(1e-9) - 1.0) * 100.0)
-        } else if c < b * (1.0 - WALL_CLOCK_TOLERANCE) - grace {
-            format!(
-                "ok (faster, -{:.0}%; refresh baseline)",
-                (1.0 - c / b.max(1e-9)) * 100.0
-            )
-        } else {
-            "ok (in band)".to_string()
-        };
-        rows.push((
-            name.to_string(),
-            format!("{b:.1}"),
-            format!("{c:.1}"),
-            status,
-        ));
-    };
-    banded(
-        "wall_clock_ms",
-        baseline.get("wall_clock_ms").and_then(Value::as_f64),
-        current.get("wall_clock_ms").and_then(Value::as_f64),
-        250.0,
-    );
-    let p99_of = |v: &Value| {
-        v.get("latency")
-            .and_then(|l| l.get("steady_p99_micros"))
-            .and_then(Value::as_f64)
-    };
-    banded(
-        "steady_p99_micros",
-        p99_of(baseline),
-        p99_of(current),
-        2_000.0,
-    );
-
-    // The run's own invariants (byte-identical outputs, exact shed, hit
-    // rate, zero client panics) are folded into its `gates.pass`.
-    let gates_pass = matches!(
-        current.get("gates").and_then(|g| g.get("pass")),
-        Some(Value::Bool(true))
-    );
-    if !gates_pass {
-        regressions += 1;
+    #[test]
+    fn committed_baseline_passes_against_itself() {
+        let base = baseline();
+        assert_eq!(GATE.check(&base, &base), 0);
     }
-    rows.push((
-        "gates.pass".to_string(),
-        "true".to_string(),
-        gates_pass.to_string(),
-        if gates_pass {
-            "ok".into()
-        } else {
-            "FAIL".into()
-        },
-    ));
 
-    println!(
-        "{:<34} {:>16} {:>16}  status",
-        "metric", "baseline", "current"
-    );
-    for (name, base, cur, status) in &rows {
-        println!("{name:<34} {base:>16} {cur:>16}  {status}");
+    #[test]
+    fn only_the_fourteen_traffic_and_error_counters_are_exact() {
+        let base = baseline();
+        let wall = number(&base, "wall_clock_ms");
+        let p99 = number(&base, "latency.steady_p99_micros");
+        let Some(counters) = base.get("counters").and_then(Value::as_object) else {
+            panic!("the baseline has no counters");
+        };
+        for name in EXACT {
+            assert!(counters.get(name).is_some(), "{name} is in the baseline");
+        }
+        for (name, value) in counters.iter() {
+            let Some(b) = value.as_u64() else {
+                panic!("{name} is not an integer");
+            };
+            let passes =
+                |c: u64| GATE.check(&base, &run(&base, Some((name, c)), wall, p99, true)) == 0;
+            let exact = EXACT.contains(&name.as_str());
+            assert_eq!(passes(b + 1), !exact, "{name} one above baseline");
+            assert_eq!(
+                passes(b.saturating_sub(1)),
+                !exact || b == 0,
+                "{name} one below"
+            );
+        }
     }
-    if regressions > 0 {
-        eprintln!(
-            "\n[load_gen] FAIL: {regressions} metric(s) regressed vs {baseline_path}. \
-             If the change is intentional, regenerate the baseline with \
-             `cargo run --release -p speakql-bench --bin load_gen -- --out {baseline_path}`."
-        );
-        false
-    } else {
-        eprintln!(
-            "\n[load_gen] PASS: traffic and error-class counters exact, timings in band, \
-             run gates green."
-        );
-        true
+
+    #[test]
+    fn timings_fail_only_past_thirty_percent_plus_grace() {
+        let base = baseline();
+        let wall = number(&base, "wall_clock_ms");
+        let p99 = number(&base, "latency.steady_p99_micros");
+        let passes = |w: f64, p: f64| GATE.check(&base, &run(&base, None, w, p, true)) == 0;
+        let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let wall_limit = wall * 1.3 + 250.0;
+        let p99_limit = p99 * 1.3 + 2_000.0;
+        assert!(passes(wall_limit, p99_limit));
+        assert!(!passes(above(wall_limit), p99));
+        assert!(!passes(wall, above(p99_limit)));
+        assert!(passes(0.0, 0.0), "faster never fails");
+    }
+
+    #[test]
+    fn the_run_verdict_must_pass() {
+        let base = baseline();
+        let wall = number(&base, "wall_clock_ms");
+        let p99 = number(&base, "latency.steady_p99_micros");
+        assert_eq!(GATE.check(&base, &run(&base, None, wall, p99, false)), 1);
     }
 }

@@ -95,7 +95,7 @@ proptest! {
                     .with_cache_capacity(cache);
                 scalar_cfg.search.kernel = DpKernel::Scalar;
                 let mut soa_cfg = scalar_cfg.clone();
-                soa_cfg.search.kernel = DpKernel::Soa;
+                soa_cfg.search.kernel = DpKernel::Auto;
 
                 let scalar = SpeakQl::with_index(&db, shared_index(), scalar_cfg);
                 let soa = SpeakQl::with_index(&db, shared_index(), soa_cfg);

@@ -99,9 +99,6 @@ pub enum DpKernel {
     Auto,
     /// Always use the scalar reference kernel.
     Scalar,
-    /// Prefer the SoA kernel; identical to [`DpKernel::Auto`] today, but
-    /// spelled explicitly for benchmarks and parity tests.
-    Soa,
 }
 
 /// Search configuration. Defaults mirror the paper's "SpeakQL Default":
@@ -670,7 +667,7 @@ impl StructureIndex {
     /// millisecond or more, and keeps every counter independent of what
     /// earlier searches left behind.
     fn workspace(&self, masked: &[StructTokId], cfg: &SearchConfig) -> DpCols {
-        if cfg.kernel != DpKernel::Scalar && !cfg.dap {
+        if cfg.kernel == DpKernel::Auto && !cfg.dap {
             if let Some(ws) = SoaWorkspace::new(masked, self.weights, self.max_len) {
                 return DpCols::Soa(ws);
             }

@@ -47,14 +47,9 @@ proptest! {
                 let (scalar_hits, scalar_stats) = idx.search_with_stats(
                     &masked, &base.with_kernel(DpKernel::Scalar));
                 let (soa_hits, soa_stats) = idx.search_with_stats(
-                    &masked, &base.with_kernel(DpKernel::Soa));
+                    &masked, &base.with_kernel(DpKernel::Auto));
                 prop_assert_eq!(&scalar_hits, &soa_hits, "hits (k={}, bdb={})", k, bdb);
                 prop_assert_eq!(scalar_stats, soa_stats, "stats (k={}, bdb={})", k, bdb);
-                // Auto must resolve to one of the two certified kernels.
-                let (auto_hits, auto_stats) = idx.search_with_stats(
-                    &masked, &base.with_kernel(DpKernel::Auto));
-                prop_assert_eq!(&auto_hits, &scalar_hits, "auto hits (k={}, bdb={})", k, bdb);
-                prop_assert_eq!(auto_stats, scalar_stats, "auto stats (k={}, bdb={})", k, bdb);
             }
         }
     }
@@ -70,7 +65,7 @@ proptest! {
             &SearchConfig::top_k(5).with_kernel(DpKernel::Scalar),
         );
         for threads in [1usize, 2, 8] {
-            for kernel in [DpKernel::Scalar, DpKernel::Soa, DpKernel::Auto] {
+            for kernel in [DpKernel::Scalar, DpKernel::Auto] {
                 let cfg = SearchConfig::top_k(5)
                     .with_threads(threads)
                     .with_kernel(kernel);
@@ -88,7 +83,7 @@ proptest! {
     fn both_kernels_match_brute_force(masked in arb_masked()) {
         let idx = small_index();
         let scan = idx.scan(&masked, 5);
-        for kernel in [DpKernel::Scalar, DpKernel::Soa] {
+        for kernel in [DpKernel::Scalar, DpKernel::Auto] {
             let hits = idx.search(&masked, &SearchConfig::top_k(5).with_kernel(kernel));
             prop_assert_eq!(&hits, &scan, "kernel={:?}", kernel);
         }
@@ -103,15 +98,15 @@ proptest! {
         let (scalar_hits, scalar_stats) =
             idx.search_with_stats(&masked, &dap.with_kernel(DpKernel::Scalar));
         let (soa_hits, soa_stats) =
-            idx.search_with_stats(&masked, &dap.with_kernel(DpKernel::Soa));
+            idx.search_with_stats(&masked, &dap.with_kernel(DpKernel::Auto));
         prop_assert_eq!(scalar_hits, soa_hits);
         prop_assert_eq!(scalar_stats, soa_stats);
     }
 }
 
 /// A query outside the u16 lane envelope (Proposition 1 ceiling above
-/// `u16::MAX`) silently falls back to the scalar kernel even when SoA is
-/// requested — same hits, no panic, no saturation artifacts.
+/// `u16::MAX`) silently falls back to the scalar kernel under `Auto` — same
+/// hits, no panic, no saturation artifacts.
 #[test]
 fn oversized_query_falls_back_to_scalar() {
     let idx = small_index();
@@ -119,7 +114,7 @@ fn oversized_query_falls_back_to_scalar() {
     let base = SearchConfig::default();
     let (scalar_hits, scalar_stats) =
         idx.search_with_stats(&masked, &base.with_kernel(DpKernel::Scalar));
-    let (soa_hits, soa_stats) = idx.search_with_stats(&masked, &base.with_kernel(DpKernel::Soa));
+    let (soa_hits, soa_stats) = idx.search_with_stats(&masked, &base.with_kernel(DpKernel::Auto));
     assert_eq!(scalar_hits, soa_hits);
     assert_eq!(scalar_stats, soa_stats);
     assert!(!soa_hits.is_empty());

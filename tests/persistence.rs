@@ -206,7 +206,7 @@ proptest! {
         let bytes = to_bytes(&built).expect("serialize");
         let borrowed = speakql_index::from_shared(bytes).expect("validate-borrow");
         let masked: Vec<StructTokId> = masked.into_iter().map(StructTokId).collect();
-        for kernel in [DpKernel::Scalar, DpKernel::Soa] {
+        for kernel in [DpKernel::Scalar, DpKernel::Auto] {
             for threads in [1usize, 2, 8] {
                 let cfg = SearchConfig { k, kernel, threads, ..SearchConfig::default() };
                 prop_assert_eq!(
@@ -272,7 +272,7 @@ proptest! {
         prop_assert_eq!(to_bytes(&loaded).expect("re-serialize"), bytes);
         prop_assert_eq!(loaded.generation(), built.generation());
         let masked: Vec<StructTokId> = masked.into_iter().map(StructTokId).collect();
-        for kernel in [DpKernel::Scalar, DpKernel::Soa] {
+        for kernel in [DpKernel::Scalar, DpKernel::Auto] {
             let cfg = SearchConfig { k, kernel, ..SearchConfig::default() };
             prop_assert_eq!(
                 built.search_with_stats(&masked, &cfg),
