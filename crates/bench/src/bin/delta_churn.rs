@@ -8,6 +8,11 @@
 //!
 //! - **Incremental beats rebuild**: `apply_delta` wall-clock must be ≥ 10x
 //!   faster than a full `StructureIndex::build` over the live structures.
+//! - **Apply time is flat in the arena**: the same churn on a space four
+//!   times the size, grown only at the untouched dominant length (so the
+//!   churned length and its segments are identical), must apply in under
+//!   twice the time, best of 7 each. An apply that copies or refolds the
+//!   whole arena grows with it.
 //! - **Counter-proven segment reuse**: the `DeltaStats` counter-proof (and
 //!   the matching `index.delta.*` recorder counters) must show exactly one
 //!   affected length, every segment either rebuilt or reused, and ≥ 95% of
@@ -20,7 +25,7 @@
 //!   tenant hot-swaps to the delta'd index — and reloading the old image's
 //!   bytes must derive the same generation and keep serving 100% warm (the
 //!   content-derived-generation bugfix this workload exists to pin).
-//! - **v3 round-trip**: the delta'd (tombstoned) index survives
+//! - **Image round-trip**: the delta'd (tombstoned) index survives
 //!   `to_bytes` → `from_shared` with generation and hits intact.
 //!
 //! ```text
@@ -37,7 +42,9 @@
 
 use serde_json::{json, Map, Value};
 use speakql_bench::gate::{take_flag, Gate, Rule};
-use speakql_bench::synthetic::{best_of, encode, queries, structures, QUERIES, TAIL_LENS};
+use speakql_bench::synthetic::{
+    best_of, encode, queries, structures, DOMINANT_LEN, QUERIES, TAIL_LENS,
+};
 use speakql_core::{CounterId, Recorder, SkeletonCache};
 use speakql_editdist::Weights;
 use speakql_grammar::{StructTokId, Structure};
@@ -56,6 +63,10 @@ const CHURN: usize = 1_000;
 const QUERY_SEED: u64 = 0xC4u64 << 8 | 0x51;
 /// Required incremental-vs-rebuild wall-clock speedup.
 const MIN_DELTA_SPEEDUP: f64 = 10.0;
+/// Size of the flatness check's arena, in multiples of the gated one.
+const GROWTH: usize = 4;
+/// Largest allowed ratio of the grown arena's apply time to the base's.
+const MAX_GROWN_APPLY_RATIO: f64 = 2.0;
 /// Required fraction of segments carried over unchanged.
 const MIN_REUSE_FRACTION: f64 = 0.95;
 /// Maximum warm-hit-rate movement for an untouched tenant, in points.
@@ -142,6 +153,41 @@ fn replay_hit_rate(
     hits as f64 / qs.len() as f64
 }
 
+/// The CHURN length-CHURN_LEN structures the churn tombstones (tail slots
+/// CHURN_LEN_SLOT mod 8) in a space whose dominant length holds `dom`.
+fn churned_ids(dom: usize) -> Vec<u32> {
+    (0..CHURN)
+        .map(|j| (dom + TAIL_LENS.len() * j + CHURN_LEN_SLOT) as u32)
+        .collect()
+}
+
+/// The "one table changed" delta: tombstone [`churned_ids`] and append
+/// `adds`.
+fn churn_delta(dom: usize, adds: &[Structure]) -> IndexDelta {
+    IndexDelta::new()
+        .remove_structures(churned_ids(dom))
+        .add_structures(adds.iter().cloned())
+}
+
+/// Best-of-7 apply time of the churn on the loaded image of a space
+/// [`GROWTH`] times the size of `structures`, grown only at the dominant
+/// length: its tail — the churned length included — is `structures`'.
+fn grown_apply_ms(structures: &[Structure], adds: &[Structure]) -> Result<f64, String> {
+    let tail = &structures[structures.len() - structures.len() / 10..];
+    let dom = GROWTH * structures.len() - tail.len();
+    let grown: Vec<Structure> = (0..dom as u64)
+        .map(|i| encode(i, DOMINANT_LEN))
+        .chain(tail.iter().cloned())
+        .collect();
+    let image =
+        to_bytes(&StructureIndex::build(grown, Weights::PAPER)).map_err(|e| e.to_string())?;
+    let base = from_shared(image).map_err(|e| e.to_string())?;
+    let delta = churn_delta(dom, adds);
+    let (ms, applied) = best_of(7, || base.apply_delta(&delta));
+    applied.map_err(|e| e.to_string())?;
+    Ok(ms)
+}
+
 /// Run the churn workload. Returns the snapshot and whether every in-run
 /// gate held.
 fn run_churn(n: usize) -> (Value, bool) {
@@ -182,21 +228,16 @@ fn run_churn(n: usize) -> (Value, bool) {
         base.segment_count()
     );
 
-    // The "one table changed" delta: tombstone CHURN length-CHURN_LEN
-    // structures (tail slots CHURN_LEN_SLOT mod 8) and append CHURN new
-    // ones at the same length, payloads far above any existing encoding.
-    let remove: Vec<u32> = (0..CHURN)
-        .map(|j| (dom + TAIL_LENS.len() * j + CHURN_LEN_SLOT) as u32)
-        .collect();
+    // The "one table changed" delta: CHURN new length-CHURN_LEN structures,
+    // payloads far above any existing encoding, replace CHURN old ones.
     let adds: Vec<Structure> = (0..CHURN)
         .map(|j| encode(1_000_000 + j as u64, CHURN_LEN))
         .collect();
-    let delta = IndexDelta::new()
-        .remove_structures(remove.iter().copied())
-        .add_structures(adds.iter().cloned());
+    let delta = churn_delta(dom, &adds);
+    let remove = churned_ids(dom);
 
     // Counted apply (once), then best-of-7 timing on the uncounted path
-    // (apply is ~10 ms, so the extra attempts are cheap insurance against
+    // (apply is ~2 ms, so the extra attempts are cheap insurance against
     // a noisy-neighbor minute on the CI runner).
     let rec = Recorder::enabled();
     let (delta_idx, stats) = match base.apply_delta_observed(&delta, &rec) {
@@ -207,6 +248,25 @@ fn run_churn(n: usize) -> (Value, bool) {
         }
     };
     let (apply_ms, _) = best_of(7, || base.apply_delta(&delta));
+    let grown_ms = match grown_apply_ms(&structures, &adds) {
+        Ok(ms) => ms,
+        Err(e) => {
+            gate(false, format!("grown-arena apply: {e}"));
+            f64::INFINITY
+        }
+    };
+    eprintln!(
+        "[delta_churn] apply {apply_ms:.2} ms at {n} structures, {grown_ms:.2} ms at {}",
+        GROWTH * n
+    );
+    gate(
+        grown_ms < MAX_GROWN_APPLY_RATIO * apply_ms,
+        format!(
+            "apply grows with the arena: {grown_ms:.2} ms at {} structures vs {apply_ms:.2} ms \
+             at {n} (need < {MAX_GROWN_APPLY_RATIO:.0}x)",
+            GROWTH * n
+        ),
+    );
 
     // Full rebuild over the live structures: what incremental maintenance
     // replaces. Assembling the live list (and the per-attempt clone
@@ -300,7 +360,7 @@ fn run_churn(n: usize) -> (Value, bool) {
         }
     }
 
-    // v3 round-trip: tombstones survive persistence with generation and
+    // Image round-trip: tombstones survive persistence with generation and
     // hits (ids included — zero-copy loads preserve the arena) intact.
     let image = match to_bytes(&delta_idx) {
         Ok(b) => b,
@@ -313,16 +373,16 @@ fn run_churn(n: usize) -> (Value, bool) {
         Ok(loaded) => {
             gate(
                 loaded.generation() == delta_idx.generation(),
-                "v3 round-trip changed the generation".to_string(),
+                "image round-trip changed the generation".to_string(),
             );
             for q in &qs {
                 if loaded.search(q, &cfg) != delta_idx.search(q, &cfg) {
-                    gate(false, "v3 round-trip changed search results".to_string());
+                    gate(false, "image round-trip changed search results".to_string());
                     break;
                 }
             }
         }
-        Err(e) => gate(false, format!("v3 round-trip load: {e}")),
+        Err(e) => gate(false, format!("image round-trip load: {e}")),
     }
 
     // Warm-cache churn: tenant A stays on the base index, tenant B
@@ -415,8 +475,10 @@ fn run_churn(n: usize) -> (Value, bool) {
         "build_ms": build_ms,
         "rebuild_ms": rebuild_ms,
         "apply_delta_ms": apply_ms,
+        "grown_structures": GROWTH * n,
+        "apply_delta_ms_grown": grown_ms,
         "delta_speedup": speedup,
-        "image_bytes_v3": image.len(),
+        "image_bytes_v4": image.len(),
         "warm_hit_rate_pre": pre_rate,
         "warm_hit_rate_post": post_rate,
         "warm_hit_rate_reload": reload_rate,

@@ -888,13 +888,17 @@ fn fnv_checksum64(data: &[u8]) -> u64 {
     h
 }
 
-/// Byte offsets of interest inside a version-3 image, recovered by walking
+/// Byte offsets of interest inside a version-4 image, recovered by walking
 /// the format the same way the decoder does.
-struct V3Layout {
+struct V4Layout {
     /// Byte range of the token plane (one byte per token, arena order).
     tok_plane: std::ops::Range<usize>,
     /// Offset of the placeholder plane (3-byte records, category first).
     ph_plane_at: usize,
+    /// Offset of the removed-count word.
+    removed_count_at: usize,
+    /// Number of removed ids.
+    removed_count: usize,
     /// Offset of the first removed id (after the removed-count word).
     removed_ids_at: usize,
     /// Offset of the block A checksum (u64 LE).
@@ -909,10 +913,9 @@ fn read_u32_le(bytes: &[u8], at: usize) -> usize {
     u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize
 }
 
-fn v3_layout(bytes: &[u8]) -> Option<V3Layout> {
+fn v4_layout(bytes: &[u8]) -> Option<V4Layout> {
     const HEADER_LEN: usize = 32;
-    const INV_LISTS: usize = 19;
-    if bytes.len() < HEADER_LEN || u16::from_be_bytes([bytes[4], bytes[5]]) != 3 {
+    if bytes.len() < HEADER_LEN || u16::from_be_bytes([bytes[4], bytes[5]]) != 4 {
         return None;
     }
     let be = |o: usize| {
@@ -930,10 +933,8 @@ fn v3_layout(bytes: &[u8]) -> Option<V3Layout> {
     let ph_plane_at = pos + (count + 1) * 4;
     pos = ph_plane_at + ph_total * 3;
     pos += (4 - pos % 4) % 4;
-    // Posting offsets + plane.
-    let inv_total = read_u32_le(bytes, pos + INV_LISTS * 4);
-    pos += (INV_LISTS + 1) * 4 + inv_total * 4;
     // Removed list: count word then the ids.
+    let removed_count_at = pos;
     let removed_count = read_u32_le(bytes, pos);
     let removed_ids_at = pos + 4;
     pos += 4 + removed_count * 4;
@@ -948,14 +949,53 @@ fn v3_layout(bytes: &[u8]) -> Option<V3Layout> {
         let node_count = read_u32_le(bytes, seg_table_at + seg * 8 + 4);
         pos += node_count + (4 - node_count % 4) % 4 + node_count * 12 + 8;
     }
-    (removed_count >= 2 && pos == bytes.len()).then_some(V3Layout {
+    (pos == bytes.len()).then_some(V4Layout {
         tok_plane,
         ph_plane_at,
+        removed_count_at,
+        removed_count,
         removed_ids_at,
         block_a_checksum_at,
         seg_table_at,
         last_segment_at,
     })
+}
+
+/// The version-3 image of the index `v4` holds: the same bytes, with the
+/// version field set to 3 and the 19 INV posting lists the version-3 writer
+/// kept in block A (an offset table of 20 u32 LE, then the live ids under
+/// each keyword other than SELECT/FROM/WHERE, in arena order) between the
+/// placeholder plane and the removed list, and block A resealed.
+fn v3_image(v4: &[u8], layout: &V4Layout, index: &StructureIndex) -> Vec<u8> {
+    const HEADER_LEN: usize = 32;
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); 19];
+    for id in (0..index.arena_len() as u32).filter(|&id| !index.is_removed(id)) {
+        let mut seen = [false; 19];
+        for t in index.structure_tokens(id) {
+            if let StructTok::Keyword(k) = t.tok() {
+                let rare = !matches!(k, Keyword::Select | Keyword::From | Keyword::Where);
+                if rare && !std::mem::replace(&mut seen[k.index()], true) {
+                    lists[k.index()].push(id);
+                }
+            }
+        }
+    }
+    let mut out = v4[..layout.removed_count_at].to_vec();
+    out[4..6].copy_from_slice(&3u16.to_be_bytes());
+    let mut at = 0u32;
+    for list in &lists {
+        out.extend_from_slice(&at.to_le_bytes());
+        at += list.len() as u32;
+    }
+    out.extend_from_slice(&at.to_le_bytes());
+    for id in lists.iter().flatten() {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    out.extend_from_slice(&v4[layout.removed_count_at..layout.block_a_checksum_at]);
+    let ck = fnv_checksum64(&out[HEADER_LEN..]);
+    out.extend_from_slice(&ck.to_le_bytes());
+    out.extend_from_slice(&v4[layout.block_a_checksum_at + 8..]);
+    out
 }
 
 /// Corruptions specific to images a delta produced — a stale segment table
@@ -985,13 +1025,16 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
         Ok(b) => b.to_vec(),
         Err(e) => return vec![fail("delta_image", format!("serialize failed: {e}"))],
     };
-    let Some(layout) = v3_layout(&bytes) else {
-        return vec![fail("delta_image", "not a parseable v3 image".to_string())];
+    let Some(layout) = v4_layout(&bytes).filter(|l| l.removed_count >= 2) else {
+        return vec![fail(
+            "delta_image",
+            "not a parseable v4 image with two removed ids".to_string(),
+        )];
     };
     if speakql_index::from_bytes(&bytes).is_err() {
         return vec![fail(
             "delta_image",
-            "pristine v3 image rejected".to_string(),
+            "pristine v4 image rejected".to_string(),
         )];
     }
 
@@ -1056,7 +1099,7 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
 
     // A removed list pointing at a *live* structure (resealed): the real
     // tombstone now terminates nowhere while the lied-about id is still in
-    // the tries/postings — structural validation must catch one of the two.
+    // the tries — structural validation must catch one of the two.
     let mut data = bytes.clone();
     data[layout.removed_ids_at..layout.removed_ids_at + 4].copy_from_slice(&6u32.to_le_bytes());
     reseal_block_a(&mut data);
@@ -1096,6 +1139,15 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
         "block_a_placeholder_count_mismatch".to_string(),
         data,
         &["corrupt"],
+    );
+
+    // A well-formed image of the previous format version — the same index
+    // with its INV posting plane, as the version-3 writer stored it — is
+    // refused by version, not misread as a version-4 block A.
+    check(
+        "v3_image_bad_version".to_string(),
+        v3_image(&bytes, &layout, &delta_idx),
+        &["bad_version"],
     );
 
     outcomes

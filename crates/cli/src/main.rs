@@ -406,7 +406,9 @@ fn cmd_index_info(args: &[String]) -> ExitCode {
                 w.splchar as f64 / 10.0,
                 w.literal as f64 / 10.0
             );
-            let lens: Vec<usize> = (0..index.len() as u32)
+            // Arena ids run over tombstoned slots too; only live ones count.
+            let lens: Vec<usize> = (0..index.arena_len() as u32)
+                .filter(|&id| !index.is_removed(id))
                 .map(|id| index.structure_tokens(id).len())
                 .collect();
             println!(

@@ -94,3 +94,53 @@ fn corrupted_index_file_is_a_typed_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error:"), "missing typed error:\n{stderr}");
 }
+
+#[test]
+fn index_info_describes_the_live_structures_of_a_tombstoned_image() {
+    use speakql_editdist::Weights;
+    use speakql_grammar::GeneratorConfig;
+    use speakql_index::{save_to_path, IndexDelta, StructureIndex};
+
+    let base = StructureIndex::from_grammar(
+        &GeneratorConfig {
+            max_structures: Some(2_000),
+            ..GeneratorConfig::small()
+        },
+        Weights::PAPER,
+    );
+    let shortest = (0..base.arena_len() as u32)
+        .map(|id| base.structure_tokens(id).len())
+        .min()
+        .expect("a non-empty index");
+    // Tombstone every structure of the shortest length.
+    let delta = IndexDelta::new().remove_matching(&base, |_, tokens| tokens.len() == shortest);
+    assert!(delta.removed() > 0);
+    let (index, _) = base.apply_delta(&delta).expect("apply delta");
+    let live: Vec<usize> = (0..index.arena_len() as u32)
+        .filter(|&id| !index.is_removed(id))
+        .map(|id| index.structure_tokens(id).len())
+        .collect();
+    let (min, max) = (
+        live.iter().min().expect("live structures remain"),
+        live.iter().max().expect("live structures remain"),
+    );
+    assert!(*min > shortest);
+
+    let dir = std::env::temp_dir().join("speakql-fault-cli");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("tombstoned.sqlx");
+    save_to_path(&index, &path).expect("save index");
+    let out = speakql(&["index-info", path.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&path).ok();
+    assert_no_panic(&out, "tombstoned index-info");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("structures : {}\n", index.len())),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!("lengths    : min {min}, max {max}\n")),
+        "{stdout}"
+    );
+}

@@ -254,7 +254,9 @@ impl Transcription {
 /// The SpeakQL engine: a structure index plus a phonetic catalog.
 pub struct SpeakQl {
     index: Arc<StructureIndex>,
-    catalog: PhoneticCatalog,
+    /// Built from the database's rows, so engines over one database (a
+    /// tenant re-registered over a new index) can share it.
+    catalog: Arc<PhoneticCatalog>,
     config: SpeakQlConfig,
     /// Lazily built per-clause indexes for clause-level dictation.
     clause_indexes: Mutex<HashMap<ClauseKind, Arc<StructureIndex>>>,
@@ -317,7 +319,7 @@ impl SpeakQl {
     pub fn with_index(db: &Database, index: Arc<StructureIndex>, config: SpeakQlConfig) -> SpeakQl {
         SpeakQl {
             index,
-            catalog: PhoneticCatalog::build(db),
+            catalog: Arc::new(PhoneticCatalog::build(db)),
             recorder: Recorder::new(config.observe),
             skeleton_cache: (config.cache_capacity > 0)
                 .then(|| Arc::new(SkeletonCache::new(config.cache_capacity))),
@@ -345,9 +347,24 @@ impl SpeakQl {
         recorder: Recorder,
         config: SpeakQlConfig,
     ) -> SpeakQl {
+        let catalog = Arc::new(PhoneticCatalog::build(db));
+        SpeakQl::with_shared_catalog(catalog, index, cache, recorder, config)
+    }
+
+    /// [`SpeakQl::with_shared_cache`] over an already-built phonetic
+    /// catalog — another engine's ([`SpeakQl::catalog`]) when the database
+    /// is unchanged and only the index moved, which skips rebuilding the
+    /// catalog from every row.
+    pub fn with_shared_catalog(
+        catalog: Arc<PhoneticCatalog>,
+        index: Arc<StructureIndex>,
+        cache: Arc<SkeletonCache>,
+        recorder: Recorder,
+        config: SpeakQlConfig,
+    ) -> SpeakQl {
         SpeakQl {
             index,
-            catalog: PhoneticCatalog::build(db),
+            catalog,
             recorder,
             skeleton_cache: Some(cache),
             config,
@@ -361,7 +378,7 @@ impl SpeakQl {
     }
 
     /// The phonetic catalog literals are voted from.
-    pub fn catalog(&self) -> &PhoneticCatalog {
+    pub fn catalog(&self) -> &Arc<PhoneticCatalog> {
         &self.catalog
     }
 

@@ -3,31 +3,42 @@
 //!
 //! A catalog change (a table added, dropped, or reshaped) perturbs only the
 //! structures that mention it — a tiny slice of a million-structure space.
-//! [`StructureIndex::apply_delta`] exploits that: removals become
-//! *tombstones* (the arena slot keeps its window so every other structure's
-//! id — and every cached [`crate::SearchHit`] for an untouched segment —
-//! stays meaningful), additions append at the arena tail, and only the trie
-//! segments of the **affected lengths** (lengths that lost or gained a
-//! structure) are rebuilt. Every other segment is carried over as-is: an
-//! O(1) refcount bump on its sealed buffer.
+//! [`StructureIndex::apply_delta`] does work proportional to that slice:
+//!
+//! - removals become *tombstones* in a copy-on-write bitset (the arena slot
+//!   keeps its window so every other structure's id — and every cached
+//!   [`crate::SearchHit`] for an untouched segment — stays meaningful);
+//! - additions become one new arena chunk appended at the tail, and every
+//!   existing chunk is shared, not copied (see the `store` module);
+//! - only the trie segments of the **affected lengths** (lengths that lost
+//!   or gained a structure) are rebuilt, over those lengths' live ids taken
+//!   from their own segments. Every other segment is carried over as-is: an
+//!   O(1) refcount bump on its sealed buffer;
+//! - the generation refolds only the slot ranges the additions fall into,
+//!   plus the tombstone words and the segment ids.
+//!
+//! No posting lists are maintained: INV derives its lists from the arena on
+//! its first search. What a delta costs is therefore the seal of the
+//! affected segments plus O(chunks + segments + arena / 64) bookkeeping.
 //!
 //! ## Equivalence to a full rebuild
 //!
 //! The rebuilt lengths use the exact shard layout [`StructureIndex::build`]
 //! computes — live structures in arena order, partitioned into
-//! `shard_count(n)` contiguous blocks — and posting lists are filtered and
-//! appended in arena order, which is precisely what a build over the live
-//! structures (in the same order) produces. A delta'd index and a full
-//! rebuild over its live structures therefore return the same hits (same
-//! structures, same distances, same order) and do the same search work; the
-//! only difference is id *values* (the rebuild compacts tombstone holes
-//! away), which is also why the two derive different generations — their
-//! cached hit ids are not interchangeable. The property tests in this
-//! module pin the equivalence across thread counts.
+//! `shard_count(n)` contiguous blocks — which is precisely what a build
+//! over the live structures (in the same order) produces. A delta'd index
+//! and a full rebuild over its live structures therefore return the same
+//! hits (same structures, same distances, same order) and do the same
+//! search work; the only difference is id *values* (the rebuild compacts
+//! tombstone holes away), which is also why the two derive different
+//! generations — their cached hit ids are not interchangeable. A delta
+//! that only appends leaves every id in place, so it *is* the rebuild, and
+//! derives the rebuild's generation. The property tests in this module pin
+//! the equivalence across thread counts and along chains of deltas.
 
 use crate::content::BuildFx;
-use crate::search::{push_postings, seal_shards, StructureIndex};
-use crate::store::StructStore;
+use crate::search::{seal_shards, StructureIndex};
+use crate::store::ChunkBuilder;
 use crate::trie::Trie;
 use speakql_grammar::{StructTokId, Structure};
 use speakql_observe::{CounterId, Recorder};
@@ -201,135 +212,85 @@ impl StructureIndex {
             }
         }
 
-        // Tombstone flags over the widened arena.
+        // The widened arena: the base chunks are shared, the additions
+        // become one new chunk at the tail. Tombstoned slots keep their
+        // windows so ids stay stable and the persisted layout stays
+        // uniform; the tombstone bitset is copied only when this delta
+        // removes something.
         let new_arena = old_arena + delta.add.len();
-        let mut removed = vec![false; new_arena];
-        removed[..self.removed().len()].copy_from_slice(self.removed());
-        for &id in &removes {
-            removed[id as usize] = true;
+        let removed = self
+            .removed()
+            .with(removes.iter().copied(), new_arena)
+            .map_err(DeltaError::UnknownStructure)?;
+        let added_toks: usize = delta.add.iter().map(|s| s.tokens.len()).sum();
+        let added_phs: usize = delta.add.iter().map(|s| s.placeholders.len()).sum();
+        let mut chunk = ChunkBuilder::with_capacity(delta.add.len(), added_toks, added_phs);
+        for s in &delta.add {
+            chunk.push(&s.tokens, &s.placeholders);
         }
-        if !removed.iter().any(|&r| r) {
-            removed = Vec::new();
-        }
+        let store = self.store().appended(chunk.seal());
 
         // Affected lengths: everything that lost or gained a structure.
-        let base = self.store();
         let max_candidate = self
             .max_len()
             .max(delta.add.iter().map(Structure::len).max().unwrap_or(0));
         let mut affected = vec![false; max_candidate + 1];
         for &id in &removes {
-            affected[base.token_len(id as usize)] = true;
+            affected[store.token_len(id as usize)] = true;
         }
         for s in &delta.add {
             affected[s.len()] = true;
         }
 
-        // The widened arena. Tombstoned slots keep their windows so ids stay
-        // stable and the persisted layout stays uniform; the base planes
-        // carry over with four bulk copies.
-        let added_toks: usize = delta.add.iter().map(|s| s.tokens.len()).sum();
-        let added_phs: usize = delta.add.iter().map(|s| s.placeholders.len()).sum();
-        // Exact final capacities up front: cloning the planes and then
-        // appending would reallocate (and re-copy) every plane once more.
-        let mut store = StructStore::with_capacity(
-            new_arena,
-            base.tokens.len() + added_toks,
-            base.placeholders.len() + added_phs,
-        );
-        store.tok_offsets.extend_from_slice(&base.tok_offsets[1..]);
-        store.tokens.extend_from_slice(&base.tokens);
-        store.ph_offsets.extend_from_slice(&base.ph_offsets[1..]);
-        store.placeholders.extend_from_slice(&base.placeholders);
-        for s in &delta.add {
-            store.push(&s.tokens, &s.placeholders);
-        }
-
-        // One pass over the live arena: the new max length and the affected
-        // lengths' id buckets (arena order — the order `build` would see
-        // them in).
-        let is_removed = |id: usize| removed.get(id).copied().unwrap_or(false);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_candidate + 1];
-        let mut max_len = 0usize;
-        for id in 0..new_arena {
-            if is_removed(id) {
-                continue;
-            }
-            let l = store.token_len(id);
-            max_len = max_len.max(l);
-            if affected[l] {
-                buckets[l].push(id as u32);
-            }
-        }
-
         // Segments: reuse every unaffected length's shards wholesale,
-        // rebuild the affected lengths with the canonical shard layout.
+        // rebuild the affected lengths with the canonical shard layout over
+        // their live ids in arena order — the old segments' terminals minus
+        // this delta's tombstones, then this delta's additions.
         let mut stats = DeltaStats {
             structures_added: delta.add.len(),
             structures_removed: removes.len(),
+            lengths_affected: affected.iter().filter(|&&a| a).count(),
             ..DeltaStats::default()
         };
-        let mut tries: Vec<Vec<Trie>> = Vec::with_capacity(max_len + 1);
-        for l in 0..=max_len {
-            if !affected[l] {
-                let shards = self.tries().get(l).cloned().unwrap_or_default();
-                stats.segments_reused += shards.len();
-                tries.push(shards);
+        let mut tries: Vec<Vec<Trie>> = Vec::with_capacity(max_candidate + 1);
+        for (l, &hit) in affected.iter().enumerate() {
+            let old = self.tries().get(l).map_or(&[][..], Vec::as_slice);
+            if !hit {
+                stats.segments_reused += old.len();
+                tries.push(old.to_vec());
                 continue;
             }
-            stats.lengths_affected += 1;
-            let mut seen: HashSet<&[StructTokId], BuildFx> =
-                HashSet::with_capacity_and_hasher(buckets[l].len(), BuildFx);
-            if !buckets[l]
-                .iter()
-                .all(|&id| seen.insert(store.tokens(id as usize)))
+            let mut ids: Vec<u32> = old.iter().flat_map(Trie::structure_ids).collect();
+            ids.sort_unstable();
+            ids.retain(|&id| !removed.contains(id as usize));
+            let mut fresh: HashSet<&[StructTokId], BuildFx> = HashSet::with_hasher(BuildFx);
+            for (offset, s) in delta.add.iter().enumerate().filter(|(_, s)| s.len() == l) {
+                if !fresh.insert(&s.tokens) {
+                    return Err(DeltaError::DuplicateStructure);
+                }
+                ids.push((old_arena + offset) as u32);
+            }
+            if !fresh.is_empty()
+                && ids
+                    .iter()
+                    .take(ids.len() - fresh.len())
+                    .any(|&id| fresh.contains(store.tokens(id as usize)))
             {
                 return Err(DeltaError::DuplicateStructure);
             }
-            let shards = seal_shards(&store, l, &buckets[l]);
+            let shards = seal_shards(&store, l, &ids);
             stats.segments_rebuilt += shards.len();
             tries.push(shards);
         }
-        // Affected lengths that ended empty above max_len simply fall off
-        // the tries vector; count them as affected all the same.
-        for (l, &a) in affected.iter().enumerate().skip(max_len + 1) {
-            if a && l <= max_candidate {
-                stats.lengths_affected += 1;
-            }
+        // Lengths that ended empty at the top fall off the tries vector.
+        while tries.len() > 1 && tries.last().is_some_and(Vec::is_empty) {
+            tries.pop();
         }
+        let max_len = tries.len() - 1;
 
-        // Posting lists: drop tombstones (order-preserving), append the
-        // additions in arena order — exactly the lists a full build over
-        // the live arena order produces.
-        let mut inverted: Vec<Vec<u32>> = if removes.is_empty() {
-            self.inverted().to_vec()
-        } else {
-            // Lists are in ascending arena order and `removes` is sorted, so
-            // everything below the smallest removed id copies as one span;
-            // only the tail needs per-id filtering.
-            let min_removed = removes[0];
-            self.inverted()
-                .iter()
-                .map(|list| {
-                    let cut = list.partition_point(|&id| id < min_removed);
-                    let mut out = Vec::with_capacity(list.len());
-                    out.extend_from_slice(&list[..cut]);
-                    out.extend(
-                        list[cut..]
-                            .iter()
-                            .copied()
-                            .filter(|&id| !is_removed(id as usize)),
-                    );
-                    out
-                })
-                .collect()
-        };
-        for (offset, s) in delta.add.iter().enumerate() {
-            push_postings(&mut inverted, (old_arena + offset) as u32, &s.tokens);
-        }
-
+        let ranges = store.refold_ranges(self.ranges(), old_arena);
         let next =
-            StructureIndex::from_parts(store, tries, inverted, self.weights(), max_len, removed);
+            StructureIndex::from_parts(store, tries, self.weights(), max_len, removed, ranges);
         record_delta(recorder, &stats);
         Ok((next, stats))
     }
@@ -538,11 +499,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_roundtrips_through_v3_preserving_generation() -> Result<(), Box<dyn std::error::Error>>
-    {
+    fn delta_roundtrips_through_the_image_preserving_generation(
+    ) -> Result<(), Box<dyn std::error::Error>> {
         let base = small_index();
         let bytes = crate::to_bytes(base)?;
-        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 3);
+        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 4);
         let loaded = crate::from_shared(bytes)?;
         // Tentpole regression: a byte-identical reload derives the same
         // generation the built index had.
@@ -561,7 +522,7 @@ mod tests {
         // path: every segment — reused or freshly sealed — is memcpy'd with
         // its stored content id, and the image carries the removed list.
         let bytes2 = crate::to_bytes(&next)?;
-        assert_eq!(u16::from_be_bytes([bytes2[4], bytes2[5]]), 3);
+        assert_eq!(u16::from_be_bytes([bytes2[4], bytes2[5]]), 4);
         let reloaded = crate::from_shared(bytes2.clone())?;
         assert_eq!(reloaded.generation(), next.generation());
         assert_eq!(reloaded.len(), next.len());
@@ -574,7 +535,7 @@ mod tests {
             reloaded.search_with_stats(&probe, &cfg)
         );
 
-        // The compacting rebuild path also accepts v3 and agrees on
+        // The compacting rebuild path also accepts the image and agrees on
         // content.
         let rebuilt = crate::from_bytes_rebuilt(&bytes2)?;
         assert_eq!(rebuilt.len(), next.len());
@@ -649,6 +610,68 @@ mod tests {
                 let par = next.search(&masked, &cfg.with_threads(threads));
                 prop_assert_eq!(&par, &delta_hits, "threads={}", threads);
             }
+        }
+
+        /// A chain of deltas keeps its range digests exact: the chain's
+        /// generation is the one a from-scratch fold of its reload derives,
+        /// the reload re-serializes to the same image, a removal-free chain
+        /// is its rebuild (same generation), and every chain answers like
+        /// its rebuild, work counters included. The 2,000-slot base ends
+        /// inside the second 1,024-slot range, so longer chains append
+        /// across the boundary into a third.
+        #[test]
+        fn delta_chains_fold_like_their_reload(
+            steps in prop::collection::vec(
+                (prop::collection::vec(0..2_300u32, 0..6), 0usize..48),
+                1..7,
+            ),
+            removal_free in any::<bool>(),
+            masked in prop::collection::vec(
+                (0..STRUCT_ALPHABET as u8).prop_map(StructTokId), 0..20),
+            k in 1usize..6,
+        ) {
+            let fail = |e: &dyn std::fmt::Display| TestCaseError::fail(e.to_string());
+            let mut index = small_index().clone();
+            let mut added = 0usize;
+            let mut removed_any = false;
+            for (remove_raw, n_add) in steps {
+                let remove: std::collections::BTreeSet<u32> = remove_raw
+                    .into_iter()
+                    .filter(|&id| {
+                        !removal_free
+                            && (id as usize) < index.arena_len()
+                            && !index.is_removed(id)
+                    })
+                    .collect();
+                removed_any |= !remove.is_empty();
+                let adds = (added..added + n_add).map(|i| synthetic(i, 7 + i % 5));
+                added += n_add;
+                let delta = IndexDelta::new()
+                    .remove_structures(remove)
+                    .add_structures(adds);
+                index = index.apply_delta(&delta).map_err(|e| fail(&e))?.0;
+            }
+
+            let bytes = crate::to_bytes(&index).map_err(|e| fail(&e))?;
+            let reloaded = crate::from_shared(bytes.clone()).map_err(|e| fail(&e))?;
+            prop_assert_eq!(reloaded.generation(), index.generation());
+            prop_assert_eq!(crate::to_bytes(&reloaded).map_err(|e| fail(&e))?, bytes);
+
+            let live: Vec<Structure> = (0..index.arena_len() as u32)
+                .filter(|&id| !index.is_removed(id))
+                .map(|id| index.structure(id))
+                .collect();
+            let rebuilt = StructureIndex::build(live, index.weights());
+            prop_assert_eq!(
+                index.generation() == rebuilt.generation(),
+                !removed_any,
+                "only a removal-free chain is its rebuild"
+            );
+            let cfg = SearchConfig::top_k(k);
+            let (hits, stats) = index.search_with_stats(&masked, &cfg);
+            let (full_hits, full_stats) = rebuilt.search_with_stats(&masked, &cfg);
+            prop_assert_eq!(stats, full_stats);
+            prop_assert_eq!(resolved(&index, &hits), resolved(&rebuilt, &full_hits));
         }
 
         /// Applying a delta and persisting round-trips: the reloaded image

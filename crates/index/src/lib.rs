@@ -4,11 +4,14 @@
 //! (paper §3.3–§3.4 and App. D):
 //!
 //! - [`Trie`]: compact per-length tries over generated structures,
-//! - [`StructureIndex`]: the arena + 50 disjoint tries + inverted keyword
-//!   index,
+//! - [`StructureIndex`]: the arena (shared immutable chunks) + the
+//!   per-length tries, split into shards,
 //! - [`StructureIndex::search`]: weighted-edit-distance trie search with
 //!   branch pruning, **BDB** bidirectional bounds, and the opt-in **DAP**
-//!   and **INV** accuracy–latency tradeoffs.
+//!   and **INV** accuracy–latency tradeoffs (INV's keyword posting lists
+//!   are built from the arena by its first search),
+//! - [`IndexDelta`]: incremental maintenance whose cost follows the change,
+//!   not the arena.
 
 #![forbid(unsafe_code)]
 

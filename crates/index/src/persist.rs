@@ -5,19 +5,24 @@
 //! on-disk format is a **segmented, fixed-layout image** designed for
 //! validate-then-borrow loading: the header and per-segment table are
 //! validated in O(segments) bounds checks, the bulk planes in linear
-//! checksum + structural passes, and then each trie segment is borrowed
-//! **zero-copy** as one [`Bytes`] view — no per-node rebuild, no per-node
-//! allocation. Only the structure arena (two flat planes and their offset
-//! tables) and the 19 inverted posting lists are materialized, one linear
-//! decode each; the tries, which dominate build cost, are not reconstructed
-//! at all.
+//! checksum + structural passes, and then the planes are borrowed
+//! **zero-copy** out of the one shared [`Bytes`] buffer — no per-node
+//! rebuild, no per-structure allocation. Each trie segment becomes a
+//! [`Trie`] over its bytes. Block A becomes the arena's one chunk (see the
+//! `store` module): its two offset tables and its 3-byte placeholder
+//! records are read in place, and only the token plane is decoded, once,
+//! into a typed copy — `forbid(unsafe_code)` rules out viewing `&[u8]` as
+//! `&[StructTokId]`.
 //!
-//! There is one format version, 3. A built index holds its segments in the
-//! same layout (see [`crate::trie`]), so an index built in memory and the
-//! index loaded from its image are the same index: same planes, same
-//! generation, same search work. Images written by older versions (1 and 2)
-//! fail with [`PersistError::BadVersion`]; rebuild them with
-//! `speakql index-build`.
+//! There is one format version, 4. A built index holds its segments and
+//! its arena chunk in the same layout (see [`crate::trie`] and the
+//! `store` module), so an index built in memory and the index loaded from
+//! its image are the same index: same planes, same generation, same search
+//! work. Version 4 dropped version 3's INV posting plane: the posting lists
+//! are derived from the arena by the first INV search instead of being
+//! stored, validated, and carried through every delta. Images written by
+//! older versions (1 to 3) fail with [`PersistError::BadVersion`]; rebuild
+//! them with `speakql index-build`.
 //!
 //! ## Format (all offsets relative to the image start)
 //!
@@ -28,7 +33,6 @@
 //! block A        : tok_offsets (count+1)×u32 LE  · token plane (u8, pad4) ·
 //!                  ph_offsets  (count+1)×u32 LE  · placeholder plane
 //!                  (category u8 + governor u16 LE each, pad4) ·
-//!                  inv_offsets 20×u32 LE · posting plane (u32 LE) ·
 //!                  removed count u32 LE · removed ids (u32 LE, strictly
 //!                  increasing) ·
 //!                  checksum u64 LE (FNV-1a-64 over block A)
@@ -38,9 +42,10 @@
 //!                  checksum u64 LE (FNV-1a-64 over the four planes)
 //! ```
 //!
-//! The removed-id list records the arena slots an [`crate::IndexDelta`]
-//! tombstoned (their windows are persisted unchanged so ids stay stable);
-//! it is empty for an index nothing was removed from.
+//! Both offset tables start at 0. The removed-id list records the arena
+//! slots an [`crate::IndexDelta`] tombstoned (their windows are persisted
+//! unchanged so ids stay stable); it is empty for an index nothing was
+//! removed from.
 //!
 //! ## Segment replace and append
 //!
@@ -51,21 +56,21 @@
 //! by [`crate::StructureIndex::apply_delta`]; after a delta the small
 //! segment table is rewritten to describe the new mix — an in-place
 //! replace/append of the affected segments, with header, block A tail, and
-//! table updated around them.
+//! table updated around them. A delta'd arena holds several chunks; the
+//! writer merges them into block A's one run of planes, rebasing each
+//! chunk's local offsets.
 //!
 //! Every plane starts 4-byte-aligned (the header is padded to 32 bytes and
-//! each sub-4 plane is zero-padded), so a future typed-cast loader could
-//! borrow the `u32` planes directly; today's accessors read little-endian
-//! words through safe byte views, for which the padding is merely layout
-//! hygiene.
+//! each sub-4 plane is zero-padded). The accessors read little-endian words
+//! through safe byte views, for which the padding is layout hygiene.
 
 use crate::content::{checksum64, BuildFx};
 use crate::search::StructureIndex;
-use crate::store::StructStore;
+use crate::store::{category_from, Chunk, StructStore, Tombstones, PH_RECORD};
 use crate::trie::{segment_len, Planes, Trie, NONE};
 use bytes::{BufMut, Bytes, BytesMut};
 use speakql_editdist::Weights;
-use speakql_grammar::{LitCategory, Placeholder, StructTokId, Structure, STRUCT_ALPHABET};
+use speakql_grammar::{StructTokId, Structure, STRUCT_ALPHABET};
 use speakql_observe::{CounterId, Recorder};
 use std::fmt;
 use std::fs;
@@ -74,13 +79,9 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SQLX";
 /// The one format version this crate writes and reads.
-const VERSION: u16 = 3;
-const GOVERNOR_NONE: u16 = u16::MAX;
+const VERSION: u16 = 4;
 /// Header size including the 2 alignment padding bytes.
 const HEADER_LEN: usize = 32;
-/// Number of inverted posting lists (one per non-SELECT/FROM/WHERE keyword
-/// slot; see `StructureIndex::build`).
-const INV_LISTS: usize = 19;
 
 /// Errors loading a persisted index.
 #[derive(Debug)]
@@ -134,25 +135,6 @@ impl From<io::Error> for PersistError {
     }
 }
 
-fn category_code(c: LitCategory) -> u8 {
-    match c {
-        LitCategory::Table => 0,
-        LitCategory::Attribute => 1,
-        LitCategory::Value => 2,
-        LitCategory::Number => 3,
-    }
-}
-
-fn category_from(code: u8) -> Result<LitCategory, PersistError> {
-    Ok(match code {
-        0 => LitCategory::Table,
-        1 => LitCategory::Attribute,
-        2 => LitCategory::Value,
-        3 => LitCategory::Number,
-        _ => return Err(PersistError::Corrupt("bad category code")),
-    })
-}
-
 /// Zero-pad `buf` to the next 4-byte boundary.
 fn pad4(buf: &mut BytesMut) {
     while !buf.len().is_multiple_of(4) {
@@ -166,36 +148,40 @@ fn len_u32(n: usize, what: &'static str) -> Result<u32, PersistError> {
     u32::try_from(n).map_err(|_| PersistError::TooLarge(what))
 }
 
-/// Serialize the index — structure arena, inverted posting lists, and the
-/// sharded trie segments — into a segmented image.
+/// Serialize the index — structure arena, tombstones, and the sharded trie
+/// segments — into a segmented image.
 ///
 /// Fails with [`PersistError::TooLarge`] if any length exceeds the format's
 /// fixed-width fields instead of silently truncating.
 pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
     let store = index.store();
+    let chunks = store.chunks();
     let count = len_u32(store.len(), "more than u32::MAX structures")?;
-    len_u32(store.tokens.len(), "token plane exceeds u32")?;
-    len_u32(store.placeholders.len(), "placeholder plane exceeds u32")?;
-    for id in 0..store.len() {
-        if store.token_len(id) > 255 {
-            return Err(PersistError::TooLarge("structure longer than 255 tokens"));
-        }
-        if store.placeholders(id).len() > 255 {
-            return Err(PersistError::TooLarge(
-                "structure with more than 255 placeholders",
-            ));
+    let tok_total: usize = chunks.iter().map(|c| c.token_plane().len()).sum();
+    let ph_records: usize = chunks
+        .iter()
+        .map(|c| c.placeholder_plane().len() / PH_RECORD)
+        .sum();
+    len_u32(tok_total, "token plane exceeds u32")?;
+    len_u32(ph_records, "placeholder plane exceeds u32")?;
+    for chunk in chunks {
+        for i in 0..chunk.len() {
+            if chunk.tok_offset(i + 1) - chunk.tok_offset(i) > 255 {
+                return Err(PersistError::TooLarge("structure longer than 255 tokens"));
+            }
+            if chunk.ph_offset(i + 1) - chunk.ph_offset(i) > 255 {
+                return Err(PersistError::TooLarge(
+                    "structure with more than 255 placeholders",
+                ));
+            }
         }
     }
     let segments: Vec<&Trie> = index.tries().iter().flatten().collect();
     let total_nodes = index.total_nodes();
-    let removed_ids: Vec<u32> = index
-        .removed()
-        .iter()
-        .enumerate()
-        // lossy: id < arena_len, which the header stores as u32
-        .filter_map(|(id, &r)| r.then_some(id as u32))
-        .collect();
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + store.len() * 32 + total_nodes * 16);
+    let removed_count = index.removed().count();
+    let mut buf = BytesMut::with_capacity(
+        HEADER_LEN + store.len() * 8 + tok_total + ph_records * PH_RECORD + total_nodes * 16,
+    );
 
     buf.put_slice(MAGIC);
     buf.put_u16(VERSION);
@@ -209,40 +195,38 @@ pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
     buf.put_u16(0); // pad the header to 32 bytes (4-byte plane alignment)
     debug_assert_eq!(buf.len(), HEADER_LEN);
 
-    // Block A: structure token/placeholder planes + inverted posting lists
-    // + the removed-id list. The arena planes are written as held.
+    // Block A: the arena's chunks merged into one run of planes (each
+    // chunk's local offsets rebased onto the planes before it), then the
+    // removed-id list.
     let block_a = buf.len();
-    for &off in &store.tok_offsets {
-        buf.put_u32_le(off);
-    }
-    for t in &store.tokens {
-        buf.put_u8(t.0);
-    }
-    pad4(&mut buf);
-    for &off in &store.ph_offsets {
-        buf.put_u32_le(off);
-    }
-    for p in &store.placeholders {
-        buf.put_u8(category_code(p.category));
-        buf.put_u16_le(p.governor.unwrap_or(GOVERNOR_NONE));
-    }
-    pad4(&mut buf);
-    let mut off: u32 = 0;
-    for postings in index.inverted() {
-        buf.put_u32_le(off);
-        off = off
-            .checked_add(len_u32(postings.len(), "posting list exceeds u32")?)
-            .ok_or(PersistError::TooLarge("posting plane exceeds u32"))?;
-    }
-    buf.put_u32_le(off);
-    for postings in index.inverted() {
-        for &id in postings {
-            buf.put_u32_le(id);
+    let put_offsets = |buf: &mut BytesMut, offset: &dyn Fn(&Chunk, usize) -> usize| {
+        buf.put_u32_le(0);
+        let mut base = 0usize;
+        for chunk in chunks {
+            for i in 1..=chunk.len() {
+                // lossy: every offset is at most its plane's length, checked
+                // against u32 above
+                buf.put_u32_le((base + offset(chunk, i)) as u32);
+            }
+            base += offset(chunk, chunk.len());
+        }
+    };
+    put_offsets(&mut buf, &|c, i| c.tok_offset(i));
+    for chunk in chunks {
+        for t in chunk.token_plane() {
+            buf.put_u8(t.0);
         }
     }
-    buf.put_u32_le(len_u32(removed_ids.len(), "removed list exceeds u32")?);
-    for &id in &removed_ids {
-        buf.put_u32_le(id);
+    pad4(&mut buf);
+    put_offsets(&mut buf, &|c, i| c.ph_offset(i));
+    for chunk in chunks {
+        buf.put_slice(chunk.placeholder_plane());
+    }
+    pad4(&mut buf);
+    buf.put_u32_le(len_u32(removed_count, "removed list exceeds u32")?);
+    for id in index.removed().ids() {
+        // lossy: id < arena_len, which the header stores as u32
+        buf.put_u32_le(id as u32);
     }
     let ck = checksum64(&buf[block_a..]);
     buf.put_u64_le(ck);
@@ -312,9 +296,9 @@ pub fn from_bytes_observed(
 /// Zero-copy load: validate the segmented image and borrow its planes.
 ///
 /// The buffer is refcounted, so the returned index (and its clones) keep
-/// the image alive; no node is rebuilt and no plane is copied. Validation
-/// is O(segments) bounds checks plus linear checksum and structural passes
-/// over the raw bytes.
+/// the image alive; no node is rebuilt, and the token plane is the only
+/// plane copied (into typed tokens). Validation is O(segments) bounds
+/// checks plus linear checksum and structural passes over the raw bytes.
 pub fn from_shared(data: Bytes) -> Result<StructureIndex, PersistError> {
     from_shared_observed(data, &Recorder::disabled())
 }
@@ -326,25 +310,26 @@ pub fn from_shared_observed(
 ) -> Result<StructureIndex, PersistError> {
     let header = Header::parse(&data)?;
     let mut pos = HEADER_LEN;
-    let arena = decode_block_a(&data, &mut pos, &header)?;
-    let tries = borrow_segments(&data, &mut pos, &header, &arena.store, &arena.removed)?;
+    let (store, removed) = decode_block_a(&data, &mut pos, &header)?;
+    let tries = borrow_segments(&data, &mut pos, &header, &store, &removed)?;
     if pos != data.len() {
         return Err(PersistError::Corrupt("trailing bytes"));
     }
     recorder.incr(CounterId::IndexLoadZeroCopy);
     recorder.add(CounterId::IndexLoadSegments, header.seg_count as u64);
+    let ranges = store.refold_ranges(&[], 0);
     Ok(StructureIndex::from_parts(
-        arena.store,
+        store,
         tries,
-        arena.inverted,
         header.weights,
         header.max_len,
-        arena.removed,
+        removed,
+        ranges,
     ))
 }
 
 /// Deserialize-and-rebuild reference path: decode the structure arena and
-/// run a full [`StructureIndex::build`] (trie inserts, posting lists). The
+/// run a full [`StructureIndex::build`] (every trie insert). The
 /// scale benchmark measures the zero-copy path against this one; production
 /// loads should prefer [`from_shared`].
 pub fn from_bytes_rebuilt(data: &[u8]) -> Result<StructureIndex, PersistError> {
@@ -359,12 +344,11 @@ pub fn from_bytes_rebuilt_observed(
     let shared = Bytes::copy_from_slice(data);
     let header = Header::parse(&shared)?;
     let mut pos = HEADER_LEN;
-    let arena = decode_block_a(&shared, &mut pos, &header)?;
-    let (store, removed) = (arena.store, arena.removed);
+    let (store, removed) = decode_block_a(&shared, &mut pos, &header)?;
     // A rebuild compacts: tombstoned slots are dropped and live structures
     // renumbered, exactly as `apply_delta`'s documented full-rebuild
     // equivalent. Only the zero-copy path preserves arena ids.
-    let is_rm = |i: usize| removed.get(i).copied().unwrap_or(false);
+    let is_rm = |i: usize| removed.contains(i);
     reject_duplicates(
         (0..store.len())
             .filter(|&i| !is_rm(i))
@@ -436,22 +420,15 @@ impl Header {
     }
 }
 
-/// Decoded block A: the materialized structure arena, posting lists, and
-/// tombstone flags — empty when nothing is removed.
-struct ArenaBlock {
-    store: StructStore,
-    inverted: Vec<Vec<u32>>,
-    removed: Vec<bool>,
-}
-
-/// Validate block A's checksum and decode the structure arena (whole-plane
-/// sweeps and a handful of large allocations, never one `Vec` per
-/// structure), the inverted posting lists, and the removed-id list.
+/// Validate block A — checksum, token ids, offset tables, window limits,
+/// placeholder records, the removed-id list — and wrap it as the arena's one
+/// chunk: the offset tables and placeholder records are borrowed from the
+/// image in place, and only the token plane is decoded (one linear copy).
 fn decode_block_a(
     data: &Bytes,
     pos: &mut usize,
     header: &Header,
-) -> Result<ArenaBlock, PersistError> {
+) -> Result<(StructStore, Tombstones), PersistError> {
     let count = header.count;
     let block_start = *pos;
     let tok_offsets = take(data, pos, (count + 1) * 4, "truncated token offsets")?;
@@ -468,18 +445,17 @@ fn decode_block_a(
     )?;
     let ph_offsets = take(data, pos, (count + 1) * 4, "truncated placeholder offsets")?;
     let ph_total = plane_u32(&ph_offsets, count) as usize;
-    if ph_total > (data.len() - *pos) / 3 {
+    if ph_total > (data.len() - *pos) / PH_RECORD {
         return Err(PersistError::Corrupt("placeholder plane exceeds payload"));
     }
-    let ph_plane = take(data, pos, ph_total * 3, "truncated placeholder plane")?;
-    let ph_pad = (4 - (ph_total * 3) % 4) % 4;
+    let ph_plane = take(
+        data,
+        pos,
+        ph_total * PH_RECORD,
+        "truncated placeholder plane",
+    )?;
+    let ph_pad = (4 - (ph_total * PH_RECORD) % 4) % 4;
     take(data, pos, ph_pad, "truncated placeholder padding")?;
-    let inv_offsets = take(data, pos, (INV_LISTS + 1) * 4, "truncated posting offsets")?;
-    let inv_total = plane_u32(&inv_offsets, INV_LISTS) as usize;
-    if inv_total > (data.len() - *pos) / 4 {
-        return Err(PersistError::Corrupt("posting plane exceeds payload"));
-    }
-    let inv_plane = take(data, pos, inv_total * 4, "truncated posting plane")?;
     // The removed-id list sits inside block A, so the checksum below binds
     // it too.
     let rc_plane = take(data, pos, 4, "truncated removed count")?;
@@ -488,26 +464,27 @@ fn decode_block_a(
         return Err(PersistError::Corrupt("removed count exceeds payload"));
     }
     let removed_plane = take(data, pos, removed_count * 4, "truncated removed list")?;
-    let mut removed: Vec<bool> = Vec::new();
-    if removed_count > 0 {
-        removed = vec![false; header.count];
-        let mut prev: Option<u32> = None;
-        for e in 0..removed_count {
-            let id = plane_u32(&removed_plane, e);
-            if id as usize >= header.count {
-                return Err(PersistError::Corrupt("removed id out of range"));
-            }
-            if prev.is_some_and(|p| p >= id) {
-                return Err(PersistError::Corrupt("removed list not increasing"));
-            }
-            prev = Some(id);
-            removed[id as usize] = true;
+    let mut prev: Option<u32> = None;
+    for e in 0..removed_count {
+        let id = plane_u32(&removed_plane, e);
+        if id as usize >= header.count {
+            return Err(PersistError::Corrupt("removed id out of range"));
         }
+        if prev.is_some_and(|p| p >= id) {
+            return Err(PersistError::Corrupt("removed list not increasing"));
+        }
+        prev = Some(id);
     }
     let recorded = read_u64_le(data, pos, "truncated structure checksum")?;
     if checksum64(&data[block_start..*pos - 8]) != recorded {
         return Err(PersistError::BadChecksum("structure block"));
     }
+    let removed = Tombstones::default()
+        .with(
+            (0..removed_count).map(|e| plane_u32(&removed_plane, e)),
+            count,
+        )
+        .map_err(|_| PersistError::Corrupt("removed id out of range"))?;
 
     // Whole-plane sweeps, in dependency order. Each is a linear pass the
     // compiler can vectorize; none allocates per structure.
@@ -519,22 +496,15 @@ fn decode_block_a(
     }
     let tokens: Vec<StructTokId> = token_plane.iter().map(|&id| StructTokId(id)).collect();
 
-    // Offset tables: monotone, bounded by their plane, per-structure
-    // window within format limits.
-    let decoded_offsets = |plane: &[u8]| -> Vec<u32> {
-        plane
-            .chunks_exact(4)
-            .map(|c| match c {
-                &[a, b, c0, d] => u32::from_le_bytes([a, b, c0, d]),
-                _ => unreachable!("chunks_exact(4) yields 4-byte chunks"),
-            })
-            .collect()
-    };
-    let tok_offs = decoded_offsets(&tok_offsets);
-    let ph_offs = decoded_offsets(&ph_offsets);
+    // Offset tables: start at 0, monotone, bounded by their plane,
+    // per-structure window within format limits.
+    if plane_u32(&tok_offsets, 0) != 0 || plane_u32(&ph_offsets, 0) != 0 {
+        return Err(PersistError::Corrupt("offsets do not start at zero"));
+    }
     let mut max_seen = 0usize;
+    let (mut t0, mut p0) = (0usize, 0usize);
     for i in 0..count {
-        let (t0, t1) = (tok_offs[i] as usize, tok_offs[i + 1] as usize);
+        let t1 = plane_u32(&tok_offsets, i + 1) as usize;
         if t1 < t0 || t1 > tok_total {
             return Err(PersistError::Corrupt("token offsets not monotone"));
         }
@@ -544,10 +514,10 @@ fn decode_block_a(
         // The header's max_len describes the *live* structures (it sizes
         // the trie table); tombstoned slots keep their windows but no trie,
         // so they don't participate.
-        if !removed.get(i).copied().unwrap_or(false) {
+        if !removed.contains(i) {
             max_seen = max_seen.max(t1 - t0);
         }
-        let (p0, p1) = (ph_offs[i] as usize, ph_offs[i + 1] as usize);
+        let p1 = plane_u32(&ph_offsets, i + 1) as usize;
         if p1 < p0 || p1 > ph_total {
             return Err(PersistError::Corrupt("placeholder offsets not monotone"));
         }
@@ -556,55 +526,22 @@ fn decode_block_a(
         if vars != p1 - p0 {
             return Err(PersistError::Corrupt("placeholder count mismatch"));
         }
+        (t0, p0) = (t1, p1);
     }
     if max_seen != header.max_len {
         return Err(PersistError::Corrupt("max length mismatch"));
     }
 
-    // Placeholders: one bulk decode of the 3-byte records.
-    let mut placeholders = Vec::with_capacity(ph_total);
-    for rec in ph_plane.chunks_exact(3) {
-        let (category, gov) = match rec {
-            &[c, g0, g1] => (category_from(c)?, u16::from_le_bytes([g0, g1])),
-            _ => return Err(PersistError::Corrupt("truncated placeholder record")),
-        };
-        placeholders.push(Placeholder {
-            category,
-            governor: (gov != GOVERNOR_NONE).then_some(gov),
-        });
+    // Placeholders stay in their 3-byte records, read in place: only the
+    // category codes need checking (every governor value is meaningful).
+    if ph_plane
+        .chunks_exact(PH_RECORD)
+        .any(|rec| category_from(rec[0]).is_none())
+    {
+        return Err(PersistError::Corrupt("bad category code"));
     }
-    let mut inverted: Vec<Vec<u32>> = Vec::with_capacity(INV_LISTS);
-    for k in 0..INV_LISTS {
-        let i0 = plane_u32(&inv_offsets, k) as usize;
-        let i1 = plane_u32(&inv_offsets, k + 1) as usize;
-        if i1 < i0 || i1 > inv_total {
-            return Err(PersistError::Corrupt("posting offsets not monotone"));
-        }
-        let mut list = Vec::with_capacity(i1 - i0);
-        for e in i0..i1 {
-            let id = plane_u32(&inv_plane, e);
-            if id as usize >= count {
-                return Err(PersistError::Corrupt("bad posting id"));
-            }
-            if removed.get(id as usize).copied().unwrap_or(false) {
-                return Err(PersistError::Corrupt(
-                    "posting references removed structure",
-                ));
-            }
-            list.push(id);
-        }
-        inverted.push(list);
-    }
-    Ok(ArenaBlock {
-        store: StructStore {
-            tok_offsets: tok_offs,
-            tokens,
-            ph_offsets: ph_offs,
-            placeholders,
-        },
-        inverted,
-        removed,
-    })
+    let chunk = Chunk::from_planes(count, tok_offsets, tokens, ph_offsets, ph_plane);
+    Ok((StructStore::from_chunk(chunk), removed))
 }
 
 /// Validate the segment table and every segment's node planes, then borrow
@@ -623,7 +560,7 @@ fn borrow_segments(
     pos: &mut usize,
     header: &Header,
     store: &StructStore,
-    removed: &[bool],
+    removed: &Tombstones,
 ) -> Result<Vec<Vec<Trie>>, PersistError> {
     let table = take(data, pos, header.seg_count * 8, "truncated segment table")?;
     let mut tries: Vec<Vec<Trie>> = vec![Vec::new(); header.max_len + 1];
@@ -692,7 +629,7 @@ fn borrow_segments(
                 if st as usize >= header.count {
                     return Err(PersistError::Corrupt("bad terminal structure id"));
                 }
-                if removed.get(st as usize).copied().unwrap_or(false) {
+                if removed.contains(st as usize) {
                     return Err(PersistError::Corrupt(
                         "terminal references removed structure",
                     ));
@@ -708,7 +645,7 @@ fn borrow_segments(
         tries[trie_len].push(Trie::from_segment(trie_len, node_count, recorded, segment));
     }
     for (id, &t) in terminated.iter().enumerate() {
-        if !t && !removed.get(id).copied().unwrap_or(false) {
+        if !t && !removed.contains(id) {
             return Err(PersistError::Corrupt("structure missing from tries"));
         }
     }
@@ -719,8 +656,10 @@ fn borrow_segments(
 /// [`StructureIndex::build`], whose trie inserts require distinct
 /// sequences (duplicates would collide on one terminal). Only the rebuild
 /// path needs this sweep: the zero-copy path never inserts, and its
-/// structural pass already pins every structure to exactly one terminal. The Fx-style hasher matters — SipHash over a million short
-/// keys costs more than every checksum in the file combined.
+/// structural pass already pins every structure to exactly one terminal.
+///
+/// The Fx-style hasher matters — SipHash over a million short keys costs
+/// more than every checksum in the file combined.
 fn reject_duplicates<'a>(
     keys: impl Iterator<Item = &'a [StructTokId]>,
     count: usize,

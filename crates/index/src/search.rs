@@ -9,7 +9,7 @@
 //! keyword index), are opt-in, exactly as in the paper.
 
 use crate::content::WordFold;
-use crate::store::StructStore;
+use crate::store::{ChunkBuilder, StructStore, Tombstones};
 use crate::trie::{Planes, Trie, TrieBuilder, NONE};
 use speakql_editdist::{
     lower_bound, weighted_lcs_distance, weighted_lcs_distance_bounded, ColumnWorkspace, Dist,
@@ -20,6 +20,7 @@ use speakql_grammar::{
 };
 use speakql_observe::{CounterId, Recorder, SpanId};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Target structures per trie shard. Each per-length trie is split into
 /// `ceil(n / SHARD_TARGET)` shards (capped at [`MAX_SHARDS_PER_LEN`]) over
@@ -296,11 +297,16 @@ impl<'a> SearchState<'a> {
     }
 }
 
-/// The structure index: arena of generated structures, one trie per token
-/// length, and an inverted keyword index for the INV optimization.
+/// Number of INV posting lists: one per keyword slot (SELECT/FROM/WHERE
+/// stay empty).
+const INV_LISTS: usize = 19;
+
+/// The structure index: arena of generated structures and one trie per
+/// token length (split into shards). INV's keyword posting lists are not
+/// index state: the first INV search derives them from the live arena.
 #[derive(Debug, Clone)]
 pub struct StructureIndex {
-    /// The structure arena, as flattened planes (see [`StructStore`]).
+    /// The structure arena, as shared immutable chunks (see [`StructStore`]).
     store: StructStore,
     /// `tries[l]` holds the shard tries over the structures of length `l`
     /// (empty for lengths with no structures; index 0 is unused). Shards
@@ -309,132 +315,52 @@ pub struct StructureIndex {
     /// searching the length.
     tries: Vec<Vec<Trie>>,
     weights: Weights,
-    /// Posting lists by keyword index (SELECT/FROM/WHERE left empty).
-    inverted: Vec<Vec<u32>>,
     max_len: usize,
-    /// Tombstone flags for arena slots removed by a delta (`removed[id]`),
-    /// or empty when no slot was ever removed. Removed slots keep their
-    /// arena window (ids stay stable) but are absent from every trie and
-    /// posting list, so search can never return them.
-    removed: Vec<bool>,
+    /// Arena slots removed by a delta. Removed slots keep their arena
+    /// window (ids stay stable) but are absent from every trie, so search
+    /// can never return them.
+    removed: Tombstones,
     /// Number of live (non-tombstoned) structures.
     live: usize,
+    /// The arena's range digests (see [`StructStore::refold_ranges`]).
+    ranges: Arc<[u64]>,
     /// Content-derived arena generation; see [`StructureIndex::generation`].
     generation: u64,
-}
-
-/// Four-lane word fold: words are dealt round-robin onto four independent
-/// FNV lanes, breaking the serial multiply dependency chain of a single
-/// [`WordFold`] (the fold over a million-word plane is latency-bound on
-/// that chain). The word count and the lane digests fold into the parent
-/// in fixed order, so the combined digest still commits to the complete
-/// word sequence — lane assignment is a pure function of word position.
-struct LaneFold {
-    lanes: [WordFold; 4],
-    n: u64,
-}
-
-impl LaneFold {
-    fn new(tag: u64) -> LaneFold {
-        LaneFold {
-            lanes: [
-                WordFold::new(tag),
-                WordFold::new(tag ^ 1),
-                WordFold::new(tag ^ 2),
-                WordFold::new(tag ^ 3),
-            ],
-            n: 0,
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        self.lanes[(self.n & 3) as usize].word(w);
-        self.n += 1;
-    }
-
-    fn finish(self, f: &mut WordFold) {
-        f.word(self.n);
-        for lane in self.lanes {
-            f.word(lane.finish());
-        }
-    }
-}
-
-/// Packs the token plane into LE `u64` words and folds each into a
-/// [`LaneFold`]. A trailing partial word is zero-padded, which is safe
-/// because the plane length is bound by the offset framing words.
-fn fold_plane(f: &mut LaneFold, plane: &[StructTokId]) {
-    let mut chunks = plane.chunks_exact(8);
-    for c in &mut chunks {
-        if let &[a, b, c0, d, e, g, h, i] = c {
-            f.word(u64::from_le_bytes([
-                a.0, b.0, c0.0, d.0, e.0, g.0, h.0, i.0,
-            ]));
-        }
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut word = [0u8; 8];
-        for (b, t) in word.iter_mut().zip(rem) {
-            *b = t.0;
-        }
-        f.word(u64::from_le_bytes(word));
-    }
+    /// INV's posting lists by keyword index, built by the first INV search
+    /// and shared by clones (which hold the same arena).
+    postings: Arc<OnceLock<Vec<Vec<u32>>>>,
 }
 
 /// Derive the arena generation from content: a word-level FNV-1a fold over
-/// the weights, the live max length, the arena planes (cumulative window
-/// offsets, tombstone bitset, token plane, placeholder records), and each
-/// trie segment's [`Trie::content_id`] in segment-table order. Two indexes
-/// hash equal iff their observable arenas are identical — same slots, same
-/// tombstones, same segment planes — so a byte-identical reload, a clone,
-/// or a rebuild over the same content all share one generation, while any
-/// delta (which perturbs tombstones, slots, or segments) derives a fresh
-/// one. Variable-length windows are framed by the cumulative-offset words
-/// (strictly recoverable into per-slot lengths), so plane bytes cannot
-/// alias across slot boundaries.
+/// the weights, the live max length, the arena length, the arena's range
+/// digests, the tombstone words (64 slots each, across the arena width),
+/// and each trie segment's [`Trie::content_id`] in segment-table order. Two
+/// indexes hash equal iff their observable arenas are identical — same
+/// slots, same tombstones, same segment planes — so a byte-identical
+/// reload, a clone, or a rebuild over the same content all share one
+/// generation, while any delta (which perturbs tombstones, slots, or
+/// segments) derives a fresh one. A range digest frames its slots by their
+/// lengths and is cut by slot index, so how the arena is split into chunks
+/// never shows; a delta refolds only its tail range, and this fold costs
+/// O(arena / 64) words.
 fn derive_generation(
-    store: &StructStore,
-    removed: &[bool],
+    ranges: &[u64],
+    removed: &Tombstones,
+    arena: usize,
     tries: &[Vec<Trie>],
     weights: Weights,
     max_len: usize,
 ) -> u64 {
-    // Domain tag: "SQLXGEN3" — bump if the field framing below changes.
-    let mut f = WordFold::new(u64::from_be_bytes(*b"SQLXGEN3"));
+    // Domain tag: "SQLXGEN4" — bump if the field framing below changes.
+    let mut f = WordFold::new(u64::from_be_bytes(*b"SQLXGEN4"));
     f.word(weights.keyword as u64 | (weights.splchar as u64) << 32);
     f.word(weights.literal as u64 | (max_len as u64) << 32);
-    let arena = store.len();
     f.word(arena as u64);
-    // Window framing: one (token end | placeholder end << 32) word per slot.
-    let mut off = LaneFold::new(u64::from_be_bytes(*b"SQLXOFF1"));
-    for (&tok_end, &ph_end) in store.tok_offsets[1..].iter().zip(&store.ph_offsets[1..]) {
-        off.word(tok_end as u64 | (ph_end as u64) << 32);
+    for &digest in ranges {
+        f.word(digest);
     }
-    off.finish(&mut f);
-    // Tombstones: 64 flags packed per word over the arena width (an empty
-    // `removed` folds identically to an all-false one).
-    let mut bits = 0u64;
-    for id in 0..arena {
-        if removed.get(id).copied().unwrap_or(false) {
-            bits |= 1 << (id % 64);
-        }
-        if id % 64 == 63 {
-            f.word(bits);
-            bits = 0;
-        }
-    }
-    if !arena.is_multiple_of(64) {
-        f.word(bits);
-    }
-    // Token plane: concatenated token bytes packed LE into u64 words.
-    let mut toks = LaneFold::new(u64::from_be_bytes(*b"SQLXTOK1"));
-    fold_plane(&mut toks, &store.tokens);
-    toks.finish(&mut f);
-    // Placeholder plane: one word per record, in plane order.
-    for p in &store.placeholders {
-        let gov = p.governor.map_or(u16::MAX as u64, u64::from);
-        f.word(p.category as u64 | gov << 8);
+    for w in 0..arena.div_ceil(64) {
+        f.word(removed.word(w));
     }
     f.word(tries.iter().map(Vec::len).sum::<usize>() as u64);
     for (len, shards) in tries.iter().enumerate() {
@@ -448,12 +374,9 @@ fn derive_generation(
 
 /// Append `id` to the posting lists of every rare keyword in `tokens`
 /// (SELECT/FROM/WHERE are skipped — they appear in nearly every structure,
-/// so their lists would be useless for INV). One shared helper keeps
-/// [`StructureIndex::build`] and the delta path provably in sync: a delta
-/// that appends structures produces exactly the postings a full build over
-/// the same arena order would.
-pub(crate) fn push_postings(inverted: &mut [Vec<u32>], id: u32, tokens: &[StructTokId]) {
-    let mut seen = [false; 19];
+/// so their lists would be useless for INV).
+fn push_postings(inverted: &mut [Vec<u32>], id: u32, tokens: &[StructTokId]) {
+    let mut seen = [false; INV_LISTS];
     for t in tokens {
         if let StructTok::Keyword(k) = t.tok() {
             if !matches!(k, Keyword::Select | Keyword::From | Keyword::Where) && !seen[k.index()] {
@@ -478,21 +401,27 @@ impl StructureIndex {
         let max_len = structures.iter().map(Structure::len).max().unwrap_or(0);
         let tokens = structures.iter().map(Structure::len).sum();
         let placeholders = structures.iter().map(|s| s.placeholders.len()).sum();
-        let mut store = StructStore::with_capacity(structures.len(), tokens, placeholders);
+        let mut chunk = ChunkBuilder::with_capacity(structures.len(), tokens, placeholders);
         let mut by_len: Vec<Vec<u32>> = vec![Vec::new(); max_len + 1];
-        let mut inverted: Vec<Vec<u32>> = vec![Vec::new(); 19];
-        for (id, s) in structures.into_iter().enumerate() {
-            let id = id as u32;
-            by_len[s.len()].push(id);
-            push_postings(&mut inverted, id, &s.tokens);
-            store.push(&s.tokens, &s.placeholders);
+        for (id, s) in structures.iter().enumerate() {
+            by_len[s.len()].push(id as u32);
+            chunk.push(&s.tokens, &s.placeholders);
         }
+        let store = StructStore::from_chunk(chunk.seal());
         let tries = by_len
             .iter()
             .enumerate()
             .map(|(len, ids)| seal_shards(&store, len, ids))
             .collect();
-        StructureIndex::from_parts(store, tries, inverted, weights, max_len, Vec::new())
+        let ranges = store.refold_ranges(&[], 0);
+        StructureIndex::from_parts(
+            store,
+            tries,
+            weights,
+            max_len,
+            Tombstones::default(),
+            ranges,
+        )
     }
 
     /// Generate structures from the grammar under `cfg` and index them.
@@ -504,40 +433,52 @@ impl StructureIndex {
     /// persist loader's zero-copy path (tries borrow a persisted image), and
     /// the delta path (a mix of reused and freshly sealed segments).
     /// The parts must describe the same arena a [`StructureIndex::build`]
-    /// over the live structures would produce, up to tombstoned slots;
-    /// callers guarantee this by construction. The generation is derived
-    /// from the parts' content, so a reload of the same bytes — or a delta
-    /// that changes nothing — assembles to the generation it started with.
+    /// over the live structures would produce, up to tombstoned slots, and
+    /// `ranges` must be the store's range digests; callers guarantee this by
+    /// construction. The generation is derived from the parts' content, so a
+    /// reload of the same bytes — or a delta that changes nothing —
+    /// assembles to the generation it started with.
     pub(crate) fn from_parts(
         store: StructStore,
         tries: Vec<Vec<Trie>>,
-        inverted: Vec<Vec<u32>>,
         weights: Weights,
         max_len: usize,
-        removed: Vec<bool>,
+        removed: Tombstones,
+        ranges: Arc<[u64]>,
     ) -> StructureIndex {
-        let live = store.len() - removed.iter().filter(|&&r| r).count();
-        let generation = derive_generation(&store, &removed, &tries, weights, max_len);
+        let live = store.len() - removed.count();
+        let generation =
+            derive_generation(&ranges, &removed, store.len(), &tries, weights, max_len);
         StructureIndex {
             store,
             tries,
             weights,
-            inverted,
             max_len,
             removed,
             live,
+            ranges,
             generation,
+            postings: Arc::default(),
         }
     }
 
-    /// The shard tries, outer-indexed by structure length (persist writer).
+    /// The shard tries, outer-indexed by structure length (persist writer,
+    /// delta path).
     pub(crate) fn tries(&self) -> &[Vec<Trie>] {
         &self.tries
     }
 
-    /// The inverted keyword posting lists (persist writer).
-    pub(crate) fn inverted(&self) -> &[Vec<u32>] {
-        &self.inverted
+    /// INV's posting lists, derived from the live arena on first use: every
+    /// live id, in arena order, under each rare keyword it mentions —
+    /// exactly the lists a build over the live structures would collect.
+    fn postings(&self) -> &[Vec<u32>] {
+        self.postings.get_or_init(|| {
+            let mut lists = vec![Vec::new(); INV_LISTS];
+            for id in (0..self.store.len()).filter(|&id| !self.removed.contains(id)) {
+                push_postings(&mut lists, id as u32, self.store.tokens(id));
+            }
+            lists
+        })
     }
 
     /// Longest indexed structure, in tokens.
@@ -572,13 +513,17 @@ impl StructureIndex {
     /// slots keep their arena window (so old ids stay resolvable) but are
     /// absent from every trie and posting list.
     pub fn is_removed(&self, id: u32) -> bool {
-        self.removed.get(id as usize).copied().unwrap_or(false)
+        self.removed.contains(id as usize)
     }
 
-    /// Tombstone flags (empty when nothing was ever removed); persist
-    /// writer and delta path.
-    pub(crate) fn removed(&self) -> &[bool] {
+    /// Tombstoned slots (persist writer and delta path).
+    pub(crate) fn removed(&self) -> &Tombstones {
         &self.removed
+    }
+
+    /// The arena's range digests (delta path).
+    pub(crate) fn ranges(&self) -> &[u64] {
+        &self.ranges
     }
 
     /// The edit-operation weights the index was built with.
@@ -682,7 +627,7 @@ impl StructureIndex {
         recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
         let mut state = SearchState::new(cfg.k, None);
-        if self.store.is_empty() {
+        if self.store.len() == 0 {
             return (state.topk.into_vec(), state.stats);
         }
         if cfg.inv && self.search_inverted(masked, &mut state) {
@@ -838,7 +783,7 @@ impl StructureIndex {
     pub fn scan(&self, masked: &[StructTokId], k: usize) -> Vec<SearchHit> {
         let mut topk = TopK::new(k);
         for id in 0..self.store.len() {
-            if self.removed.get(id).copied().unwrap_or(false) {
+            if self.removed.contains(id) {
                 continue;
             }
             let d = weighted_lcs_distance(masked, self.store.tokens(id), self.weights);
@@ -889,15 +834,16 @@ impl StructureIndex {
     /// SELECT/FROM/WHERE, exhaustively compare only the structures in that
     /// keyword's posting list (picking the rarest such keyword). Returns
     /// `false` when inapplicable, in which case the caller falls back to
-    /// trie search.
+    /// trie search. The first call on an arena builds the posting lists.
     fn search_inverted(&self, masked: &[StructTokId], state: &mut SearchState<'_>) -> bool {
+        let lists = self.postings();
         let mut best_postings: Option<&Vec<u32>> = None;
         for t in masked {
             if let StructTok::Keyword(k) = t.tok() {
                 if matches!(k, Keyword::Select | Keyword::From | Keyword::Where) {
                     continue;
                 }
-                let postings = &self.inverted[k.index()];
+                let postings = &lists[k.index()];
                 if postings.is_empty() {
                     continue;
                 }

@@ -192,6 +192,14 @@ impl Trie {
     pub fn children(&self, idx: u32) -> ChildIter<'_> {
         self.planes().children(idx)
     }
+
+    /// The structure ids this trie terminates, in node order.
+    pub(crate) fn structure_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let planes = self.planes();
+        (0..self.count as u32)
+            .map(move |node| planes.structure(node))
+            .filter(|&id| id != NONE)
+    }
 }
 
 /// Iterator over the children of a trie node.

@@ -26,13 +26,16 @@
 //!   the same generation. A changed database (a catalog update: a row
 //!   added, a table reshaped) swaps the engine even over an unchanged
 //!   index, because the engine's phonetic catalog is built from the rows.
+//! - An index-only swap (same database, new generation — an index delta)
+//!   shares the old engine's phonetic catalog instead of rebuilding it, so
+//!   the swap costs the engine, not the rows.
 //!
 //! Request-path lookups clone the tenant's `Arc<SpeakQl>` under a read
 //! lock held for the duration of one `HashMap` probe; the lock is
 //! uncontended except during the (rare) swaps.
 
 use parking_lot::RwLock;
-use speakql_core::{Recorder, SkeletonCache, SpeakQl, SpeakQlConfig};
+use speakql_core::{PhoneticCatalog, Recorder, SkeletonCache, SpeakQl, SpeakQlConfig};
 use speakql_db::Database;
 use speakql_index::StructureIndex;
 use std::collections::HashMap;
@@ -89,7 +92,8 @@ impl TenantRegistry {
     /// no-op that keeps the existing engine warm
     /// ([`Registration::Unchanged`]); a different database or generation
     /// swaps the engine ([`Registration::Swapped`]) without touching the
-    /// shared cache.
+    /// shared cache. A swap over the database the tenant already serves
+    /// reuses its engine's phonetic catalog.
     pub fn register(
         &self,
         name: &str,
@@ -98,19 +102,24 @@ impl TenantRegistry {
         config: SpeakQlConfig,
     ) -> Registration {
         let incoming = index.generation();
-        {
+        let same_db_catalog = {
             let tenants = self.tenants.read();
-            if let Some(existing) = tenants.get(name) {
-                if existing.engine.index().generation() == incoming && existing.db == *db {
-                    return Registration::Unchanged;
+            match tenants.get(name) {
+                Some(existing) if existing.db == *db => {
+                    if existing.engine.index().generation() == incoming {
+                        return Registration::Unchanged;
+                    }
+                    Some(Arc::clone(existing.engine.catalog()))
                 }
+                _ => None,
             }
-        }
+        };
         // The engine is built outside any lock — catalog construction over
         // a large schema is milliseconds, and the request path must not
         // stall behind it.
-        let engine = Arc::new(SpeakQl::with_shared_cache(
-            db,
+        let catalog = same_db_catalog.unwrap_or_else(|| Arc::new(PhoneticCatalog::build(db)));
+        let engine = Arc::new(SpeakQl::with_shared_catalog(
+            catalog,
             index,
             Arc::clone(&self.cache),
             self.recorder.clone(),

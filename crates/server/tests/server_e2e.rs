@@ -437,6 +437,54 @@ fn re_registering_with_a_grown_database_swaps_the_engine() {
 }
 
 #[test]
+fn index_only_swap_shares_the_phonetic_catalog() {
+    // An index delta over an unchanged database swaps the engine but keeps
+    // its phonetic catalog: the catalog is built from the rows, and the
+    // rows did not move.
+    let registry = TenantRegistry::new(64, false);
+    let db = employees_db();
+    registry.register("employees", &db, shared_index(), small_config());
+    let before = registry.engine("employees").expect("registered");
+    let delta = speakql_index::IndexDelta::new().remove_structures([1u32]);
+    let (next, _) = shared_index().apply_delta(&delta).expect("apply delta");
+    let next = Arc::new(next);
+    assert_eq!(
+        registry.register("employees", &db, Arc::clone(&next), small_config()),
+        Registration::Swapped
+    );
+    let after = registry.engine("employees").expect("still registered");
+    assert!(
+        !Arc::ptr_eq(&before, &after),
+        "a new generation swaps the engine"
+    );
+    assert!(
+        Arc::ptr_eq(before.catalog(), after.catalog()),
+        "an index-only swap must share the catalog"
+    );
+
+    // A changed database builds its own catalog, even over the same index.
+    let mut grown = db.clone();
+    let date = |y, m, d| Value::Date(Date::new(y, m, d).expect("valid date"));
+    grown
+        .table_mut("Employees")
+        .expect("Employees table")
+        .push_row(vec![
+            Value::Int(90_002),
+            date(1971, 2, 2),
+            Value::Text("Ottoline".into()),
+            Value::Text("Brandvold".into()),
+            Value::Text("F".into()),
+            date(2001, 1, 1),
+        ]);
+    assert_eq!(
+        registry.register("employees", &grown, next, small_config()),
+        Registration::Swapped
+    );
+    let regrown = registry.engine("employees").expect("still registered");
+    assert!(!Arc::ptr_eq(after.catalog(), regrown.catalog()));
+}
+
+#[test]
 fn hot_swap_keeps_untouched_tenants_warm() {
     // Swapping one tenant to a delta'd index must not cost any other
     // tenant its warm shared-cache entries.
