@@ -38,6 +38,7 @@
 //! be regenerated.
 
 use serde_json::{json, Map, Value};
+use speakql_bench::experiments::inv::InvertedIndex;
 use speakql_bench::gate::{take_flag, Gate, Rule};
 use speakql_bench::synthetic::{best_of, queries, structures, DOMINANT_LEN, QUERIES};
 use speakql_core::{CounterId, Recorder};
@@ -286,15 +287,10 @@ fn run_size(n: usize) -> (Value, bool) {
             .map(|q| built.search(q, &no_bdb).len())
             .sum::<usize>()
     });
-    let inv = SearchConfig { inv: true, ..cfg };
-    // The first INV search builds the posting lists; keep that off the
-    // clock.
-    if let Some(q) = qs.first() {
-        built.search(q, &inv);
-    }
+    let inv = InvertedIndex::build(&built);
     let (inv_ms, _) = best_of(1, || {
         qs.iter()
-            .map(|q| built.search(q, &inv).len())
+            .map(|q| inv.search(q, &cfg).0.len())
             .sum::<usize>()
     });
     let seq_total: f64 = seq_ms.iter().sum();

@@ -1,6 +1,7 @@
 //! Performance-figure reproductions: Fig. 14 (Structure Determination
 //! latency CDF) and Fig. 15 (ablation of BDB / DAP / INV).
 
+use super::inv::InvertedIndex;
 use crate::report::{print_cdf, save_json};
 use crate::suite::Suite;
 use serde_json::json;
@@ -45,90 +46,51 @@ pub fn fig14(suite: &Suite) {
 
 /// Fig. 15: ablation study of the search optimizations. (A) accuracy
 /// (structure TED CDF); (B) runtime CDF. BDB must be exactly
-/// accuracy-preserving; DAP and INV trade accuracy for latency.
+/// accuracy-preserving; DAP and INV trade accuracy for latency. INV runs
+/// through [`InvertedIndex`], whose posting lists are built here, untimed.
 pub fn fig15(suite: &Suite) {
     println!("== Fig. 15: structure-search ablation ==");
     let runs = suite.employees_test();
     let index = suite.ctx.index.as_ref();
-    let configs: [(&str, SearchConfig); 5] = [
-        (
-            "Default (BDB)",
-            SearchConfig {
-                k: 1,
-                bdb: true,
-                dap: false,
-                inv: false,
-                threads: 1,
-                ..SearchConfig::default()
-            },
-        ),
+    let default = SearchConfig::default();
+    let dap = SearchConfig {
+        dap: true,
+        ..default
+    };
+    // (name, search configuration, through INV)
+    let configs: [(&str, SearchConfig, bool); 5] = [
+        ("Default (BDB)", default, false),
         (
             "Default - BDB",
             SearchConfig {
-                k: 1,
                 bdb: false,
-                dap: false,
-                inv: false,
-                threads: 1,
-                ..SearchConfig::default()
+                ..default
             },
+            false,
         ),
-        (
-            "Default + DAP",
-            SearchConfig {
-                k: 1,
-                bdb: true,
-                dap: true,
-                inv: false,
-                threads: 1,
-                ..SearchConfig::default()
-            },
-        ),
-        (
-            "Default + INV",
-            SearchConfig {
-                k: 1,
-                bdb: true,
-                dap: false,
-                inv: true,
-                threads: 1,
-                ..SearchConfig::default()
-            },
-        ),
-        (
-            "Default + DAP + INV",
-            SearchConfig {
-                k: 1,
-                bdb: true,
-                dap: true,
-                inv: true,
-                threads: 1,
-                ..SearchConfig::default()
-            },
-        ),
+        ("Default + DAP", dap, false),
+        ("Default + INV", default, true),
+        ("Default + DAP + INV", dap, true),
     ];
-    // INV's posting lists are built by the first INV search on an index;
-    // build them here, untimed, so no timed INV query pays for them.
-    if let Some(r) = runs.first() {
-        let p = process_transcript_text(&r.transcript);
-        let inv = SearchConfig {
-            inv: true,
-            ..SearchConfig::default()
-        };
-        std::hint::black_box(index.search(&p.masked, &inv));
-    }
+    let inv = InvertedIndex::build(index);
     let mut payload = serde_json::Map::new();
     let mut default_exact = None;
-    for (name, cfg) in configs {
+    for (name, cfg, through_inv) in configs {
         let mut teds = Vec::with_capacity(runs.len());
         let mut lats = Vec::with_capacity(runs.len());
         let mut nodes = 0u64;
         for r in runs {
             let p = process_transcript_text(&r.transcript);
             let start = Instant::now();
-            let (hits, stats) = index.search_with_stats(&p.masked, &cfg);
+            let (hits, work) = if through_inv {
+                let (hits, work) = inv.search(&p.masked, &cfg);
+                (hits, work.units())
+            } else {
+                let (hits, stats) = index.search_with_stats(&p.masked, &cfg);
+                (hits, stats.nodes_visited)
+            };
             lats.push(start.elapsed().as_secs_f64());
-            nodes += stats.nodes_visited + stats.structures_scanned;
+            nodes += work;
             let ted = hits
                 .first()
                 .map(|h| {

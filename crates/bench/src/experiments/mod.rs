@@ -5,5 +5,6 @@ pub mod extensions;
 pub mod figures_accuracy;
 pub mod figures_perf;
 pub mod figures_study;
+pub mod inv;
 pub mod tables;
 pub mod util;

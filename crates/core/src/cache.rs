@@ -60,7 +60,6 @@ struct ConfigFingerprint {
     k: usize,
     bdb: bool,
     dap: bool,
-    inv: bool,
 }
 
 impl ConfigFingerprint {
@@ -69,7 +68,6 @@ impl ConfigFingerprint {
             k: cfg.k,
             bdb: cfg.bdb,
             dap: cfg.dap,
-            inv: cfg.inv,
         }
     }
 }
@@ -242,7 +240,6 @@ impl SkeletonCache {
         }
         eat(key.fp.bdb as u8);
         eat(key.fp.dap as u8);
-        eat(key.fp.inv as u8);
         for t in &key.masked {
             eat(t.0);
         }

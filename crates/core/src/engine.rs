@@ -56,7 +56,7 @@ impl std::fmt::Debug for FaultHook {
 pub struct SpeakQlConfig {
     /// Structure-space caps for the offline generator (§3.2).
     pub generator: GeneratorConfig,
-    /// Search configuration (top-k, BDB/DAP/INV).
+    /// Search configuration (top-k, BDB/DAP).
     pub search: SearchConfig,
     /// Edit-operation weights (§3.4).
     pub weights: Weights,
@@ -1350,16 +1350,15 @@ mod config_tests {
     fn engine_runs_under_every_search_mode() {
         let transcript = "select salary from employees where name equals john";
         let expected = "SELECT Salary FROM Employees WHERE Name = 'John'";
-        for (dap, inv) in [(false, false), (true, false), (false, true), (true, true)] {
+        for dap in [false, true] {
             let engine = engine_with(SearchConfig {
                 k: 3,
                 bdb: true,
                 dap,
-                inv,
                 ..SearchConfig::default()
             });
             let t = ok(engine.transcribe(transcript));
-            assert_eq!(t.best_sql(), Some(expected), "dap={dap} inv={inv}");
+            assert_eq!(t.best_sql(), Some(expected), "dap={dap}");
         }
     }
 

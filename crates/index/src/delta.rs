@@ -17,9 +17,8 @@
 //! - the generation refolds only the slot ranges the additions fall into,
 //!   plus the tombstone words and the segment ids.
 //!
-//! No posting lists are maintained: INV derives its lists from the arena on
-//! its first search. What a delta costs is therefore the seal of the
-//! affected segments plus O(chunks + segments + arena / 64) bookkeeping.
+//! What a delta costs is therefore the seal of the affected segments plus
+//! O(chunks + segments + arena / 64) bookkeeping.
 //!
 //! ## Equivalence to a full rebuild
 //!
@@ -345,6 +344,39 @@ mod tests {
         }
     }
 
+    /// The segment conservation laws: sequentially and at 2 and 8 threads,
+    /// a search accounts for every non-empty shard once (walked or
+    /// BDB-pruned), and through shard 0's verdict for every non-empty
+    /// length once.
+    fn accounts_for_every_segment(
+        index: &StructureIndex,
+        masked: &[StructTokId],
+        cfg: &SearchConfig,
+    ) -> Result<(), TestCaseError> {
+        let shards = index.tries().iter().flatten().filter(|t| !t.is_empty());
+        let lengths = index
+            .tries()
+            .iter()
+            .filter(|s| s.iter().any(|t| !t.is_empty()));
+        let (shards, lengths) = (shards.count() as u32, lengths.count() as u32);
+        for threads in [1usize, 2, 8] {
+            let (_, s) = index.search_with_stats(masked, &cfg.with_threads(threads));
+            prop_assert_eq!(
+                s.shards_searched + s.shards_pruned,
+                shards,
+                "threads={}",
+                threads
+            );
+            prop_assert_eq!(
+                s.tries_searched + s.tries_pruned,
+                lengths,
+                "threads={}",
+                threads
+            );
+        }
+        Ok(())
+    }
+
     /// Hits compared by structure *content* and distance, not by arena id:
     /// a full rebuild compacts tombstone holes away, renumbering ids while
     /// preserving relative order, so equivalent indexes agree on everything
@@ -616,9 +648,10 @@ mod tests {
         /// generation is the one a from-scratch fold of its reload derives,
         /// the reload re-serializes to the same image, a removal-free chain
         /// is its rebuild (same generation), and every chain answers like
-        /// its rebuild, work counters included. The 2,000-slot base ends
-        /// inside the second 1,024-slot range, so longer chains append
-        /// across the boundary into a third.
+        /// its rebuild, work counters included, and the chain, its reload
+        /// and its rebuild each account for every segment. The 2,000-slot
+        /// base ends inside the second 1,024-slot range, so longer chains
+        /// append across the boundary into a third.
         #[test]
         fn delta_chains_fold_like_their_reload(
             steps in prop::collection::vec(
@@ -672,6 +705,9 @@ mod tests {
             let (full_hits, full_stats) = rebuilt.search_with_stats(&masked, &cfg);
             prop_assert_eq!(stats, full_stats);
             prop_assert_eq!(resolved(&index, &hits), resolved(&rebuilt, &full_hits));
+            for each in [&index, &reloaded, &rebuilt] {
+                accounts_for_every_segment(each, &masked, &cfg)?;
+            }
         }
 
         /// Applying a delta and persisting round-trips: the reloaded image

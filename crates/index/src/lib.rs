@@ -8,8 +8,7 @@
 //!   per-length tries, split into shards,
 //! - [`StructureIndex::search`]: weighted-edit-distance trie search with
 //!   branch pruning, **BDB** bidirectional bounds, and the opt-in **DAP**
-//!   and **INV** accuracy–latency tradeoffs (INV's keyword posting lists
-//!   are built from the arena by its first search),
+//!   accuracy–latency tradeoff,
 //! - [`IndexDelta`]: incremental maintenance whose cost follows the change,
 //!   not the arena.
 

@@ -18,11 +18,10 @@
 //! its arena chunk in the same layout (see [`crate::trie`] and the
 //! `store` module), so an index built in memory and the index loaded from
 //! its image are the same index: same planes, same generation, same search
-//! work. Version 4 dropped version 3's INV posting plane: the posting lists
-//! are derived from the arena by the first INV search instead of being
-//! stored, validated, and carried through every delta. Images written by
-//! older versions (1 to 3) fail with [`PersistError::BadVersion`]; rebuild
-//! them with `speakql index-build`.
+//! work. Version 4 dropped version 3's INV posting plane; the index keeps
+//! no posting lists at all. Images written by older versions (1 to 3) fail
+//! with [`PersistError::BadVersion`]; rebuild them with
+//! `speakql index-build`.
 //!
 //! ## Format (all offsets relative to the image start)
 //!

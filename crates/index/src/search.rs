@@ -4,23 +4,23 @@
 //! weighted LCS edit distance. The search walks the per-length tries with an
 //! incremental DP column per node, prunes branches whose column minimum
 //! already exceeds the current best, and — with **BDB** — skips whole tries
-//! using Proposition 1's bidirectional bounds. The two accuracy–latency
-//! tradeoffs, **DAP** (diversity-aware pruning) and **INV** (inverted
-//! keyword index), are opt-in, exactly as in the paper.
+//! using Proposition 1's bidirectional bounds. The one approximation kept
+//! here, **DAP** (diversity-aware pruning), is opt-in. The paper's other
+//! accuracy–latency tradeoff, **INV** (inverted keyword index), lost to
+//! exact search at every scale measured and lives in the experiment harness
+//! (`speakql-bench`'s `experiments::inv`).
 
 use crate::content::WordFold;
 use crate::store::{ChunkBuilder, StructStore, Tombstones};
 use crate::trie::{Planes, Trie, TrieBuilder, NONE};
 use speakql_editdist::{
-    lower_bound, weighted_lcs_distance, weighted_lcs_distance_bounded, ColumnWorkspace, Dist,
-    SoaWorkspace, Weights, DIST_INF, SOA_LANES,
+    lower_bound, weighted_lcs_distance, ColumnWorkspace, Dist, SoaWorkspace, Weights, DIST_INF,
+    SOA_LANES,
 };
-use speakql_grammar::{
-    generate_structures, GeneratorConfig, Keyword, StructTok, StructTokId, Structure,
-};
+use speakql_grammar::{generate_structures, GeneratorConfig, StructTok, StructTokId, Structure};
 use speakql_observe::{CounterId, Recorder, SpanId};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Target structures per trie shard. Each per-length trie is split into
 /// `ceil(n / SHARD_TARGET)` shards (capped at [`MAX_SHARDS_PER_LEN`]) over
@@ -103,7 +103,7 @@ pub enum DpKernel {
 }
 
 /// Search configuration. Defaults mirror the paper's "SpeakQL Default":
-/// bidirectional bounds on, approximations off.
+/// bidirectional bounds on, DAP off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// How many closest structures to return (the paper reports top-1 and
@@ -113,8 +113,6 @@ pub struct SearchConfig {
     pub bdb: bool,
     /// Diversity-Aware Pruning over the prime superset (approximate).
     pub dap: bool,
-    /// Inverted keyword index (approximate).
-    pub inv: bool,
     /// Worker threads for the trie walk. `1` (the default) is the fully
     /// sequential paper algorithm; `0` means one worker per available core.
     /// Parallel search partitions the per-length tries across workers and
@@ -132,7 +130,6 @@ impl Default for SearchConfig {
             k: 1,
             bdb: true,
             dap: false,
-            inv: false,
             threads: 1,
             kernel: DpKernel::Auto,
         }
@@ -181,8 +178,6 @@ pub struct SearchStats {
     pub tries_searched: u32,
     /// Tries skipped by the bidirectional bounds.
     pub tries_pruned: u32,
-    /// Structures compared exhaustively (INV path).
-    pub structures_scanned: u64,
     /// Weighted-LCS DP cells evaluated by the trie-walk workspaces.
     pub cells_evaluated: u64,
     /// Trie shards actually walked. A length split into `s` shards can
@@ -201,7 +196,6 @@ impl SearchStats {
         recorder.add(CounterId::SearchNodesVisited, self.nodes_visited);
         recorder.add(CounterId::SearchTriesSearched, self.tries_searched as u64);
         recorder.add(CounterId::SearchTriesPruned, self.tries_pruned as u64);
-        recorder.add(CounterId::SearchStructuresScanned, self.structures_scanned);
         recorder.add(CounterId::EditDistCells, self.cells_evaluated);
         recorder.add(CounterId::SearchShardsSearched, self.shards_searched as u64);
         recorder.add(CounterId::SearchShardsPruned, self.shards_pruned as u64);
@@ -297,13 +291,8 @@ impl<'a> SearchState<'a> {
     }
 }
 
-/// Number of INV posting lists: one per keyword slot (SELECT/FROM/WHERE
-/// stay empty).
-const INV_LISTS: usize = 19;
-
 /// The structure index: arena of generated structures and one trie per
-/// token length (split into shards). INV's keyword posting lists are not
-/// index state: the first INV search derives them from the live arena.
+/// token length (split into shards).
 #[derive(Debug, Clone)]
 pub struct StructureIndex {
     /// The structure arena, as shared immutable chunks (see [`StructStore`]).
@@ -326,9 +315,6 @@ pub struct StructureIndex {
     ranges: Arc<[u64]>,
     /// Content-derived arena generation; see [`StructureIndex::generation`].
     generation: u64,
-    /// INV's posting lists by keyword index, built by the first INV search
-    /// and shared by clones (which hold the same arena).
-    postings: Arc<OnceLock<Vec<Vec<u32>>>>,
 }
 
 /// Derive the arena generation from content: a word-level FNV-1a fold over
@@ -370,21 +356,6 @@ fn derive_generation(
         }
     }
     f.finish()
-}
-
-/// Append `id` to the posting lists of every rare keyword in `tokens`
-/// (SELECT/FROM/WHERE are skipped — they appear in nearly every structure,
-/// so their lists would be useless for INV).
-fn push_postings(inverted: &mut [Vec<u32>], id: u32, tokens: &[StructTokId]) {
-    let mut seen = [false; INV_LISTS];
-    for t in tokens {
-        if let StructTok::Keyword(k) = t.tok() {
-            if !matches!(k, Keyword::Select | Keyword::From | Keyword::Where) && !seen[k.index()] {
-                seen[k.index()] = true;
-                inverted[k.index()].push(id);
-            }
-        }
-    }
 }
 
 impl StructureIndex {
@@ -458,7 +429,6 @@ impl StructureIndex {
             live,
             ranges,
             generation,
-            postings: Arc::default(),
         }
     }
 
@@ -466,19 +436,6 @@ impl StructureIndex {
     /// delta path).
     pub(crate) fn tries(&self) -> &[Vec<Trie>] {
         &self.tries
-    }
-
-    /// INV's posting lists, derived from the live arena on first use: every
-    /// live id, in arena order, under each rare keyword it mentions —
-    /// exactly the lists a build over the live structures would collect.
-    fn postings(&self) -> &[Vec<u32>] {
-        self.postings.get_or_init(|| {
-            let mut lists = vec![Vec::new(); INV_LISTS];
-            for id in (0..self.store.len()).filter(|&id| !self.removed.contains(id)) {
-                push_postings(&mut lists, id as u32, self.store.tokens(id));
-            }
-            lists
-        })
     }
 
     /// Longest indexed structure, in tokens.
@@ -511,7 +468,7 @@ impl StructureIndex {
 
     /// True when arena slot `id` was tombstoned by a delta. Tombstoned
     /// slots keep their arena window (so old ids stay resolvable) but are
-    /// absent from every trie and posting list.
+    /// absent from every trie.
     pub fn is_removed(&self, id: u32) -> bool {
         self.removed.contains(id as usize)
     }
@@ -630,9 +587,6 @@ impl StructureIndex {
         if self.store.len() == 0 {
             return (state.topk.into_vec(), state.stats);
         }
-        if cfg.inv && self.search_inverted(masked, &mut state) {
-            return (state.topk.into_vec(), state.stats);
-        }
 
         // Bidirectional order: from m downwards, then upwards (App. D.2),
         // restricted to the non-empty tries. Each (length, shard) pair is
@@ -733,7 +687,6 @@ impl StructureIndex {
             state.stats.nodes_visited += stats.nodes_visited;
             state.stats.tries_searched += stats.tries_searched;
             state.stats.tries_pruned += stats.tries_pruned;
-            state.stats.structures_scanned += stats.structures_scanned;
             state.stats.cells_evaluated += stats.cells_evaluated;
             state.stats.shards_searched += stats.shards_searched;
             state.stats.shards_pruned += stats.shards_pruned;
@@ -828,86 +781,6 @@ impl StructureIndex {
             }
             .visit_children(0, 0, 0),
         }
-    }
-
-    /// INV (App. D.3): if `MaskOut` mentions a keyword other than
-    /// SELECT/FROM/WHERE, exhaustively compare only the structures in that
-    /// keyword's posting list (picking the rarest such keyword). Returns
-    /// `false` when inapplicable, in which case the caller falls back to
-    /// trie search. The first call on an arena builds the posting lists.
-    fn search_inverted(&self, masked: &[StructTokId], state: &mut SearchState<'_>) -> bool {
-        let lists = self.postings();
-        let mut best_postings: Option<&Vec<u32>> = None;
-        for t in masked {
-            if let StructTok::Keyword(k) = t.tok() {
-                if matches!(k, Keyword::Select | Keyword::From | Keyword::Where) {
-                    continue;
-                }
-                let postings = &lists[k.index()];
-                if postings.is_empty() {
-                    continue;
-                }
-                if best_postings.is_none_or(|p| postings.len() < p.len()) {
-                    best_postings = Some(postings);
-                }
-            }
-        }
-        let Some(postings) = best_postings else {
-            return false;
-        };
-        // Arena ids are sorted by structure length as built (deltas append
-        // at the tail, so the order is only approximately maintained after
-        // churn — INV is a documented approximation either way, and a
-        // delta'd arena and its full rebuild see the identical id order, so
-        // both resolve the same candidates). Scan outward from the
-        // candidates closest in length to the query: they carry the
-        // smallest Proposition 1 lower bounds, which tightens the
-        // early-abandon threshold immediately.
-        let m = masked.len();
-        let pivot = postings.partition_point(|&id| self.store.token_len(id as usize) < m);
-        let (mut lo, mut hi) = (pivot, pivot);
-        loop {
-            // Pick whichever side is closer in length to the query.
-            let lo_gap = lo
-                .checked_sub(1)
-                .map(|i| m.abs_diff(self.store.token_len(postings[i] as usize)))
-                .unwrap_or(usize::MAX);
-            let hi_gap = postings
-                .get(hi)
-                .map(|&id| m.abs_diff(self.store.token_len(id as usize)))
-                .unwrap_or(usize::MAX);
-            if lo_gap == usize::MAX && hi_gap == usize::MAX {
-                break;
-            }
-            let id = if hi_gap <= lo_gap {
-                hi += 1;
-                postings[hi - 1]
-            } else {
-                lo -= 1;
-                postings[lo]
-            };
-            let target = self.store.tokens(id as usize);
-            let bound = state.threshold();
-            // Proposition 1: once even the length-gap lower bound exceeds
-            // the k-th best distance, no remaining structure (all further in
-            // length) can qualify.
-            if bound < lower_bound(m, target.len(), self.weights) {
-                break;
-            }
-            state.stats.structures_scanned += 1;
-            let d = if bound == DIST_INF {
-                Some(weighted_lcs_distance(masked, target, self.weights))
-            } else {
-                weighted_lcs_distance_bounded(masked, target, self.weights, bound)
-            };
-            if let Some(d) = d {
-                state.offer(SearchHit {
-                    structure: id,
-                    distance: d,
-                });
-            }
-        }
-        true
     }
 }
 
@@ -1103,7 +976,7 @@ fn is_prime(tok: StructTokId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use speakql_grammar::{process_transcript_text, Placeholder};
+    use speakql_grammar::{process_transcript_text, Keyword, Placeholder};
 
     fn kw(k: Keyword) -> StructTok {
         StructTok::Keyword(k)
@@ -1229,38 +1102,6 @@ mod tests {
         let (_, stats_def) = idx.search_with_stats(&p.masked, &SearchConfig::default());
         assert!(stats_dap.nodes_visited <= stats_def.nodes_visited);
         assert!(!hits_dap.is_empty());
-    }
-
-    #[test]
-    fn inv_scans_posting_lists() {
-        let idx = small_index();
-        let p = process_transcript_text("select a from t where b between c and d");
-        let (hits, stats) = idx.search_with_stats(
-            &p.masked,
-            &SearchConfig {
-                inv: true,
-                ..Default::default()
-            },
-        );
-        assert!(stats.structures_scanned > 0);
-        assert_eq!(stats.tries_searched, 0);
-        // BETWEEN structures are rare, and the probe matches one exactly.
-        assert_eq!(hits[0].distance, 0);
-    }
-
-    #[test]
-    fn inv_falls_back_without_rare_keywords() {
-        let idx = small_index();
-        let p = process_transcript_text("select a from t");
-        let (hits, stats) = idx.search_with_stats(
-            &p.masked,
-            &SearchConfig {
-                inv: true,
-                ..Default::default()
-            },
-        );
-        assert!(stats.structures_scanned == 0 && stats.tries_searched > 0);
-        assert_eq!(hits[0].distance, 0);
     }
 
     #[test]

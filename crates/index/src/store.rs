@@ -23,7 +23,7 @@
 //!   its appended slots fall into ([`StructStore::refold_ranges`]).
 //!
 //! Search never materializes: the trie walk never touches the arena, and
-//! the paths that do (INV, the brute-force scan, sealing a rebuilt segment)
+//! the paths that do (the brute-force scan, sealing a rebuilt segment)
 //! read token slices straight out of a chunk. Callers that need an owned
 //! [`Structure`] (the engine materializes one per returned hit) get it from
 //! [`StructStore::materialize`].

@@ -52,8 +52,6 @@ pub enum CounterId {
     SearchTriesSearched,
     /// Per-length tries skipped by the bidirectional bounds (BDB).
     SearchTriesPruned,
-    /// Structures compared exhaustively on the INV posting-list path.
-    SearchStructuresScanned,
     /// Weighted-LCS DP cells evaluated by the trie search workspaces.
     EditDistCells,
     /// Phonetic distance comparisons made by literal voting.
@@ -139,11 +137,10 @@ pub const COUNTER_COUNT: usize = CounterId::ALL.len();
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 35] = [
+    pub const ALL: [CounterId; 34] = [
         CounterId::SearchNodesVisited,
         CounterId::SearchTriesSearched,
         CounterId::SearchTriesPruned,
-        CounterId::SearchStructuresScanned,
         CounterId::EditDistCells,
         CounterId::VoteComparisons,
         CounterId::VoteEnumerations,
@@ -183,7 +180,6 @@ impl CounterId {
             CounterId::SearchNodesVisited => "search.nodes_visited",
             CounterId::SearchTriesSearched => "search.tries_searched",
             CounterId::SearchTriesPruned => "search.tries_pruned_bdb",
-            CounterId::SearchStructuresScanned => "search.structures_scanned_inv",
             CounterId::EditDistCells => "editdist.cells_evaluated",
             CounterId::VoteComparisons => "literal.vote_comparisons",
             CounterId::VoteEnumerations => "literal.strings_enumerated",

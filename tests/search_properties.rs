@@ -5,6 +5,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use speakql_asr::{AsrEngine, AsrProfile, Vocabulary};
+use speakql_bench::experiments::inv::InvertedIndex;
 use speakql_data::{employees_db, generate_cases};
 use speakql_editdist::Weights;
 use speakql_grammar::{process_transcript_text, GeneratorConfig};
@@ -54,16 +55,11 @@ fn inv_returns_subset_quality() {
     // exact search, and when the exact best carries a rare keyword INV
     // finds the same structure.
     let (index, transcripts) = fixture();
+    let inverted = InvertedIndex::build(index);
     for t in transcripts {
         let p = process_transcript_text(t);
         let exact = index.search(&p.masked, &SearchConfig::default());
-        let inv = index.search(
-            &p.masked,
-            &SearchConfig {
-                inv: true,
-                ..Default::default()
-            },
-        );
+        let (inv, _) = inverted.search(&p.masked, &SearchConfig::default());
         if let (Some(e), Some(i)) = (exact.first(), inv.first()) {
             assert!(i.distance >= e.distance, "INV cannot beat exact search");
         }
