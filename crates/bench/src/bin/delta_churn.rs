@@ -478,7 +478,7 @@ fn run_churn(n: usize) -> (Value, bool) {
         "grown_structures": GROWTH * n,
         "apply_delta_ms_grown": grown_ms,
         "delta_speedup": speedup,
-        "image_bytes_v4": image.len(),
+        "image_bytes_v5": image.len(),
         "warm_hit_rate_pre": pre_rate,
         "warm_hit_rate_post": post_rate,
         "warm_hit_rate_reload": reload_rate,

@@ -3,8 +3,9 @@
 //! Replays a fixed-seed workload (50 000-structure index, 200 ASR
 //! transcripts, single-threaded for exact counter reproducibility) through
 //! the full correction pipeline with observability enabled, then emits a
-//! `BENCH_<date>.json` snapshot of per-stage latency percentiles and work
-//! counters.
+//! `BENCH_<date>.json` snapshot of per-stage latency percentiles, work
+//! counters, and the paper's §6 accuracy of the transcriptions against
+//! their cases' ground-truth SQL.
 //!
 //! ```text
 //! perf_snapshot [--out FILE]              write a snapshot (default BENCH_<date>.json)
@@ -31,7 +32,11 @@
 //! baseline means the workload or the algorithm changed out from under the
 //! baseline, which must be acknowledged by regenerating it, exactly like
 //! the lint-waiver ratchet. Wall-clock fails more than 30% above baseline
-//! and never for being faster. The Zipfian mode gates only on counters and
+//! and never for being faster. Accuracy — mean WRR and LRR (Table 2) and
+//! the share of exact structures (Fig. 8) — is as deterministic as the
+//! counters, so its three rates are held to the baseline on either side: a
+//! latency change that costs accuracy fails in the same run that measured
+//! the latency, and one that moves it must regenerate the baseline. The Zipfian mode gates only on counters and
 //! output equality for the same reason — its wall-clock improvement is
 //! reported but never failed on.
 
@@ -42,7 +47,7 @@ use speakql_asr::{AsrEngine, AsrProfile};
 use speakql_bench::gate::{take_flag, today_utc, Gate, Rule};
 use speakql_core::{CounterId, PipelineReport, SpanId, SpeakQl, SpeakQlConfig};
 use speakql_data::{employees_db, generate_cases, training_vocabulary};
-use speakql_grammar::GeneratorConfig;
+use speakql_grammar::{tokenize_sql, GeneratorConfig, StructTokId, Structure};
 use speakql_index::StructureIndex;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -64,15 +69,23 @@ const GATE: Gate = Gate {
         ("search.nodes_visited", Rule::Ratchet { floor: 10 }),
     ],
     other_counters: Some(Rule::Exact),
-    fields: &[(
-        "wall_clock_ms",
-        Rule::Band {
-            tol: 0.30,
-            grace: 0.0,
-            floor: None,
-        },
-    )],
+    fields: &[
+        (
+            "wall_clock_ms",
+            Rule::Band {
+                tol: 0.30,
+                grace: 0.0,
+                floor: None,
+            },
+        ),
+        ("accuracy.wrr", ACCURACY),
+        ("accuracy.lrr", ACCURACY),
+        ("accuracy.structure_exact", ACCURACY),
+    ],
 };
+/// Accuracy is a pure function of the seeded workload and the code, so its
+/// rates must equal the baseline's; the slack only absorbs float noise.
+const ACCURACY: Rule = Rule::Points { max: 1e-9 };
 /// Distinct transcripts in the Zipfian workload.
 const ZIPF_DISTINCT: usize = 40;
 /// Total draws replayed from the Zipfian rank distribution.
@@ -148,6 +161,26 @@ fn run_workload() -> Value {
     for c in &report.counters {
         counters.insert(c.name.to_string(), json!(c.total));
     }
+    // Paper §6 accuracy against each case's ground truth; a failed
+    // transcription scores 0 on every rate.
+    let masked = |sql: &str| -> Vec<StructTokId> { Structure::mask_of(&tokenize_sql(sql)) };
+    let (mut wrr, mut lrr, mut exact) = (0.0, 0.0, 0usize);
+    for (case, result) in cases.iter().zip(&results) {
+        let Some(sql) = result.as_ref().ok().and_then(|t| t.best_sql()) else {
+            continue;
+        };
+        let acc = speakql_metrics::accuracy(&case.sql, sql);
+        wrr += acc.wrr;
+        lrr += acc.lrr;
+        exact += usize::from(masked(&case.sql) == masked(sql));
+    }
+    let n = NUM_TRANSCRIPTS as f64;
+    eprintln!(
+        "[perf_snapshot] accuracy: WRR {:.4}, LRR {:.4}, exact structures {exact}/{NUM_TRANSCRIPTS}",
+        wrr / n,
+        lrr / n
+    );
+
     let mut stages = Map::new();
     for s in &report.stages {
         stages.insert(
@@ -172,6 +205,11 @@ fn run_workload() -> Value {
             "threads": 1,
         },
         "wall_clock_ms": wall_clock_ms,
+        "accuracy": {
+            "wrr": wrr / n,
+            "lrr": lrr / n,
+            "structure_exact": exact as f64 / n,
+        },
         "counters": Value::Object(counters),
         "stages": Value::Object(stages),
     })
@@ -381,8 +419,8 @@ mod tests {
         }
     }
 
-    /// The baseline's counters with `counter` (when given) set, and a wall
-    /// clock when given.
+    /// The baseline's counters with `counter` (when given) set, the
+    /// baseline's accuracy, and a wall clock when given.
     fn run(base: &Value, counter: Option<(&str, u64)>, wall_ms: Option<f64>) -> Value {
         let mut counters = base
             .get("counters")
@@ -394,6 +432,9 @@ mod tests {
         }
         let mut run = Map::new();
         run.insert("counters".to_string(), Value::Object(counters));
+        if let Some(accuracy) = base.get("accuracy") {
+            run.insert("accuracy".to_string(), accuracy.clone());
+        }
         if let Some(ms) = wall_ms {
             run.insert("wall_clock_ms".to_string(), json!(ms));
         }
@@ -449,5 +490,39 @@ mod tests {
         assert!(passes(Some(b / 100.0)), "faster never fails");
         assert!(!passes(None), "a run without wall_clock_ms fails");
         assert_ne!(GATE.check(&run(&base, None, None), &base), 0);
+    }
+
+    #[test]
+    fn accuracy_is_held_to_the_baseline_on_either_side() {
+        let base = baseline();
+        let wall = Some(wall(&base));
+        let metrics = ["wrr", "lrr", "structure_exact"];
+        let rate = |metric: &str| match base.get("accuracy").and_then(|a| a.get(metric)) {
+            Some(v) => v.as_f64().unwrap_or(f64::NAN),
+            None => panic!("the baseline has no accuracy.{metric}"),
+        };
+        for metric in metrics {
+            // The baseline's rates with `metric` set to `v`, or left out.
+            let passes = |v: Option<f64>| {
+                let mut accuracy = Map::new();
+                for m in metrics {
+                    let value = if m == metric { v } else { Some(rate(m)) };
+                    if let Some(value) = value {
+                        accuracy.insert(m.to_string(), json!(value));
+                    }
+                }
+                let Value::Object(mut current) = run(&base, None, wall) else {
+                    panic!("a run is an object");
+                };
+                current.insert("accuracy".to_string(), Value::Object(accuracy));
+                GATE.check(&base, &Value::Object(current)) == 0
+            };
+            let b = rate(metric);
+            // One of the 200 cases more or less is a failure either way.
+            assert!(passes(Some(b)), "{metric} at baseline");
+            assert!(!passes(Some(b - 0.005)), "{metric} one case lower");
+            assert!(!passes(Some(b + 0.005)), "{metric} one case higher");
+            assert!(!passes(None), "a run without accuracy.{metric} fails");
+        }
     }
 }

@@ -444,6 +444,6 @@ pub fn thread_scaling(suite: &Suite) {
         ],
         &rows,
     );
-    println!("(batch transcription is embarrassingly parallel; search speedup is bounded by the largest per-length trie)");
+    println!("(batch transcription is embarrassingly parallel; search speedup is bounded by the largest trie segment)");
     save_json("thread_scaling", &serde_json::Value::Object(payload));
 }

@@ -888,9 +888,9 @@ fn fnv_checksum64(data: &[u8]) -> u64 {
     h
 }
 
-/// Byte offsets of interest inside a version-4 image, recovered by walking
+/// Byte offsets of interest inside a version-5 image, recovered by walking
 /// the format the same way the decoder does.
-struct V4Layout {
+struct V5Layout {
     /// Byte range of the token plane (one byte per token, arena order).
     tok_plane: std::ops::Range<usize>,
     /// Offset of the placeholder plane (3-byte records, category first).
@@ -905,17 +905,40 @@ struct V4Layout {
     block_a_checksum_at: usize,
     /// Offset of the segment table.
     seg_table_at: usize,
-    /// Offset of the final segment's first plane byte.
-    last_segment_at: usize,
+    /// Every segment, in table order.
+    segments: Vec<SegmentAt>,
+}
+
+/// One segment of a version-5 image.
+struct SegmentAt {
+    /// Trie length and node count, as its table entry records them.
+    len: usize,
+    nodes: usize,
+    /// Offset of its count table (the group sizes, then the count planes).
+    at: usize,
+    /// Count-table entries.
+    groups: usize,
+    /// Offset of its node planes, which run to its checksum.
+    planes_at: usize,
+    /// Offset of its checksum (u64 LE).
+    checksum_at: usize,
+}
+
+impl V5Layout {
+    /// The final segment (every image the harness writes has one).
+    fn last(&self) -> &SegmentAt {
+        &self.segments[self.segments.len() - 1]
+    }
 }
 
 fn read_u32_le(bytes: &[u8], at: usize) -> usize {
     u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]) as usize
 }
 
-fn v4_layout(bytes: &[u8]) -> Option<V4Layout> {
+fn v5_layout(bytes: &[u8]) -> Option<V5Layout> {
     const HEADER_LEN: usize = 32;
-    if bytes.len() < HEADER_LEN || u16::from_be_bytes([bytes[4], bytes[5]]) != 4 {
+    const ALPHABET: usize = speakql_grammar::STRUCT_ALPHABET;
+    if bytes.len() < HEADER_LEN || u16::from_be_bytes([bytes[4], bytes[5]]) != 5 {
         return None;
     }
     let be = |o: usize| {
@@ -941,15 +964,30 @@ fn v4_layout(bytes: &[u8]) -> Option<V4Layout> {
     let block_a_checksum_at = pos;
     pos += 8;
     let seg_table_at = pos;
-    pos += seg_count * 8;
-    // Walk the segment table to the final segment's start.
-    let mut last_segment_at = pos;
+    pos += seg_count * 12;
+    // Walk the segment table: each segment is its count table, then its
+    // node planes, then its checksum.
+    let mut segments = Vec::with_capacity(seg_count);
     for seg in 0..seg_count {
-        last_segment_at = pos;
-        let node_count = read_u32_le(bytes, seg_table_at + seg * 8 + 4);
-        pos += node_count + (4 - node_count % 4) % 4 + node_count * 12 + 8;
+        let entry = seg_table_at + seg * 12;
+        let (len, nodes, groups) = (
+            read_u32_le(bytes, entry),
+            read_u32_le(bytes, entry + 4),
+            read_u32_le(bytes, entry + 8),
+        );
+        let planes_at = pos + groups * (4 + ALPHABET);
+        let checksum_at = planes_at + nodes + (4 - nodes % 4) % 4 + nodes * 12;
+        segments.push(SegmentAt {
+            len,
+            nodes,
+            at: pos,
+            groups,
+            planes_at,
+            checksum_at,
+        });
+        pos = checksum_at + 8;
     }
-    (pos == bytes.len()).then_some(V4Layout {
+    (pos == bytes.len() && !segments.is_empty()).then_some(V5Layout {
         tok_plane,
         ph_plane_at,
         removed_count_at,
@@ -957,16 +995,39 @@ fn v4_layout(bytes: &[u8]) -> Option<V4Layout> {
         removed_ids_at,
         block_a_checksum_at,
         seg_table_at,
-        last_segment_at,
+        segments,
     })
 }
 
-/// The version-3 image of the index `v4` holds: the same bytes, with the
-/// version field set to 3 and the 19 INV posting lists the version-3 writer
-/// kept in block A (an offset table of 20 u32 LE, then the live ids under
-/// each keyword other than SELECT/FROM/WHERE, in arena order) between the
-/// placeholder plane and the removed list, and block A resealed.
-fn v3_image(v4: &[u8], layout: &V4Layout, index: &StructureIndex) -> Vec<u8> {
+/// The version-4 image of the index `v5` holds: the same header and block
+/// A with the version field set to 4, segment-table entries without their
+/// group count, and each segment's node planes without the count table in
+/// front, resealed — what the version-4 writer stored for the same
+/// segments.
+fn v4_image(v5: &[u8], layout: &V5Layout) -> Vec<u8> {
+    let mut out = v5[..layout.seg_table_at].to_vec();
+    out[4..6].copy_from_slice(&4u16.to_be_bytes());
+    for seg in &layout.segments {
+        for word in [seg.len, seg.nodes] {
+            // lossy: both came out of u32 table words
+            out.extend_from_slice(&(word as u32).to_le_bytes());
+        }
+    }
+    for seg in &layout.segments {
+        let planes = &v5[seg.planes_at..seg.checksum_at];
+        out.extend_from_slice(planes);
+        out.extend_from_slice(&fnv_checksum64(planes).to_le_bytes());
+    }
+    out
+}
+
+/// The version-3 image of the index a version-4 image `v4` holds (block A
+/// laid out as in `layout`): the same bytes, with the version field set to
+/// 3 and the 19 INV posting lists the version-3 writer kept in block A (an
+/// offset table of 20 u32 LE, then the live ids under each keyword other
+/// than SELECT/FROM/WHERE, in arena order) between the placeholder plane
+/// and the removed list, and block A resealed.
+fn v3_image(v4: &[u8], layout: &V5Layout, index: &StructureIndex) -> Vec<u8> {
     const HEADER_LEN: usize = 32;
     let mut lists: Vec<Vec<u32>> = vec![Vec::new(); 19];
     for id in (0..index.arena_len() as u32).filter(|&id| !index.is_removed(id)) {
@@ -1025,16 +1086,16 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
         Ok(b) => b.to_vec(),
         Err(e) => return vec![fail("delta_image", format!("serialize failed: {e}"))],
     };
-    let Some(layout) = v4_layout(&bytes).filter(|l| l.removed_count >= 2) else {
+    let Some(layout) = v5_layout(&bytes).filter(|l| l.removed_count >= 2) else {
         return vec![fail(
             "delta_image",
-            "not a parseable v4 image with two removed ids".to_string(),
+            "not a parseable v5 image with two removed ids".to_string(),
         )];
     };
     if speakql_index::from_bytes(&bytes).is_err() {
         return vec![fail(
             "delta_image",
-            "pristine v4 image rejected".to_string(),
+            "pristine v5 image rejected".to_string(),
         )];
     }
 
@@ -1074,16 +1135,37 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
     // id as the seal (the buggy-reseal failure mode the memcpy fast path
     // could have): the recorded checksum is stale and must not verify.
     let mut data = bytes.clone();
-    data[layout.last_segment_at] ^= 0x01;
+    data[layout.last().at] ^= 0x01;
     check("delta_reseal_mismatch".to_string(), data, &["bad_checksum"]);
 
     // An append interrupted exactly at a replaced segment's boundary: the
     // table still claims the final segment, the payload stops before it.
     check(
         "delta_truncated_at_segment_boundary".to_string(),
-        bytes[..layout.last_segment_at].to_vec(),
+        bytes[..layout.last().at].to_vec(),
         &["corrupt"],
     );
+
+    // The count table sits under its segment's checksum: a flipped count
+    // byte must fail it ...
+    let last = layout.last();
+    let first_count_at = last.at + 4 * last.groups;
+    let mut data = bytes.clone();
+    data[first_count_at] ^= 0x01;
+    check(
+        "checksum_flip_count_table".to_string(),
+        data,
+        &["bad_checksum"],
+    );
+
+    // ... and a resealed entry whose counts no longer sum to the segment's
+    // length must fail the loader's shape check, since the search would
+    // otherwise bound that group by a multiset it does not hold.
+    let mut data = bytes.clone();
+    data[first_count_at] = data[first_count_at].wrapping_add(1);
+    let ck = fnv_checksum64(&data[last.at..last.checksum_at]);
+    data[last.checksum_at..last.checksum_at + 8].copy_from_slice(&ck.to_le_bytes());
+    check("count_table_sum_mismatch".to_string(), data, &["corrupt"]);
 
     // A removed id past the arena, with block A *resealed* so the checksum
     // is clean: only the decoder's range check can reject it.
@@ -1141,14 +1223,17 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
         &["corrupt"],
     );
 
-    // A well-formed image of the previous format version — the same index
-    // with its INV posting plane, as the version-3 writer stored it — is
-    // refused by version, not misread as a version-4 block A.
+    // Well-formed images of the previous format versions — the same index
+    // without count tables, as the version-4 writer stored it, and with its
+    // INV posting plane as well, as the version-3 writer stored it — are
+    // refused by version, not misread as version-5 segments or block A.
+    let v4 = v4_image(&bytes, &layout);
     check(
         "v3_image_bad_version".to_string(),
-        v3_image(&bytes, &layout, &delta_idx),
+        v3_image(&v4, &layout, &delta_idx),
         &["bad_version"],
     );
+    check("v4_image_bad_version".to_string(), v4, &["bad_version"]);
 
     outcomes
 }

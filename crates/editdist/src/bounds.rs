@@ -4,14 +4,40 @@
 //! edit distance `d` satisfies `|m − n| · W_L ≤ d ≤ (m + n) · W_K`. The
 //! lower bound is the best case (`|m − n|` deletions at minimum weight);
 //! the upper bound is the worst case (`m` deletes plus `n` inserts at
-//! maximum weight). The search engine uses the lower bound to skip whole
-//! per-length tries (App. D.2).
+//! maximum weight).
+//!
+//! [`count_lower_bound`] is the same argument made per token type (count
+//! filtering, Gravano et al., VLDB 2001): with only insertions and
+//! deletions, every surplus occurrence of a token on either side must be
+//! inserted or deleted, so `d ≥ Σₜ wₜ · |c_a(t) − c_b(t)|`. It is never
+//! below the length bound. The search engine bounds groups of structures
+//! with equal token multisets this way to order and skip trie segments
+//! (App. D.2's BDB, generalized to token types).
 
 use crate::weights::{Dist, Weights};
+use speakql_grammar::{StructTokId, STRUCT_ALPHABET};
 
 /// Lower bound of Proposition 1: `|m − n| · min_weight`.
 pub fn lower_bound(m: usize, n: usize, w: Weights) -> Dist {
     (m.abs_diff(n) as Dist) * w.min_weight()
+}
+
+/// Count lower bound: `Σₜ wₜ · |c_a(t) − c_b(t)|` over the token types of
+/// the structure alphabet, where `c_x(t)` counts `t` in `x`.
+pub fn count_lower_bound(a: &[StructTokId], b: &[StructTokId], w: Weights) -> Dist {
+    let mut surplus = [0i64; STRUCT_ALPHABET];
+    for t in a {
+        surplus[t.0 as usize] += 1;
+    }
+    for t in b {
+        surplus[t.0 as usize] -= 1;
+    }
+    surplus
+        .iter()
+        .enumerate()
+        // lossy: t < STRUCT_ALPHABET, which fits a token id
+        .map(|(t, &s)| w.of(StructTokId(t as u8)) * s.unsigned_abs() as Dist)
+        .sum()
 }
 
 /// Upper bound of Proposition 1: `(m + n) · max_weight`.

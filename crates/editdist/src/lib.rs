@@ -8,7 +8,7 @@
 //!   weighted LCS dynamic program of Algorithm 1, with the incremental
 //!   column form the trie search engine consumes;
 //! - [`lower_bound`] / [`upper_bound`]: Proposition 1's bidirectional
-//!   bounds;
+//!   bounds, and [`count_lower_bound`], the lower bound made per token type;
 //! - [`token_edit_distance`] (the paper's TED metric, §6.2),
 //!   [`levenshtein`], and [`char_lcs_distance`] for literal/phonetic
 //!   comparison.
@@ -20,7 +20,7 @@ pub mod lcs;
 pub mod soa;
 pub mod weights;
 
-pub use bounds::{lower_bound, upper_bound};
+pub use bounds::{count_lower_bound, lower_bound, upper_bound};
 pub use lcs::{
     advance_column, base_column, char_lcs_distance, levenshtein, token_edit_distance,
     weighted_lcs_distance, weighted_lcs_distance_bounded, ColumnWorkspace,
@@ -46,6 +46,17 @@ mod proptests {
             let d = weighted_lcs_distance(&a, &b, w);
             prop_assert!(d >= lower_bound(a.len(), b.len(), w));
             prop_assert!(d <= upper_bound(a.len(), b.len(), w));
+        }
+
+        /// The count bound sits between Proposition 1's length bound and the
+        /// distance, under the paper's and under uniform weights.
+        #[test]
+        fn count_bound_is_admissible(a in arb_toks(24), b in arb_toks(24)) {
+            for w in [Weights::PAPER, Weights::UNIFORM] {
+                let count = count_lower_bound(&a, &b, w);
+                prop_assert!(lower_bound(a.len(), b.len(), w) <= count);
+                prop_assert!(count <= weighted_lcs_distance(&a, &b, w));
+            }
         }
 
         /// Identity of indiscernibles (one direction): d(a, a) = 0.

@@ -11,9 +11,12 @@
 //! - additions become one new arena chunk appended at the tail, and every
 //!   existing chunk is shared, not copied (see the `store` module);
 //! - only the trie segments of the **affected lengths** (lengths that lost
-//!   or gained a structure) are rebuilt, over those lengths' live ids taken
-//!   from their own segments. Every other segment is carried over as-is: an
-//!   O(1) refcount bump on its sealed buffer;
+//!   or gained a structure) are rebuilt, over those lengths' live ids
+//!   regrouped from their own segments: a segment's terminals, in node
+//!   order, are its groups one after another, so its count table splits
+//!   them into groups without hashing a structure, and only the additions
+//!   are hashed, to find the group each joins. Every other segment is
+//!   carried over as-is: an O(1) refcount bump on its sealed buffer;
 //! - the generation refolds only the slot ranges the additions fall into,
 //!   plus the tombstone words and the segment ids.
 //!
@@ -23,9 +26,10 @@
 //! ## Equivalence to a full rebuild
 //!
 //! The rebuilt lengths use the exact shard layout [`StructureIndex::build`]
-//! computes — live structures in arena order, partitioned into
-//! `shard_count(n)` contiguous blocks — which is precisely what a build
-//! over the live structures (in the same order) produces. A delta'd index
+//! computes — live structures grouped by token multiset, groups in order of
+//! their smallest live id, cut into shards between groups — which is
+//! precisely what a build over the live structures (in the same order)
+//! produces. A delta'd index
 //! and a full rebuild over its live structures therefore return the same
 //! hits (same structures, same distances, same order) and do the same
 //! search work; the only difference is id *values* (the rebuild compacts
@@ -36,13 +40,14 @@
 //! the equivalence across thread counts and along chains of deltas.
 
 use crate::content::BuildFx;
-use crate::search::{seal_shards, StructureIndex};
-use crate::store::ChunkBuilder;
-use crate::trie::Trie;
+use crate::search::{seal_shards, Groups, StructureIndex};
+use crate::store::{ChunkBuilder, StructStore, Tombstones};
+use crate::trie::{token_counts, TokenCounts, Trie};
 use speakql_grammar::{StructTokId, Structure};
 use speakql_observe::{CounterId, Recorder};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A batch of arena edits: structures to tombstone (by arena id) and
 /// structures to append. Build one with the fluent methods and hand it to
@@ -243,8 +248,8 @@ impl StructureIndex {
 
         // Segments: reuse every unaffected length's shards wholesale,
         // rebuild the affected lengths with the canonical shard layout over
-        // their live ids in arena order — the old segments' terminals minus
-        // this delta's tombstones, then this delta's additions.
+        // their live groups — the old segments' groups minus this delta's
+        // tombstones, joined by this delta's additions.
         let mut stats = DeltaStats {
             structures_added: delta.add.len(),
             structures_removed: removes.len(),
@@ -259,25 +264,12 @@ impl StructureIndex {
                 tries.push(old.to_vec());
                 continue;
             }
-            let mut ids: Vec<u32> = old.iter().flat_map(Trie::structure_ids).collect();
-            ids.sort_unstable();
-            ids.retain(|&id| !removed.contains(id as usize));
-            let mut fresh: HashSet<&[StructTokId], BuildFx> = HashSet::with_hasher(BuildFx);
-            for (offset, s) in delta.add.iter().enumerate().filter(|(_, s)| s.len() == l) {
-                if !fresh.insert(&s.tokens) {
-                    return Err(DeltaError::DuplicateStructure);
-                }
-                ids.push((old_arena + offset) as u32);
-            }
-            if !fresh.is_empty()
-                && ids
-                    .iter()
-                    .take(ids.len() - fresh.len())
-                    .any(|&id| fresh.contains(store.tokens(id as usize)))
-            {
-                return Err(DeltaError::DuplicateStructure);
-            }
-            let shards = seal_shards(&store, l, &ids);
+            let added = (old_arena as u32..)
+                .zip(&delta.add)
+                .filter(|(_, s)| s.len() == l)
+                .map(|(id, _)| id);
+            let groups = regroup(&store, old, &removed, added)?;
+            let shards = seal_shards(&store, l, &groups);
             stats.segments_rebuilt += shards.len();
             tries.push(shards);
         }
@@ -293,6 +285,105 @@ impl StructureIndex {
         record_delta(recorder, &stats);
         Ok((next, stats))
     }
+}
+
+/// One group of a rebuilt length: its smallest live id, its live members
+/// from the old segments, and the additions that join it (ranges into
+/// [`regroup`]'s two id buffers).
+struct Run {
+    first: u32,
+    old: Range<usize>,
+    added: Range<usize>,
+}
+
+/// The groups of one affected length after a delta: the old segments'
+/// groups (each segment's terminals split by its count table) minus the
+/// tombstoned members, each joined by the additions with its token
+/// multiset, then the remaining additions grouped by multiset; groups
+/// re-sorted by smallest live id. Only the additions are hashed. Fails on an
+/// addition that duplicates a live structure or another addition: equal
+/// sequences have equal multisets, so only the members of a group that
+/// gained additions are compared.
+fn regroup(
+    store: &StructStore,
+    old: &[Trie],
+    removed: &Tombstones,
+    added: impl Iterator<Item = u32>,
+) -> Result<Groups, DeltaError> {
+    // The additions, bucketed by multiset in first-seen order; each bucket's
+    // ids are contiguous in `adds` once sorted by bucket.
+    let mut buckets: HashMap<TokenCounts, usize, BuildFx> = HashMap::with_hasher(BuildFx);
+    let mut adds: Vec<(usize, u32)> = added
+        .map(|id| {
+            let next = buckets.len();
+            let counts = token_counts(store.tokens(id as usize));
+            (*buckets.entry(counts).or_insert(next), id)
+        })
+        .collect();
+    adds.sort_unstable();
+    let mut bucket_ranges: Vec<Option<Range<usize>>> = vec![None; buckets.len()];
+    for (i, &(b, _)) in adds.iter().enumerate() {
+        bucket_ranges[b].get_or_insert(i..i).end = i + 1;
+    }
+    let adds: Vec<u32> = adds.into_iter().map(|(_, id)| id).collect();
+
+    let mut live: Vec<u32> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
+    for trie in old {
+        let counts = trie.counts();
+        let mut terminals = trie.structure_ids();
+        for g in 0..counts.groups() {
+            let start = live.len();
+            live.extend(
+                terminals
+                    .by_ref()
+                    .take(counts.size(g))
+                    .filter(|&id| !removed.contains(id as usize)),
+            );
+            let joined = if buckets.is_empty() {
+                None
+            } else {
+                buckets.get(&counts.of(g)).copied()
+            };
+            let added = joined.and_then(|b| bucket_ranges[b].take()).unwrap_or(0..0);
+            let first = live.get(start).or(adds.get(added.start));
+            if let Some(&first) = first {
+                runs.push(Run {
+                    first,
+                    old: start..live.len(),
+                    added,
+                });
+            }
+        }
+    }
+    runs.extend(bucket_ranges.into_iter().flatten().map(|added| Run {
+        first: adds[added.start],
+        old: 0..0,
+        added,
+    }));
+    runs.sort_unstable_by_key(|r| r.first);
+    let mut groups = Groups::default();
+    let mut members: Vec<&[StructTokId]> = Vec::new();
+    for run in runs {
+        let start = groups.ids.len();
+        groups.ids.extend_from_slice(&live[run.old.clone()]);
+        groups.ids.extend_from_slice(&adds[run.added.clone()]);
+        if !run.added.is_empty() {
+            members.clear();
+            members.extend(
+                groups.ids[start..]
+                    .iter()
+                    .map(|&id| store.tokens(id as usize)),
+            );
+            members.sort_unstable();
+            if members.windows(2).any(|w| w[0] == w[1]) {
+                return Err(DeltaError::DuplicateStructure);
+            }
+        }
+        // lossy: a group's members are arena ids, whose count fits u32
+        groups.sizes.push((run.old.len() + run.added.len()) as u32);
+    }
+    Ok(groups)
 }
 
 fn record_delta(recorder: &Recorder, stats: &DeltaStats) {
@@ -345,9 +436,9 @@ mod tests {
     }
 
     /// The segment conservation laws: sequentially and at 2 and 8 threads,
-    /// a search accounts for every non-empty shard once (walked or
-    /// BDB-pruned), and through shard 0's verdict for every non-empty
-    /// length once.
+    /// a search accounts for every non-empty shard once (walked or pruned
+    /// by the count bound), and for every non-empty length once (searched
+    /// if any of its shards was walked, pruned otherwise).
     fn accounts_for_every_segment(
         index: &StructureIndex,
         masked: &[StructTokId],
@@ -385,6 +476,62 @@ mod tests {
         hits.iter()
             .map(|h| (index.structure_tokens(h.structure).to_vec(), h.distance))
             .collect()
+    }
+
+    /// Every segment's node tokens, count-table sizes and terminals' token
+    /// sequences in node order: the layout by content, which a delta and
+    /// its rebuild share although the rebuild renumbers ids.
+    type Layout = Vec<(usize, Vec<StructTokId>, Vec<usize>, Vec<Vec<StructTokId>>)>;
+
+    fn layout(index: &StructureIndex) -> Layout {
+        index
+            .tries()
+            .iter()
+            .flatten()
+            .map(|t| {
+                let nodes = (0..t.node_count() as u32).map(|n| t.node(n).token);
+                let counts = t.counts();
+                let terminals = t
+                    .structure_ids()
+                    .map(|id| index.structure_tokens(id).to_vec());
+                (
+                    t.len,
+                    nodes.collect(),
+                    (0..counts.groups()).map(|g| counts.size(g)).collect(),
+                    terminals.collect(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn removing_a_groups_first_member_reorders_it_like_a_rebuild() -> Result<(), DeltaError> {
+        // Groups {SELECT, x, FROM} = {0, 2} and {WHERE, x, FROM} = {1, 3}
+        // come in that order; without structure 0 the first group starts
+        // at 2, after the second's 1, so a rebuild puts it second.
+        use speakql_grammar::{Keyword, StructTok};
+        let kw = |k| StructTokId::from_tok(StructTok::Keyword(k));
+        let (select, from, where_) = (kw(Keyword::Select), kw(Keyword::From), kw(Keyword::Where));
+        let x = StructTokId::VAR;
+        let s = |tokens: Vec<StructTokId>| Structure {
+            placeholders: vec![speakql_grammar::Placeholder::attribute()],
+            tokens,
+        };
+        let base = StructureIndex::build(
+            vec![
+                s(vec![select, x, from]),
+                s(vec![where_, x, from]),
+                s(vec![x, select, from]),
+                s(vec![x, where_, from]),
+            ],
+            Weights::PAPER,
+        );
+        let (next, _) = base.apply_delta(&IndexDelta::new().remove_structures([0u32]))?;
+        let live: Vec<Structure> = (1..4).map(|id| base.structure(id)).collect();
+        let rebuilt = StructureIndex::build(live, Weights::PAPER);
+        assert_eq!(layout(&next), layout(&rebuilt));
+        assert_eq!(layout(&next)[0].3[0], vec![where_, x, from]);
+        Ok(())
     }
 
     #[test]
@@ -535,7 +682,7 @@ mod tests {
     ) -> Result<(), Box<dyn std::error::Error>> {
         let base = small_index();
         let bytes = crate::to_bytes(base)?;
-        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 4);
+        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 5);
         let loaded = crate::from_shared(bytes)?;
         // Tentpole regression: a byte-identical reload derives the same
         // generation the built index had.
@@ -554,7 +701,7 @@ mod tests {
         // path: every segment — reused or freshly sealed — is memcpy'd with
         // its stored content id, and the image carries the removed list.
         let bytes2 = crate::to_bytes(&next)?;
-        assert_eq!(u16::from_be_bytes([bytes2[4], bytes2[5]]), 4);
+        assert_eq!(u16::from_be_bytes([bytes2[4], bytes2[5]]), 5);
         let reloaded = crate::from_shared(bytes2.clone())?;
         assert_eq!(reloaded.generation(), next.generation());
         assert_eq!(reloaded.len(), next.len());
@@ -618,6 +765,7 @@ mod tests {
             prop_assert_eq!(next.len(), rebuilt.len());
             prop_assert_eq!(next.total_nodes(), rebuilt.total_nodes());
             prop_assert_eq!(next.segment_count(), rebuilt.segment_count());
+            prop_assert_eq!(layout(&next), layout(&rebuilt));
             if remove.is_empty() {
                 // Pure appends leave every existing id in place, so the
                 // delta'd index *is* the rebuild — same generation, and
@@ -649,7 +797,8 @@ mod tests {
         /// the reload re-serializes to the same image, a removal-free chain
         /// is its rebuild (same generation), and every chain answers like
         /// its rebuild, work counters included, and the chain, its reload
-        /// and its rebuild each account for every segment. The 2,000-slot
+        /// and its rebuild each account for every segment and carry count
+        /// tables that list exactly their terminals' multisets. The 2,000-slot
         /// base ends inside the second 1,024-slot range, so longer chains
         /// append across the boundary into a third.
         #[test]
@@ -707,6 +856,7 @@ mod tests {
             prop_assert_eq!(resolved(&index, &hits), resolved(&rebuilt, &full_hits));
             for each in [&index, &reloaded, &rebuilt] {
                 accounts_for_every_segment(each, &masked, &cfg)?;
+                crate::search::count_tables_agree(each).map_err(|e| fail(&e))?;
             }
         }
 

@@ -3,12 +3,14 @@
 //! The indexing and search substrate of SpeakQL-rs Structure Determination
 //! (paper §3.3–§3.4 and App. D):
 //!
-//! - [`Trie`]: compact per-length tries over generated structures,
-//! - [`StructureIndex`]: the arena (shared immutable chunks) + the
-//!   per-length tries, split into shards,
+//! - [`Trie`]: compact tries over generated structures of one length, each
+//!   carrying a count table of its token-multiset groups,
+//! - [`StructureIndex`]: the arena (shared immutable chunks) + each
+//!   length's tries, split into shards between multiset groups,
 //! - [`StructureIndex::search`]: weighted-edit-distance trie search with
-//!   branch pruning, **BDB** bidirectional bounds, and the opt-in **DAP**
-//!   accuracy–latency tradeoff,
+//!   branch pruning, **BDB** generalized to token types (segments walked in
+//!   ascending count bound and skipped once it exceeds the k-th best), and
+//!   the opt-in **DAP** accuracy–latency tradeoff,
 //! - [`IndexDelta`]: incremental maintenance whose cost follows the change,
 //!   not the arena.
 

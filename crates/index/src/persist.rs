@@ -14,12 +14,13 @@
 //! into a typed copy — `forbid(unsafe_code)` rules out viewing `&[u8]` as
 //! `&[StructTokId]`.
 //!
-//! There is one format version, 4. A built index holds its segments and
+//! There is one format version, 5. A built index holds its segments and
 //! its arena chunk in the same layout (see [`crate::trie`] and the
 //! `store` module), so an index built in memory and the index loaded from
 //! its image are the same index: same planes, same generation, same search
-//! work. Version 4 dropped version 3's INV posting plane; the index keeps
-//! no posting lists at all. Images written by older versions (1 to 3) fail
+//! work. Version 5 added each segment's count table, which version 4's
+//! contiguous arena-id shards did not have; version 4 had dropped version
+//! 3's INV posting plane. Images written by older versions (1 to 4) fail
 //! with [`PersistError::BadVersion`]; rebuild them with
 //! `speakql index-build`.
 //!
@@ -35,16 +36,28 @@
 //!                  removed count u32 LE · removed ids (u32 LE, strictly
 //!                  increasing) ·
 //!                  checksum u64 LE (FNV-1a-64 over block A)
-//! seg table      : per segment: trie length u32 LE · node count u32 LE
-//! per segment    : token plane (u8, pad4) · first-child plane (u32 LE) ·
+//! seg table      : per segment: trie length u32 LE · node count u32 LE ·
+//!                  group count u32 LE
+//! per segment    : group sizes (u32 LE each) · count planes (one byte per
+//!                  group for each of the 28 token types, type-major) ·
+//!                  token plane (u8, pad4) · first-child plane (u32 LE) ·
 //!                  next-sibling plane (u32 LE) · structure plane (u32 LE) ·
-//!                  checksum u64 LE (FNV-1a-64 over the four planes)
+//!                  checksum u64 LE (FNV-1a-64 over the count table and the
+//!                  four planes)
 //! ```
 //!
 //! Both offset tables start at 0. The removed-id list records the arena
 //! slots an [`crate::IndexDelta`] tombstoned (their windows are persisted
 //! unchanged so ids stay stable); it is empty for an index nothing was
 //! removed from.
+//!
+//! A segment's count table lists its groups of equal token multisets (see
+//! [`crate::trie`]); the search bounds every group from it. Its checksum
+//! binds it as it binds the node planes, and the loader checks its shape:
+//! every entry's counts sum to the segment's length, and the entry sizes
+//! sum to the segment's terminals. That each entry lists its terminals'
+//! exact multisets is not re-derived at load — that would cost as much as
+//! the rest of the load — and is checked by the index's tests instead.
 //!
 //! ## Segment replace and append
 //!
@@ -66,7 +79,7 @@
 use crate::content::{checksum64, BuildFx};
 use crate::search::StructureIndex;
 use crate::store::{category_from, Chunk, StructStore, Tombstones, PH_RECORD};
-use crate::trie::{segment_len, Planes, Trie, NONE};
+use crate::trie::{segment_len, Trie, NONE};
 use bytes::{BufMut, Bytes, BytesMut};
 use speakql_editdist::Weights;
 use speakql_grammar::{StructTokId, Structure, STRUCT_ALPHABET};
@@ -78,9 +91,11 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SQLX";
 /// The one format version this crate writes and reads.
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 /// Header size including the 2 alignment padding bytes.
 const HEADER_LEN: usize = 32;
+/// Bytes per segment-table entry: length, node count, group count.
+const SEG_ENTRY: usize = 12;
 
 /// Errors loading a persisted index.
 #[derive(Debug)]
@@ -176,10 +191,15 @@ pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
         }
     }
     let segments: Vec<&Trie> = index.tries().iter().flatten().collect();
-    let total_nodes = index.total_nodes();
     let removed_count = index.removed().count();
+    let segment_bytes: usize = segments.iter().map(|t| t.segment().len()).sum();
     let mut buf = BytesMut::with_capacity(
-        HEADER_LEN + store.len() * 8 + tok_total + ph_records * PH_RECORD + total_nodes * 16,
+        HEADER_LEN
+            + store.len() * 8
+            + tok_total
+            + ph_records * PH_RECORD
+            + segments.len() * (SEG_ENTRY + 8)
+            + segment_bytes,
     );
 
     buf.put_slice(MAGIC);
@@ -235,6 +255,10 @@ pub fn to_bytes(index: &StructureIndex) -> Result<Bytes, PersistError> {
     for trie in &segments {
         buf.put_u32_le(len_u32(trie.len, "trie length exceeds u32")?);
         buf.put_u32_le(len_u32(trie.node_count(), "segment exceeds u32 nodes")?);
+        buf.put_u32_le(len_u32(
+            trie.counts().groups(),
+            "segment exceeds u32 groups",
+        )?);
     }
     for trie in &segments {
         buf.put_slice(trie.segment());
@@ -398,13 +422,13 @@ impl Header {
         let remaining = (data.len() - HEADER_LEN) as u64;
         // Don't trust the claimed counts for allocation or offset math:
         // every structure occupies ≥ 8 bytes of offset entries and every
-        // segment ≥ 8 bytes of table, so claims past those floors are
+        // segment ≥ 12 bytes of table, so claims past those floors are
         // certainly corrupt and would otherwise drive `with_capacity` into
         // multi-gigabyte allocations.
         if (count as u64).saturating_add(1) * 4 > remaining {
             return Err(PersistError::Corrupt("structure count exceeds payload"));
         }
-        if (seg_count as u64) * 8 > remaining {
+        if (seg_count as u64) * SEG_ENTRY as u64 > remaining {
             return Err(PersistError::Corrupt("segment count exceeds payload"));
         }
         if max_len > 255 {
@@ -543,8 +567,8 @@ fn decode_block_a(
     Ok((StructStore::from_chunk(chunk), removed))
 }
 
-/// Validate the segment table and every segment's node planes, then borrow
-/// each segment zero-copy as a [`Trie`].
+/// Validate the segment table and every segment's count table and node
+/// planes, then borrow each segment zero-copy as a [`Trie`].
 ///
 /// The structural pass is what makes the borrow safe to *search* without
 /// per-access checks: child/sibling links must point strictly forward (so
@@ -553,7 +577,9 @@ fn decode_block_a(
 /// underflow), terminal ids must reference in-range **live** structures of
 /// the segment's length, and every live structure must terminate exactly
 /// once across all segments (so loaded search answers are the built index's
-/// answers). Tombstoned structures must not appear in any trie.
+/// answers). Tombstoned structures must not appear in any trie. The count
+/// table is shape-checked: each entry's counts sum to the segment's length
+/// and the entry sizes, each at least 1, sum to the segment's terminals.
 fn borrow_segments(
     data: &Bytes,
     pos: &mut usize,
@@ -561,13 +587,19 @@ fn borrow_segments(
     store: &StructStore,
     removed: &Tombstones,
 ) -> Result<Vec<Vec<Trie>>, PersistError> {
-    let table = take(data, pos, header.seg_count * 8, "truncated segment table")?;
+    let table = take(
+        data,
+        pos,
+        header.seg_count * SEG_ENTRY,
+        "truncated segment table",
+    )?;
     let mut tries: Vec<Vec<Trie>> = vec![Vec::new(); header.max_len + 1];
     let mut terminated = vec![false; header.count];
     let mut prev_len = 0usize;
     for seg in 0..header.seg_count {
-        let trie_len = plane_u32(&table, seg * 2) as usize;
-        let node_count = plane_u32(&table, seg * 2 + 1) as usize;
+        let trie_len = plane_u32(&table, seg * 3) as usize;
+        let node_count = plane_u32(&table, seg * 3 + 1) as usize;
+        let groups = plane_u32(&table, seg * 3 + 2) as usize;
         if trie_len > header.max_len {
             return Err(PersistError::Corrupt("segment length exceeds max"));
         }
@@ -581,23 +613,28 @@ fn borrow_segments(
         if node_count as u64 > (data.len() - *pos) as u64 / 13 {
             return Err(PersistError::Corrupt("segment node count exceeds payload"));
         }
+        if groups as u64 > (data.len() - *pos) as u64 / (4 + STRUCT_ALPHABET as u64) {
+            return Err(PersistError::Corrupt("segment group count exceeds payload"));
+        }
         let segment = take(
             data,
             pos,
-            segment_len(node_count),
+            segment_len(node_count, groups),
             "truncated segment planes",
         )?;
         let recorded = read_u64_le(data, pos, "truncated segment checksum")?;
         if checksum64(&segment) != recorded {
             return Err(PersistError::BadChecksum("segment planes"));
         }
+        let trie = Trie::from_segment(trie_len, node_count, groups, recorded, segment);
 
         // Structural pass. Links point strictly forward (builder invariant:
         // nodes are appended after the node that references them), so one
         // in-order sweep can propagate depths and validate every invariant
         // in O(nodes) with a single transient byte array.
-        let planes = Planes::split(&segment, node_count);
+        let planes = trie.planes();
         let mut depth = vec![0u8; node_count];
+        let mut terminals = 0usize;
         for i in 0..node_count {
             // lossy: i < node_count, which the table stores as u32
             let node = i as u32;
@@ -639,9 +676,11 @@ fn borrow_segments(
                 if std::mem::replace(&mut terminated[st as usize], true) {
                     return Err(PersistError::Corrupt("structure terminated twice"));
                 }
+                terminals += 1;
             }
         }
-        tries[trie_len].push(Trie::from_segment(trie_len, node_count, recorded, segment));
+        check_count_table(&trie, terminals)?;
+        tries[trie_len].push(trie);
     }
     for (id, &t) in terminated.iter().enumerate() {
         if !t && !removed.contains(id) {
@@ -649,6 +688,37 @@ fn borrow_segments(
         }
     }
     Ok(tries)
+}
+
+/// The count table's shape: every entry's counts sum to the segment's
+/// length, and the entry sizes, each at least 1, sum to its `terminals`.
+/// One type-major sweep over the planes, vectorizable like the bound pass.
+fn check_count_table(trie: &Trie, terminals: usize) -> Result<(), PersistError> {
+    let counts = trie.counts();
+    let mut sums = vec![0u16; counts.groups()];
+    for t in 0..STRUCT_ALPHABET {
+        for (sum, &c) in sums.iter_mut().zip(counts.plane(t)) {
+            *sum += u16::from(c);
+        }
+    }
+    if sums.iter().any(|&sum| usize::from(sum) != trie.len) {
+        return Err(PersistError::Corrupt(
+            "count table entry does not sum to the segment length",
+        ));
+    }
+    let mut sized = 0usize;
+    for g in 0..counts.groups() {
+        match counts.size(g) {
+            0 => return Err(PersistError::Corrupt("empty count table entry")),
+            n => sized = sized.saturating_add(n),
+        }
+    }
+    if sized != terminals {
+        return Err(PersistError::Corrupt(
+            "count table sizes do not match the terminals",
+        ));
+    }
+    Ok(())
 }
 
 /// Reject duplicate token sequences before handing structures to

@@ -1,34 +1,44 @@
 //! The SpeakQL Search Engine (paper §3.4, Box 2, App. D).
 //!
 //! Given `MaskOut`, find the `k` closest ground-truth structures under the
-//! weighted LCS edit distance. The search walks the per-length tries with an
-//! incremental DP column per node, prunes branches whose column minimum
-//! already exceeds the current best, and — with **BDB** — skips whole tries
-//! using Proposition 1's bidirectional bounds. The one approximation kept
-//! here, **DAP** (diversity-aware pruning), is opt-in. The paper's other
+//! weighted LCS edit distance. The search walks trie segments with an
+//! incremental DP column per node and prunes branches whose column minimum
+//! already exceeds the current best. With **BDB** it orders and skips whole
+//! segments by the *count bound*, Proposition 1 made per token type: each
+//! segment holds groups of structures with equal token multisets, every
+//! group is bounded by `Σₜ wₜ·|c_q(t) − c_s(t)|`, and segments are walked
+//! in ascending least bound until that bound exceeds the k-th best distance.
+//! Proposition 1's length bound is the one-dimensional case. The one
+//! approximation kept here, **DAP** (diversity-aware pruning), is opt-in.
+//! The paper's other
 //! accuracy–latency tradeoff, **INV** (inverted keyword index), lost to
 //! exact search at every scale measured and lives in the experiment harness
 //! (`speakql-bench`'s `experiments::inv`).
 
-use crate::content::WordFold;
+use crate::content::{BuildFx, WordFold};
 use crate::store::{ChunkBuilder, StructStore, Tombstones};
-use crate::trie::{Planes, Trie, TrieBuilder, NONE};
+use crate::trie::{token_counts, Planes, TokenCounts, Trie, TrieBuilder, NONE};
 use speakql_editdist::{
     lower_bound, weighted_lcs_distance, ColumnWorkspace, Dist, SoaWorkspace, Weights, DIST_INF,
     SOA_LANES,
 };
-use speakql_grammar::{generate_structures, GeneratorConfig, StructTok, StructTokId, Structure};
+use speakql_grammar::{
+    generate_structures, GeneratorConfig, StructTok, StructTokId, Structure, TokenClass,
+    STRUCT_ALPHABET,
+};
 use speakql_observe::{CounterId, Recorder, SpanId};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Target structures per trie shard. Each per-length trie is split into
-/// `ceil(n / SHARD_TARGET)` shards (capped at [`MAX_SHARDS_PER_LEN`]) over
-/// contiguous arena-id blocks, so one dominant length no longer serializes
-/// `search_parallel`: the shards are independent work units sharing the
-/// atomic branch-and-bound threshold. Sharding is deterministic from the
-/// structure sequence alone, so a persisted index round-trips to the
-/// byte-identical shard layout.
+/// Target structures per trie shard. Each length's structures are split
+/// into about `ceil(n / SHARD_TARGET)` shards (at most
+/// [`MAX_SHARDS_PER_LEN`]), cut only between multiset groups, so one
+/// dominant length no longer serializes `search_parallel`: the shards are
+/// independent work units sharing the atomic branch-and-bound threshold.
+/// Sharding is deterministic from the structure sequence alone, so a
+/// persisted index round-trips to the byte-identical shard layout.
 const SHARD_TARGET: usize = 8192;
 
 /// Upper bound on shards per length; caps the prefix-duplication cost of
@@ -40,22 +50,72 @@ fn shard_count(n: usize) -> usize {
     n.div_ceil(SHARD_TARGET).clamp(1, MAX_SHARDS_PER_LEN)
 }
 
-/// Seal the shard tries over `ids` — the live structures of length `len`,
-/// in arena order — split into [`shard_count`] contiguous blocks. The
-/// layout depends only on `ids`, so [`StructureIndex::build`] and the delta
-/// path produce identical segments for identical runs. Empty when `ids` is.
-pub(crate) fn seal_shards(store: &StructStore, len: usize, ids: &[u32]) -> Vec<Trie> {
-    if ids.is_empty() {
+/// The live structures of one length, grouped by token multiset: `ids`
+/// lists the groups one after another, in ascending order of each group's
+/// smallest id and ascending within a group, and `sizes` gives each
+/// group's member count. Distinct groups hold distinct multisets.
+#[derive(Debug, Default)]
+pub(crate) struct Groups {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) sizes: Vec<u32>,
+}
+
+impl Groups {
+    /// Group `ids` — live structures of one length, in arena order — by
+    /// token multiset, groups in first-seen order.
+    pub(crate) fn of(store: &StructStore, ids: &[u32]) -> Groups {
+        let mut seen: HashMap<TokenCounts, usize, BuildFx> = HashMap::with_hasher(BuildFx);
+        let mut members: Vec<Vec<u32>> = Vec::new();
+        for &id in ids {
+            let next = members.len();
+            let g = *seen
+                .entry(token_counts(store.tokens(id as usize)))
+                .or_insert(next);
+            if g == next {
+                members.push(Vec::new());
+            }
+            members[g].push(id);
+        }
+        Groups {
+            // lossy: a group's members are arena ids, whose count fits u32
+            sizes: members.iter().map(|m| m.len() as u32).collect(),
+            ids: members.concat(),
+        }
+    }
+}
+
+/// Seal the shard tries over `groups` — the live structures of length
+/// `len` — cutting a new shard only between groups, once the current one
+/// holds its share of [`shard_count`]. Each shard inserts its groups in
+/// order, each under a count-table entry of its own. The layout depends
+/// only on the groups, so [`StructureIndex::build`] and the delta path
+/// produce identical segments for identical runs. Empty when `groups` is.
+pub(crate) fn seal_shards(store: &StructStore, len: usize, groups: &Groups) -> Vec<Trie> {
+    let n = groups.ids.len();
+    if n == 0 {
         return Vec::new();
     }
-    let mut shards: Vec<TrieBuilder> = (0..shard_count(ids.len()))
-        .map(|_| TrieBuilder::new(len))
-        .collect();
-    let block = ids.len().div_ceil(shards.len());
-    for (i, &id) in ids.iter().enumerate() {
-        shards[i / block].insert(store.tokens(id as usize), id);
+    let block = n.div_ceil(shard_count(n));
+    let mut shards = Vec::new();
+    let mut shard = TrieBuilder::new(len);
+    let mut filled = 0usize;
+    let mut members = groups.ids.iter();
+    for &size in &groups.sizes {
+        if filled >= block {
+            shards.push(std::mem::replace(&mut shard, TrieBuilder::new(len)).seal());
+            filled = 0;
+        }
+        let mut group = members.by_ref().take(size as usize).peekable();
+        if let Some(&&first) = group.peek() {
+            shard.open_group(token_counts(store.tokens(first as usize)));
+        }
+        for &id in group {
+            shard.insert(store.tokens(id as usize), id);
+        }
+        filled += size as usize;
     }
-    shards.into_iter().map(TrieBuilder::seal).collect()
+    shards.push(shard.seal());
+    shards
 }
 
 /// The DP column buffers one search worker walks a trie with: either the
@@ -103,21 +163,24 @@ pub enum DpKernel {
 }
 
 /// Search configuration. Defaults mirror the paper's "SpeakQL Default":
-/// bidirectional bounds on, DAP off.
+/// bounds on, DAP off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// How many closest structures to return (the paper reports top-1 and
     /// "best of" top-5 results).
     pub k: usize,
-    /// Bidirectional Bounds trie skipping (accuracy-preserving).
+    /// Bound-ordered segment skipping (accuracy-preserving): walk segments
+    /// in ascending count bound and skip those that cannot beat the k-th
+    /// best. Off, every non-empty segment is walked in table order.
     pub bdb: bool,
     /// Diversity-Aware Pruning over the prime superset (approximate).
     pub dap: bool,
     /// Worker threads for the trie walk. `1` (the default) is the fully
     /// sequential paper algorithm; `0` means one worker per available core.
-    /// Parallel search partitions the per-length tries across workers and
-    /// shares the branch-and-bound threshold through an atomic, so results
-    /// are byte-identical to the sequential path at any thread count.
+    /// Parallel search hands the trie shards out to workers in the search's
+    /// bound order and shares the branch-and-bound threshold through an
+    /// atomic, so results are byte-identical to the sequential path at any
+    /// thread count.
     pub threads: usize,
     /// DP kernel selection. Like `threads`, this never changes outputs —
     /// only how fast the columns are computed.
@@ -174,16 +237,16 @@ impl SearchConfig {
 pub struct SearchStats {
     /// Trie nodes whose DP column was computed.
     pub nodes_visited: u64,
-    /// Tries actually walked.
+    /// Non-empty lengths with at least one shard walked.
     pub tries_searched: u32,
-    /// Tries skipped by the bidirectional bounds.
+    /// Non-empty lengths with no shard walked.
     pub tries_pruned: u32,
     /// Weighted-LCS DP cells evaluated by the trie-walk workspaces.
     pub cells_evaluated: u64,
     /// Trie shards actually walked. A length split into `s` shards can
     /// contribute up to `s` here but at most 1 to `tries_searched`.
     pub shards_searched: u32,
-    /// Trie shards skipped by the bidirectional bounds.
+    /// Non-empty trie shards skipped by the count bound.
     pub shards_pruned: u32,
 }
 
@@ -248,27 +311,31 @@ impl TopK {
     }
 }
 
-/// Per-worker search state: the local top-k heap, work counters, and (in
-/// parallel mode) the threshold shared across workers.
+/// Per-worker search state: the local top-k heap, work counters, the
+/// lengths this worker walked, and (in parallel mode) the threshold shared
+/// across workers.
 ///
 /// The shared atomic holds the minimum of every worker's local k-th-best
 /// distance, maintained with `fetch_min`. It is always an *upper bound* on
 /// the final global k-th distance — each local threshold is — so pruning
-/// against it (branch cut-off and BDB trie skipping) can never drop a true
+/// against it (branch cut-off and segment skipping) can never drop a true
 /// top-k member. That is what keeps parallel search byte-identical to the
 /// sequential algorithm. Relaxed ordering suffices: the bound only ever
 /// decreases, and a stale read merely prunes less.
 struct SearchState<'a> {
     topk: TopK,
     stats: SearchStats,
+    /// `walked[l]`: a segment of length `l` was walked.
+    walked: Vec<bool>,
     shared: Option<&'a AtomicU32>,
 }
 
 impl<'a> SearchState<'a> {
-    fn new(k: usize, shared: Option<&'a AtomicU32>) -> SearchState<'a> {
+    fn new(k: usize, lengths: usize, shared: Option<&'a AtomicU32>) -> SearchState<'a> {
         SearchState {
             topk: TopK::new(k),
             stats: SearchStats::default(),
+            walked: vec![false; lengths],
             shared,
         }
     }
@@ -299,9 +366,8 @@ pub struct StructureIndex {
     store: StructStore,
     /// `tries[l]` holds the shard tries over the structures of length `l`
     /// (empty for lengths with no structures; index 0 is unused). Shards
-    /// partition a length's structures into contiguous arena-id blocks —
-    /// disjoint sets, so searching every shard of a length is exactly
-    /// searching the length.
+    /// partition a length's multiset groups — disjoint sets, so searching
+    /// every shard of a length is exactly searching the length.
     tries: Vec<Vec<Trie>>,
     weights: Weights,
     max_len: usize,
@@ -362,10 +428,11 @@ impl StructureIndex {
     /// Build an index over the given structures.
     ///
     /// The arena is appended straight into its flat planes. Each length's
-    /// structures are deterministically split into `shard_count` shard
-    /// tries over contiguous blocks (in arena order, preserving prefix
-    /// sharing within a shard), and each shard is sealed into the persisted
-    /// segment layout. The result is exactly the index that
+    /// structures are grouped by token multiset (groups in order of their
+    /// smallest id, which keeps most of the prefix sharing of arena order),
+    /// deterministically split into shard tries between groups, and each
+    /// shard is sealed with its count table into the persisted segment
+    /// layout. The result is exactly the index that
     /// [`crate::from_shared`] loads from [`crate::to_bytes`] of it: same
     /// planes, same segments, same generation, same work counters.
     pub fn build(structures: Vec<Structure>, weights: Weights) -> StructureIndex {
@@ -382,7 +449,7 @@ impl StructureIndex {
         let tries = by_len
             .iter()
             .enumerate()
-            .map(|(len, ids)| seal_shards(&store, len, ids))
+            .map(|(len, ids)| seal_shards(&store, len, &Groups::of(&store, ids)))
             .collect();
         let ranges = store.refold_ranges(&[], 0);
         StructureIndex::from_parts(
@@ -583,87 +650,72 @@ impl StructureIndex {
         cfg: &SearchConfig,
         recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
-        let mut state = SearchState::new(cfg.k, None);
+        let mut state = SearchState::new(cfg.k, self.tries.len(), None);
         if self.store.len() == 0 {
             return (state.topk.into_vec(), state.stats);
         }
-
-        // Bidirectional order: from m downwards, then upwards (App. D.2),
-        // restricted to the non-empty tries. Each (length, shard) pair is
-        // one independent work unit; a length's shards are consecutive, so
-        // the sequential walk still processes whole lengths in the paper's
-        // order while the parallel cursor gets shard-granular fan-out.
-        let m = masked.len();
-        let order: Vec<(usize, usize)> = (1..=m.min(self.max_len))
-            .rev()
-            .chain((m + 1)..=self.max_len)
-            .flat_map(|j| (0..self.tries[j].len()).map(move |s| (j, s)))
-            .filter(|&(j, s)| !self.tries[j][s].is_empty())
-            .collect();
-
-        let workers = cfg.effective_threads().min(order.len().max(1));
+        let mut schedule = Schedule::new(self, masked, cfg.bdb);
+        let workers = cfg.effective_threads().min(schedule.segments.max(1));
         if workers > 1 {
-            return self.search_parallel(masked, cfg, &order, workers, recorder);
+            return self.search_parallel(masked, cfg, schedule, workers, recorder);
         }
 
         let mut cols = self.workspace(masked, cfg);
-        for &(j, s) in &order {
-            self.search_shard(j, s, masked, cfg, &mut state, &mut cols, recorder);
+        while let Some(unit) = schedule.next_within(state.threshold()) {
+            self.search_shard(unit, masked, cfg, &mut state, &mut cols, recorder);
         }
         state.stats.cells_evaluated += cols.take_cells();
-        (state.topk.into_vec(), state.stats)
+        schedule.settle(state)
     }
 
-    /// Search the `(length, shard)` work units in `order` with `workers`
-    /// scoped threads.
+    /// Search the schedule's work units with `workers` scoped threads.
     ///
-    /// Shards are handed out through an atomic cursor (so a worker stuck in
-    /// a large shard does not hold up the rest), each worker keeps its own
-    /// [`TopK`] and [`ColumnWorkspace`], and the branch-and-bound threshold
-    /// is shared through an [`AtomicU32`] so pruning improves globally as any
-    /// worker finds closer structures. Shards hold disjoint structure sets —
-    /// a length's shards partition its structures, and per-length tries were
-    /// disjoint already — so re-offering every worker's hits into one final
-    /// [`TopK`] yields exactly the sequential result: same hits, same
-    /// `(distance, structure id)` order. Shard granularity is what gives a
-    /// dominant length real fan-out: its [`shard_count`] shards spread
-    /// across workers instead of serializing on one. Only the
+    /// The calling thread first walks the schedule's first unit, which
+    /// warms the shared bound; the rest of the order, up to the first unit
+    /// that bound already prunes, is then handed out in schedule order
+    /// through an atomic cursor (so a worker stuck in a large shard does not
+    /// hold up the rest). Each worker keeps its own [`TopK`] and DP
+    /// workspace, and the branch-and-bound threshold is shared through an
+    /// [`AtomicU32`] so pruning improves globally as any worker finds closer
+    /// structures. Shards hold disjoint structure sets, so re-offering every
+    /// worker's hits into one final [`TopK`] yields exactly the sequential
+    /// result: same hits, same `(distance, structure id)` order. Only the
     /// [`SearchStats`] are schedule-dependent (how much work pruning saved
     /// varies run to run).
     fn search_parallel(
         &self,
         masked: &[StructTokId],
         cfg: &SearchConfig,
-        order: &[(usize, usize)],
+        mut schedule: Schedule<'_>,
         workers: usize,
         recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
         let shared = AtomicU32::new(DIST_INF);
-        // Warm the shared bound on the calling thread before spawning: the
-        // first shard in the bidirectional order is from the length closest
-        // to the query, and its hits carry the tightest initial threshold.
-        // Without this, workers race into far-length tries the sequential
-        // algorithm would have BDB-skipped outright.
-        let mut seed = SearchState::new(cfg.k, Some(&shared));
-        if let Some(&(j0, s0)) = order.first() {
+        let mut seed = SearchState::new(cfg.k, self.tries.len(), Some(&shared));
+        if let Some(first) = schedule.next_within(DIST_INF) {
             let mut cols = self.workspace(masked, cfg);
-            self.search_shard(j0, s0, masked, cfg, &mut seed, &mut cols, recorder);
+            self.search_shard(first, masked, cfg, &mut seed, &mut cols, recorder);
             seed.stats.cells_evaluated += cols.take_cells();
         }
-        let cursor = AtomicUsize::new(1);
-        let worker_results: Vec<(TopK, SearchStats)> = std::thread::scope(|scope| {
+        let warmed = seed.threshold();
+        let order: Vec<Unit> = std::iter::from_fn(|| schedule.next_within(warmed)).collect();
+        let cursor = AtomicUsize::new(0);
+        let worker_results: Vec<SearchState<'_>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut state = SearchState::new(cfg.k, Some(&shared));
+                        let mut state = SearchState::new(cfg.k, self.tries.len(), Some(&shared));
                         let mut cols = self.workspace(masked, cfg);
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(j, s)) = order.get(i) else { break };
-                            self.search_shard(j, s, masked, cfg, &mut state, &mut cols, recorder);
+                            let Some(&unit) = order.get(i) else { break };
+                            if unit.bound > state.threshold() {
+                                break;
+                            }
+                            self.search_shard(unit, masked, cfg, &mut state, &mut cols, recorder);
                         }
                         state.stats.cells_evaluated += cols.take_cells();
-                        (state.topk, state.stats)
+                        state
                     })
                 })
                 .collect();
@@ -679,56 +731,38 @@ impl StructureIndex {
                 .collect()
         });
 
-        let mut state = SearchState::new(cfg.k, None);
-        for (topk, stats) in std::iter::once((seed.topk, seed.stats)).chain(worker_results) {
-            for hit in topk.into_vec() {
+        let mut state = SearchState::new(cfg.k, self.tries.len(), None);
+        for worker in std::iter::once(seed).chain(worker_results) {
+            for hit in worker.topk.into_vec() {
                 state.topk.offer(hit);
             }
-            state.stats.nodes_visited += stats.nodes_visited;
-            state.stats.tries_searched += stats.tries_searched;
-            state.stats.tries_pruned += stats.tries_pruned;
-            state.stats.cells_evaluated += stats.cells_evaluated;
-            state.stats.shards_searched += stats.shards_searched;
-            state.stats.shards_pruned += stats.shards_pruned;
+            state.stats.nodes_visited += worker.stats.nodes_visited;
+            state.stats.cells_evaluated += worker.stats.cells_evaluated;
+            state.stats.shards_searched += worker.stats.shards_searched;
+            for (all, walked) in state.walked.iter_mut().zip(worker.walked) {
+                *all |= walked;
+            }
         }
-        (state.topk.into_vec(), state.stats)
+        schedule.settle(state)
     }
 
-    /// Search one trie shard (assumed non-empty), with the BDB skip — the
-    /// Proposition 1 bound depends only on the lengths, so it applies to a
-    /// shard exactly as it did to the whole per-length trie. Each walked
-    /// shard records one `search.trie_walk` latency sample.
-    ///
-    /// The per-length counters keep their historical meaning by counting
-    /// only shard 0's verdict: the shared threshold only ever tightens, so
-    /// in the sequential order shard 0 pruned implies every later shard of
-    /// that length pruned, making "shard 0's verdict" exactly "the length's
-    /// verdict". The shard-granular work is counted separately in
-    /// `shards_searched` / `shards_pruned`.
-    #[allow(clippy::too_many_arguments)]
+    /// Walk one scheduled trie shard. Each walked shard records one
+    /// `search.trie_walk` latency sample; the per-length and pruned
+    /// counters are settled from `walked` once the search ends.
     fn search_shard(
         &self,
-        j: usize,
-        shard: usize,
+        unit: Unit,
         masked: &[StructTokId],
         cfg: &SearchConfig,
         state: &mut SearchState<'_>,
         cols: &mut DpCols,
         recorder: &Recorder,
     ) {
-        if cfg.bdb && state.threshold() < lower_bound(masked.len(), j, self.weights) {
-            if shard == 0 {
-                state.stats.tries_pruned += 1;
-            }
-            state.stats.shards_pruned += 1;
-            return;
-        }
-        if shard == 0 {
-            state.stats.tries_searched += 1;
-        }
         state.stats.shards_searched += 1;
+        state.walked[unit.len] = true;
         let _span = recorder.span(SpanId::TrieWalk);
-        self.search_trie(&self.tries[j][shard], j, masked, cfg, state, cols, recorder);
+        let trie = &self.tries[unit.len][unit.shard];
+        self.search_trie(trie, unit.len, masked, cfg, state, cols, recorder);
     }
 
     /// Brute-force reference scan over every live structure; used by tests
@@ -780,6 +814,192 @@ impl StructureIndex {
                 recorder,
             }
             .visit_children(0, 0, 0),
+        }
+    }
+}
+
+/// One work unit of a search: shard `shard` of length `len`, with the
+/// least count bound over its groups (0 when the search runs without BDB).
+/// Units order by bound, then length, then shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Unit {
+    bound: Dist,
+    len: usize,
+    shard: usize,
+}
+
+/// The query side of the count bound: its length, its weighted length
+/// `W(q)` and, for each token type it contains, that type's id, its count
+/// (capped at 255, a count plane's largest byte, which leaves every
+/// `min(c_q(t), c_s(t))` unchanged) and its class: 0 keyword, 1 special
+/// character, 2 literal.
+struct QueryCounts {
+    len: usize,
+    weight: Dist,
+    types: Vec<(usize, u8, usize)>,
+}
+
+impl QueryCounts {
+    fn new(masked: &[StructTokId], w: Weights) -> QueryCounts {
+        let mut counts = [0u8; STRUCT_ALPHABET];
+        for t in masked {
+            if let Some(c) = counts.get_mut(t.0 as usize) {
+                *c = c.saturating_add(1);
+            }
+        }
+        let class = |t: StructTokId| match t.class() {
+            TokenClass::Keyword => 0,
+            TokenClass::SplChar => 1,
+            TokenClass::Literal => 2,
+        };
+        QueryCounts {
+            len: masked.len(),
+            weight: masked.iter().map(|&t| w.of(t)).sum(),
+            types: (0u8..)
+                .zip(counts)
+                .filter(|&(_, c)| c > 0)
+                .map(|(t, c)| (t as usize, c, class(StructTokId(t))))
+                .collect(),
+        }
+    }
+
+    /// The least count bound over `trie`'s groups:
+    /// `W(q) + W(s) − 2·Σ_{t∈q} wₜ·min(c_q(t), c_s(t))`, which is
+    /// `Σₜ wₜ·|c_q(t) − c_s(t)|` summed over the query's types alone. The
+    /// minima are summed per class, whose types share one weight, in byte
+    /// lanes: a class's sum never exceeds the group's length, at most 255.
+    /// Each group's `W(s)` comes from its keyword and special-character
+    /// totals; `shared` is scratch space, one byte per group and class.
+    fn least_bound(&self, trie: &Trie, w: Weights, shared: &mut [Vec<u8>; 3]) -> Dist {
+        if trie.len > usize::from(u8::MAX) {
+            // Count planes hold a byte per type; past that length only the
+            // length bound is sound.
+            return lower_bound(self.len, trie.len, w);
+        }
+        let counts = trie.counts();
+        for class in shared.iter_mut() {
+            class.clear();
+            class.resize(counts.groups(), 0);
+        }
+        for &(t, cq, class) in &self.types {
+            for (acc, &c) in shared[class].iter_mut().zip(counts.plane(t)) {
+                *acc += c.min(cq);
+            }
+        }
+        // lossy: len <= 255 here
+        let n = trie.len as Dist;
+        let [kw_shared, spl_shared, lit_shared] = &*shared;
+        (0..counts.groups())
+            .map(|g| {
+                let [kw, spl] = trie.classes()[g].map(Dist::from);
+                let ws = w.keyword * kw + w.splchar * spl + w.literal * n.saturating_sub(kw + spl);
+                let acc = w.keyword * Dist::from(kw_shared[g])
+                    + w.splchar * Dist::from(spl_shared[g])
+                    + w.literal * Dist::from(lit_shared[g]);
+                (self.weight + ws).saturating_sub(2 * acc)
+            })
+            .min()
+            .unwrap_or(DIST_INF)
+    }
+}
+
+/// The order one search walks segments in.
+///
+/// With BDB, units come out in ascending least count bound until that
+/// bound exceeds the caller's threshold, bounded lazily: lengths are taken
+/// in ascending Proposition 1 bound, and a length's segments are bounded
+/// only once that bound could tie both the best unit not yet handed out and
+/// the threshold. Proposition 1 never exceeds a length's count bounds, so
+/// the lazy order is exactly the order of bounding everything, while a
+/// search never bounds a length it could not walk. Without BDB, every unit
+/// has bound 0, so all come out in table order, unbounded.
+struct Schedule<'a> {
+    index: &'a StructureIndex,
+    query: QueryCounts,
+    bdb: bool,
+    /// Non-empty lengths in the order they are bounded, each with its
+    /// Proposition 1 bound.
+    lengths: Vec<(Dist, usize)>,
+    next_len: usize,
+    /// Non-empty segments across all lengths.
+    segments: usize,
+    ready: BinaryHeap<Reverse<Unit>>,
+    shared: [Vec<u8>; 3],
+}
+
+impl<'a> Schedule<'a> {
+    fn new(index: &'a StructureIndex, masked: &[StructTokId], bdb: bool) -> Schedule<'a> {
+        let w = index.weights;
+        let mut segments = 0;
+        let mut lengths: Vec<(Dist, usize)> = Vec::new();
+        for (len, shards) in index.tries.iter().enumerate() {
+            let live = shards.iter().filter(|t| !t.is_empty()).count();
+            if live > 0 {
+                segments += live;
+                let p1 = if bdb {
+                    lower_bound(masked.len(), len, w)
+                } else {
+                    0
+                };
+                lengths.push((p1, len));
+            }
+        }
+        lengths.sort_unstable();
+        Schedule {
+            index,
+            query: QueryCounts::new(masked, w),
+            bdb,
+            lengths,
+            next_len: 0,
+            segments,
+            ready: BinaryHeap::new(),
+            shared: Default::default(),
+        }
+    }
+
+    /// Close a search: every non-empty shard and length not walked was
+    /// pruned, so searched + pruned always accounts for each exactly once.
+    fn settle(&self, mut state: SearchState<'_>) -> (Vec<SearchHit>, SearchStats) {
+        let stats = &mut state.stats;
+        // lossy: at most one per length, and lengths are at most 255 on any
+        // persistable index
+        stats.tries_searched = state.walked.iter().filter(|&&w| w).count() as u32;
+        stats.tries_pruned = self.lengths.len() as u32 - stats.tries_searched;
+        stats.shards_pruned = self.segments as u32 - stats.shards_searched;
+        (state.topk.into_vec(), state.stats)
+    }
+}
+
+impl Schedule<'_> {
+    /// The next unit in schedule order, or `None` once its bound exceeds
+    /// `threshold`: the threshold only ever falls, so no later unit could
+    /// be walked either.
+    fn next_within(&mut self, threshold: Dist) -> Option<Unit> {
+        while let Some(&(p1, len)) = self.lengths.get(self.next_len) {
+            let best = self
+                .ready
+                .peek()
+                .map_or(threshold, |Reverse(u)| u.bound.min(threshold));
+            if p1 > best {
+                break;
+            }
+            self.next_len += 1;
+            for (shard, trie) in self.index.tries[len].iter().enumerate() {
+                if trie.is_empty() {
+                    continue;
+                }
+                let bound = if self.bdb {
+                    self.query
+                        .least_bound(trie, self.index.weights, &mut self.shared)
+                } else {
+                    0
+                };
+                self.ready.push(Reverse(Unit { bound, len, shard }));
+            }
+        }
+        match self.ready.peek() {
+            Some(Reverse(unit)) if unit.bound <= threshold => self.ready.pop().map(|Reverse(u)| u),
+            _ => None,
         }
     }
 }
@@ -971,6 +1191,55 @@ fn is_prime(tok: StructTokId) -> bool {
         StructTok::SplChar(c) => c.in_prime_superset(),
         StructTok::Var => false,
     }
+}
+
+/// The agreement check the loader skips (it checks only the count tables'
+/// shape): every segment's count table lists exactly its terminals'
+/// arena-token multisets, entry by entry in node order, each entry's
+/// keyword and special-character totals match its counts, and no multiset
+/// is listed twice within a length.
+#[cfg(test)]
+pub(crate) fn count_tables_agree(index: &StructureIndex) -> Result<(), String> {
+    for (len, shards) in index.tries.iter().enumerate() {
+        let mut listed = std::collections::HashSet::new();
+        for (shard, trie) in shards.iter().enumerate() {
+            let at = format!("length {len} shard {shard}");
+            let counts = trie.counts();
+            let mut terminals = trie.structure_ids();
+            for g in 0..counts.groups() {
+                let entry = counts.of(g);
+                if !listed.insert(entry) {
+                    return Err(format!("{at}: entry {g} lists a multiset twice"));
+                }
+                let class_total = |class| {
+                    (0u8..)
+                        .zip(entry)
+                        .filter(|&(t, _)| StructTokId(t).class() == class)
+                        .map(|(_, c)| c)
+                        .sum::<u8>()
+                };
+                let classes = [
+                    class_total(TokenClass::Keyword),
+                    class_total(TokenClass::SplChar),
+                ];
+                if trie.classes()[g] != classes {
+                    return Err(format!("{at}: entry {g} class totals disagree"));
+                }
+                for _ in 0..counts.size(g) {
+                    let Some(id) = terminals.next() else {
+                        return Err(format!("{at}: entry {g} overruns the terminals"));
+                    };
+                    if token_counts(index.store.tokens(id as usize)) != entry {
+                        return Err(format!("{at}: structure {id} is not entry {g}'s multiset"));
+                    }
+                }
+            }
+            if terminals.next().is_some() {
+                return Err(format!("{at}: terminals outside every entry"));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1193,6 +1462,76 @@ mod tests {
         ] {
             let first = idx.search_with_stats(&p.masked, &cfg);
             assert_eq!(idx.search_with_stats(&p.masked, &cfg), first, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn segment_bounds_are_their_groups_least_count_bound() {
+        // The table-driven bound pass computes, per segment, exactly the
+        // least `count_lower_bound` over its structures.
+        let idx = small_index();
+        assert_eq!(count_tables_agree(idx), Ok(()));
+        let w = idx.weights();
+        for probe in [
+            "select a from t where b equals c",
+            "select sum open parenthesis salary close parenthesis from salaries",
+            "",
+        ] {
+            let masked = process_transcript_text(probe).masked;
+            let query = QueryCounts::new(&masked, w);
+            let mut scratch = Default::default();
+            for trie in idx.tries.iter().flatten() {
+                let least = trie
+                    .structure_ids()
+                    .map(|id| {
+                        speakql_editdist::count_lower_bound(&masked, idx.structure_tokens(id), w)
+                    })
+                    .min()
+                    .unwrap_or(DIST_INF);
+                assert_eq!(query.least_bound(trie, w, &mut scratch), least, "{probe}");
+                assert!(least >= lower_bound(masked.len(), trie.len, w));
+            }
+        }
+    }
+
+    #[test]
+    fn structures_past_a_count_byte_stay_exact() {
+        // Count planes hold a byte per type, so a structure of more than
+        // 255 tokens is bounded by its length alone, never by saturated
+        // counts that would overestimate its distance.
+        let vars =
+            |n: usize| Structure::new(vec![StructTok::Var; n], vec![Placeholder::attribute(); n]);
+        let idx = StructureIndex::build(vec![vars(3), vars(290), vars(300)], Weights::PAPER);
+        let masked = vec![StructTokId::VAR; 300];
+        for k in [1usize, 2] {
+            let hits = idx.search(&masked, &SearchConfig::top_k(k));
+            assert_eq!(hits, idx.scan(&masked, k));
+            assert_eq!(hits[0].distance, 0);
+        }
+    }
+
+    #[test]
+    fn shards_cut_between_multiset_groups() {
+        // Every multiset of a length lives in exactly one shard, listed
+        // once; shards follow the groups' smallest-id order.
+        let idx = small_index();
+        for shards in &idx.tries {
+            let firsts: Vec<u32> = shards
+                .iter()
+                .flat_map(|t| {
+                    let counts = t.counts();
+                    let ids: Vec<u32> = t.structure_ids().collect();
+                    let mut at = 0;
+                    (0..counts.groups())
+                        .map(|g| {
+                            let first = ids[at];
+                            at += counts.size(g);
+                            first
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            assert!(firsts.windows(2).all(|w| w[0] < w[1]));
         }
     }
 

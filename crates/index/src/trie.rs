@@ -1,32 +1,44 @@
-//! Per-length trie shards over ground-truth structures (paper §3.3).
+//! Trie segments over ground-truth structures of one length (paper §3.3).
 //!
 //! All generated structures of one token length are packed into tries; a
 //! path from root to leaf spells a structure's token sequence, and the leaf
 //! stores the structure's id in the arena. The paper stores "50 disjoint
 //! tries, one per structure length", trading memory for latency; this
-//! implementation additionally splits each length's structures across
-//! multiple *shard* tries (see `StructureIndex::build`) so parallel search
-//! has real fan-out even when one length dominates.
+//! implementation splits each length's structures across *segments*, cut
+//! between groups of structures with equal token multisets (see
+//! `search::seal_shards`), so a search can order and skip segments by the
+//! count bound and parallel search has real fan-out even when one length
+//! dominates.
 //!
 //! Nodes live in four structure-of-arrays planes (token / first-child /
 //! next-sibling / structure) in the compact first-child/next-sibling
-//! representation: 13 bytes per node, no per-node allocation. A [`Trie`]
-//! has one form, a *sealed segment*: one immutable [`Bytes`] buffer in the
-//! persisted layout — the token plane (one byte per node), zero padding to
-//! a 4-byte boundary, then the first-child, next-sibling, and structure
-//! planes as little-endian `u32`s. A build grows each shard in a
-//! crate-private `TrieBuilder` and seals it; a load borrows the same
-//! bytes zero-copy out of a validated image (see `persist`). A built and a
-//! loaded trie therefore hold identical buffers, and walk, hash, and
-//! serialize identically.
+//! representation: 13 bytes per node, no per-node allocation. Ahead of them
+//! sits the segment's *count table*: one entry per group of terminals with
+//! equal token multisets, in terminal order. A [`Trie`] has one form, a
+//! *sealed segment*: one immutable [`Bytes`] buffer in the persisted
+//! layout —
 //!
-//! Search reads a trie through `Planes`, which borrows the four planes as
-//! byte slices once per walk, so the hot loop never goes back through the
-//! refcounted buffer.
+//! - the count table: the group sizes as little-endian `u32`s, then one
+//!   byte plane per token type (`STRUCT_ALPHABET` planes, type-major),
+//!   whose byte `g` counts that type in group `g`'s structures;
+//! - the token plane (one byte per node), zero padding to a 4-byte
+//!   boundary, then the first-child, next-sibling, and structure planes as
+//!   little-endian `u32`s.
+//!
+//! A build grows each segment in a crate-private `TrieBuilder`, which
+//! derives the count table from the sequences it is given, and seals it; a
+//! load borrows the same bytes zero-copy out of a validated image (see
+//! `persist`). A built and a loaded trie therefore hold identical buffers,
+//! and walk, bound, hash, and serialize identically.
+//!
+//! Search reads a trie through `Planes`, which borrows the four node planes
+//! as byte slices once per walk, and bounds it through `Counts`, which
+//! borrows the count table.
 
 use crate::content::checksum64;
 use bytes::Bytes;
-use speakql_grammar::StructTokId;
+use speakql_grammar::{StructTokId, TokenClass, STRUCT_ALPHABET};
+use std::sync::Arc;
 
 pub(crate) const NONE: u32 = u32::MAX;
 
@@ -45,9 +57,32 @@ pub struct Node {
     pub structure: u32,
 }
 
-/// Byte length of the sealed segment of a `count`-node trie.
-pub(crate) fn segment_len(count: usize) -> usize {
-    count.next_multiple_of(4) + 12 * count
+/// The token counts of one structure (or of every structure of a group),
+/// indexed by token id.
+pub(crate) type TokenCounts = [u8; STRUCT_ALPHABET];
+
+/// Token counts of a sequence of at most 255 tokens.
+pub(crate) fn token_counts(tokens: &[StructTokId]) -> TokenCounts {
+    let mut counts = [0u8; STRUCT_ALPHABET];
+    for t in tokens {
+        if let Some(c) = counts.get_mut(t.0 as usize) {
+            *c = c.saturating_add(1);
+        }
+    }
+    counts
+}
+
+/// Byte length of a count table of `groups` entries: a `u32` size and one
+/// count byte per token type each. `STRUCT_ALPHABET` is a multiple of 4, so
+/// the node planes after it stay aligned.
+fn table_len(groups: usize) -> usize {
+    groups * (4 + STRUCT_ALPHABET)
+}
+
+/// Byte length of the sealed segment of a `count`-node trie whose count
+/// table has `groups` entries.
+pub(crate) fn segment_len(count: usize, groups: usize) -> usize {
+    table_len(groups) + count.next_multiple_of(4) + 12 * count
 }
 
 /// Read the `idx`-th little-endian `u32` of a plane. Out-of-range reads
@@ -122,30 +157,113 @@ impl<'a> Planes<'a> {
     }
 }
 
+/// The count table of one segment, borrowed as byte slices. Entry `g`
+/// describes the `size(g)` consecutive terminals (in node order) after
+/// those of entries `0..g`: every one of them holds exactly `of(g)` tokens
+/// of each type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Counts<'a> {
+    groups: usize,
+    sizes: &'a [u8],
+    planes: &'a [u8],
+}
+
+impl<'a> Counts<'a> {
+    /// Split the table of `groups` entries off the front of a segment. A
+    /// short segment yields short planes whose reads fall back to zero.
+    fn split(segment: &'a [u8], groups: usize) -> Counts<'a> {
+        let at = |s: &'a [u8], n: usize| s.split_at(n.min(s.len()));
+        let (sizes, rest) = at(segment, 4 * groups);
+        let (planes, _) = at(rest, STRUCT_ALPHABET * groups);
+        Counts {
+            groups,
+            sizes,
+            planes,
+        }
+    }
+
+    /// Number of entries.
+    pub(crate) fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// Terminals in entry `g`.
+    pub(crate) fn size(&self, g: usize) -> usize {
+        // lossy: g indexes a table of at most u32::MAX entries
+        match plane_u32(self.sizes, g as u32) {
+            NONE => 0,
+            n => n as usize,
+        }
+    }
+
+    /// The count plane of token type `t`: byte `g` counts `t` in entry `g`.
+    pub(crate) fn plane(&self, t: usize) -> &'a [u8] {
+        self.planes
+            .get(t * self.groups..(t + 1) * self.groups)
+            .unwrap_or(&[])
+    }
+
+    /// Entry `g`'s token counts, gathered across the planes.
+    pub(crate) fn of(&self, g: usize) -> TokenCounts {
+        let mut counts = [0u8; STRUCT_ALPHABET];
+        for (t, c) in counts.iter_mut().enumerate() {
+            *c = self.plane(t).get(g).copied().unwrap_or(0);
+        }
+        counts
+    }
+}
+
 /// A sealed trie over equal-length token sequences.
 #[derive(Debug, Clone)]
 pub struct Trie {
     /// Token length of every sequence stored here.
     pub len: usize,
     count: usize,
+    groups: usize,
     /// The segment's content id: the persisted-format checksum
     /// (`content::checksum64`) of `segment`, taken when the segment was
     /// sealed or verified when it was loaded.
     content: u64,
     segment: Bytes,
+    /// Per count-table entry, how many of its tokens are keywords and how
+    /// many are special characters: derived from the count planes when the
+    /// trie is made, so a search weighs an entry's length without summing
+    /// every plane.
+    classes: Arc<[[u8; 2]]>,
 }
 
 impl Trie {
-    /// A trie over a sealed segment of `count` nodes whose checksum is
-    /// `content`. The caller — [`TrieBuilder::seal`], or the persist loader
-    /// after validating bounds, checksum, and structural invariants —
-    /// guarantees the layout.
-    pub(crate) fn from_segment(len: usize, count: usize, content: u64, segment: Bytes) -> Trie {
+    /// A trie over a sealed segment of `count` nodes and `groups` count
+    /// table entries whose checksum is `content`. The caller —
+    /// [`TrieBuilder::seal`], or the persist loader after validating
+    /// bounds, checksum, and structural invariants — guarantees the layout.
+    pub(crate) fn from_segment(
+        len: usize,
+        count: usize,
+        groups: usize,
+        content: u64,
+        segment: Bytes,
+    ) -> Trie {
+        let counts = Counts::split(&segment, groups);
+        let mut classes = vec![[0u8; 2]; groups];
+        for t in 0..STRUCT_ALPHABET {
+            // lossy: t < STRUCT_ALPHABET, which fits a token id
+            let lane = match StructTokId(t as u8).class() {
+                TokenClass::Keyword => 0,
+                TokenClass::SplChar => 1,
+                TokenClass::Literal => continue,
+            };
+            for (acc, &c) in classes.iter_mut().zip(counts.plane(t)) {
+                acc[lane] = acc[lane].wrapping_add(c);
+            }
+        }
         Trie {
             len,
             count,
+            groups,
             content,
             segment,
+            classes: classes.into(),
         }
     }
 
@@ -164,7 +282,18 @@ impl Trie {
 
     /// The node planes, borrowed once for a walk.
     pub(crate) fn planes(&self) -> Planes<'_> {
-        Planes::split(&self.segment, self.count)
+        let nodes = self.segment.get(table_len(self.groups)..).unwrap_or(&[]);
+        Planes::split(nodes, self.count)
+    }
+
+    /// The count table, borrowed once for a bound pass.
+    pub(crate) fn counts(&self) -> Counts<'_> {
+        Counts::split(&self.segment, self.groups)
+    }
+
+    /// Keyword and special-character totals of each count-table entry.
+    pub(crate) fn classes(&self) -> &[[u8; 2]] {
+        &self.classes
     }
 
     /// Materialize a node by arena index (0 = root).
@@ -222,13 +351,21 @@ impl Iterator for ChildIter<'_> {
 }
 
 /// A trie under construction: growable planes that [`TrieBuilder::insert`]
-/// appends to, sealed into a [`Trie`] once every sequence is in.
+/// appends to, sealed into a [`Trie`] once every sequence is in. The count
+/// table grows alongside: [`TrieBuilder::open_group`] starts an entry, and
+/// each insert after it adds one terminal to that entry.
 pub(crate) struct TrieBuilder {
     len: usize,
     token: Vec<u8>,
     first_child: Vec<u32>,
     next_sibling: Vec<u32>,
     structure: Vec<u32>,
+    groups: Vec<(u32, TokenCounts)>,
+    /// The previous insert's tokens and, per depth, the node its path
+    /// passed: an insert that shares a prefix with it resumes below that
+    /// prefix instead of rescanning its sibling lists.
+    last: Vec<StructTokId>,
+    path: Vec<u32>,
 }
 
 impl TrieBuilder {
@@ -241,19 +378,49 @@ impl TrieBuilder {
             first_child: vec![NONE],
             next_sibling: vec![NONE],
             structure: vec![NONE],
+            groups: Vec::new(),
+            last: Vec::new(),
+            path: Vec::new(),
         }
     }
 
-    /// Insert a token sequence; `structure` is its arena id. Sequences must
-    /// have exactly `len` tokens and be unique.
+    /// Start a count-table entry for sequences whose token counts are
+    /// `counts`; the inserts that follow, up to the next call, belong to it.
+    pub(crate) fn open_group(&mut self, counts: TokenCounts) {
+        self.groups.push((0, counts));
+    }
+
+    /// Insert a token sequence into the open count-table entry; `structure`
+    /// is its arena id. Sequences must have exactly `len` tokens, be unique,
+    /// and have the open entry's token counts.
     pub(crate) fn insert(&mut self, tokens: &[StructTokId], structure: u32) {
         debug_assert_eq!(tokens.len(), self.len);
-        let mut cur = 0u32;
-        for &tok in tokens {
+        // A prefix's node is unique, so the shared prefix's nodes are the
+        // ones the previous path passed.
+        let shared = tokens
+            .iter()
+            .zip(&self.last)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.path.truncate(shared);
+        let mut cur = self.path.last().copied().unwrap_or(0);
+        for &tok in &tokens[shared..] {
             cur = self.child_or_insert(cur, tok.0);
+            self.path.push(cur);
         }
+        self.last.clear();
+        self.last.extend_from_slice(tokens);
         debug_assert_eq!(self.structure[cur as usize], NONE, "duplicate structure");
         self.structure[cur as usize] = structure;
+        debug_assert!(
+            self.groups
+                .last()
+                .is_some_and(|g| g.1 == token_counts(tokens)),
+            "insert outside its multiset's count-table entry"
+        );
+        if let Some((n, _)) = self.groups.last_mut() {
+            *n += 1;
+        }
     }
 
     fn child_or_insert(&mut self, parent: u32, tok: u8) -> u32 {
@@ -283,20 +450,27 @@ impl TrieBuilder {
         new_idx
     }
 
-    /// Seal the planes into one buffer in the persisted segment layout; its
-    /// checksum becomes the trie's content id.
+    /// Seal the count table and the planes into one buffer in the persisted
+    /// segment layout; its checksum becomes the trie's content id.
     pub(crate) fn seal(self) -> Trie {
         let count = self.token.len();
-        let mut segment = Vec::with_capacity(segment_len(count));
+        let groups = self.groups.len();
+        let mut segment = Vec::with_capacity(segment_len(count, groups));
+        for &(n, _) in &self.groups {
+            segment.extend_from_slice(&n.to_le_bytes());
+        }
+        for t in 0..STRUCT_ALPHABET {
+            segment.extend(self.groups.iter().map(|(_, counts)| counts[t]));
+        }
         segment.extend_from_slice(&self.token);
-        segment.resize(count.next_multiple_of(4), 0);
+        segment.resize(table_len(groups) + count.next_multiple_of(4), 0);
         for plane in [&self.first_child, &self.next_sibling, &self.structure] {
             for v in plane {
                 segment.extend_from_slice(&v.to_le_bytes());
             }
         }
         let content = checksum64(&segment);
-        Trie::from_segment(self.len, count, content, Bytes::from(segment))
+        Trie::from_segment(self.len, count, groups, content, Bytes::from(segment))
     }
 }
 
@@ -308,6 +482,14 @@ mod tests {
     fn kw(k: Keyword) -> StructTokId {
         StructTokId::from_tok(StructTok::Keyword(k))
     }
+
+    impl TrieBuilder {
+        /// Insert a sequence as a count-table entry of its own.
+        fn insert_alone(&mut self, tokens: &[StructTokId], structure: u32) {
+            self.open_group(token_counts(tokens));
+            self.insert(tokens, structure);
+        }
+    }
     fn var() -> StructTokId {
         StructTokId::VAR
     }
@@ -317,8 +499,8 @@ mod tests {
         let mut b = TrieBuilder::new(3);
         // SELECT x FROM  /  SELECT x WHERE (not a real structure; trie is
         // agnostic) share the 2-token prefix.
-        b.insert(&[kw(Keyword::Select), var(), kw(Keyword::From)], 0);
-        b.insert(&[kw(Keyword::Select), var(), kw(Keyword::Where)], 1);
+        b.insert_alone(&[kw(Keyword::Select), var(), kw(Keyword::From)], 0);
+        b.insert_alone(&[kw(Keyword::Select), var(), kw(Keyword::Where)], 1);
         // root + SELECT + x + FROM + WHERE = 5 nodes
         assert_eq!(b.seal().node_count(), 5);
     }
@@ -326,7 +508,7 @@ mod tests {
     #[test]
     fn leaves_store_structure_ids() {
         let mut b = TrieBuilder::new(2);
-        b.insert(&[kw(Keyword::Select), var()], 42);
+        b.insert_alone(&[kw(Keyword::Select), var()], 42);
         let t = b.seal();
         let Some(c1) = t.children(0).next() else {
             panic!("root must have a child after insert");
@@ -341,9 +523,9 @@ mod tests {
     #[test]
     fn children_iterate_in_insertion_order() {
         let mut b = TrieBuilder::new(1);
-        b.insert(&[kw(Keyword::Where)], 0);
-        b.insert(&[kw(Keyword::Select)], 1);
-        b.insert(&[var()], 2);
+        b.insert_alone(&[kw(Keyword::Where)], 0);
+        b.insert_alone(&[kw(Keyword::Select)], 1);
+        b.insert_alone(&[var()], 2);
         let t = b.seal();
         let toks: Vec<StructTokId> = t.children(0).map(|c| t.node(c).token).collect();
         assert_eq!(toks, vec![kw(Keyword::Where), kw(Keyword::Select), var()]);
@@ -358,16 +540,34 @@ mod tests {
 
     #[test]
     fn view_matches_owned() {
-        // Serialize a builder's owned planes by hand in the persisted
-        // layout: the sealed segment must be exactly those bytes, its
-        // content id their checksum, and a view borrowed over a copy of
+        // Serialize a builder's count table and owned planes by hand in the
+        // persisted layout: the sealed segment must be exactly those bytes,
+        // its content id their checksum, and a view borrowed over a copy of
         // them (as the loader makes) must be observationally identical node
-        // for node.
+        // for node and entry for entry.
         let mut b = TrieBuilder::new(2);
-        b.insert(&[kw(Keyword::Select), var()], 7);
-        b.insert(&[kw(Keyword::Where), var()], 8);
-        b.insert(&[kw(Keyword::Where), kw(Keyword::From)], 9);
-        let mut serialized = b.token.clone();
+        let seqs = [
+            [kw(Keyword::Select), var()],
+            [kw(Keyword::Where), var()],
+            [var(), kw(Keyword::Where)],
+            [kw(Keyword::Where), kw(Keyword::From)],
+        ];
+        for (id, seq) in (7..).zip(&seqs) {
+            if id != 9 {
+                b.open_group(token_counts(seq));
+            }
+            b.insert(seq, id);
+        }
+        // {SELECT, x}, {WHERE, x} twice in a row, {WHERE, FROM}.
+        let sizes = [1u32, 2, 1];
+        let mut serialized: Vec<u8> = sizes.iter().flat_map(|n| n.to_le_bytes()).collect();
+        for t in 0..STRUCT_ALPHABET as u8 {
+            for &i in &[0usize, 1, 3] {
+                let n = seqs[i].iter().filter(|tok| tok.0 == t).count();
+                serialized.push(n as u8);
+            }
+        }
+        serialized.extend_from_slice(&b.token);
         while !serialized.len().is_multiple_of(4) {
             serialized.push(0);
         }
@@ -379,14 +579,23 @@ mod tests {
         let n = b.token.len();
         let t = b.seal();
         assert_eq!(t.segment(), serialized.as_slice());
-        assert_eq!(serialized.len(), segment_len(n));
+        assert_eq!(serialized.len(), segment_len(n, sizes.len()));
         assert_eq!(t.content_id(), checksum64(&serialized));
-        let v = Trie::from_segment(2, n, t.content_id(), Bytes::from(serialized));
+        let v = Trie::from_segment(2, n, 3, t.content_id(), Bytes::from(serialized));
         assert_eq!(v.node_count(), n);
         assert!(!v.is_empty());
         for i in 0..n as u32 {
             assert_eq!(v.node(i), t.node(i), "node {i}");
         }
+        assert_eq!(v.counts().groups(), 3);
+        for (g, &size) in sizes.iter().enumerate() {
+            assert_eq!(v.counts().size(g), size as usize);
+            assert_eq!(v.counts().of(g), t.counts().of(g));
+        }
+        assert_eq!(v.counts().of(1), token_counts(&seqs[2]));
+        // Keywords and special characters per entry: {SELECT, x} has one
+        // keyword, {WHERE, FROM} two, and none has a special character.
+        assert_eq!(v.classes(), &[[1, 0], [1, 0], [2, 0]]);
         let walk = |t: &Trie| -> Vec<u32> {
             let mut out = Vec::new();
             let mut stack = vec![0u32];

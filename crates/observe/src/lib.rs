@@ -48,9 +48,10 @@ pub use report::{CounterReport, PipelineReport, StageReport};
 pub enum CounterId {
     /// Trie nodes whose DP column was computed during structure search.
     SearchNodesVisited,
-    /// Per-length tries actually walked.
+    /// Token lengths with at least one trie shard walked.
     SearchTriesSearched,
-    /// Per-length tries skipped by the bidirectional bounds (BDB).
+    /// Token lengths none of whose trie shards was walked (BDB's count
+    /// bound skipped them all).
     SearchTriesPruned,
     /// Weighted-LCS DP cells evaluated by the trie search workspaces.
     EditDistCells,
@@ -103,11 +104,11 @@ pub enum CounterId {
     /// Wire-protocol violations (oversized, truncated, or malformed frames)
     /// observed by server connection handlers.
     ServerProtocolErrors,
-    /// Trie shards (per-length segment tries) actually walked during search.
-    /// A per-length trie split into `s` shards contributes up to `s` here
-    /// but at most one to [`CounterId::SearchTriesSearched`].
+    /// Trie shards (segment tries) actually walked during search. A length
+    /// split into `s` shards contributes up to `s` here but at most one to
+    /// [`CounterId::SearchTriesSearched`].
     SearchShardsSearched,
-    /// Trie shards skipped by the bidirectional bounds before walking.
+    /// Trie shards skipped by BDB's count bound before walking.
     SearchShardsPruned,
     /// Persisted indexes loaded through the zero-copy validate-then-borrow
     /// path (every production load): no per-node trie rebuild occurred.
@@ -230,7 +231,7 @@ pub enum SpanId {
     Render,
     /// End-to-end transcription latency.
     Transcribe,
-    /// One per-length trie walk inside structure search.
+    /// One trie shard walk inside structure search.
     TrieWalk,
     /// Time a batch job waited in the queue before a worker picked it up.
     BatchQueueWait,

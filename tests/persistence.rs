@@ -285,11 +285,11 @@ proptest! {
 
 #[test]
 fn old_version_preambles_fail_with_bad_version() {
-    // Versions 1 to 3 are no longer decoded: an old image, whatever its
+    // Versions 1 to 4 are no longer decoded: an old image, whatever its
     // payload, must be rebuilt rather than loaded.
     let good = to_bytes(&tiny_index()).expect("serialize").to_vec();
-    assert_eq!(u16::from_be_bytes([good[4], good[5]]), 4);
-    for old in [1u16, 2, 3] {
+    assert_eq!(u16::from_be_bytes([good[4], good[5]]), 5);
+    for old in [1u16, 2, 3, 4] {
         let mut image = good.clone();
         image[4..6].copy_from_slice(&old.to_be_bytes());
         match from_bytes(&image) {
