@@ -1,17 +1,16 @@
 //! `scale_curve` — index scaling benchmark and CI gate for the segmented
 //! zero-copy format.
 //!
-//! Generates synthetic structure spaces (one dominant trie length, the
-//! shape that used to serialize parallel search) at 50k → 500k → 5M
-//! structures and measures, per size:
+//! Generates synthetic structure spaces (one dominant trie length) at
+//! 50k → 500k → 5M structures and measures, per size:
 //!
 //! - arena **build** time (the cost zero-copy loading avoids),
 //! - serialized image size,
 //! - **load** time through both paths: validate-then-borrow (zero-copy)
 //!   vs decode-and-rebuild (what a v1 loader does), plus their ratio,
 //! - resident-memory deltas for the built arena and the borrowed view,
-//! - search latency p50/p95, sequential and at 8 threads, and with the
-//!   BDB / INV tradeoffs toggled — recording where each stops paying.
+//! - search latency p50/p95, and with the BDB / INV tradeoffs toggled —
+//!   recording where each stops paying.
 //!
 //! ```text
 //! scale_curve [--sizes N,N,...] [--out FILE]     full curve (default 50k,500k)
@@ -20,22 +19,20 @@
 //!                                                zero-copy ≥ 5x faster than
 //!                                                rebuild, borrowed search
 //!                                                byte-identical to built,
-//!                                                parallel byte-identical to
-//!                                                sequential, load counters
-//!                                                proving the borrow path ran;
+//!                                                load counters proving the
+//!                                                borrow path ran;
 //!                                                (b) the baseline rules in
 //!                                                `GATE`
 //! ```
 //!
 //! Counters are exact because the workload is deterministic (the shared
-//! [`speakql_bench::synthetic`] space, no thread-schedule dependence in
-//! sequential stats), so `GATE` holds the `index.load.*` and search
-//! counters to equality, except the two bulk work counters, which are
-//! ratcheted as in `perf_snapshot` (above baseline or more than 10x below
-//! it fails). Load wall-clock is the only machine-dependent metric: it
-//! fails more than 30% above baseline, and more than 10x below it, since
-//! loads that much faster mean the workload changed and the baseline must
-//! be regenerated.
+//! [`speakql_bench::synthetic`] space, one search at a time), so `GATE`
+//! holds the `index.load.*` and search counters to equality, except the
+//! two bulk work counters, which are ratcheted as in `perf_snapshot`
+//! (above baseline or more than 10x below it fails). Load wall-clock is
+//! the only machine-dependent metric: it fails more than 30% above
+//! baseline, and more than 10x below it, since loads that much faster mean
+//! the workload changed and the baseline must be regenerated.
 
 use serde_json::{json, Map, Value};
 use speakql_bench::experiments::inv::InvertedIndex;
@@ -232,18 +229,18 @@ fn run_size(n: usize) -> (Value, bool) {
         pass = false;
     }
 
-    // Search: sequential baseline with aggregated deterministic stats.
+    // Search: per-query latencies with aggregated deterministic stats.
     let cfg = SearchConfig {
         k: 5,
         ..SearchConfig::default()
     };
     let mut agg = speakql_index::SearchStats::default();
-    let mut seq_ms = Vec::with_capacity(qs.len());
+    let mut search_ms = Vec::with_capacity(qs.len());
     let mut built_hits = Vec::with_capacity(qs.len());
     for q in &qs {
         let t = Instant::now();
         let (hits, stats) = built.search_with_stats(q, &cfg);
-        seq_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        search_ms.push(t.elapsed().as_secs_f64() * 1e3);
         built_hits.push(hits);
         agg.nodes_visited += stats.nodes_visited;
         agg.tries_searched += stats.tries_searched;
@@ -252,7 +249,7 @@ fn run_size(n: usize) -> (Value, bool) {
         agg.shards_searched += stats.shards_searched;
         agg.shards_pruned += stats.shards_pruned;
     }
-    seq_ms.sort_by(|a, b| a.total_cmp(b));
+    search_ms.sort_by(|a, b| a.total_cmp(b));
 
     // Borrowed search must be byte-identical to the built arena's.
     for (q, want) in qs.iter().zip(&built_hits) {
@@ -262,22 +259,6 @@ fn run_size(n: usize) -> (Value, bool) {
             break;
         }
     }
-
-    // Parallel search: byte-identical at 8 threads; wall-clock honest (on
-    // a 1-core host this reports ~1x — the gate is the identity, the
-    // speedup is reporting).
-    let par_cfg = cfg.with_threads(8);
-    let mut par_ms = Vec::with_capacity(qs.len());
-    for (q, want) in qs.iter().zip(&built_hits) {
-        let t = Instant::now();
-        let hits = built.search(q, &par_cfg);
-        par_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        if &hits != want {
-            eprintln!("[scale_curve] FAIL: parallel search differs from sequential");
-            pass = false;
-        }
-    }
-    par_ms.sort_by(|a, b| a.total_cmp(b));
 
     // BDB / INV tradeoff timings (reported, not gated): where each stops
     // paying shows up as the ratio crossing 1.
@@ -293,16 +274,15 @@ fn run_size(n: usize) -> (Value, bool) {
             .map(|q| inv.search(q, &cfg).0.len())
             .sum::<usize>()
     });
-    let seq_total: f64 = seq_ms.iter().sum();
+    let search_total: f64 = search_ms.iter().sum();
 
     eprintln!(
-        "[scale_curve] search p50 {:.1} ms p95 {:.1} ms (8 threads p95 {:.1} ms); \
+        "[scale_curve] search p50 {:.1} ms p95 {:.1} ms; \
          {} queries: bdb-on {:.0} ms, bdb-off {:.0} ms, inv {:.0} ms",
-        percentile(&seq_ms, 0.5),
-        percentile(&seq_ms, 0.95),
-        percentile(&par_ms, 0.95),
+        percentile(&search_ms, 0.5),
+        percentile(&search_ms, 0.95),
         qs.len(),
-        seq_total,
+        search_total,
         no_bdb_ms,
         inv_ms,
     );
@@ -347,10 +327,9 @@ fn run_size(n: usize) -> (Value, bool) {
         "load_speedup": load_speedup,
         "rss_built_kb": rss_built_kb,
         "rss_loaded_kb": rss_loaded_kb,
-        "search_p50_ms": percentile(&seq_ms, 0.5),
-        "search_p95_ms": percentile(&seq_ms, 0.95),
-        "search_p95_ms_8_threads": percentile(&par_ms, 0.95),
-        "search_total_ms": seq_total,
+        "search_p50_ms": percentile(&search_ms, 0.5),
+        "search_p95_ms": percentile(&search_ms, 0.95),
+        "search_total_ms": search_total,
         "search_total_ms_bdb_off": no_bdb_ms,
         "search_total_ms_inv": inv_ms,
         "counters": Value::Object(counters),

@@ -370,34 +370,20 @@ pub fn scaling(suite: &Suite) {
     save_json("scaling", &serde_json::Value::Object(payload));
 }
 
-/// Thread-scaling study: parallel structure search and batch transcription
-/// throughput as the worker count grows, against the single-thread baseline.
-/// Parallel search is exact (same results at every thread count), so this is
-/// a pure latency/throughput axis.
+/// Thread-scaling study: batch transcription throughput as the engine's
+/// one thread knob ([`speakql_core::SpeakQlConfig::threads`], the
+/// `transcribe_batch` pool) grows, against the single-thread baseline.
+/// Each transcription runs whole on one worker, so outputs are identical
+/// at every width and this is a pure throughput axis.
 pub fn thread_scaling(suite: &Suite) {
     println!("== Extension: thread-scaling study ==");
     let runs = suite.employees_test();
-    let index = suite.ctx.index.as_ref();
-    let threads: &[usize] = &[1, 2, 4, 8];
-
-    let masked: Vec<_> = runs
-        .iter()
-        .map(|r| process_transcript_text(&r.transcript).masked)
-        .collect();
     let transcripts: Vec<&str> = runs.iter().map(|r| r.transcript.as_str()).collect();
 
     let mut rows = Vec::new();
     let mut payload = serde_json::Map::new();
-    let mut search_base = 0.0f64;
     let mut batch_base = 0.0f64;
-    for &n in threads {
-        let cfg = SearchConfig::top_k(5).with_threads(n);
-        let start = Instant::now();
-        for m in &masked {
-            std::hint::black_box(index.search(m, &cfg));
-        }
-        let search_s = start.elapsed().as_secs_f64();
-
+    for n in [1usize, 2, 4, 8] {
         let engine = speakql_core::SpeakQl::with_index(
             &suite.ctx.dataset.employees,
             std::sync::Arc::clone(&suite.ctx.index),
@@ -412,38 +398,25 @@ pub fn thread_scaling(suite: &Suite) {
         let batch_s = start.elapsed().as_secs_f64();
 
         if n == 1 {
-            search_base = search_s;
             batch_base = batch_s;
         }
-        let search_x = search_base / search_s;
         let batch_x = batch_base / batch_s;
         rows.push(vec![
             format!("{n}"),
-            format!("{search_s:.3}s"),
-            format!("{search_x:.2}x"),
             format!("{batch_s:.3}s"),
             format!("{batch_x:.2}x"),
         ]);
         payload.insert(
             n.to_string(),
             json!({
-                "search_s": search_s,
-                "search_speedup": search_x,
                 "batch_s": batch_s,
                 "batch_speedup": batch_x,
             }),
         );
     }
-    print_table(
-        &[
-            "threads",
-            "search total",
-            "search speedup",
-            "batch total",
-            "batch speedup",
-        ],
-        &rows,
+    print_table(&["threads", "batch total", "batch speedup"], &rows);
+    println!(
+        "(batch transcription is embarrassingly parallel: one transcription per worker at a time)"
     );
-    println!("(batch transcription is embarrassingly parallel; search speedup is bounded by the largest trie segment)");
     save_json("thread_scaling", &serde_json::Value::Object(payload));
 }

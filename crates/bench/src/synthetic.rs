@@ -1,6 +1,6 @@
 //! The synthetic structure space `scale_curve` and `delta_churn` share: one
-//! dominant trie length, the shape that used to serialize per-length
-//! parallel search, plus a spread of tail lengths. Everything here is
+//! dominant trie length, split over many shards, plus a spread of tail
+//! lengths. Everything here is
 //! deterministic (hand-rolled splitmix64, no external RNG), so the
 //! binaries' search counters are exact across runs and machines.
 

@@ -26,11 +26,13 @@ const USAGE: &str = "\
 speakql — speech-driven SQL correction (SpeakQL-rs)
 
 USAGE:
-  speakql transcribe <transcript...> [--threads N] [--cache N] [--index-cache FILE] [--report FILE]
+  speakql transcribe <transcript...> [--cache N] [--index-cache FILE] [--report FILE]
                                             correct an ASR transcript and execute it
   speakql transcribe --batch <file> [--threads N] [--cache N] [--index-cache FILE] [--report FILE]
                                             correct one transcript per line of <file>
-                                            on N worker threads (0 = all cores);
+                                            on N worker threads (0 = all cores;
+                                            --threads matters only with --batch:
+                                            one transcript always runs on one thread);
                                             emits TSV of (transcript, corrected SQL).
                                             --cache N enables the cross-query
                                             skeleton-result cache with N entries
@@ -233,7 +235,7 @@ fn cmd_transcribe(args: &[String]) -> ExitCode {
     }
     if rest.is_empty() {
         eprintln!(
-            "usage: speakql transcribe <transcript...> [--threads N] [--cache N] [--index-cache FILE] [--batch <file>] [--report FILE]"
+            "usage: speakql transcribe <transcript...> [--cache N] [--index-cache FILE] [--report FILE] (or --batch <file> [--threads N] with the same flags)"
         );
         return ExitCode::from(2);
     }

@@ -3,8 +3,9 @@
 //! Spoken query workloads repeat themselves: analysts re-dictate the same
 //! query shapes with different literals, and the masking stage collapses all
 //! of them onto a small set of `MaskOut` skeletons. Structure search depends
-//! only on that skeleton (plus the result-affecting search configuration),
-//! so its top-k hits can be memoized across transcriptions: two transcripts
+//! only on that skeleton (plus the search configuration, every field of
+//! which shapes the hits), so its top-k hits can be memoized across
+//! transcriptions: two transcripts
 //! with the same masked token sequence get byte-identical [`SearchHit`]s
 //! without walking a single trie.
 //!
@@ -50,34 +51,12 @@ use std::collections::HashMap;
 /// relief at the batch sizes the engine runs.
 const MAX_SHARDS: usize = 8;
 
-/// The search-configuration fields that affect which hits a search returns.
-/// `threads` and `kernel` are deliberately excluded: parallel search is
-/// byte-identical to sequential and the SoA DP kernel is byte-identical to
-/// the scalar one, so engines differing only in those mechanism knobs may
-/// reuse each other's entries when they share a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ConfigFingerprint {
-    k: usize,
-    bdb: bool,
-    dap: bool,
-}
-
-impl ConfigFingerprint {
-    fn of(cfg: &SearchConfig) -> ConfigFingerprint {
-        ConfigFingerprint {
-            k: cfg.k,
-            bdb: cfg.bdb,
-            dap: cfg.dap,
-        }
-    }
-}
-
-/// Cache key: the masked skeleton, the result-affecting config fields, and
-/// the arena generation of the index the hits came from.
+/// Cache key: the masked skeleton, the search configuration, and the arena
+/// generation of the index the hits came from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
     generation: u64,
-    fp: ConfigFingerprint,
+    cfg: SearchConfig,
     masked: Vec<StructTokId>,
 }
 
@@ -183,7 +162,7 @@ impl SkeletonCache {
     ) -> Option<Vec<SearchHit>> {
         let key = Key {
             generation,
-            fp: ConfigFingerprint::of(cfg),
+            cfg: *cfg,
             masked: masked.to_vec(),
         };
         // panic-safe: shard_of reduces modulo shards.len(), so the index
@@ -210,7 +189,7 @@ impl SkeletonCache {
     ) {
         let key = Key {
             generation,
-            fp: ConfigFingerprint::of(cfg),
+            cfg: *cfg,
             masked: masked.to_vec(),
         };
         // panic-safe: shard_of reduces modulo shards.len(), so the index
@@ -235,11 +214,11 @@ impl SkeletonCache {
         for b in key.generation.to_le_bytes() {
             eat(b);
         }
-        for b in key.fp.k.to_le_bytes() {
+        for b in key.cfg.k.to_le_bytes() {
             eat(b);
         }
-        eat(key.fp.bdb as u8);
-        eat(key.fp.dap as u8);
+        eat(key.cfg.bdb as u8);
+        eat(key.cfg.dap as u8);
         for t in &key.masked {
             eat(t.0);
         }
@@ -290,18 +269,6 @@ mod tests {
         };
         assert!(cache.get(7, &dap, &skeleton(4), &rec).is_none());
         assert_eq!(cache.get(7, &top1, &skeleton(4), &rec), Some(vec![hit(1)]));
-    }
-
-    #[test]
-    fn thread_count_is_not_part_of_the_key() {
-        // Parallel search returns byte-identical hits, so entries are shared
-        // across thread configurations.
-        let cache = SkeletonCache::new(16);
-        let rec = Recorder::disabled();
-        let seq = SearchConfig::top_k(5);
-        let par = seq.with_threads(8);
-        cache.insert(7, &seq, &skeleton(6), vec![hit(3)], &rec);
-        assert_eq!(cache.get(7, &par, &skeleton(6), &rec), Some(vec![hit(3)]));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use speakql_grammar::{
 use speakql_index::{SearchConfig, SearchHit, StructureIndex};
 use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,11 +62,11 @@ pub struct SpeakQlConfig {
     pub weights: Weights,
     /// Literal-determination window and alternative count (§4).
     pub literal: LiteralConfig,
-    /// Worker threads for engine-level parallelism: candidate construction
-    /// within one `transcribe` call, and the worker pool behind
-    /// [`SpeakQl::transcribe_batch`]. `1` (the default) is fully sequential;
-    /// `0` means one worker per available core. Structure-search parallelism
-    /// is configured separately via [`SearchConfig::threads`].
+    /// Worker threads behind [`SpeakQl::transcribe_batch`]: `1` (the
+    /// default) transcribes a batch sequentially, `0` means one worker per
+    /// available core. This is the engine's only thread knob: every
+    /// transcription, batched or not, runs its search and candidate
+    /// construction on the thread that called it.
     pub threads: usize,
     /// Record pipeline observability metrics (stage latencies, search and
     /// voting work counters) into the engine's [`Recorder`], retrievable via
@@ -191,10 +191,8 @@ pub struct Candidate {
 }
 
 /// Per-stage wall-clock breakdown of one transcription (Fig. 2's pipeline
-/// stages). When candidate construction runs on several workers, `literal`
-/// and `render` accumulate across workers, so they measure total work rather
-/// than the (shorter) critical path; `tokenize` and `search` are always
-/// single measurements.
+/// stages), all measured on the one thread that ran it: `literal` and
+/// `render` sum over the candidates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Transcript tokenization, SplChar handling, and masking (§3.3).
@@ -415,16 +413,15 @@ impl SpeakQl {
     /// this boundary and returned as [`SpeakQlError::WorkerPanic`]. Each
     /// error class increments its `engine.errors.*` counter.
     pub fn transcribe(&self, transcript: &str) -> SpeakQlResult<Transcription> {
-        self.transcribe_guarded(transcript, false)
+        self.contain(|| self.transcribe_checked(transcript))
     }
 
     /// Transcribe many transcripts on a bounded worker pool of
     /// [`SpeakQlConfig::threads`] threads. Output order matches input order,
     /// and each result is identical to the corresponding
     /// [`SpeakQl::transcribe`] call — the queries are independent, so this
-    /// is pure inter-query parallelism. Within each batch worker, per-call
-    /// parallelism (parallel search, parallel candidate construction) is
-    /// disabled to avoid oversubscribing the pool.
+    /// is pure inter-query parallelism, and each worker runs whole
+    /// transcriptions exactly as [`SpeakQl::transcribe`] does.
     ///
     /// Failure is contained per slot: a transcript that panics a worker (or
     /// fails validation) yields an `Err` in its own output position while
@@ -464,9 +461,9 @@ impl SpeakQl {
                                 }
                                 self.recorder.incr(CounterId::BatchJobs);
                                 // Per-slot containment happens inside
-                                // `transcribe_guarded`; a poisoned transcript
-                                // leaves this loop (and thread) alive.
-                                done.push((i, self.transcribe_guarded(t, true)));
+                                // `transcribe`; a poisoned transcript leaves
+                                // this loop (and thread) alive.
+                                done.push((i, self.transcribe(t)));
                             }
                             done
                         })
@@ -523,23 +520,9 @@ impl SpeakQl {
         result
     }
 
-    /// One guarded transcription; `batch_worker` marks calls made from
-    /// inside the `transcribe_batch` pool, which must stay single-threaded.
-    fn transcribe_guarded(
-        &self,
-        transcript: &str,
-        batch_worker: bool,
-    ) -> SpeakQlResult<Transcription> {
-        self.contain(|| self.transcribe_checked(transcript, batch_worker))
-    }
-
     /// Input validation plus the full pipeline; panics raised below here are
     /// contained by [`SpeakQl::contain`].
-    fn transcribe_checked(
-        &self,
-        transcript: &str,
-        batch_worker: bool,
-    ) -> SpeakQlResult<Transcription> {
+    fn transcribe_checked(&self, transcript: &str) -> SpeakQlResult<Transcription> {
         if let Some(hook) = &self.config.fault_hook {
             hook.fire(transcript);
         }
@@ -549,17 +532,12 @@ impl SpeakQl {
         if self.index.is_empty() {
             return Err(SpeakQlError::EmptyIndex);
         }
-        let t = if let Some(result) = self.try_nested(transcript, &words, start, batch_worker) {
+        let t = if let Some(result) = self.try_nested(transcript, &words, start) {
             self.recorder.incr(CounterId::NestedSplits);
             result
         } else {
-            let mut t = self.transcribe_words(
-                &words,
-                &self.index,
-                self.skeleton_cache.as_deref(),
-                start,
-                batch_worker,
-            );
+            let mut t =
+                self.transcribe_words(&words, &self.index, self.skeleton_cache.as_deref(), start);
             t.transcript = transcript.to_string();
             t
         };
@@ -602,7 +580,7 @@ impl SpeakQl {
             if index.is_empty() {
                 return Err(SpeakQlError::EmptyIndex);
             }
-            let mut t = self.transcribe_words(&words, &index, None, start, false);
+            let mut t = self.transcribe_words(&words, &index, None, start);
             t.transcript = transcript.to_string();
             self.recorder.incr(CounterId::Transcriptions);
             self.recorder.record_duration(SpanId::Transcribe, t.elapsed);
@@ -630,7 +608,6 @@ impl SpeakQl {
         index: &StructureIndex,
         cache: Option<&SkeletonCache>,
         start: Instant,
-        batch_worker: bool,
     ) -> Transcription {
         let mut stages = StageTimings::default();
 
@@ -638,24 +615,20 @@ impl SpeakQl {
         let processed = process_transcript(words);
         stages.tokenize = t0.elapsed();
 
-        let search_cfg = if batch_worker {
-            self.config.search.with_threads(1)
-        } else {
-            self.config.search
-        };
+        let search_cfg = &self.config.search;
         let t1 = Instant::now();
         let generation = index.generation();
         let cached =
-            cache.and_then(|c| c.get(generation, &search_cfg, &processed.masked, &self.recorder));
+            cache.and_then(|c| c.get(generation, search_cfg, &processed.masked, &self.recorder));
         let hits = match cached {
             Some(hits) => hits,
             None => {
                 let (hits, _) =
-                    index.search_observed(&processed.masked, &search_cfg, &self.recorder);
+                    index.search_observed(&processed.masked, search_cfg, &self.recorder);
                 if let Some(c) = cache {
                     c.insert(
                         generation,
-                        &search_cfg,
+                        search_cfg,
                         &processed.masked,
                         hits.clone(),
                         &self.recorder,
@@ -666,59 +639,13 @@ impl SpeakQl {
         };
         stages.search = t1.elapsed();
 
-        let intra = if batch_worker {
-            1
-        } else {
-            self.config.effective_threads()
-        };
         // One window-encoding memo per transcription: the top-k candidates
-        // repeatedly enumerate the same transcript windows, and the memo is
-        // shared across candidate-construction workers.
+        // repeatedly enumerate the same transcript windows.
         let encodings = WindowEncodings::new();
-        let candidates = if intra > 1 && hits.len() > 1 {
-            // Each hit's literal determination + rendering is independent;
-            // build candidates on scoped workers, one chunk per worker, and
-            // concatenate in hit order so the output is deterministic.
-            let chunk = hits.len().div_ceil(intra.min(hits.len()));
-            let per_chunk: Vec<(Vec<Candidate>, StageTimings)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = hits
-                    .chunks(chunk)
-                    .map(|hs| {
-                        scope.spawn(|| {
-                            let mut st = StageTimings::default();
-                            let cs = hs
-                                .iter()
-                                .map(|&h| {
-                                    self.build_candidate(index, &processed, &encodings, h, &mut st)
-                                })
-                                .collect();
-                            (cs, st)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // Re-raise worker panics on the calling thread so the
-                    // `contain` boundary converts them into a typed error
-                    // instead of aborting the whole scope.
-                    .map(|h| match h.join() {
-                        Ok(chunk) => chunk,
-                        Err(payload) => resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            let mut cs = Vec::with_capacity(hits.len());
-            for (chunk_cs, st) in per_chunk {
-                cs.extend(chunk_cs);
-                stages.literal += st.literal;
-                stages.render += st.render;
-            }
-            cs
-        } else {
-            hits.into_iter()
-                .map(|hit| self.build_candidate(index, &processed, &encodings, hit, &mut stages))
-                .collect()
-        };
+        let candidates: Vec<Candidate> = hits
+            .into_iter()
+            .map(|hit| self.build_candidate(index, &processed, &encodings, hit, &mut stages))
+            .collect();
 
         self.recorder
             .add(CounterId::CandidatesBuilt, candidates.len() as u64);
@@ -780,7 +707,6 @@ impl SpeakQl {
         transcript: &str,
         words: &[String],
         start: Instant,
-        batch_worker: bool,
     ) -> Option<Transcription> {
         let selects: Vec<usize> = words
             .iter()
@@ -832,20 +758,8 @@ impl SpeakQl {
         outer_words.push(")".to_string());
 
         let cache = self.skeleton_cache.as_deref();
-        let inner = self.transcribe_words(
-            &inner_words,
-            &self.index,
-            cache,
-            Instant::now(),
-            batch_worker,
-        );
-        let outer = self.transcribe_words(
-            &outer_words,
-            &self.index,
-            cache,
-            Instant::now(),
-            batch_worker,
-        );
+        let inner = self.transcribe_words(&inner_words, &self.index, cache, Instant::now());
+        let outer = self.transcribe_words(&outer_words, &self.index, cache, Instant::now());
         let inner_sql = inner.best_sql()?.to_string();
 
         // Splice: in each outer candidate, the placeholder whose window
@@ -1089,24 +1003,6 @@ mod tests {
     fn par_engine() -> &'static SpeakQl {
         static E: std::sync::OnceLock<SpeakQl> = std::sync::OnceLock::new();
         E.get_or_init(|| SpeakQl::new(&toy_db(), SpeakQlConfig::small().with_threads(4)))
-    }
-
-    #[test]
-    fn parallel_candidate_construction_matches_sequential() {
-        for t in [
-            "select salary from employees",
-            "select sales from employers wear first name equals jon",
-            "select first name comma salary from employees order by salary",
-        ] {
-            let seq = ok(engine().transcribe(t));
-            let par = ok(par_engine().transcribe(t));
-            assert_eq!(seq.candidates, par.candidates, "transcript: {t:?}");
-        }
-        // Error classification is thread-count independent too.
-        assert!(matches!(
-            par_engine().transcribe(""),
-            Err(SpeakQlError::EmptyTranscript)
-        ));
     }
 
     #[test]
@@ -1355,7 +1251,6 @@ mod config_tests {
                 k: 3,
                 bdb: true,
                 dap,
-                ..SearchConfig::default()
             });
             let t = ok(engine.transcribe(transcript));
             assert_eq!(t.best_sql(), Some(expected), "dap={dap}");

@@ -13,12 +13,12 @@
 //!    lexicographically (§4.3, worked examples in App. E.2).
 
 use crate::catalog::PhoneticCatalog;
-use parking_lot::Mutex;
 use speakql_grammar::{in_dictionaries, LitCategory, Structure};
 use speakql_observe::{CounterId, Recorder};
 use speakql_phonetics::PhoneticIndex;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// One filled placeholder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,15 +52,17 @@ impl Default for LiteralConfig {
 }
 
 /// A per-transcript memo of enumerated window encodings and completed
-/// placeholder fills, shared by every candidate of one transcription.
+/// placeholder fills, shared by every candidate of one transcription. A
+/// transcription runs on one thread, so the memo is a pair of `RefCell`d
+/// maps, with no locks.
 ///
 /// The enumeration of a window `[begin, end)` depends only on the transcript
 /// words, the window size, and the phonetic algorithm — all fixed for the
 /// lifetime of one transcription — while the top-k candidates repeatedly
 /// land their placeholders on the same few windows. Memoizing by `(begin,
 /// end)` means each distinct window is keyed exactly once no matter how many
-/// candidates (or candidate-construction workers) consume it; results are
-/// identical to recomputing, so filled literals are unaffected.
+/// candidates consume it; results are identical to recomputing, so filled
+/// literals are unaffected.
 ///
 /// The fill memo goes one level higher: the entire voting result of one
 /// placeholder is a pure function of its window, its T/A/V/N category, and
@@ -71,13 +73,13 @@ impl Default for LiteralConfig {
 /// pass for every repeat, not just the enumeration.
 #[derive(Debug, Default)]
 pub struct WindowEncodings {
-    memo: Mutex<HashMap<(usize, usize), SharedEncodings>>,
-    fills: Mutex<HashMap<FillKey, SharedFill>>,
+    memo: RefCell<HashMap<(usize, usize), SharedEncodings>>,
+    fills: RefCell<HashMap<FillKey, Fill>>,
 }
 
 /// One window's enumerated `(string, word_count)` encodings, shared between
-/// the candidates (and workers) that consume the window.
-type SharedEncodings = Arc<Vec<(String, usize)>>;
+/// the candidates that consume the window.
+type SharedEncodings = Rc<Vec<(String, usize)>>;
 
 /// Everything a placeholder fill depends on within one transcription: the
 /// window, the category code (`T`/`A`/`V`/`N`), and the governing attribute
@@ -86,7 +88,7 @@ type FillKey = (usize, usize, char, Option<String>);
 
 /// One completed fill — `(literal, alternatives, consumed_to)` exactly as
 /// `assign_phonetic`/`assign_number` return it.
-type SharedFill = Arc<(String, Vec<String>, usize)>;
+type Fill = (String, Vec<String>, usize);
 
 impl WindowEncodings {
     /// An empty memo for one transcription.
@@ -95,39 +97,33 @@ impl WindowEncodings {
     }
 
     /// The memoized encodings for `[begin, end)`, computing them with
-    /// `compute` on first use. The compute closure runs under the memo lock,
-    /// so each window is encoded exactly once even when candidate workers
-    /// race — which keeps the `literal.strings_enumerated` counter
-    /// deterministic at any thread count.
+    /// `compute` on first use, so each window is encoded exactly once —
+    /// which keeps the `literal.strings_enumerated` counter exact.
     fn get_or_compute(
         &self,
         begin: usize,
         end: usize,
         compute: impl FnOnce() -> Vec<(String, usize)>,
     ) -> SharedEncodings {
-        self.memo
-            .lock()
-            .entry((begin, end))
-            .or_insert_with(|| Arc::new(compute()))
-            .clone()
+        if let Some(set) = self.memo.borrow().get(&(begin, end)) {
+            return Rc::clone(set);
+        }
+        let set = Rc::new(compute());
+        self.memo.borrow_mut().insert((begin, end), Rc::clone(&set));
+        set
     }
 
     /// The memoized fill for `key`, computing it with `compute` on first
-    /// use; the `bool` reports whether this was a memo hit. As with the
-    /// encodings memo, the compute closure runs under the lock so each
-    /// distinct key is voted exactly once — the voting counters and the hit
-    /// count stay deterministic at any candidate-worker thread count.
-    fn fill_or_compute(
-        &self,
-        key: FillKey,
-        compute: impl FnOnce() -> (String, Vec<String>, usize),
-    ) -> (SharedFill, bool) {
-        let mut fills = self.fills.lock();
-        if let Some(fill) = fills.get(&key) {
+    /// use; the `bool` reports whether this was a memo hit. Each distinct
+    /// key is voted exactly once, so the voting counters and the hit count
+    /// stay exact. No borrow is held while `compute` runs: a fill encodes
+    /// its window through the encodings memo.
+    fn fill_or_compute(&self, key: FillKey, compute: impl FnOnce() -> Fill) -> (Fill, bool) {
+        if let Some(fill) = self.fills.borrow().get(&key) {
             return (fill.clone(), true);
         }
-        let fill = Arc::new(compute());
-        fills.insert(key, fill.clone());
+        let fill = compute();
+        self.fills.borrow_mut().insert(key, fill.clone());
         (fill, false)
     }
 }
@@ -276,7 +272,7 @@ impl<'a> LiteralFinder<'a> {
                 if hit {
                     self.recorder.add(CounterId::LiteralFillMemoHits, 1);
                 }
-                (*fill).clone()
+                fill
             }
             None => compute(governed.as_deref()),
         }
@@ -384,7 +380,7 @@ impl<'a> LiteralFinder<'a> {
         };
         match self.encodings {
             Some(memo) => memo.get_or_compute(begin, end, compute),
-            None => Arc::new(compute()),
+            None => Rc::new(compute()),
         }
     }
 

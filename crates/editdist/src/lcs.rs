@@ -35,8 +35,9 @@ pub fn base_column(source: &[StructTokId], w: Weights) -> Vec<Dist> {
 
 /// Extend the DP by one target token: given the column for target prefix
 /// `b1..bj-1`, compute the column for `b1..bj`. This is the inner loop of
-/// the paper's `SearchRecursively` (Box 2 lines 28–41), reused verbatim by
-/// the trie search.
+/// the paper's `SearchRecursively` (Box 2 lines 28–41): the reference the
+/// trie search's [`SoaWorkspace`](crate::SoaWorkspace) computes cell for
+/// cell, and the column kernel of the index's test oracle.
 pub fn advance_column(
     source: &[StructTokId],
     prev: &[Dist],
@@ -56,58 +57,6 @@ pub fn advance_column(
             delete.min(insert)
         };
         out.push(v);
-    }
-}
-
-/// A per-worker arena of incremental DP columns, one per trie depth.
-///
-/// Trie search keeps the column for every prefix on the current root-to-node
-/// path so siblings can re-derive from the parent column without recomputing
-/// the whole matrix. Owning the columns in a dedicated workspace (rather
-/// than a raw `Vec<Vec<Dist>>` threaded through the recursion) lets each
-/// search worker carry its own reusable buffers: the workspace is `Send`,
-/// allocation is amortized across every trie the worker walks, and the
-/// parent/child split borrow lives here instead of at every call site.
-#[derive(Debug, Clone)]
-pub struct ColumnWorkspace {
-    cols: Vec<Vec<Dist>>,
-    cells: u64,
-}
-
-impl ColumnWorkspace {
-    /// Workspace for matching `source` against targets of length at most
-    /// `max_depth`. Depth 0 holds the base column (empty target prefix).
-    pub fn new(source: &[StructTokId], w: Weights, max_depth: usize) -> ColumnWorkspace {
-        let mut cols = vec![Vec::new(); max_depth + 1];
-        cols[0] = base_column(source, w);
-        ColumnWorkspace { cols, cells: 0 }
-    }
-
-    /// Compute the column at `depth + 1` by extending the column at `depth`
-    /// with target token `token`, and return it.
-    pub fn advance(
-        &mut self,
-        source: &[StructTokId],
-        depth: usize,
-        token: StructTokId,
-        w: Weights,
-    ) -> &[Dist] {
-        let (prev, cur) = self.cols.split_at_mut(depth + 1);
-        advance_column(source, &prev[depth], token, w, &mut cur[0]);
-        self.cells += source.len() as u64 + 1;
-        &self.cols[depth + 1]
-    }
-
-    /// Total DP cells evaluated through this workspace (one column of
-    /// `source.len() + 1` cells per [`ColumnWorkspace::advance`] call).
-    pub fn cells_evaluated(&self) -> u64 {
-        self.cells
-    }
-
-    /// Read and reset the DP-cell counter; search workers drain it into
-    /// their work stats once per walk instead of counting per node.
-    pub fn take_cells(&mut self) -> u64 {
-        std::mem::take(&mut self.cells)
     }
 }
 

@@ -5,8 +5,11 @@
 //! - [`Weights`]: the class-dependent operation weights of paper §3.4, in
 //!   exact fixed-point arithmetic;
 //! - [`weighted_lcs_distance`] / [`advance_column`]: the token-level
-//!   weighted LCS dynamic program of Algorithm 1, with the incremental
-//!   column form the trie search engine consumes;
+//!   weighted LCS dynamic program of Algorithm 1 and its incremental
+//!   column form;
+//! - [`SoaWorkspace`]: the same recurrence over up to [`SOA_LANES`]
+//!   sibling columns at once, on `u16` or `u32` [`Lane`]s — the trie
+//!   search's DP kernel;
 //! - [`lower_bound`] / [`upper_bound`]: Proposition 1's bidirectional
 //!   bounds, and [`count_lower_bound`], the lower bound made per token type;
 //! - [`token_edit_distance`] (the paper's TED metric, §6.2),
@@ -23,9 +26,9 @@ pub mod weights;
 pub use bounds::{count_lower_bound, lower_bound, upper_bound};
 pub use lcs::{
     advance_column, base_column, char_lcs_distance, levenshtein, token_edit_distance,
-    weighted_lcs_distance, weighted_lcs_distance_bounded, ColumnWorkspace,
+    weighted_lcs_distance, weighted_lcs_distance_bounded,
 };
-pub use soa::{ChunkStats, SoaWorkspace, SOA_LANES};
+pub use soa::{ChunkStats, Lane, SoaWorkspace, SOA_LANES};
 pub use weights::{dist_to_f64, dist_to_string, Dist, LaneWeights, Weights, DIST_INF};
 
 #[cfg(test)]
@@ -106,19 +109,6 @@ mod proptests {
                 std::mem::swap(&mut prev, &mut cur);
             }
             prop_assert_eq!(prev[a.len()], weighted_lcs_distance(&a, &b, w));
-        }
-
-        /// The per-worker column workspace computes the same columns as the
-        /// raw incremental recurrence.
-        #[test]
-        fn workspace_matches_batch(a in arb_toks(16), b in arb_toks(16)) {
-            let w = Weights::PAPER;
-            let mut ws = ColumnWorkspace::new(&a, w, b.len());
-            let mut last = base_column(&a, w);
-            for (depth, &t) in b.iter().enumerate() {
-                last = ws.advance(&a, depth, t, w).to_vec();
-            }
-            prop_assert_eq!(last[a.len()], weighted_lcs_distance(&a, &b, w));
         }
 
         /// Levenshtein never exceeds char-LCS distance.

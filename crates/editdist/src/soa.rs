@@ -1,12 +1,11 @@
-//! Branchless structure-of-arrays DP kernel for the trie search hot loop.
+//! Branchless structure-of-arrays DP kernel: the trie search's one way to
+//! compute a DP column.
 //!
-//! The scalar [`ColumnWorkspace`](crate::ColumnWorkspace) extends one DP
-//! column per trie child, paying per cell for a three-way branch chain and a
+//! [`advance_column`](crate::advance_column) extends one column per trie
+//! child, paying per cell for a three-way branch chain and a
 //! `tok() → class() → match` weight lookup, then re-scans the column for its
-//! minimum. On the perf-snapshot workload that inner loop evaluates ~75M
-//! cells and dominates transcribe wall-clock.
-//!
-//! This module restructures the same recurrence around two observations:
+//! minimum. This module computes the same recurrence around two
+//! observations:
 //!
 //! 1. **Sibling columns are independent.** Every child of a trie node
 //!    extends the *same* parent column, just with a different edge token.
@@ -31,35 +30,95 @@
 //! out[i+1] = min(keep, out[i] + w(a), prev[i+1] + w(b))
 //! ```
 //!
-//! which is exactly the scalar recurrence, cell for cell. The kernel is
-//! therefore **byte-identical** to the scalar one — same distances, same
-//! winners, same counter totals — which the kernel-parity CI job enforces in
-//! release mode, where autovectorization actually fires.
+//! which is exactly the scalar recurrence, cell for cell: same distances,
+//! same winners, same counter totals.
 //!
-//! Eligibility is checked up front by [`SoaWorkspace::new`]: if the weights
-//! don't lower to `u16` or the Proposition 1 ceiling for the query could
-//! saturate a lane, the caller falls back to the scalar kernel.
+//! The workspace is generic over its [`Lane`] type. [`SoaWorkspace::new`]
+//! builds `u16` lanes for every query [`SoaWorkspace::fits`] admits (the
+//! weights lower to `u16` and Proposition 1's ceiling stays below the
+//! sentinel); [`SoaWorkspace::wide`] builds `u32` lanes, as wide as
+//! [`Dist`] itself, for the rest, whose cells are the very `u32`s
+//! `advance_column` computes.
 
 use crate::bounds::upper_bound;
 use crate::weights::{Dist, LaneWeights, Weights};
 use speakql_grammar::StructTokId;
+use std::ops::{Add, BitAnd, BitOr, Not};
 
 /// Sibling columns computed per [`SoaWorkspace::advance_chunk`] call. Eight
 /// `u16` lanes fill one 128-bit vector register — the widest unit portable
 /// baseline x86-64 and aarch64 both autovectorize without feature gates.
 pub const SOA_LANES: usize = 8;
 
-/// Lane value standing in for "no candidate" in the branchless select. Never
-/// produced as a real cell value: eligibility guarantees every reachable
-/// cell is strictly below it.
-const SAT: u16 = u16::MAX;
+/// The cell type of an [`SoaWorkspace`]: `u16` on the serving path, `u32`
+/// past its envelope. Both run the same recurrence; only the lane width
+/// differs.
+pub trait Lane:
+    Copy
+    + Ord
+    + Default
+    + Add<Output = Self>
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + Not<Output = Self>
+{
+    /// All ones: the select's "no candidate", never produced as a real cell
+    /// value (for `u16`, [`SoaWorkspace::fits`] keeps every reachable cell
+    /// strictly below it; for `u32`, only a `min` ever sees it).
+    const SAT: Self;
+    /// `d` in a lane, truncated: exact whenever `d` fits the lane.
+    fn narrow(d: Dist) -> Self;
+    /// All ones when `eq` holds, zero otherwise: the select's mask.
+    fn mask(eq: bool) -> Self;
+    /// The lane widened back to a distance.
+    fn widen(self) -> Dist;
+}
+
+impl Lane for u16 {
+    const SAT: u16 = u16::MAX;
+
+    #[inline]
+    fn narrow(d: Dist) -> u16 {
+        // lossy: exact for every value the u16 envelope admits
+        d as u16
+    }
+
+    #[inline]
+    fn mask(eq: bool) -> u16 {
+        u16::from(eq).wrapping_neg()
+    }
+
+    #[inline]
+    fn widen(self) -> Dist {
+        Dist::from(self)
+    }
+}
+
+impl Lane for u32 {
+    const SAT: u32 = u32::MAX;
+
+    #[inline]
+    fn narrow(d: Dist) -> u32 {
+        d
+    }
+
+    #[inline]
+    fn mask(eq: bool) -> u32 {
+        u32::from(eq).wrapping_neg()
+    }
+
+    #[inline]
+    fn widen(self) -> Dist {
+        self
+    }
+}
 
 /// Per-lane results of one chunk advance: the final row (a candidate's
 /// distance when the child terminates a structure) and the banded descend
 /// bound (the descend-or-prune test of Box 2 line 46, tightened by
 /// Proposition 1), both fused into the DP pass instead of re-scanning
 /// columns.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkStats {
     /// `last[c]`: the last cell of sibling `c`'s column.
     pub last: [Dist; SOA_LANES],
@@ -69,8 +128,8 @@ pub struct ChunkStats {
     pub bound: [Dist; SOA_LANES],
 }
 
-/// A depth-indexed arena of structure-of-arrays DP column blocks: the
-/// vectorized counterpart of [`ColumnWorkspace`](crate::ColumnWorkspace).
+/// A depth-indexed arena of structure-of-arrays DP column blocks, one per
+/// trie depth on the current root-to-node path.
 ///
 /// Block `d` holds up to [`SOA_LANES`] interleaved columns for trie depth
 /// `d`, flattened row-major (`block[row * SOA_LANES + lane]`) so the lane
@@ -78,22 +137,22 @@ pub struct ChunkStats {
 /// child at lane `c` simply reads block `d` strided at lane `c` as the
 /// parent column for block `d + 1`.
 #[derive(Debug, Clone)]
-pub struct SoaWorkspace {
-    /// Widened source tokens, one `u16` per transcript token, so the lane
+pub struct SoaWorkspace<L = u16> {
+    /// Widened source tokens, one lane per transcript token, so the lane
     /// compare needs no per-cell narrowing.
-    src_tok: Vec<u16>,
+    src_tok: Vec<L>,
     /// Precomputed per-source-token weights (the delete cost of row `i`).
-    src_w: Vec<u16>,
+    src_w: Vec<L>,
     /// Per-token-id insert weights.
-    lane_w: LaneWeights,
+    lane_w: LaneWeights<L>,
     /// All depth blocks, flattened: `blocks[d * block_len ..][row * SOA_LANES + lane]`.
-    blocks: Vec<u16>,
+    blocks: Vec<L>,
     /// Per-remaining-depth Proposition 1 completion costs:
     /// `lb[rem * rows + i] = w_min · |(m − i) − rem|`, the cheapest way to
     /// finish matching the `m − i` unconsumed source tokens against `rem`
     /// unconsumed target tokens. Added cell-wise to form the banded descend
     /// bound.
-    lb: Vec<u16>,
+    lb: Vec<L>,
     /// Rows per column: `source.len() + 1`.
     rows: usize,
     /// Depths currently allocated (block count).
@@ -103,50 +162,68 @@ pub struct SoaWorkspace {
 }
 
 impl SoaWorkspace {
-    /// Whether the SoA kernel can represent every reachable DP cell for a
+    /// Whether `u16` lanes can represent every reachable DP cell for a
     /// `source_len`-token query against targets up to `max_depth` tokens:
     /// the weights must lower to `u16`, and Proposition 1's cell ceiling
     /// *plus* the largest banded completion cost (at most the same ceiling
     /// again) must stay strictly below the `SAT` sentinel, so the fused
     /// `cell + lb` bound accumulation cannot wrap either.
     pub fn fits(source_len: usize, max_depth: usize, w: Weights) -> bool {
-        LaneWeights::lower(w).is_some()
+        LaneWeights::<u16>::lower(w).is_some()
             && upper_bound(source_len, max_depth, w)
                 .checked_add((source_len + max_depth) as Dist * w.min_weight())
-                .is_some_and(|ceiling| ceiling < SAT as Dist)
+                .is_some_and(|ceiling| ceiling < Dist::from(u16::SAT))
     }
 
-    /// Workspace for matching `source` against targets of length at most
-    /// `max_depth`; `None` when the query is outside the u16 envelope (the
-    /// caller then uses the scalar kernel).
+    /// `u16` workspace for matching `source` against targets of length at
+    /// most `max_depth`; `None` when the query is outside the envelope
+    /// [`SoaWorkspace::fits`] checks (the caller then uses
+    /// [`SoaWorkspace::wide`]).
     pub fn new(source: &[StructTokId], w: Weights, max_depth: usize) -> Option<SoaWorkspace> {
-        if !SoaWorkspace::fits(source.len(), max_depth, w) {
-            return None;
-        }
-        let lane_w = LaneWeights::lower(w)?;
-        let src_w: Vec<u16> = source.iter().map(|t| lane_w.by_tok[t.0 as usize]).collect();
+        SoaWorkspace::fits(source.len(), max_depth, w)
+            .then(|| SoaWorkspace::with_lanes(source, w, max_depth))
+    }
+}
+
+impl SoaWorkspace<u32> {
+    /// `u32` workspace for matching `source` against targets of length at
+    /// most `max_depth`: any query, any weights. Its cells are the `u32`s
+    /// [`advance_column`](crate::advance_column) computes, so it is exact
+    /// wherever that recurrence is.
+    pub fn wide(source: &[StructTokId], w: Weights, max_depth: usize) -> SoaWorkspace<u32> {
+        SoaWorkspace::with_lanes(source, w, max_depth)
+    }
+}
+
+impl<L: Lane> SoaWorkspace<L> {
+    /// The workspace in `L` lanes. Every weight, base-column cell and
+    /// completion cost is computed as a [`Dist`] and narrowed, which is
+    /// exact for `u32` always and for `u16` inside [`SoaWorkspace::fits`].
+    fn with_lanes(source: &[StructTokId], w: Weights, max_depth: usize) -> SoaWorkspace<L> {
+        let lane_w = LaneWeights::narrow(w);
+        let src_w: Vec<L> = source.iter().map(|t| lane_w.by_tok[t.0 as usize]).collect();
         let rows = source.len() + 1;
         let depths = max_depth + 1;
-        let mut blocks = vec![0u16; depths * rows * SOA_LANES];
+        let mut blocks = vec![L::default(); depths * rows * SOA_LANES];
         // Depth-0 block, lane 0: the base column (cumulative deletion cost
-        // of the source prefix), exactly `base_column` in u16.
-        let mut acc = 0u16;
-        for (i, &wi) in src_w.iter().enumerate() {
-            acc += wi;
-            blocks[(i + 1) * SOA_LANES] = acc;
+        // of the source prefix), exactly `base_column` in lanes.
+        let mut acc: Dist = 0;
+        for (i, &t) in source.iter().enumerate() {
+            acc += w.of(t);
+            blocks[(i + 1) * SOA_LANES] = L::narrow(acc);
         }
         // Banded completion costs, one row-shaped slice per remaining target
-        // depth (`fits` guarantees the products stay inside u16).
+        // depth.
         let m = source.len();
-        let wmin = w.min_weight() as u16;
+        let wmin = w.min_weight();
         let mut lb = Vec::with_capacity(depths * rows);
         for rem in 0..depths {
             for i in 0..rows {
-                lb.push(wmin * (m - i).abs_diff(rem) as u16);
+                lb.push(L::narrow(wmin * (m - i).abs_diff(rem) as Dist));
             }
         }
-        Some(SoaWorkspace {
-            src_tok: source.iter().map(|t| t.0 as u16).collect(),
+        SoaWorkspace {
+            src_tok: source.iter().map(|t| L::narrow(Dist::from(t.0))).collect(),
             src_w,
             lane_w,
             blocks,
@@ -154,7 +231,7 @@ impl SoaWorkspace {
             rows,
             depths,
             cells: 0,
-        })
+        }
     }
 
     #[inline]
@@ -212,11 +289,11 @@ impl SoaWorkspace {
         // Per-lane edge tokens and insert weights; unused lanes repeat lane
         // 0 so the whole chunk stays branch-free (their cells are computed
         // but never read or counted).
-        let mut tok = [0u16; SOA_LANES];
-        let mut wb = [0u16; SOA_LANES];
+        let mut tok = [L::default(); SOA_LANES];
+        let mut wb = [L::default(); SOA_LANES];
         for c in 0..SOA_LANES {
             let t = tokens[c.min(tokens.len() - 1)];
-            tok[c] = t.0 as u16;
+            tok[c] = L::narrow(Dist::from(t.0));
             wb[c] = self.lane_w.by_tok[t.0 as usize];
         }
 
@@ -229,7 +306,7 @@ impl SoaWorkspace {
         // Row 0: pure insertion cost of the target prefix.
         let prev0 = prev[parent_lane];
         let lb0 = lb[0];
-        let mut bound_acc = [SAT; SOA_LANES];
+        let mut bound_acc = [L::SAT; SOA_LANES];
         for c in 0..SOA_LANES {
             let v = prev0 + wb[c];
             cur[c] = v;
@@ -238,7 +315,7 @@ impl SoaWorkspace {
 
         // Rows 1..=m: the branchless recurrence. The delete candidate chains
         // serially down the rows, but the lane dimension is element-wise —
-        // exactly the shape the autovectorizer turns into u16 SIMD.
+        // exactly the shape the autovectorizer turns into SIMD.
         for i in 0..self.rows - 1 {
             let a = self.src_tok[i];
             let wa = self.src_w[i];
@@ -250,8 +327,8 @@ impl SoaWorkspace {
             let out = &mut rest[..SOA_LANES];
             for c in 0..SOA_LANES {
                 // Bitwise select: all-ones mask when the tokens match.
-                let mask = ((tok[c] == a) as u16).wrapping_neg();
-                let keep = (prev_i & mask) | (SAT & !mask);
+                let mask = L::mask(tok[c] == a);
+                let keep = (prev_i & mask) | (L::SAT & !mask);
                 let ins = prev_i1 + wb[c];
                 let del = above[c] + wa;
                 let v = keep.min(ins).min(del);
@@ -268,8 +345,8 @@ impl SoaWorkspace {
         };
         let last_row = &cur[(self.rows - 1) * SOA_LANES..];
         for c in 0..SOA_LANES {
-            stats.last[c] = last_row[c] as Dist;
-            stats.bound[c] = bound_acc[c] as Dist;
+            stats.last[c] = last_row[c].widen();
+            stats.bound[c] = bound_acc[c].widen();
         }
         stats
     }
@@ -290,7 +367,7 @@ impl SoaWorkspace {
         debug_assert!(depth + 1 < self.depths);
         debug_assert!(rem < self.depths);
         assert!(parent_lane < SOA_LANES);
-        let t = token.0 as u16;
+        let t = L::narrow(Dist::from(token.0));
         let wb = self.lane_w.by_tok[token.0 as usize];
 
         let lb = &self.lb[rem * self.rows..][..self.rows];
@@ -304,12 +381,12 @@ impl SoaWorkspace {
         // hold exactly `rows - 1` tokens.
         let mut prev_rows = prev.chunks_exact(SOA_LANES);
         let mut out_rows = cur.chunks_exact_mut(SOA_LANES);
-        let mut prev_i = prev_rows.next().map_or(SAT, |r| r[parent_lane]);
+        let mut prev_i = prev_rows.next().map_or(L::SAT, |r| r[parent_lane]);
         let mut v = prev_i + wb;
         if let Some(r) = out_rows.next() {
             r[0] = v;
         }
-        let (&lb0, lb_rest) = lb.split_first().unwrap_or((&0, &[]));
+        let (&lb0, lb_rest) = lb.split_first().unwrap_or((&v, &[]));
         let mut bound_acc = v + lb0;
         for ((pr, or), ((&a, &wa), &lbi)) in prev_rows.zip(out_rows).zip(
             self.src_tok
@@ -318,8 +395,8 @@ impl SoaWorkspace {
                 .zip(lb_rest.iter()),
         ) {
             let prev_i1 = pr[parent_lane];
-            let mask = ((t == a) as u16).wrapping_neg();
-            let keep = (prev_i & mask) | (SAT & !mask);
+            let mask = L::mask(t == a);
+            let keep = (prev_i & mask) | (L::SAT & !mask);
             let nv = keep.min(prev_i1 + wb).min(v + wa);
             or[0] = nv;
             bound_acc = bound_acc.min(nv + lbi);
@@ -328,7 +405,7 @@ impl SoaWorkspace {
         }
 
         self.cells += self.rows as u64;
-        (v as Dist, bound_acc as Dist)
+        (v.widen(), bound_acc.widen())
     }
 
     /// Read and reset the DP-cell counter (one `source.len() + 1`-cell
@@ -456,7 +533,7 @@ mod tests {
         }
 
         /// Proposition 1's bounds bracket every SoA distance, exactly as
-        /// they bracket the scalar kernel's.
+        /// they bracket the scalar recurrence's.
         #[test]
         fn bounds_bracket_soa_outputs(
             source in arb_toks(0, 16),
@@ -478,6 +555,62 @@ mod tests {
                 d,
                 crate::lcs::weighted_lcs_distance(&source, &target, w)
             );
+        }
+    }
+
+    proptest! {
+        /// `u16` and `u32` lanes compute the same columns: along a random
+        /// root path that descends through a random lane of each sibling
+        /// chunk, every chunk advance returns identical `ChunkStats`, and
+        /// both workspaces count identical cells.
+        #[test]
+        fn u16_and_u32_lanes_agree(
+            source in arb_toks(0, 20),
+            steps in prop::collection::vec((arb_toks(1, SOA_LANES + 1), 0..SOA_LANES), 1..8),
+        ) {
+            let w = Weights::PAPER;
+            let mut narrow = match SoaWorkspace::new(&source, w, steps.len()) {
+                Some(ws) => ws,
+                None => return Err(TestCaseError::fail("small query must fit u16")),
+            };
+            let mut wide = SoaWorkspace::wide(&source, w, steps.len());
+            let mut lane = 0;
+            for (d, (siblings, pick)) in steps.iter().enumerate() {
+                let rem = steps.len() - (d + 1);
+                prop_assert_eq!(
+                    narrow.advance_chunk(d, lane, siblings, rem),
+                    wide.advance_chunk(d, lane, siblings, rem),
+                    "depth {}", d
+                );
+                lane = pick % siblings.len();
+            }
+            prop_assert_eq!(narrow.take_cells(), wide.take_cells());
+        }
+
+        /// `u32` lanes hold weights no `u16` lane can: with a keyword
+        /// weight past `u16::MAX`, every lane still equals the scalar
+        /// recurrence's last cell and banded bound.
+        #[test]
+        fn wide_lanes_match_scalar_past_u16_weights(
+            source in arb_toks(0, 16),
+            path in arb_toks(0, 6),
+            siblings in arb_toks(1, SOA_LANES + 1),
+        ) {
+            let w = Weights { keyword: 70_000, ..Weights::PAPER };
+            prop_assert!(SoaWorkspace::new(&source, w, path.len() + 1).is_none());
+            let mut ws = SoaWorkspace::wide(&source, w, path.len() + 1);
+            for (d, &t) in path.iter().enumerate() {
+                ws.advance_chunk(d, 0, &[t], path.len() - d);
+            }
+            let stats = ws.advance_chunk(path.len(), 0, &siblings, 0);
+            for (c, col) in scalar_chunk(&source, &path, &siblings, w).iter().enumerate() {
+                prop_assert_eq!(stats.last[c], col[source.len()], "lane {} last", c);
+                prop_assert_eq!(
+                    stats.bound[c],
+                    banded_min(source.len(), col, 0, w),
+                    "lane {} bound", c
+                );
+            }
         }
     }
 

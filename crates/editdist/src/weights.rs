@@ -9,6 +9,7 @@
 //! distance comparison is exact integer arithmetic — deterministic across
 //! platforms and free of float-comparison hazards in the search engine.
 
+use crate::soa::Lane;
 use serde::{Deserialize, Serialize};
 use speakql_grammar::{StructTokId, TokenClass, STRUCT_ALPHABET};
 
@@ -76,38 +77,46 @@ impl Default for Weights {
     }
 }
 
-/// [`Weights`] lowered to a per-token-id `u16` lookup table — the lane
+/// [`Weights`] lowered to a per-token-id lookup table of [`Lane`]s — the
 /// representation the structure-of-arrays DP kernel consumes.
 ///
 /// The paper's weights are exact in tenths (`12/11/10`), so they fit a `u16`
 /// lane with enormous headroom; the table is indexed by the dense
 /// [`StructTokId`] so the kernel's inner loop replaces the
 /// `tok() → class() → match` chain with a single array load. Lowering is
-/// checked: a weight that cannot round-trip through `u16` exactly (only
-/// possible for pathological ablation configurations) yields `None`, and the
-/// caller falls back to the scalar `u32` kernel.
+/// checked: a weight that cannot round-trip through the lane exactly (for
+/// `u16`, only possible for pathological ablation configurations) yields
+/// `None`, and the search runs on `u32` lanes instead, which hold every
+/// weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneWeights {
+pub struct LaneWeights<L = u16> {
     /// `by_tok[id]` is the class weight of [`StructTokId`] `id`, in tenths.
-    pub by_tok: [u16; STRUCT_ALPHABET],
+    pub by_tok: [L; STRUCT_ALPHABET],
 }
 
-impl LaneWeights {
-    /// Lower `w` into the u16 lane table; `None` if any class weight
-    /// overflows a `u16` (the round-trip would be lossy).
-    pub fn lower(w: Weights) -> Option<LaneWeights> {
-        let mut by_tok = [0u16; STRUCT_ALPHABET];
-        for (id, slot) in by_tok.iter_mut().enumerate() {
-            *slot = u16::try_from(w.of(StructTokId(id as u8))).ok()?;
+impl<L: Lane> LaneWeights<L> {
+    /// Narrow `w` into the lane table, truncating: exact whenever every
+    /// class weight fits the lane (always, for `u32`).
+    pub(crate) fn narrow(w: Weights) -> LaneWeights<L> {
+        LaneWeights {
+            by_tok: std::array::from_fn(|id| L::narrow(w.of(StructTokId(id as u8)))),
         }
-        Some(LaneWeights { by_tok })
+    }
+
+    /// Lower `w` into the lane table; `None` if any class weight
+    /// overflows the lane (the round-trip would be lossy).
+    pub fn lower(w: Weights) -> Option<LaneWeights<L>> {
+        let lanes = LaneWeights::narrow(w);
+        (0..STRUCT_ALPHABET as u8)
+            .all(|id| lanes.of(StructTokId(id)) == w.of(StructTokId(id)))
+            .then_some(lanes)
     }
 
     /// Weight of an interned structure token, widened back to [`Dist`].
     /// Exact inverse of [`LaneWeights::lower`] for every representable
     /// weight configuration.
     pub fn of(&self, tok: StructTokId) -> Dist {
-        self.by_tok[tok.0 as usize] as Dist
+        self.by_tok[tok.0 as usize].widen()
     }
 }
 
@@ -162,7 +171,7 @@ mod tests {
     #[test]
     fn lane_weights_round_trip_exactly() {
         for w in [Weights::PAPER, Weights::UNIFORM] {
-            let lanes = match LaneWeights::lower(w) {
+            let lanes = match LaneWeights::<u16>::lower(w) {
                 Some(l) => l,
                 None => panic!("in-range weights must lower"),
             };
@@ -183,7 +192,7 @@ mod tests {
             splchar: 1,
             literal: 0,
         };
-        let lanes = match LaneWeights::lower(max_fit) {
+        let lanes = match LaneWeights::<u16>::lower(max_fit) {
             Some(l) => l,
             None => panic!("u16::MAX still fits a lane"),
         };
@@ -206,7 +215,11 @@ mod tests {
                 ..Weights::PAPER
             },
         ] {
-            assert_eq!(LaneWeights::lower(overflowing), None, "{overflowing:?}");
+            assert_eq!(
+                LaneWeights::<u16>::lower(overflowing),
+                None,
+                "{overflowing:?}"
+            );
         }
     }
 }

@@ -37,7 +37,7 @@
 //! generations — their cached hit ids are not interchangeable. A delta
 //! that only appends leaves every id in place, so it *is* the rebuild, and
 //! derives the rebuild's generation. The property tests in this module pin
-//! the equivalence across thread counts and along chains of deltas.
+//! the equivalence for one delta and along chains of deltas.
 
 use crate::content::BuildFx;
 use crate::search::{seal_shards, Groups, StructureIndex};
@@ -435,10 +435,10 @@ mod tests {
         }
     }
 
-    /// The segment conservation laws: sequentially and at 2 and 8 threads,
-    /// a search accounts for every non-empty shard once (walked or pruned
-    /// by the count bound), and for every non-empty length once (searched
-    /// if any of its shards was walked, pruned otherwise).
+    /// The segment conservation laws: a search accounts for every
+    /// non-empty shard once (walked or pruned by the count bound), and for
+    /// every non-empty length once (searched if any of its shards was
+    /// walked, pruned otherwise).
     fn accounts_for_every_segment(
         index: &StructureIndex,
         masked: &[StructTokId],
@@ -450,21 +450,9 @@ mod tests {
             .iter()
             .filter(|s| s.iter().any(|t| !t.is_empty()));
         let (shards, lengths) = (shards.count() as u32, lengths.count() as u32);
-        for threads in [1usize, 2, 8] {
-            let (_, s) = index.search_with_stats(masked, &cfg.with_threads(threads));
-            prop_assert_eq!(
-                s.shards_searched + s.shards_pruned,
-                shards,
-                "threads={}",
-                threads
-            );
-            prop_assert_eq!(
-                s.tries_searched + s.tries_pruned,
-                lengths,
-                "threads={}",
-                threads
-            );
-        }
+        let (_, s) = index.search_with_stats(masked, cfg);
+        prop_assert_eq!(s.shards_searched + s.shards_pruned, shards);
+        prop_assert_eq!(s.tries_searched + s.tries_pruned, lengths);
         Ok(())
     }
 
@@ -731,8 +719,7 @@ mod tests {
 
         /// `apply_delta` is equivalent to a full rebuild over the live
         /// structures: identical hits (by content and distance, in the
-        /// same order) at thread counts 1, 2, and 8, and identical work
-        /// counters sequentially.
+        /// same order) and identical work counters.
         #[test]
         fn apply_delta_equals_full_rebuild(
             remove_raw in prop::collection::vec(0..2_000u32, 0..24),
@@ -786,10 +773,6 @@ mod tests {
                 resolved(&next, &delta_hits),
                 resolved(&rebuilt, &full_hits)
             );
-            for threads in [2usize, 8] {
-                let par = next.search(&masked, &cfg.with_threads(threads));
-                prop_assert_eq!(&par, &delta_hits, "threads={}", threads);
-            }
         }
 
         /// A chain of deltas keeps its range digests exact: the chain's

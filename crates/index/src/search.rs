@@ -1,16 +1,20 @@
 //! The SpeakQL Search Engine (paper §3.4, Box 2, App. D).
 //!
 //! Given `MaskOut`, find the `k` closest ground-truth structures under the
-//! weighted LCS edit distance. The search walks trie segments with an
-//! incremental DP column per node and prunes branches whose column minimum
-//! already exceeds the current best. With **BDB** it orders and skips whole
+//! weighted LCS edit distance. A search runs on its caller's thread, in one
+//! way: it walks trie segments with the branchless structure-of-arrays DP
+//! kernel ([`SoaWorkspace`]), advancing each node's sibling columns
+//! together, and prunes branches whose banded column bound already exceeds
+//! the k-th best. Queries inside the kernel's `u16` envelope
+//! ([`SoaWorkspace::fits`]) walk `u16` lanes; the rest walk the same code on
+//! `u32` lanes. With **BDB** it orders and skips whole
 //! segments by the *count bound*, Proposition 1 made per token type: each
 //! segment holds groups of structures with equal token multisets, every
 //! group is bounded by `Σₜ wₜ·|c_q(t) − c_s(t)|`, and segments are walked
 //! in ascending least bound until that bound exceeds the k-th best distance.
 //! Proposition 1's length bound is the one-dimensional case. The one
-//! approximation kept here, **DAP** (diversity-aware pruning), is opt-in.
-//! The paper's other
+//! approximation kept here, **DAP** (diversity-aware pruning), is opt-in
+//! and runs on the same walk. The paper's other
 //! accuracy–latency tradeoff, **INV** (inverted keyword index), lost to
 //! exact search at every scale measured and lives in the experiment harness
 //! (`speakql-bench`'s `experiments::inv`).
@@ -19,8 +23,7 @@ use crate::content::{BuildFx, WordFold};
 use crate::store::{ChunkBuilder, StructStore, Tombstones};
 use crate::trie::{token_counts, Planes, TokenCounts, Trie, TrieBuilder, NONE};
 use speakql_editdist::{
-    lower_bound, weighted_lcs_distance, ColumnWorkspace, Dist, SoaWorkspace, Weights, DIST_INF,
-    SOA_LANES,
+    lower_bound, weighted_lcs_distance, Dist, Lane, SoaWorkspace, Weights, DIST_INF, SOA_LANES,
 };
 use speakql_grammar::{
     generate_structures, GeneratorConfig, StructTok, StructTokId, Structure, TokenClass,
@@ -29,16 +32,20 @@ use speakql_grammar::{
 use speakql_observe::{CounterId, Recorder, SpanId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+#[cfg(test)]
+mod oracle;
 
 /// Target structures per trie shard. Each length's structures are split
 /// into about `ceil(n / SHARD_TARGET)` shards (at most
-/// [`MAX_SHARDS_PER_LEN`]), cut only between multiset groups, so one
-/// dominant length no longer serializes `search_parallel`: the shards are
-/// independent work units sharing the atomic branch-and-bound threshold.
-/// Sharding is deterministic from the structure sequence alone, so a
-/// persisted index round-trips to the byte-identical shard layout.
+/// [`MAX_SHARDS_PER_LEN`]), cut only between multiset groups. A shard is
+/// the grain the count bound prunes at (the search skips a whole shard once
+/// its groups' least bound exceeds the k-th best) and the grain a delta
+/// reuses (a delta rebuilds only the lengths it touches, and shares every
+/// other shard). Sharding is deterministic from the structure sequence
+/// alone, so a persisted index round-trips to the byte-identical shard
+/// layout.
 const SHARD_TARGET: usize = 8192;
 
 /// Upper bound on shards per length; caps the prefix-duplication cost of
@@ -118,26 +125,6 @@ pub(crate) fn seal_shards(store: &StructStore, len: usize, groups: &Groups) -> V
     shards
 }
 
-/// The DP column buffers one search worker walks a trie with: either the
-/// scalar reference [`ColumnWorkspace`] or the branchless SoA
-/// [`SoaWorkspace`]. The variant is chosen once per search (see
-/// [`StructureIndex::workspace`]); both kernels produce byte-identical hits
-/// and counters, so the choice is pure mechanism.
-enum DpCols {
-    Scalar(ColumnWorkspace),
-    Soa(SoaWorkspace),
-}
-
-impl DpCols {
-    /// Drain the DP-cell counter of whichever kernel ran.
-    fn take_cells(&mut self) -> u64 {
-        match self {
-            DpCols::Scalar(ws) => ws.take_cells(),
-            DpCols::Soa(ws) => ws.take_cells(),
-        }
-    }
-}
-
 /// A search hit: a structure id in the index arena and its distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchHit {
@@ -145,26 +132,11 @@ pub struct SearchHit {
     pub distance: Dist,
 }
 
-/// Which DP kernel the trie walk runs. Both kernels compute the identical
-/// weighted-LCS recurrence cell for cell — same hits, same counters — so
-/// this knob trades nothing but mechanism: the SoA kernel batches sibling
-/// columns into branchless u16 lanes the compiler auto-vectorizes, the
-/// scalar kernel is the one-column-at-a-time reference implementation the
-/// parity suite certifies it against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum DpKernel {
-    /// Use the SoA kernel whenever the query is eligible (weights lower to
-    /// u16 and the Proposition 1 ceiling fits a lane), the scalar kernel
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Always use the scalar reference kernel.
-    Scalar,
-}
-
 /// Search configuration. Defaults mirror the paper's "SpeakQL Default":
-/// bounds on, DAP off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// bounds on, DAP off. Every field changes which hits a search returns, so
+/// the configuration as a whole keys memoized results (the engine's
+/// skeleton cache).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SearchConfig {
     /// How many closest structures to return (the paper reports top-1 and
     /// "best of" top-5 results).
@@ -175,16 +147,6 @@ pub struct SearchConfig {
     pub bdb: bool,
     /// Diversity-Aware Pruning over the prime superset (approximate).
     pub dap: bool,
-    /// Worker threads for the trie walk. `1` (the default) is the fully
-    /// sequential paper algorithm; `0` means one worker per available core.
-    /// Parallel search hands the trie shards out to workers in the search's
-    /// bound order and shares the branch-and-bound threshold through an
-    /// atomic, so results are byte-identical to the sequential path at any
-    /// thread count.
-    pub threads: usize,
-    /// DP kernel selection. Like `threads`, this never changes outputs —
-    /// only how fast the columns are computed.
-    pub kernel: DpKernel,
 }
 
 impl Default for SearchConfig {
@@ -193,8 +155,6 @@ impl Default for SearchConfig {
             k: 1,
             bdb: true,
             dap: false,
-            threads: 1,
-            kernel: DpKernel::Auto,
         }
     }
 }
@@ -207,32 +167,12 @@ impl SearchConfig {
             ..SearchConfig::default()
         }
     }
-
-    /// This configuration with `threads` search workers.
-    pub fn with_threads(self, threads: usize) -> SearchConfig {
-        SearchConfig { threads, ..self }
-    }
-
-    /// This configuration with an explicit DP kernel.
-    pub fn with_kernel(self, kernel: DpKernel) -> SearchConfig {
-        SearchConfig { kernel, ..self }
-    }
-
-    /// The worker count this configuration resolves to (`0` = all cores).
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-    }
 }
 
-/// Counters describing the work one search performed. In sequential mode
-/// every field is a pure function of the index content, the query, and the
-/// configuration: the same search on the same index always reports the same
-/// stats. (Parallel searches prune on a threshold shared between workers,
-/// so their counters depend on the schedule.)
+/// Counters describing the work one search performed. Every field is a
+/// pure function of the index content, the query, and the configuration:
+/// the same search on the same index always reports the same stats, on
+/// `u16` or `u32` lanes alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Trie nodes whose DP column was computed.
@@ -241,7 +181,7 @@ pub struct SearchStats {
     pub tries_searched: u32,
     /// Non-empty lengths with no shard walked.
     pub tries_pruned: u32,
-    /// Weighted-LCS DP cells evaluated by the trie-walk workspaces.
+    /// Weighted-LCS DP cells evaluated by the trie walk's workspace.
     pub cells_evaluated: u64,
     /// Trie shards actually walked. A length split into `s` shards can
     /// contribute up to `s` here but at most 1 to `tries_searched`.
@@ -311,49 +251,21 @@ impl TopK {
     }
 }
 
-/// Per-worker search state: the local top-k heap, work counters, the
-/// lengths this worker walked, and (in parallel mode) the threshold shared
-/// across workers.
-///
-/// The shared atomic holds the minimum of every worker's local k-th-best
-/// distance, maintained with `fetch_min`. It is always an *upper bound* on
-/// the final global k-th distance — each local threshold is — so pruning
-/// against it (branch cut-off and segment skipping) can never drop a true
-/// top-k member. That is what keeps parallel search byte-identical to the
-/// sequential algorithm. Relaxed ordering suffices: the bound only ever
-/// decreases, and a stale read merely prunes less.
-struct SearchState<'a> {
+/// One search's state: the top-k so far, the work counters, and the
+/// lengths walked.
+struct SearchState {
     topk: TopK,
     stats: SearchStats,
     /// `walked[l]`: a segment of length `l` was walked.
     walked: Vec<bool>,
-    shared: Option<&'a AtomicU32>,
 }
 
-impl<'a> SearchState<'a> {
-    fn new(k: usize, lengths: usize, shared: Option<&'a AtomicU32>) -> SearchState<'a> {
+impl SearchState {
+    fn new(k: usize, lengths: usize) -> SearchState {
         SearchState {
             topk: TopK::new(k),
             stats: SearchStats::default(),
             walked: vec![false; lengths],
-            shared,
-        }
-    }
-
-    fn offer(&mut self, hit: SearchHit) {
-        self.topk.offer(hit);
-        if let Some(shared) = self.shared {
-            shared.fetch_min(self.topk.threshold(), Ordering::Relaxed);
-        }
-    }
-
-    /// The tightest pruning bound visible to this worker: its own k-th best,
-    /// improved by whatever the other workers have found so far.
-    fn threshold(&self) -> Dist {
-        let local = self.topk.threshold();
-        match self.shared {
-            Some(shared) => local.min(shared.load(Ordering::Relaxed)),
-            None => local,
         }
     }
 }
@@ -627,142 +539,58 @@ impl StructureIndex {
         (hits, stats)
     }
 
-    /// A fresh DP workspace for one search worker. The SoA kernel runs
-    /// whenever `cfg.kernel` allows it and the query fits the u16 lane
-    /// envelope; DAP's prime pre-pass re-derives individual sibling columns
-    /// out of chunk order, so the approximate DAP mode stays on the scalar
-    /// reference kernel. A workspace is allocated per search rather than
-    /// pooled: that costs a few microseconds against a search of a
-    /// millisecond or more, and keeps every counter independent of what
-    /// earlier searches left behind.
-    fn workspace(&self, masked: &[StructTokId], cfg: &SearchConfig) -> DpCols {
-        if cfg.kernel == DpKernel::Auto && !cfg.dap {
-            if let Some(ws) = SoaWorkspace::new(masked, self.weights, self.max_len) {
-                return DpCols::Soa(ws);
-            }
-        }
-        DpCols::Scalar(ColumnWorkspace::new(masked, self.weights, self.max_len))
-    }
-
+    /// Pick the lanes: `u16` when the query fits their envelope, `u32`
+    /// otherwise. A workspace is allocated per search rather than pooled:
+    /// that costs a few microseconds against a search of a millisecond or
+    /// more, and keeps every counter independent of what earlier searches
+    /// left behind.
     fn search_inner(
         &self,
         masked: &[StructTokId],
         cfg: &SearchConfig,
         recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
-        let mut state = SearchState::new(cfg.k, self.tries.len(), None);
         if self.store.len() == 0 {
-            return (state.topk.into_vec(), state.stats);
+            return (Vec::new(), SearchStats::default());
         }
-        let mut schedule = Schedule::new(self, masked, cfg.bdb);
-        let workers = cfg.effective_threads().min(schedule.segments.max(1));
-        if workers > 1 {
-            return self.search_parallel(masked, cfg, schedule, workers, recorder);
+        match SoaWorkspace::new(masked, self.weights, self.max_len) {
+            Some(cols) => self.search_on(cols, masked, cfg, recorder),
+            None => {
+                let cols = SoaWorkspace::wide(masked, self.weights, self.max_len);
+                self.search_on(cols, masked, cfg, recorder)
+            }
         }
+    }
 
-        let mut cols = self.workspace(masked, cfg);
-        while let Some(unit) = schedule.next_within(state.threshold()) {
-            self.search_shard(unit, masked, cfg, &mut state, &mut cols, recorder);
+    /// Walk the schedule's segments on `cols`, in bound order, until the
+    /// next segment's bound exceeds the k-th best. Each walked shard
+    /// records one `search.trie_walk` latency sample; the per-length and
+    /// pruned counters are settled once the search ends.
+    fn search_on<L: Lane>(
+        &self,
+        mut cols: SoaWorkspace<L>,
+        masked: &[StructTokId],
+        cfg: &SearchConfig,
+        recorder: &Recorder,
+    ) -> (Vec<SearchHit>, SearchStats) {
+        let mut state = SearchState::new(cfg.k, self.tries.len());
+        let mut schedule = Schedule::new(self, masked, cfg.bdb);
+        while let Some(unit) = schedule.next_within(state.topk.threshold()) {
+            state.stats.shards_searched += 1;
+            state.walked[unit.len] = true;
+            let _span = recorder.span(SpanId::TrieWalk);
+            SoaTrieWalk {
+                trie: self.tries[unit.len][unit.shard].planes(),
+                target_len: unit.len,
+                dap: cfg.dap,
+                state: &mut state,
+                cols: &mut cols,
+                recorder,
+            }
+            .visit_children(0, 0, 0);
         }
         state.stats.cells_evaluated += cols.take_cells();
         schedule.settle(state)
-    }
-
-    /// Search the schedule's work units with `workers` scoped threads.
-    ///
-    /// The calling thread first walks the schedule's first unit, which
-    /// warms the shared bound; the rest of the order, up to the first unit
-    /// that bound already prunes, is then handed out in schedule order
-    /// through an atomic cursor (so a worker stuck in a large shard does not
-    /// hold up the rest). Each worker keeps its own [`TopK`] and DP
-    /// workspace, and the branch-and-bound threshold is shared through an
-    /// [`AtomicU32`] so pruning improves globally as any worker finds closer
-    /// structures. Shards hold disjoint structure sets, so re-offering every
-    /// worker's hits into one final [`TopK`] yields exactly the sequential
-    /// result: same hits, same `(distance, structure id)` order. Only the
-    /// [`SearchStats`] are schedule-dependent (how much work pruning saved
-    /// varies run to run).
-    fn search_parallel(
-        &self,
-        masked: &[StructTokId],
-        cfg: &SearchConfig,
-        mut schedule: Schedule<'_>,
-        workers: usize,
-        recorder: &Recorder,
-    ) -> (Vec<SearchHit>, SearchStats) {
-        let shared = AtomicU32::new(DIST_INF);
-        let mut seed = SearchState::new(cfg.k, self.tries.len(), Some(&shared));
-        if let Some(first) = schedule.next_within(DIST_INF) {
-            let mut cols = self.workspace(masked, cfg);
-            self.search_shard(first, masked, cfg, &mut seed, &mut cols, recorder);
-            seed.stats.cells_evaluated += cols.take_cells();
-        }
-        let warmed = seed.threshold();
-        let order: Vec<Unit> = std::iter::from_fn(|| schedule.next_within(warmed)).collect();
-        let cursor = AtomicUsize::new(0);
-        let worker_results: Vec<SearchState<'_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut state = SearchState::new(cfg.k, self.tries.len(), Some(&shared));
-                        let mut cols = self.workspace(masked, cfg);
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&unit) = order.get(i) else { break };
-                            if unit.bound > state.threshold() {
-                                break;
-                            }
-                            self.search_shard(unit, masked, cfg, &mut state, &mut cols, recorder);
-                        }
-                        state.stats.cells_evaluated += cols.take_cells();
-                        state
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Re-raise worker panics on the calling thread: the engine's
-                // containment boundary converts the unwind into a typed
-                // error, so no partial top-k ever escapes a poisoned search.
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-
-        let mut state = SearchState::new(cfg.k, self.tries.len(), None);
-        for worker in std::iter::once(seed).chain(worker_results) {
-            for hit in worker.topk.into_vec() {
-                state.topk.offer(hit);
-            }
-            state.stats.nodes_visited += worker.stats.nodes_visited;
-            state.stats.cells_evaluated += worker.stats.cells_evaluated;
-            state.stats.shards_searched += worker.stats.shards_searched;
-            for (all, walked) in state.walked.iter_mut().zip(worker.walked) {
-                *all |= walked;
-            }
-        }
-        schedule.settle(state)
-    }
-
-    /// Walk one scheduled trie shard. Each walked shard records one
-    /// `search.trie_walk` latency sample; the per-length and pruned
-    /// counters are settled from `walked` once the search ends.
-    fn search_shard(
-        &self,
-        unit: Unit,
-        masked: &[StructTokId],
-        cfg: &SearchConfig,
-        state: &mut SearchState<'_>,
-        cols: &mut DpCols,
-        recorder: &Recorder,
-    ) {
-        state.stats.shards_searched += 1;
-        state.walked[unit.len] = true;
-        let _span = recorder.span(SpanId::TrieWalk);
-        let trie = &self.tries[unit.len][unit.shard];
-        self.search_trie(trie, unit.len, masked, cfg, state, cols, recorder);
     }
 
     /// Brute-force reference scan over every live structure; used by tests
@@ -780,41 +608,6 @@ impl StructureIndex {
             });
         }
         topk.into_vec()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_trie(
-        &self,
-        trie: &Trie,
-        target_len: usize,
-        masked: &[StructTokId],
-        cfg: &SearchConfig,
-        state: &mut SearchState<'_>,
-        cols: &mut DpCols,
-        recorder: &Recorder,
-    ) {
-        let trie = trie.planes();
-        match cols {
-            DpCols::Scalar(cols) => TrieWalk {
-                index: self,
-                trie,
-                target_len,
-                masked,
-                cfg,
-                state,
-                cols,
-                recorder,
-            }
-            .visit_children(0, 0),
-            DpCols::Soa(cols) => SoaTrieWalk {
-                trie,
-                target_len,
-                state,
-                cols,
-                recorder,
-            }
-            .visit_children(0, 0, 0),
-        }
     }
 }
 
@@ -959,7 +752,7 @@ impl<'a> Schedule<'a> {
 
     /// Close a search: every non-empty shard and length not walked was
     /// pruned, so searched + pruned always accounts for each exactly once.
-    fn settle(&self, mut state: SearchState<'_>) -> (Vec<SearchHit>, SearchStats) {
+    fn settle(&self, mut state: SearchState) -> (Vec<SearchHit>, SearchStats) {
         let stats = &mut state.stats;
         // lossy: at most one per length, and lengths are at most 255 on any
         // persistable index
@@ -1004,126 +797,57 @@ impl Schedule<'_> {
     }
 }
 
-/// One trie walk: the recursion of Box 2's `SearchRecursively` with the
-/// query, config, per-worker state, and DP columns bundled together.
-struct TrieWalk<'a, 'b, 'c> {
-    index: &'a StructureIndex,
+/// One trie walk: the recursion of Box 2's `SearchRecursively` over the
+/// chunked SoA kernel, with the query's DP columns, the search state and
+/// the DAP switch bundled together.
+///
+/// Sibling children are advanced in chunks of up to [`SOA_LANES`]: one
+/// [`SoaWorkspace::advance_chunk`] call computes every sibling's DP column
+/// simultaneously, so each transcript-token load (and each parent-column
+/// cell load) amortizes over the whole chunk instead of being re-fetched
+/// per child. Hoisting a chunk's columns to its head changes neither which
+/// columns are computed nor the offer/descend sequence: each lane's offer
+/// and descend still happen in sibling order, with the threshold exactly as
+/// tight as a one-column-at-a-time walk would have it at that point. Hits,
+/// `nodes_visited` and `cells_evaluated` therefore equal those of the
+/// scalar walk over [`speakql_editdist::advance_column`], which the test
+/// oracle keeps and the oracle suite checks on `u16` and `u32` lanes.
+struct SoaTrieWalk<'a, 'b, L> {
     trie: Planes<'a>,
     /// Token length of every structure in this trie (tries are per-length).
     target_len: usize,
-    masked: &'a [StructTokId],
-    cfg: &'a SearchConfig,
-    state: &'b mut SearchState<'c>,
-    cols: &'b mut ColumnWorkspace,
+    /// Diversity-Aware Pruning (App. D.3); see [`SoaTrieWalk::visit_dap`].
+    dap: bool,
+    state: &'b mut SearchState,
+    cols: &'b mut SoaWorkspace<L>,
     recorder: &'a Recorder,
 }
 
-impl TrieWalk<'_, '_, '_> {
-    fn visit_children(&mut self, node: u32, depth: usize) {
-        let w = self.index.weights;
-        // DAP (App. D.3): among sibling children whose tokens are in the
-        // prime superset, explore only the one whose column's last row is
-        // minimal; other children are unaffected.
-        let chosen_prime: Option<u32> = if self.cfg.dap {
-            let mut best: Option<(Dist, u32)> = None;
-            for child in self.trie.children(node) {
-                let tok = self.trie.token(child);
-                if !is_prime(tok) {
-                    continue;
-                }
-                let col = self.cols.advance(self.masked, depth, tok, w);
-                self.state.stats.nodes_visited += 1;
-                // A DP column always has masked.len()+1 rows; an empty one
-                // can only mean a workspace bug, and INF makes it inert.
-                let last = *col.last().unwrap_or(&DIST_INF);
-                if best.is_none_or(|(d, _)| last < d) {
-                    best = Some((last, child));
-                }
-            }
-            best.map(|(_, c)| c)
-        } else {
-            None
-        };
-
-        let mut fanout: u64 = 0;
-        for child in self.trie.children(node) {
-            fanout += 1;
-            let tok = self.trie.token(child);
-            if self.cfg.dap && is_prime(tok) && Some(child) != chosen_prime {
-                continue;
-            }
-            let col = self.cols.advance(self.masked, depth, tok, w);
-            self.state.stats.nodes_visited += 1;
-            // As above: a column is structurally non-empty, and INF keeps a
-            // hypothetical empty one from producing a hit or a descent.
-            let last = *col.last().unwrap_or(&DIST_INF);
-            // Banded descend bound: cell `i` still has to reconcile `m − i`
-            // source tokens with the `rem` target tokens below this child,
-            // which costs at least `w_min · |(m − i) − rem|` (Proposition 1).
-            // Adding that completion cost cell-wise tightens Box 2's raw
-            // column minimum into a diagonal band while staying an exact
-            // lower bound on every descendant's final distance. Must compute
-            // the identical value to the SoA kernel's `ChunkStats::bound`.
-            let rem = self.target_len - (depth + 1);
-            let m = self.masked.len();
-            let wmin = w.min_weight();
-            let bound = col
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v + wmin * (m - i).abs_diff(rem) as Dist)
-                .min()
-                .unwrap_or(DIST_INF);
-            let terminal = self.trie.structure(child);
-            if terminal != NONE {
-                self.state.offer(SearchHit {
-                    structure: terminal,
-                    distance: last,
-                });
-            }
-            // Box 2 line 46: explore deeper only if the banded bound can
-            // still beat the current k-th best ("min(DpCurCol) ≤ MinEditDist").
-            if self.trie.first_child(child) != NONE && bound <= self.state.threshold() {
-                self.visit_children(child, depth + 1);
-            }
-        }
-        self.recorder.record_value(SpanId::TrieFanout, fanout);
-    }
-}
-
-/// The chunked trie walk over the branchless SoA kernel.
-///
-/// Same recursion as [`TrieWalk`], but sibling children are advanced in
-/// chunks of up to [`SOA_LANES`]: one [`SoaWorkspace::advance_chunk`] call
-/// computes every sibling's DP column simultaneously, so each
-/// transcript-token load (and each parent-column cell load) amortizes over
-/// the whole chunk instead of being re-fetched per child.
-///
-/// Traversal order is *identical* to the scalar walk. The scalar loop
-/// advances every child's column unconditionally (pruning only gates the
-/// descent), so hoisting the column computation to the chunk head changes
-/// neither which columns are computed nor the offer/descend sequence — each
-/// lane's offer and descend still happen in sibling order, with the
-/// threshold exactly as tight as the scalar walk would have it at that
-/// point. Hits, `nodes_visited`, and `cells_evaluated` are all
-/// byte-identical; the kernel-parity suite enforces this.
-struct SoaTrieWalk<'a, 'b, 'c> {
-    trie: Planes<'a>,
-    /// Token length of every structure in this trie (tries are per-length).
-    target_len: usize,
-    state: &'b mut SearchState<'c>,
-    cols: &'b mut SoaWorkspace,
-    recorder: &'a Recorder,
-}
-
-impl SoaTrieWalk<'_, '_, '_> {
+impl<L: Lane> SoaTrieWalk<'_, '_, L> {
     /// Visit the children of `node`, whose own DP column lives at lane
     /// `parent_lane` of block `depth` in the workspace. Descending into the
     /// child at lane `c` only ever writes blocks deeper than `depth + 1`, so
     /// the chunk's sibling columns stay intact across recursion.
     fn visit_children(&mut self, node: u32, depth: usize, parent_lane: usize) {
         let rem = self.target_len - (depth + 1);
+        let fanout = if self.dap {
+            self.visit_dap(node, depth, parent_lane, rem)
+        } else {
+            self.visit_all(self.trie.children(node), depth, parent_lane, rem)
+        };
+        self.recorder.record_value(SpanId::TrieFanout, fanout);
+    }
+
+    /// Advance, offer and descend into each of `children` in order;
+    /// returns how many there were.
+    fn visit_all(
+        &mut self,
+        mut children: impl Iterator<Item = u32>,
+        depth: usize,
+        parent_lane: usize,
+        rem: usize,
+    ) -> u64 {
         let mut fanout: u64 = 0;
-        let mut children = self.trie.children(node);
         let mut pending = children.next();
         while let Some(first) = pending {
             pending = children.next();
@@ -1162,24 +886,65 @@ impl SoaTrieWalk<'_, '_, '_> {
                 self.visit_one(child, depth, c, chunk.last[c], chunk.bound[c]);
             }
         }
-        self.recorder.record_value(SpanId::TrieFanout, fanout);
+        fanout
     }
 
-    /// Offer-and-descend for one freshly advanced child column: exactly the
-    /// per-child tail of the scalar walk's loop body.
+    /// DAP (App. D.3): among sibling children whose tokens are in the prime
+    /// superset, explore only the first one whose column's last cell is
+    /// least; other children are unaffected. The prime children are
+    /// advanced in chunks once to pick it, then the non-prime children and
+    /// the pick are walked in sibling order as without DAP. The pick's
+    /// column is thus computed (and counted) twice, which keeps every
+    /// counter equal to the one-column-at-a-time walk's. Returns the node's
+    /// full fanout.
+    fn visit_dap(&mut self, node: u32, depth: usize, parent_lane: usize, rem: usize) -> u64 {
+        let trie = self.trie;
+        let mut primes = trie.children(node).filter(|&c| is_prime(trie.token(c)));
+        let mut best: Option<(Dist, u32)> = None;
+        let mut prime_count: u64 = 0;
+        loop {
+            let mut ids = [0u32; SOA_LANES];
+            let mut toks = [StructTokId(0); SOA_LANES];
+            let mut n = 0;
+            for child in primes.by_ref().take(SOA_LANES) {
+                ids[n] = child;
+                toks[n] = trie.token(child);
+                n += 1;
+            }
+            if n == 0 {
+                break;
+            }
+            prime_count += n as u64;
+            self.state.stats.nodes_visited += n as u64;
+            let chunk = self.cols.advance_chunk(depth, parent_lane, &toks[..n], rem);
+            for (c, &child) in ids[..n].iter().enumerate() {
+                if best.is_none_or(|(d, _)| chunk.last[c] < d) {
+                    best = Some((chunk.last[c], child));
+                }
+            }
+        }
+        let pick = best.map(|(_, c)| c);
+        let kept = trie
+            .children(node)
+            .filter(|&c| Some(c) == pick || !is_prime(trie.token(c)));
+        let walked = self.visit_all(kept, depth, parent_lane, rem);
+        walked + prime_count - u64::from(pick.is_some())
+    }
+
+    /// Offer-and-descend for one freshly advanced child column.
     #[inline]
     fn visit_one(&mut self, child: u32, depth: usize, lane: usize, last: Dist, bound: Dist) {
         self.state.stats.nodes_visited += 1;
         let terminal = self.trie.structure(child);
         if terminal != NONE {
-            self.state.offer(SearchHit {
+            self.state.topk.offer(SearchHit {
                 structure: terminal,
                 distance: last,
             });
         }
         // Box 2 line 46, per lane: descend only while the banded bound can
-        // still beat the current k-th best.
-        if self.trie.first_child(child) != NONE && bound <= self.state.threshold() {
+        // still beat the current k-th best ("min(DpCurCol) ≤ MinEditDist").
+        if self.trie.first_child(child) != NONE && bound <= self.state.topk.threshold() {
             self.visit_children(child, depth + 1, lane);
         }
     }
@@ -1441,9 +1206,9 @@ mod tests {
 
     #[test]
     fn repeated_search_reports_identical_stats() {
-        // Sequential stats are a pure function of (index, query, config):
-        // the second run of a query on the same index reports exactly the
-        // work of the first, on either kernel and under DAP.
+        // Stats are a pure function of (index, query, config): the second
+        // run of a query on the same index reports exactly the work of the
+        // first, at k = 1 and 5 and under DAP.
         let idx = StructureIndex::from_grammar(
             &GeneratorConfig {
                 max_structures: Some(2_000),
@@ -1454,7 +1219,7 @@ mod tests {
         let p = process_transcript_text("select sales from employers wear first name equals jon");
         for cfg in [
             SearchConfig::default(),
-            SearchConfig::top_k(5).with_kernel(DpKernel::Scalar),
+            SearchConfig::top_k(5),
             SearchConfig {
                 dap: true,
                 ..SearchConfig::default()

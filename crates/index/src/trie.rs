@@ -7,8 +7,8 @@
 //! implementation splits each length's structures across *segments*, cut
 //! between groups of structures with equal token multisets (see
 //! `search::seal_shards`), so a search can order and skip segments by the
-//! count bound and parallel search has real fan-out even when one length
-//! dominates.
+//! count bound, and a delta can rebuild the lengths it touches while
+//! sharing every other segment.
 //!
 //! Nodes live in four structure-of-arrays planes (token / first-child /
 //! next-sibling / structure) in the compact first-child/next-sibling

@@ -9,8 +9,7 @@ use speakql_data::employees_db;
 use speakql_editdist::Weights;
 use speakql_grammar::{GeneratorConfig, LitCategory, Placeholder, StructTokId, Structure};
 use speakql_index::{
-    from_bytes, from_shared, save_to_path, to_bytes, DpKernel, PersistError, SearchConfig,
-    StructureIndex,
+    from_bytes, from_shared, save_to_path, to_bytes, PersistError, SearchConfig, StructureIndex,
 };
 use std::sync::Arc;
 
@@ -187,10 +186,9 @@ proptest! {
     }
 
     /// `build → to_bytes → validate-borrow → search` is byte-identical to
-    /// searching the arena built in memory, across thread counts and DP
-    /// kernels: same hits, same order, same distances. The borrowed planes
-    /// must be indistinguishable from the owned ones under every execution
-    /// schedule.
+    /// searching the arena built in memory: same hits, same order, same
+    /// distances. The borrowed planes must be indistinguishable from the
+    /// owned ones.
     #[test]
     fn zero_copy_roundtrip_search_is_byte_identical(
         structures in prop::collection::vec(arb_structure(), 1..40),
@@ -206,16 +204,8 @@ proptest! {
         let bytes = to_bytes(&built).expect("serialize");
         let borrowed = speakql_index::from_shared(bytes).expect("validate-borrow");
         let masked: Vec<StructTokId> = masked.into_iter().map(StructTokId).collect();
-        for kernel in [DpKernel::Scalar, DpKernel::Auto] {
-            for threads in [1usize, 2, 8] {
-                let cfg = SearchConfig { k, kernel, threads, ..SearchConfig::default() };
-                prop_assert_eq!(
-                    built.search(&masked, &cfg),
-                    borrowed.search(&masked, &cfg),
-                    "kernel={:?} threads={}", kernel, threads
-                );
-            }
-        }
+        let cfg = SearchConfig::top_k(k);
+        prop_assert_eq!(built.search(&masked, &cfg), borrowed.search(&masked, &cfg));
     }
 
     /// Fuzzing the header and offset-table region (the bytes that steer
@@ -272,14 +262,11 @@ proptest! {
         prop_assert_eq!(to_bytes(&loaded).expect("re-serialize"), bytes);
         prop_assert_eq!(loaded.generation(), built.generation());
         let masked: Vec<StructTokId> = masked.into_iter().map(StructTokId).collect();
-        for kernel in [DpKernel::Scalar, DpKernel::Auto] {
-            let cfg = SearchConfig { k, kernel, ..SearchConfig::default() };
-            prop_assert_eq!(
-                built.search_with_stats(&masked, &cfg),
-                loaded.search_with_stats(&masked, &cfg),
-                "kernel={:?}", kernel
-            );
-        }
+        let cfg = SearchConfig::top_k(k);
+        prop_assert_eq!(
+            built.search_with_stats(&masked, &cfg),
+            loaded.search_with_stats(&masked, &cfg)
+        );
     }
 }
 
