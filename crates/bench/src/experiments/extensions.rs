@@ -370,32 +370,48 @@ pub fn scaling(suite: &Suite) {
     save_json("scaling", &serde_json::Value::Object(payload));
 }
 
+/// Timed `transcribe_batch` runs per width in [`thread_scaling`].
+const SCALING_RUNS: usize = 5;
+
 /// Thread-scaling study: batch transcription throughput as the engine's
 /// one thread knob ([`speakql_core::SpeakQlConfig::threads`], the
 /// `transcribe_batch` pool) grows, against the single-thread baseline.
 /// Each transcription runs whole on one worker, so outputs are identical
-/// at every width and this is a pure throughput axis.
+/// at every width and this is a pure throughput axis. One untimed pass
+/// warms the shared index first; each width then reports the median of
+/// five runs with their min and max, and its speedup is a ratio of
+/// medians.
 pub fn thread_scaling(suite: &Suite) {
     println!("== Extension: thread-scaling study ==");
     let runs = suite.employees_test();
     let transcripts: Vec<&str> = runs.iter().map(|r| r.transcript.as_str()).collect();
-
-    let mut rows = Vec::new();
-    let mut payload = serde_json::Map::new();
-    let mut batch_base = 0.0f64;
-    for n in [1usize, 2, 4, 8] {
-        let engine = speakql_core::SpeakQl::with_index(
+    let engine = |threads: usize| {
+        speakql_core::SpeakQl::with_index(
             &suite.ctx.dataset.employees,
             std::sync::Arc::clone(&suite.ctx.index),
             speakql_core::SpeakQlConfig {
                 generator: suite.ctx.scale.generator(),
                 ..speakql_core::SpeakQlConfig::paper()
             }
-            .with_threads(n),
-        );
-        let start = Instant::now();
-        std::hint::black_box(engine.transcribe_batch(&transcripts));
-        let batch_s = start.elapsed().as_secs_f64();
+            .with_threads(threads),
+        )
+    };
+    std::hint::black_box(engine(1).transcribe_batch(&transcripts));
+
+    let mut rows = Vec::new();
+    let mut payload = serde_json::Map::new();
+    let mut batch_base = 0.0f64;
+    for n in [1usize, 2, 4, 8] {
+        let engine = engine(n);
+        let mut times: Vec<f64> = (0..SCALING_RUNS)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(engine.transcribe_batch(&transcripts));
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        let (batch_s, min_s, max_s) = (times[SCALING_RUNS / 2], times[0], times[SCALING_RUNS - 1]);
 
         if n == 1 {
             batch_base = batch_s;
@@ -404,17 +420,24 @@ pub fn thread_scaling(suite: &Suite) {
         rows.push(vec![
             format!("{n}"),
             format!("{batch_s:.3}s"),
+            format!("{min_s:.3}–{max_s:.3}s"),
             format!("{batch_x:.2}x"),
         ]);
         payload.insert(
             n.to_string(),
             json!({
                 "batch_s": batch_s,
+                "batch_s_min": min_s,
+                "batch_s_max": max_s,
+                "runs": SCALING_RUNS,
                 "batch_speedup": batch_x,
             }),
         );
     }
-    print_table(&["threads", "batch total", "batch speedup"], &rows);
+    print_table(
+        &["threads", "batch median", "batch min–max", "batch speedup"],
+        &rows,
+    );
     println!(
         "(batch transcription is embarrassingly parallel: one transcription per worker at a time)"
     );

@@ -29,25 +29,29 @@ pub(crate) fn align_vars(
     let a = masked;
     let b = &structure.tokens;
     let (n, m) = (a.len(), b.len());
+    let wa: Vec<Dist> = a.iter().map(|&t| weights.of(t)).collect();
+    let wb: Vec<Dist> = b.iter().map(|&t| weights.of(t)).collect();
 
-    // Full DP matrix (≤ 50×50 — trivial).
-    let mut dp = vec![vec![0 as Dist; m + 1]; n + 1];
+    // Full DP matrix (≤ 50×50 — trivial), row-major in one buffer: cell
+    // `(i, j)` sits at `i * w + j`.
+    let w = m + 1;
+    let mut dp = vec![0 as Dist; (n + 1) * w];
     for i in 1..=n {
-        dp[i][0] = dp[i - 1][0] + weights.of(a[i - 1]);
+        dp[i * w] = dp[(i - 1) * w] + wa[i - 1];
     }
     for j in 1..=m {
-        dp[0][j] = dp[0][j - 1] + weights.of(b[j - 1]);
+        dp[j] = dp[j - 1] + wb[j - 1];
     }
     for i in 1..=n {
         for j in 1..=m {
             let mut best = Dist::MAX;
             if a[i - 1] == b[j - 1] {
-                best = dp[i - 1][j - 1];
+                best = dp[(i - 1) * w + j - 1];
             }
             best = best
-                .min(dp[i - 1][j] + weights.of(a[i - 1]))
-                .min(dp[i][j - 1] + weights.of(b[j - 1]));
-            dp[i][j] = best;
+                .min(dp[(i - 1) * w + j] + wa[i - 1])
+                .min(dp[i * w + j - 1] + wb[j - 1]);
+            dp[i * w + j] = best;
         }
     }
 
@@ -56,11 +60,11 @@ pub(crate) fn align_vars(
     let mut match_of_target: Vec<Option<usize>> = vec![None; m];
     let (mut i, mut j) = (n, m);
     while i > 0 || j > 0 {
-        if i > 0 && dp[i][j] == dp[i - 1][j] + weights.of(a[i - 1]) {
+        if i > 0 && dp[i * w + j] == dp[(i - 1) * w + j] + wa[i - 1] {
             i -= 1;
             continue;
         }
-        if j > 0 && dp[i][j] == dp[i][j - 1] + weights.of(b[j - 1]) {
+        if j > 0 && dp[i * w + j] == dp[i * w + j - 1] + wb[j - 1] {
             j -= 1;
             continue;
         }

@@ -12,10 +12,9 @@
 //!    closest candidate literal; the most-voted literal wins, ties resolved
 //!    lexicographically (§4.3, worked examples in App. E.2).
 
-use crate::catalog::PhoneticCatalog;
+use crate::catalog::{CandidateSet, PhoneticCatalog};
 use speakql_grammar::{in_dictionaries, LitCategory, Structure};
 use speakql_observe::{CounterId, Recorder};
-use speakql_phonetics::PhoneticIndex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -285,9 +284,10 @@ impl<'a> LiteralFinder<'a> {
         trans_out: &[String],
         begin: usize,
         end: usize,
-        candidates: &PhoneticIndex,
+        candidates: &CandidateSet,
     ) -> (String, Vec<String>, usize) {
-        if candidates.is_empty() {
+        let entries = candidates.index().entries();
+        if entries.is_empty() {
             // Nothing to vote for: echo the raw window (or a placeholder).
             let raw = trans_out[begin..end].join("");
             let lit = if raw.is_empty() { "x".to_string() } else { raw };
@@ -296,14 +296,10 @@ impl<'a> LiteralFinder<'a> {
         // Fragmented dates ("may 07 19 91", "january twentieth nineteen
         // ninety three") defeat phonetic voting; when the candidate domain
         // contains dates, try structural reassembly first.
-        if candidates
-            .entries()
-            .iter()
-            .any(|e| is_date_literal(&e.literal))
-        {
+        if candidates.has_dates() {
             if let Some(date) = reassemble_date(&trans_out[begin..end]) {
                 let rendered = format!("'{date}'");
-                if let Some(e) = candidates.entries().iter().find(|e| e.literal == rendered) {
+                if let Some(e) = entries.iter().find(|e| e.literal == rendered) {
                     return (e.literal.clone(), Vec::new(), end);
                 }
             }
@@ -312,52 +308,41 @@ impl<'a> LiteralFinder<'a> {
         if set_a.is_empty() {
             // Empty window: fall back to the lexicographically first
             // candidate (deterministic, matches the tie rule).
-            let lit = candidates.entries()[0].literal.clone();
+            let lit = entries[0].literal.clone();
             return (lit, Vec::new(), begin);
         }
 
         // Voting (Box 3 LiteralAssignment): each enumerated string votes for
         // its closest candidate(s); ties within a vote go to every tied
         // candidate.
-        let mut count: HashMap<usize, u32> = HashMap::new();
-        let mut location: HashMap<usize, usize> = HashMap::new();
+        let mut tally = VoteTally::new(entries.len());
         let mut comparisons = 0u64;
         let mut exact_hits = 0u64;
         for (key_a, last_pos) in set_a.iter() {
             // A candidate bucket can only be empty if the catalog column had
             // no values; skip the window's vote rather than panic on it.
-            let Some(vote) = candidates.nearest(key_a) else {
+            let Some(vote) = candidates.index().nearest(key_a) else {
                 continue;
             };
             comparisons += vote.comparisons;
             exact_hits += vote.exact as u64;
             for bi in vote.winners {
-                *count.entry(bi).or_insert(0) += 1;
-                let loc = location.entry(bi).or_insert(0);
-                *loc = (*loc).max(*last_pos);
+                tally.cast(bi, *last_pos);
             }
         }
         self.recorder.add(CounterId::VoteComparisons, comparisons);
         self.recorder.add(CounterId::PhoneticExactHits, exact_hits);
 
-        // Rank candidates by (votes desc, literal lexicographic asc).
-        let mut ranked: Vec<(usize, u32)> = count.into_iter().collect();
-        ranked.sort_by(|a, b| {
-            b.1.cmp(&a.1).then_with(|| {
-                candidates.entries()[a.0]
-                    .literal
-                    .cmp(&candidates.entries()[b.0].literal)
-            })
-        });
-        let winner = ranked[0].0;
-        let literal = candidates.entries()[winner].literal.clone();
+        let ranked = tally.ranked();
+        let winner = ranked[0];
+        let literal = entries[winner].literal.clone();
         let alternatives: Vec<String> = ranked
             .iter()
             .skip(1)
             .take(self.config.alternatives)
-            .map(|&(bi, _)| candidates.entries()[bi].literal.clone())
+            .map(|&bi| entries[bi].literal.clone())
             .collect();
-        let consumed_to = location.get(&winner).copied().unwrap_or(begin) + 1;
+        let consumed_to = tally.last[winner] + 1;
         (literal, alternatives, consumed_to)
     }
 
@@ -428,6 +413,45 @@ impl<'a> LiteralFinder<'a> {
     }
 }
 
+/// Box 3's vote count over one candidate set, dense by entry index: each
+/// entry's votes and the last window position among them, plus the entries
+/// voted for, so ranking costs the votes cast rather than the domain.
+struct VoteTally {
+    votes: Vec<u32>,
+    last: Vec<usize>,
+    touched: Vec<usize>,
+}
+
+impl VoteTally {
+    fn new(entries: usize) -> VoteTally {
+        VoteTally {
+            votes: vec![0; entries],
+            last: vec![0; entries],
+            touched: Vec::new(),
+        }
+    }
+
+    /// One vote for `entry` from a string ending at window position `pos`.
+    fn cast(&mut self, entry: usize, pos: usize) {
+        if self.votes[entry] == 0 {
+            self.touched.push(entry);
+        }
+        self.votes[entry] += 1;
+        self.last[entry] = self.last[entry].max(pos);
+    }
+
+    /// The entries voted for, by votes descending, then entry index
+    /// ascending. A candidate set's entries are unique and sorted by
+    /// literal, so this is the paper's most-votes order with ties broken
+    /// lexicographically (§4.3).
+    fn ranked(&mut self) -> &[usize] {
+        let votes = &self.votes;
+        self.touched
+            .sort_unstable_by_key(|&i| (std::cmp::Reverse(votes[i]), i));
+        &self.touched
+    }
+}
+
 /// EnumerateStrings (Box 3): all concatenations of up to `window_size`
 /// adjacent tokens within `[begin, end)`, as phonetic keys, each with the
 /// index of its last token.
@@ -476,7 +500,7 @@ fn strip_quotes(s: &str) -> &str {
         .unwrap_or(s)
 }
 
-fn is_date_literal(lit: &str) -> bool {
+pub(crate) fn is_date_literal(lit: &str) -> bool {
     let bare = strip_quotes(lit);
     bare.len() >= 8
         && bare.matches('-').count() == 2
@@ -715,6 +739,7 @@ mod tests {
     use super::*;
     use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
     use speakql_grammar::{Keyword, Placeholder, SplChar, StructTok};
+    use speakql_phonetics::PhoneticIndex;
 
     fn words(s: &str) -> Vec<String> {
         s.split_whitespace().map(|w| w.to_string()).collect()
@@ -1025,5 +1050,68 @@ mod tests {
         assert_eq!(set.len(), 7);
         let set3 = enumerate_strings(&trans, 0, 4, 3);
         assert_eq!(set3.len(), 9);
+    }
+
+    /// The tally voting kept before [`VoteTally`]: two hash maps, ranked by
+    /// votes descending then literal ascending. Returns every voted entry in
+    /// rank order and the winner's last voting position.
+    fn reference_ranking(
+        idx: &PhoneticIndex,
+        votes: &[(Vec<usize>, usize)],
+    ) -> (Vec<usize>, usize) {
+        let mut count: HashMap<usize, u32> = HashMap::new();
+        let mut location: HashMap<usize, usize> = HashMap::new();
+        for (winners, last_pos) in votes {
+            for &bi in winners {
+                *count.entry(bi).or_insert(0) += 1;
+                let loc = location.entry(bi).or_insert(0);
+                *loc = (*loc).max(*last_pos);
+            }
+        }
+        let mut ranked: Vec<(usize, u32)> = count.into_iter().collect();
+        ranked.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then_with(|| idx.entries()[a.0].literal.cmp(&idx.entries()[b.0].literal))
+        });
+        let winner = ranked[0].0;
+        (
+            ranked.into_iter().map(|(bi, _)| bi).collect(),
+            location[&winner],
+        )
+    }
+
+    proptest::proptest! {
+        /// The dense tally ranks exactly as the hash-map tally with literal
+        /// compares did, and keeps the winner's last voting position.
+        #[test]
+        fn dense_tally_matches_reference(
+            lits in proptest::collection::vec("[a-e]{1,3}", 1..30),
+            raw_votes in proptest::collection::vec(
+                (proptest::collection::vec(0usize..30, 1..6), 0usize..12),
+                1..24,
+            ),
+        ) {
+            let idx = PhoneticIndex::build(lits);
+            // `nearest` hands out ascending, unique winner indices.
+            let votes: Vec<(Vec<usize>, usize)> = raw_votes
+                .into_iter()
+                .map(|(mut winners, pos)| {
+                    winners.iter_mut().for_each(|w| *w %= idx.len());
+                    winners.sort_unstable();
+                    winners.dedup();
+                    (winners, pos)
+                })
+                .collect();
+            let mut tally = VoteTally::new(idx.len());
+            for (winners, pos) in &votes {
+                for &bi in winners {
+                    tally.cast(bi, *pos);
+                }
+            }
+            let ranked = tally.ranked().to_vec();
+            let (expected, last) = reference_ranking(&idx, &votes);
+            proptest::prop_assert_eq!(&ranked, &expected);
+            proptest::prop_assert_eq!(tally.last[ranked[0]], last);
+        }
     }
 }

@@ -90,6 +90,13 @@ impl PhoneticIndex {
     /// Assemble an index from sorted, deduplicated entries, deriving the
     /// exact-key buckets.
     fn from_entries(entries: Vec<PhoneticEntry>) -> PhoneticIndex {
+        // The nearest scan reads a key's bytes as its chars.
+        assert!(
+            entries
+                .iter()
+                .all(|e| e.key.bytes().all(|b| b.is_ascii_alphanumeric())),
+            "every PhoneticAlgorithm keys a literal with ASCII alphanumerics"
+        );
         let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, e) in entries.iter().enumerate() {
             buckets.entry(e.key.clone()).or_default().push(i);
@@ -119,6 +126,11 @@ impl PhoneticIndex {
     /// the number of distance comparisons performed, which the observability
     /// layer accumulates as `literal.vote_comparisons`. Returns `None` on an
     /// empty index.
+    ///
+    /// A key that misses the exact-key bucket is compared with every entry
+    /// by a bit-parallel Levenshtein kernel: its match masks are built once
+    /// per vote, and each entry then costs a few word operations per key
+    /// byte (one 64-bit word per 64 query chars).
     pub fn nearest(&self, key: &str) -> Option<NearestVote> {
         if self.entries.is_empty() {
             return None;
@@ -137,14 +149,15 @@ impl PhoneticIndex {
         }
         let mut best = usize::MAX;
         let mut winners: Vec<usize> = Vec::new();
-        let mut scan = LevScan::new(key);
+        let mut pattern = BitPattern::new(key);
         for (i, e) in self.entries.iter().enumerate() {
-            // `within` returns the exact distance whenever d <= best, and
-            // None only when d > best — a skipped entry can never join the
-            // winner set, so winners and ties match the unbounded scan.
-            let Some(d) = scan.within(&e.key, best) else {
+            // The length gap is a lower bound on the distance: an entry it
+            // puts past `best` can never join the winner set, so skipping it
+            // leaves winners and ties as the unbounded scan has them.
+            if pattern.len.abs_diff(e.key.len()) > best {
                 continue;
-            };
+            }
+            let d = pattern.distance(e.key.as_bytes());
             if d < best {
                 best = d;
                 winners.clear();
@@ -173,68 +186,108 @@ impl PhoneticIndex {
     }
 }
 
-/// Bounded Levenshtein against one fixed query, with DP buffers reused
-/// across calls so a full index scan performs no per-entry allocation.
-struct LevScan {
-    query: Vec<char>,
-    cand: Vec<char>,
-    prev: Vec<usize>,
-    cur: Vec<usize>,
+/// Match masks cover the ASCII range: every phonetic key is ASCII
+/// alphanumeric (asserted in [`PhoneticIndex::from_entries`]), so a key's
+/// bytes are its chars.
+const ASCII: usize = 128;
+
+/// Myers' bit-vector Levenshtein distance (J. ACM 46(3), 1999) in Hyyrö's
+/// global-distance form (2001), with one fixed query as the pattern. A text
+/// column's vertical deltas `D[i][j] - D[i-1][j]` are kept as two bit
+/// vectors (`+1` and `-1` rows), and one text byte advances the whole
+/// column in a few word operations. Patterns past 64 chars are blocked over
+/// several words, each block handing the horizontal delta leaving its top
+/// row to the block above.
+struct BitPattern {
+    /// Pattern length in chars.
+    len: usize,
+    /// 64-bit words per column.
+    words: usize,
+    /// `peq[byte * words + w]`: bit `i` is set where pattern char `64w + i`
+    /// equals `byte`. A non-ASCII pattern char sets no bit, since it matches
+    /// no key byte; a key byte past the ASCII range is out of bounds.
+    peq: Vec<u64>,
+    /// Per-block `(+1, -1)` vertical-delta vectors of a blocked pattern (a
+    /// one-word column lives in registers instead).
+    blocks: Vec<(u64, u64)>,
 }
 
-impl LevScan {
-    fn new(query: &str) -> LevScan {
-        LevScan {
-            query: query.chars().collect(),
-            cand: Vec::new(),
-            prev: Vec::new(),
-            cur: Vec::new(),
+impl BitPattern {
+    fn new(pattern: &str) -> BitPattern {
+        let len = pattern.chars().count();
+        let words = len.div_ceil(64).max(1);
+        let mut peq = vec![0u64; ASCII * words];
+        for (i, c) in pattern.chars().enumerate() {
+            if c.is_ascii() {
+                peq[c as usize * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+        BitPattern {
+            len,
+            words,
+            peq,
+            blocks: vec![(0, 0); words],
         }
     }
 
-    /// Character-level Levenshtein distance between the query and `other`,
-    /// exact whenever it is `<= bound`; `None` guarantees the distance
-    /// strictly exceeds `bound`. Two abandons keep the scan cheap: the
-    /// length gap is a lower bound on the distance, and each DP row's
-    /// minimum is a lower bound on every later row (costs never decrease
-    /// down a column), so once it passes `bound` no suffix can recover.
-    fn within(&mut self, other: &str, bound: usize) -> Option<usize> {
-        self.cand.clear();
-        self.cand.extend(other.chars());
-        let (la, lb) = (self.query.len(), self.cand.len());
-        if la.abs_diff(lb) > bound {
-            return None;
-        }
-        if la == 0 || lb == 0 {
-            let d = la + lb;
-            return (d <= bound).then_some(d);
-        }
-        self.prev.clear();
-        self.prev.extend(0..=lb);
-        self.cur.clear();
-        self.cur.resize(lb + 1, 0);
-        for (i, &qa) in self.query.iter().enumerate() {
-            self.cur[0] = i + 1;
-            let mut row_min = self.cur[0];
-            for (j, &cb) in self.cand.iter().enumerate() {
-                let sub = self.prev[j] + usize::from(qa != cb);
-                let v = sub.min(self.prev[j + 1] + 1).min(self.cur[j] + 1);
-                self.cur[j + 1] = v;
-                row_min = row_min.min(v);
+    /// Levenshtein distance between the pattern and the ASCII key `text`.
+    fn distance(&mut self, text: &[u8]) -> usize {
+        let Some(last_row) = self.len.checked_sub(1) else {
+            return text.len();
+        };
+        // Column 0 is `D[i][0] = i`: every vertical delta is +1. The score
+        // follows the pattern's last row, `D[len][j]`.
+        let top = 1u64 << (last_row % 64);
+        let mut score = self.len;
+        if self.words == 1 {
+            let (mut vp, mut vn) = (!0u64, 0u64);
+            for &b in text {
+                let h = advance(&mut vp, &mut vn, self.peq[usize::from(b)], 1, top);
+                score = score.wrapping_add_signed(h);
             }
-            if row_min > bound {
-                return None;
-            }
-            std::mem::swap(&mut self.prev, &mut self.cur);
+            return score;
         }
-        let d = self.prev[lb];
-        (d <= bound).then_some(d)
+        self.blocks.fill((!0, 0));
+        for &b in text {
+            let eq = &self.peq[usize::from(b) * self.words..][..self.words];
+            // Row 0 is `D[0][j] = j`: the delta entering the first block is +1.
+            let mut h = 1;
+            for (w, ((vp, vn), &eq)) in self.blocks.iter_mut().zip(eq).enumerate() {
+                let top = if w + 1 == self.words { top } else { 1 << 63 };
+                h = advance(vp, vn, eq, h, top);
+            }
+            score = score.wrapping_add_signed(h);
+        }
+        score
     }
+}
+
+/// Advance one 64-row block of a column by one text byte with match mask
+/// `eq`, given the horizontal delta `hin` (-1, 0 or +1) entering its lowest
+/// row. Returns the horizontal delta leaving row `top`. Rows above the
+/// pattern's last row in its last block hold no pattern char; a row depends
+/// only on the rows below it, so they never disturb the real ones.
+#[inline(always)]
+fn advance(vp: &mut u64, vn: &mut u64, eq: u64, hin: isize, top: u64) -> isize {
+    let hin_neg = u64::from(hin < 0);
+    let xv = eq | *vn;
+    let eq = eq | hin_neg;
+    let xh = ((eq & *vp).wrapping_add(*vp) ^ *vp) | eq;
+    let ph = *vn | !(xh | *vp);
+    let mh = *vp & xh;
+    // `ph` and `mh` are disjoint, so at most one term is set.
+    let hout = isize::from(ph & top != 0) - isize::from(mh & top != 0);
+    let ph = (ph << 1) | u64::from(hin > 0);
+    let mh = (mh << 1) | hin_neg;
+    *vp = mh | !(xv | ph);
+    *vn = ph & xv;
+    hout
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soundex::PhoneticAlgorithm;
     use proptest::prelude::*;
 
     #[test]
@@ -266,7 +319,9 @@ mod tests {
         let idx = PhoneticIndex::build(["FROMDATE", "TODATE"]);
         // "TT" (phonetic key of "date") ties FROMDATE (FRMTT) nowhere: TODATE
         // (TTT) is strictly closer.
-        let vote = idx.nearest("TT").unwrap();
+        let Some(vote) = idx.nearest("TT") else {
+            panic!("index is non-empty");
+        };
         assert_eq!(vote.comparisons, 2);
         assert_eq!(
             vote.winners
@@ -276,7 +331,9 @@ mod tests {
             ["TODATE"]
         );
         // An equidistant key splits its vote across both entries, ascending.
-        let tie = idx.nearest("FRMTT PADDED TO BE FAR").unwrap();
+        let Some(tie) = idx.nearest("FRMTT PADDED TO BE FAR") else {
+            panic!("index is non-empty");
+        };
         assert!(tie.winners.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -315,49 +372,140 @@ mod tests {
         assert!(vote.distance > 0);
     }
 
+    /// Every phonetic algorithm, for the invariant properties below.
+    const ALGORITHMS: [PhoneticAlgorithm; 4] = [
+        PhoneticAlgorithm::Metaphone,
+        PhoneticAlgorithm::Soundex,
+        PhoneticAlgorithm::Nysiis,
+        PhoneticAlgorithm::Identity,
+    ];
+
+    /// The invariants the scan and the vote tally rely on: literals strictly
+    /// ascending (so unique), every key ASCII alphanumeric, and the buckets
+    /// regrouping the entries exactly, each ascending.
+    fn assert_invariants(idx: &PhoneticIndex) {
+        assert!(idx
+            .entries()
+            .windows(2)
+            .all(|w| w[0].literal < w[1].literal));
+        for e in idx.entries() {
+            assert!(
+                e.key.bytes().all(|b| b.is_ascii_alphanumeric()),
+                "key {:?} of {:?}",
+                e.key,
+                e.literal
+            );
+        }
+        let mut regrouped: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, e) in idx.entries().iter().enumerate() {
+            regrouped.entry(e.key.clone()).or_default().push(i);
+        }
+        assert_eq!(idx.buckets, regrouped);
+    }
+
+    /// The winners and distance of a naive scan under the reference
+    /// Levenshtein distance.
+    fn naive_nearest(idx: &PhoneticIndex, key: &str) -> (Vec<usize>, usize) {
+        let mut best = usize::MAX;
+        let mut winners: Vec<usize> = Vec::new();
+        for (i, e) in idx.entries().iter().enumerate() {
+            let d = speakql_editdist::levenshtein(key, &e.key);
+            if d < best {
+                best = d;
+                winners.clear();
+                winners.push(i);
+            } else if d == best {
+                winners.push(i);
+            }
+        }
+        (winners, best)
+    }
+
+    #[test]
+    fn kernel_handles_block_edges() {
+        for (len, text) in [(64, 64), (64, 65), (65, 64), (128, 1), (129, 200)] {
+            let pattern: String = "AB".chars().cycle().take(len).collect();
+            let key: String = "BA".chars().cycle().take(text).collect();
+            let d = BitPattern::new(&pattern).distance(key.as_bytes());
+            assert_eq!(
+                d,
+                speakql_editdist::levenshtein(&pattern, &key),
+                "{len}x{text}"
+            );
+        }
+    }
+
+    /// Proptest case count: `PROPTEST_CASES` when set (CI's release parity
+    /// job raises it), the shim's default otherwise.
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(64)
+    }
+
     proptest! {
-        /// The early-abandoning scan must produce exactly the winners, tie
-        /// set, and distance of a naive unbounded Levenshtein scan.
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// The bit-parallel kernel equals the reference Levenshtein distance
+        /// for empty, one-word (1–64 chars) and blocked (65–200 chars)
+        /// patterns, non-ASCII pattern chars included; one pattern is
+        /// reused across texts, as a vote reuses it across entries.
+        #[test]
+        fn kernel_matches_reference(
+            pattern in prop_oneof![
+                Just(String::new()),
+                "[ABKST0é]{1,64}",
+                "[ABKST0é]{65,200}",
+            ],
+            texts in proptest::collection::vec("[ABKST0]{0,199}", 1..4),
+        ) {
+            let mut bits = BitPattern::new(&pattern);
+            for text in &texts {
+                let d = speakql_editdist::levenshtein(&pattern, text);
+                prop_assert_eq!(bits.distance(text.as_bytes()), d);
+            }
+        }
+
+        /// `nearest`, with its length-gap bound, equals a naive unbounded
+        /// scan: the same winners, tie set and distance, on the bucket path
+        /// and the scan path alike.
         #[test]
         fn bounded_scan_matches_naive_scan(
-            key in "[A-Z]{0,8}",
-            lits in proptest::collection::vec("[A-Za-z]{1,10}", 1..20),
+            key in prop_oneof!["[ABKST0]{0,12}", "[A-Z0-9é]{60,90}"],
+            lits in proptest::collection::vec("[ABKSTaeiou0-9]{1,10}", 1..20),
         ) {
             let idx = PhoneticIndex::build(lits);
-            if idx.buckets.contains_key(key.as_str()) {
-                // Bucket hit takes the exact path; nothing to compare.
-                return Ok(());
-            }
             let Some(vote) = idx.nearest(&key) else {
                 panic!("index is non-empty");
             };
-            let mut best = usize::MAX;
-            let mut winners: Vec<usize> = Vec::new();
-            for (i, e) in idx.entries().iter().enumerate() {
-                let d = speakql_editdist::levenshtein(&key, &e.key);
-                if d < best {
-                    best = d;
-                    winners.clear();
-                    winners.push(i);
-                } else if d == best {
-                    winners.push(i);
-                }
-            }
+            let (winners, best) = naive_nearest(&idx, &key);
             prop_assert_eq!(vote.distance, best);
             prop_assert_eq!(vote.winners, winners);
+            prop_assert_eq!(vote.exact, best == 0);
+            let comparisons = if vote.exact { 1 } else { idx.len() as u64 };
+            prop_assert_eq!(vote.comparisons, comparisons);
         }
 
-        /// `LevScan::within` agrees with the unbounded reference at every
-        /// bound: the exact distance when it fits, `None` strictly above.
+        /// `build_with` under every algorithm, and `merged`, keep the
+        /// index's invariants on arbitrary Unicode literals with duplicates.
         #[test]
-        fn within_is_exact_under_its_bound(
-            a in "[a-z]{0,8}",
-            b in "[a-z]{0,8}",
-            bound in 0usize..10,
+        fn build_and_merge_keep_invariants(
+            lits in proptest::collection::vec("[ -~À-ÿΑ-ωא-ת一-丟😀-😏]{0,12}", 0..24),
+            split in 0usize..24,
         ) {
-            let d = speakql_editdist::levenshtein(&a, &b);
-            let got = LevScan::new(&a).within(&b, bound);
-            prop_assert_eq!(got, (d <= bound).then_some(d));
+            let mut doubled = lits.clone();
+            doubled.extend(lits.iter().take(split).cloned());
+            let (left, right) = doubled.split_at(split.min(doubled.len()));
+            for algo in ALGORITHMS {
+                let whole = PhoneticIndex::build_with(doubled.iter().cloned(), algo);
+                assert_invariants(&whole);
+                let a = PhoneticIndex::build_with(left.iter().cloned(), algo);
+                let b = PhoneticIndex::build_with(right.iter().cloned(), algo);
+                let merged = PhoneticIndex::merged([&a, &b]);
+                assert_invariants(&merged);
+                prop_assert_eq!(&merged, &whole);
+            }
         }
     }
 
