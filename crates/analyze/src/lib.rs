@@ -1,22 +1,20 @@
 //! # speakql-analyze
 //!
-//! Offline static analysis for the SpeakQL workspace. Two engines:
+//! Offline static analysis for the SpeakQL workspace. Three engines:
 //!
 //! 1. **Source lints** ([`lints`]) — a hand-rolled, string/char/comment-aware
 //!    Rust lexer ([`lexer`]) drives lints L001–L004 and L009 over every
 //!    first-party crate, plus vendored-source integrity (L005, [`vendor`]).
-//!    Existing violations are grandfathered in a ratcheted waiver file
-//!    ([`waivers`]): counts may only shrink, never grow.
-//! 2. **Semantic passes** — a lightweight symbol layer ([`symbols`]) over
-//!    the lexer feeds the lock-order graph and blocking-under-lock analysis
-//!    (L006/L007, [`locks`]) and the observability-taxonomy coverage check
-//!    (L008, [`coverage`]).
+//! 2. **Observability coverage** (L008, [`coverage`]) — a lightweight
+//!    symbol layer ([`symbols`]) over the lexer checks that every declared
+//!    counter has an increment site and every error variant is counted.
 //! 3. **Grammar verifier** ([`grammar_check`]) — cross-checks the Box 1
 //!    production rules against the Keyword/SplChar dictionaries, the Earley
 //!    recognizer, and the Structure Generator's placeholder typing.
 //!
-//! All run in CI via `cargo run -p speakql-analyze -- --check`; see the
-//! README's "Static analysis" section for the lint catalog and workflow.
+//! All run in CI via `cargo run -p speakql-analyze -- --check`, where any
+//! finding fails; see the README's "Static analysis" section for the lint
+//! catalog.
 
 #![forbid(unsafe_code)]
 
@@ -24,25 +22,10 @@ pub mod coverage;
 pub mod grammar_check;
 pub mod lexer;
 pub mod lints;
-pub mod locks;
 pub mod symbols;
 pub mod vendor;
-pub mod waivers;
 pub mod workspace;
 
 pub use lexer::{lex, LexedFile, LexedLine};
 pub use lints::{lint_source, selection_for, Finding, LintSelection};
 pub use workspace::{discover_sources, SourceFile};
-
-/// Aggregate findings into per-lint, per-file counts for the waiver ratchet.
-pub fn count_findings(findings: &[Finding]) -> waivers::Counts {
-    let mut counts = waivers::Counts::new();
-    for f in findings {
-        *counts
-            .entry(f.lint.to_string())
-            .or_default()
-            .entry(f.path.clone())
-            .or_insert(0) += 1;
-    }
-    counts
-}

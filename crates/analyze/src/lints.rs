@@ -1,24 +1,21 @@
-//! Source lints L001–L009 over the lexed code view.
+//! Per-file source lints over the lexed code view.
 //!
 //! | Lint | Fires on |
 //! |------|----------|
-//! | L001 | `.unwrap()` / `.expect(` anywhere under a crate's `src/` |
+//! | L001 | `.unwrap()` / `.expect(` anywhere under a crate's `src/`, test modules included |
 //! | L002 | atomic `Ordering::*` without a nearby `// ordering:` comment, outside the whitelist |
 //! | L003 | lossy `as` numeric narrowing in the configured serialization hot-spots |
 //! | L004 | missing `///` docs on public items of library sources |
-//! | L006 | lock-order cycles in the global acquisition graph ([`crate::locks`]) |
-//! | L007 | blocking calls under a live lock guard in server/core ([`crate::locks`]) |
-//! | L008 | counter/error taxonomy drift ([`crate::coverage`]) |
 //! | L009 | panics and unchecked indexing inside `pub` functions of core/server |
 //!
-//! (L005 is the vendored-dependency integrity check, driven from `main`.)
+//! (L005, the vendored-dependency integrity check, is driven from `main`;
+//! L008, counter/error taxonomy drift, is a whole-workspace pass in
+//! [`crate::coverage`].)
 //!
 //! All lints match against the lexer's code view ([`crate::lexer`]), so text
-//! inside string literals and comments can never fire. Counts are ratcheted
-//! per file via [`crate::waivers`].
+//! inside string literals and comments can never fire.
 
 use crate::lexer::{lex, LexedFile};
-use crate::locks;
 use crate::symbols::{functions, line_owners};
 use crate::workspace::SourceFile;
 
@@ -56,8 +53,6 @@ pub struct LintSelection {
     pub l003: bool,
     /// Run L004 (missing docs on public items).
     pub l004: bool,
-    /// Run L007 (blocking calls while holding a lock guard).
-    pub l007: bool,
     /// Run L009 (panic paths inside `pub` API functions).
     pub l009: bool,
 }
@@ -70,7 +65,6 @@ impl LintSelection {
             l002: true,
             l003: true,
             l004: true,
-            l007: true,
             l009: true,
         }
     }
@@ -94,18 +88,15 @@ const L003_FILES: [&str; 2] = ["crates/db/src/parser.rs", "crates/index/src/pers
 pub fn selection_for(file: &SourceFile) -> LintSelection {
     let p = file.rel_path.as_str();
     LintSelection {
-        // All of src/ — including #[cfg(test)] modules and binaries, so the
-        // ratchet tracks the whole surface; integration tests and benches
-        // are exempt (panicking on bad fixtures is their job).
+        // All of src/, #[cfg(test)] modules and binaries included;
+        // integration tests and benches are exempt (panicking on bad
+        // fixtures is their job).
         l001: file.in_src,
         l002: file.in_src && !L002_WHITELIST_PREFIXES.iter().any(|w| p.starts_with(w)),
         l003: L003_FILES.contains(&p),
         // Docs are a library contract: skip binary entry points and
         // test modules (handled per-line via the lexer's test-mod marking).
         l004: file.in_src && !file.is_binary_entry,
-        // Blocking-under-lock matters where locks guard shared service
-        // state: the server and the engine core.
-        l007: file.in_src && (p.starts_with("crates/server/") || p.starts_with("crates/core/")),
         // Panic-freedom is an API contract of the two crates external
         // callers embed.
         l009: file.in_src
@@ -128,9 +119,6 @@ pub fn lint_source(rel_path: &str, source: &str, sel: LintSelection) -> Vec<Find
     }
     if sel.l004 {
         l004_missing_docs(rel_path, &lexed, &mut findings);
-    }
-    if sel.l007 {
-        findings.extend(locks::analyze_file(rel_path, &lexed, true).blocking);
     }
     if sel.l009 {
         l009_api_panics(rel_path, &lexed, &mut findings);
@@ -396,6 +384,23 @@ mod tests {
     }
 
     #[test]
+    fn l001_fires_inside_test_modules() {
+        use crate::workspace::SourceFile;
+        let content = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+                       x.unwrap();\n    }\n}\n";
+        let file = SourceFile {
+            rel_path: "crates/db/src/value.rs".to_string(),
+            crate_name: "db".to_string(),
+            in_src: true,
+            is_binary_entry: false,
+            content: content.to_string(),
+        };
+        let f = lint_source(&file.rel_path, &file.content, selection_for(&file));
+        assert_eq!(codes(&f), ["L001"]);
+        assert_eq!(f[0].line, 5);
+    }
+
+    #[test]
     fn l002_requires_justification() {
         let f = lint("fn f() { x.load(Ordering::Relaxed); }");
         assert_eq!(codes(&f), ["L002"]);
@@ -492,12 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn l007_through_lint_source() {
-        let f = lint("fn f(&self) {\n    let g = self.state.lock();\n    handle.join();\n}\n");
-        assert_eq!(codes(&f), ["L007"]);
-    }
-
-    #[test]
     fn selection_policy() {
         use crate::workspace::SourceFile;
         let mk = |rel: &str, in_src: bool, is_bin: bool| SourceFile {
@@ -509,11 +508,11 @@ mod tests {
         };
         let lib = selection_for(&mk("crates/db/src/exec.rs", true, false));
         assert!(lib.l001 && lib.l002 && lib.l004 && !lib.l003);
-        assert!(!lib.l007 && !lib.l009);
+        assert!(!lib.l009);
         let core = selection_for(&mk("crates/core/src/engine.rs", true, false));
-        assert!(core.l007 && core.l009);
+        assert!(core.l009);
         let srv = selection_for(&mk("crates/server/src/server.rs", true, false));
-        assert!(srv.l007 && srv.l009);
+        assert!(srv.l009);
         let persist = selection_for(&mk("crates/index/src/persist.rs", true, false));
         assert!(persist.l003);
         let obs = selection_for(&mk("crates/observe/src/hist.rs", true, false));

@@ -2,38 +2,28 @@
 //!
 //! Modes:
 //!
-//! - `--check` (default): run source lints (L001–L004, L007, L009), the
-//!   lock-order graph (L006), the observability-coverage pass (L008), and
-//!   vendored-source integrity (L005) against the waiver ratchet, then the
-//!   grammar verifier. Exit 0 only if everything holds.
-//! - `--file <path>...`: lint specific files with every lint enabled and no
-//!   waivers — used by the negative-fixture tests. The lock graph is built
-//!   per file, so a single fixture can demonstrate an L006 cycle.
-//! - `--update-waivers [--allow-growth]`: rewrite the waiver file from
-//!   actual counts; refuses to grow any count unless `--allow-growth`.
-//!   Output is rendered from sorted maps, so reruns are byte-identical.
+//! - `--check` (default): run the source lints (L001–L004, L009), the
+//!   observability-coverage pass (L008), vendored-source integrity (L005)
+//!   and the grammar verifier. Any finding fails; exit 0 only if nothing
+//!   fires.
+//! - `--file <path>...`: lint specific files with every source lint
+//!   enabled — used by the negative-fixture tests.
 //! - `--update-vendor-manifest`: re-baseline the vendor integrity manifest.
 //!
-//! Output flags (compose with the modes above):
-//!
-//! - `--json`: emit one machine-readable JSON document on stdout instead of
-//!   human-oriented lines.
-//! - `--github`: additionally emit GitHub Actions workflow commands
-//!   (`::error file=..`/`::warning file=..`) so findings annotate the PR
-//!   diff inline when run from CI.
+//! `--root <dir>` analyzes another checkout, and `--github` additionally
+//! emits GitHub Actions workflow commands (`::error file=..`) so findings
+//! annotate the PR diff inline when run from CI.
 //!
 //! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use speakql_analyze::{
-    count_findings, coverage, discover_sources, grammar_check, lex, lint_source, locks,
-    selection_for, vendor, waivers, Finding, LintSelection,
+    coverage, discover_sources, grammar_check, lex, lint_source, selection_for, vendor, Finding,
+    LintSelection,
 };
 use std::path::{Path, PathBuf};
 
-/// Relative path of the waiver file.
-const WAIVER_FILE: &str = "results/lint_waivers.toml";
 /// Relative path of the vendor integrity manifest.
 const VENDOR_MANIFEST: &str = "results/vendor_manifest.txt";
 
@@ -43,12 +33,7 @@ fn main() {
 
 #[derive(Debug, Default)]
 struct Options {
-    check: bool,
-    update_waivers: bool,
-    allow_growth: bool,
     update_vendor_manifest: bool,
-    skip_grammar: bool,
-    json: bool,
     github: bool,
     files: Vec<String>,
     root: Option<PathBuf>,
@@ -59,12 +44,9 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--check" => opts.check = true,
-            "--update-waivers" => opts.update_waivers = true,
-            "--allow-growth" => opts.allow_growth = true,
+            // The default mode; accepted so CI can spell it out.
+            "--check" => {}
             "--update-vendor-manifest" => opts.update_vendor_manifest = true,
-            "--skip-grammar" => opts.skip_grammar = true,
-            "--json" => opts.json = true,
             "--github" => opts.github = true,
             "--file" => {
                 let path = it.next().ok_or("--file requires a path")?;
@@ -77,9 +59,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
             "--help" | "-h" => {
                 println!(
                     "speakql-analyze [--check] [--file <path>...] [--root <dir>]\n\
-                     \x20               [--update-waivers [--allow-growth]]\n\
-                     \x20               [--update-vendor-manifest] [--skip-grammar]\n\
-                     \x20               [--json] [--github]"
+                     \x20               [--update-vendor-manifest] [--github]"
                 );
                 return Err(String::new());
             }
@@ -113,13 +93,11 @@ fn run(args: Vec<String>) -> i32 {
     };
     let root = workspace_root(&opts);
     let result = if !opts.files.is_empty() {
-        lint_explicit_files(&opts.files, opts.json)
-    } else if opts.update_waivers {
-        update_waivers(&root, opts.allow_growth)
+        lint_explicit_files(&opts.files)
     } else if opts.update_vendor_manifest {
         update_vendor_manifest(&root)
     } else {
-        check(&root, &opts)
+        check(&root, opts.github)
     };
     match result {
         Ok(code) => code,
@@ -130,51 +108,29 @@ fn run(args: Vec<String>) -> i32 {
     }
 }
 
-/// `--file` mode: every lint, no waivers. The lock graph is built from each
-/// file in isolation so fixtures can demonstrate cycles. Exit 1 if
-/// anything fires.
-fn lint_explicit_files(files: &[String], json: bool) -> Result<i32, String> {
-    let mut all: Vec<Finding> = Vec::new();
+/// `--file` mode: every source lint on each file. Exit 1 if anything fires.
+fn lint_explicit_files(files: &[String]) -> Result<i32, String> {
+    let mut total = 0usize;
     for path in files {
         let content =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let mut findings = lint_source(path, &content, LintSelection::all());
-        let report = locks::analyze_file(path, &lex(&content), false);
-        findings.extend(locks::find_cycles(&locks::build_graph(&[report])));
         sort_findings(&mut findings);
-        if !json {
-            for f in &findings {
-                println!("{f}");
-            }
+        for f in &findings {
+            println!("{f}");
         }
-        all.extend(findings);
+        total += findings.len();
     }
-    if json {
-        println!(
-            "{{\"findings\":{},\"failures\":{}}}",
-            findings_json(&all),
-            all.len()
-        );
-    } else {
-        println!(
-            "speakql-analyze: {} finding(s) in {} file(s)",
-            all.len(),
-            files.len()
-        );
-    }
-    Ok(if all.is_empty() { 0 } else { 1 })
+    println!(
+        "speakql-analyze: {total} finding(s) in {} file(s)",
+        files.len()
+    );
+    Ok(if total == 0 { 0 } else { 1 })
 }
 
-/// Everything the workspace analysis produced beyond the findings list.
-struct AnalysisStats {
-    lock_nodes: usize,
-    lock_edges: usize,
-    coverage: coverage::CoverageSummary,
-}
-
-/// Run the workspace lints plus the semantic passes, returning all findings
+/// Run the workspace lints plus the coverage pass, returning all findings
 /// sorted by (lint, path, line) for deterministic output.
-fn workspace_findings(root: &Path) -> Result<(Vec<Finding>, AnalysisStats), String> {
+fn workspace_findings(root: &Path) -> Result<(Vec<Finding>, coverage::CoverageSummary), String> {
     let sources = discover_sources(root).map_err(|e| format!("source discovery: {e}"))?;
     let mut findings = Vec::new();
     for file in &sources {
@@ -182,23 +138,13 @@ fn workspace_findings(root: &Path) -> Result<(Vec<Finding>, AnalysisStats), Stri
         findings.extend(lint_source(&file.rel_path, &file.content, sel));
     }
 
-    // Semantic passes share one lexing sweep over the library sources.
+    // L008: taxonomy coverage is a whole-workspace property over the
+    // library sources, so it cannot be a per-file lint pass.
     let lexed: Vec<(&str, speakql_analyze::LexedFile)> = sources
         .iter()
         .filter(|f| f.in_src)
         .map(|f| (f.rel_path.as_str(), lex(&f.content)))
         .collect();
-
-    // L006: the lock-order graph is global — a cycle only exists across
-    // files, so it cannot be a per-file lint pass.
-    let reports: Vec<locks::FileLockReport> = lexed
-        .iter()
-        .map(|(rel, lx)| locks::analyze_file(rel, lx, false))
-        .collect();
-    let graph = locks::build_graph(&reports);
-    findings.extend(locks::find_cycles(&graph));
-
-    // L008: taxonomy coverage, also a whole-workspace property.
     let cov_files: Vec<coverage::CoverageFile> = lexed
         .iter()
         .map(|(rel, lx)| coverage::CoverageFile {
@@ -206,18 +152,11 @@ fn workspace_findings(root: &Path) -> Result<(Vec<Finding>, AnalysisStats), Stri
             lexed: lx,
         })
         .collect();
-    let (cov_findings, cov_summary) = coverage::check_coverage(&cov_files);
+    let (cov_findings, summary) = coverage::check_coverage(&cov_files);
     findings.extend(cov_findings);
 
     sort_findings(&mut findings);
-    Ok((
-        findings,
-        AnalysisStats {
-            lock_nodes: graph.nodes.len(),
-            lock_edges: graph.edges.len(),
-            coverage: cov_summary,
-        },
-    ))
+    Ok((findings, summary))
 }
 
 fn sort_findings(findings: &mut [Finding]) {
@@ -227,42 +166,19 @@ fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Default `--check` mode.
-fn check(root: &Path, opts: &Options) -> Result<i32, String> {
+fn check(root: &Path, github: bool) -> Result<i32, String> {
     let mut failures = 0usize;
     let mut annotations: Vec<String> = Vec::new();
 
-    // Engine 1a: source lints + semantic passes against the waiver ratchet.
-    let (findings, stats) = workspace_findings(root)?;
-    let actual = count_findings(&findings);
-    let waiver_path = root.join(WAIVER_FILE);
-    let waived = match std::fs::read_to_string(&waiver_path) {
-        Ok(text) => waivers::parse(&text)?,
-        Err(_) => waivers::Counts::new(),
-    };
-    let issues = waivers::check(&actual, &waived);
-    for issue in &issues {
-        eprintln!("{issue}");
-        // For grown counts, print the individual findings so the offending
-        // lines are directly actionable.
-        if let waivers::RatchetIssue::Grew { lint, path, .. } = issue {
-            for f in findings
-                .iter()
-                .filter(|f| f.lint == lint.as_str() && &f.path == path)
-            {
-                eprintln!("  {f}");
-                annotations.push(github_annotation("error", f));
-            }
-        }
-        if let waivers::RatchetIssue::Stale { lint, path, .. } = issue {
-            annotations.push(format!(
-                "::warning file={path},title={lint} stale waiver::waiver exceeds actual count; \
-                 run --update-waivers to ratchet down",
-            ));
-        }
+    // Source lints and the coverage pass.
+    let (findings, coverage) = workspace_findings(root)?;
+    for f in &findings {
+        eprintln!("{f}");
+        annotations.push(github_annotation(f));
     }
-    failures += issues.len();
+    failures += findings.len();
 
-    // Engine 1b: vendored-source integrity (L005).
+    // Vendored-source integrity (L005).
     let hashes = vendor::hash_vendor_tree(root).map_err(|e| format!("vendor scan: {e}"))?;
     let manifest_path = root.join(VENDOR_MANIFEST);
     match std::fs::read_to_string(&manifest_path) {
@@ -287,111 +203,41 @@ fn check(root: &Path, opts: &Options) -> Result<i32, String> {
         }
     }
 
-    // Engine 2: grammar/dictionary verifier.
-    let mut grammar_findings = 0usize;
-    if opts.skip_grammar {
-        if !opts.json {
-            println!("grammar verifier: skipped (--skip-grammar)");
-        }
-    } else {
-        let report = grammar_check::verify();
-        for f in &report.findings {
-            eprintln!("grammar: {f}");
-            annotations.push(format!(
-                "::error title=grammar verifier::{}",
-                github_escape(f)
-            ));
-        }
-        grammar_findings = report.findings.len();
-        failures += grammar_findings;
-        if !opts.json {
-            println!(
-                "grammar verifier: {} rules, {} nonterminals, {} structures and {} placeholders \
-                 cross-validated, {} finding(s)",
-                report.rules,
-                report.nonterminals,
-                report.structures_checked,
-                report.placeholders_checked,
-                report.findings.len()
-            );
-        }
+    // Grammar/dictionary verifier.
+    let report = grammar_check::verify();
+    for f in &report.findings {
+        eprintln!("grammar: {f}");
+        annotations.push(format!(
+            "::error title=grammar verifier::{}",
+            github_escape(f)
+        ));
     }
+    failures += report.findings.len();
+    println!(
+        "grammar verifier: {} rules, {} nonterminals, {} structures and {} placeholders \
+         cross-validated, {} finding(s)",
+        report.rules,
+        report.nonterminals,
+        report.structures_checked,
+        report.placeholders_checked,
+        report.findings.len()
+    );
 
-    if opts.github {
+    if github {
         for a in &annotations {
             println!("{a}");
         }
     }
-    if opts.json {
-        println!(
-            "{{\"findings\":{},\"ratchet_issues\":{},\"grammar_findings\":{},\
-             \"lock_graph\":{{\"nodes\":{},\"edges\":{}}},\
-             \"coverage\":{{\"counters\":{},\"covered\":{},\"error_variants\":{}}},\
-             \"failures\":{}}}",
-            findings_json(&findings),
-            issues.len(),
-            grammar_findings,
-            stats.lock_nodes,
-            stats.lock_edges,
-            stats.coverage.counters,
-            stats.coverage.covered,
-            stats.coverage.error_variants,
-            failures
-        );
-    } else {
-        println!(
-            "lock graph: {} node(s), {} edge(s); counters covered: {}/{}; \
-             error variants: {}",
-            stats.lock_nodes,
-            stats.lock_edges,
-            stats.coverage.covered,
-            stats.coverage.counters,
-            stats.coverage.error_variants
-        );
-        println!(
-            "speakql-analyze: {} lint finding(s) across {} lint(s), {} failure(s)",
-            findings.len(),
-            actual.len(),
-            failures
-        );
-    }
-    Ok(if failures == 0 { 0 } else { 1 })
-}
-
-/// `--update-waivers`: rewrite the waiver file from actual counts. The
-/// renderer iterates sorted maps, so output order is deterministic and
-/// reruns produce byte-identical files.
-fn update_waivers(root: &Path, allow_growth: bool) -> Result<i32, String> {
-    let (findings, _) = workspace_findings(root)?;
-    let actual = count_findings(&findings);
-    let waiver_path = root.join(WAIVER_FILE);
-    if !allow_growth {
-        if let Ok(text) = std::fs::read_to_string(&waiver_path) {
-            let old = waivers::parse(&text)?;
-            let grown: Vec<_> = waivers::check(&actual, &old)
-                .into_iter()
-                .filter(|i| matches!(i, waivers::RatchetIssue::Grew { .. }))
-                .collect();
-            if !grown.is_empty() {
-                for g in &grown {
-                    eprintln!("{g}");
-                }
-                eprintln!(
-                    "refusing to grow {} waiver(s); fix the violations or pass --allow-growth",
-                    grown.len()
-                );
-                return Ok(1);
-            }
-        }
-    }
-    std::fs::write(&waiver_path, waivers::render(&actual))
-        .map_err(|e| format!("write {}: {e}", waiver_path.display()))?;
     println!(
-        "wrote {} ({} finding(s) waived)",
-        waiver_path.display(),
-        findings.len()
+        "counters covered: {}/{}; error variants: {}",
+        coverage.covered, coverage.counters, coverage.error_variants
     );
-    Ok(0)
+    println!(
+        "speakql-analyze: {} lint finding(s), {} failure(s)",
+        findings.len(),
+        failures
+    );
+    Ok(if failures == 0 { 0 } else { 1 })
 }
 
 /// `--update-vendor-manifest`: re-baseline vendor integrity.
@@ -408,49 +254,10 @@ fn update_vendor_manifest(root: &Path) -> Result<i32, String> {
     Ok(0)
 }
 
-/// Render findings as a JSON array (hand-rolled: the workspace vendors no
-/// serialization crate, and the shape is four flat fields).
-fn findings_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"lint\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            f.lint,
-            json_escape(&f.path),
-            f.line,
-            json_escape(&f.message)
-        ));
-    }
-    out.push(']');
-    out
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One GitHub Actions workflow command annotating a finding's source line.
-fn github_annotation(level: &str, f: &Finding) -> String {
+fn github_annotation(f: &Finding) -> String {
     format!(
-        "::{level} file={path},line={line},title={lint}::{msg}",
+        "::error file={path},line={line},title={lint}::{msg}",
         path = f.path,
         line = f.line,
         lint = f.lint,

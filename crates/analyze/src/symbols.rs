@@ -1,15 +1,16 @@
 //! A lightweight symbol layer over the lexed code view.
 //!
-//! The semantic lints (L006 lock order, L007 blocking-under-lock, L009
-//! API-boundary panic-freedom) need to know *which function* a line belongs
-//! to and whether that function is `pub`. This module extracts exactly that:
-//! function items with their body spans and visibility, by tracking brace
-//! depth over the lexer's string/comment-free code view.
+//! L009 (API-boundary panic-freedom) needs to know *which function* a line
+//! belongs to and whether that function is `pub`, and L008 (observability
+//! coverage) reads the bodies of `SpeakQlError::class()`/`counter()`. This
+//! module extracts exactly that: function items with their body spans and
+//! visibility, by tracking brace depth over the lexer's string/comment-free
+//! code view.
 //!
 //! It is deliberately not a parser: closures, `impl` blocks, and generics
 //! are invisible to it. All it guarantees is that every body line of a
-//! `fn` item maps to the innermost `fn` that contains it — which is all the
-//! semantic lints consume.
+//! `fn` item maps to the innermost `fn` that contains it — which is all
+//! those two lints consume.
 
 use crate::lexer::LexedFile;
 

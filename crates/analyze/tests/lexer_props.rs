@@ -13,7 +13,6 @@ fn l001_only() -> LintSelection {
         l002: false,
         l003: false,
         l004: false,
-        l007: false,
         l009: false,
     }
 }

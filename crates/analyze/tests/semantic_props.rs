@@ -1,27 +1,16 @@
-//! Property tests for the semantic lints (L006–L009): lock, blocking,
-//! panic, and counter needles inside string literals, comments, and doc
-//! comments must be invisible to the analysis, while the same needles in
-//! genuine code always fire.
+//! Property tests for the semantic lints (L008, L009): panic, indexing and
+//! counter needles inside string literals, comments, and doc comments must
+//! be invisible to the analysis, while the same needles in genuine code
+//! always fire.
 
 use proptest::prelude::*;
 use speakql_analyze::coverage::{check_coverage, CoverageFile, OBSERVE_PATH};
-use speakql_analyze::{lex, lint_source, locks, LintSelection};
+use speakql_analyze::{lex, lint_source, LintSelection};
 
 /// Filler that cannot itself introduce a lint needle or terminate the
 /// surrounding literal/comment (no `.`, `(`, `)`, `"`, `!`, `[`, `*`, `/`).
 fn filler() -> impl Strategy<Value = String> {
     "[ a-zA-Z0-9_;:=+-]{0,24}"
-}
-
-fn l007_only() -> LintSelection {
-    LintSelection {
-        l001: false,
-        l002: false,
-        l003: false,
-        l004: false,
-        l007: true,
-        l009: false,
-    }
 }
 
 fn l009_only() -> LintSelection {
@@ -30,21 +19,8 @@ fn l009_only() -> LintSelection {
         l002: false,
         l003: false,
         l004: false,
-        l007: false,
         l009: true,
     }
-}
-
-/// Lock acquisitions and edges found in one source string, on a path where
-/// the blocking lint applies.
-fn lock_report(source: &str) -> locks::FileLockReport {
-    locks::analyze_file("crates/server/src/fake.rs", &lex(source), true)
-}
-
-/// L006 cycle findings for a single source string.
-fn cycle_count(source: &str) -> usize {
-    let report = locks::analyze_file("crates/server/src/fake.rs", &lex(source), false);
-    locks::find_cycles(&locks::build_graph(&[report])).len()
 }
 
 const OBSERVE_SRC: &str = "pub enum CounterId {\n    Hits,\n    Misses,\n}\n\
@@ -76,72 +52,6 @@ fn coverage_findings(user_src: &str) -> Vec<speakql_analyze::Finding> {
 }
 
 proptest! {
-    // ---- L006: lock-order graph ----
-
-    #[test]
-    fn lock_needle_in_string_is_not_an_acquisition(pre in filler(), post in filler()) {
-        let source =
-            format!("fn f() -> &'static str {{\n    \"{pre}.lock(){post}\"\n}}\n");
-        let report = lock_report(&source);
-        prop_assert!(report.acquisitions.is_empty(), "source:\n{source}");
-        prop_assert!(report.edges.is_empty());
-    }
-
-    #[test]
-    fn lock_order_in_comments_never_cycles(pre in filler(), post in filler()) {
-        let source = format!(
-            "fn f() {{\n    // {pre} a.lock() then b.lock() {post}\n    let x = 1;\n}}\n\
-             fn g() {{\n    // {pre} b.lock() then a.lock() {post}\n    let y = 2;\n}}\n"
-        );
-        prop_assert_eq!(cycle_count(&source), 0, "source:\n{}", source);
-    }
-
-    #[test]
-    fn opposite_lock_order_in_code_always_cycles(pre in filler()) {
-        // Control: a genuine opposite-order pair is always reported.
-        let source = format!(
-            "fn f(p: &P) {{\n    let s = \"{pre}\";\n    let a = p.first.lock();\n    \
-             let b = p.second.lock();\n    drop(b);\n    drop(a);\n}}\n\
-             fn g(p: &P) {{\n    let b = p.second.lock();\n    let a = p.first.lock();\n    \
-             drop(a);\n    drop(b);\n}}\n"
-        );
-        prop_assert_eq!(cycle_count(&source), 1, "source:\n{}", source);
-    }
-
-    // ---- L007: blocking calls under a live guard ----
-
-    #[test]
-    fn blocking_needle_in_string_under_lock_never_fires(pre in filler(), post in filler()) {
-        let source = format!(
-            "fn f(s: &S) {{\n    let g = s.queue.lock();\n    \
-             let msg = \"{pre}thread::sleep{post}\";\n    drop(g);\n}}\n"
-        );
-        let findings = lint_source("crates/server/src/fake.rs", &source, l007_only());
-        prop_assert!(findings.is_empty(), "source:\n{source}\nfindings: {findings:?}");
-    }
-
-    #[test]
-    fn blocking_needle_in_doc_comment_never_fires(pre in filler(), post in filler()) {
-        let source = format!(
-            "/// {pre} calls thread::sleep while locked {post}\nfn f(s: &S) {{\n    \
-             let g = s.queue.lock();\n    let x = 1;\n    drop(g);\n}}\n"
-        );
-        let findings = lint_source("crates/server/src/fake.rs", &source, l007_only());
-        prop_assert!(findings.is_empty(), "source:\n{source}\nfindings: {findings:?}");
-    }
-
-    #[test]
-    fn blocking_call_in_code_under_lock_always_fires(pre in filler()) {
-        // Control: the same needle in genuine code is always caught.
-        let source = format!(
-            "fn f(s: &S) {{\n    let x = \"{pre}\";\n    let g = s.queue.lock();\n    \
-             thread::sleep(ms);\n    drop(g);\n}}\n"
-        );
-        let findings = lint_source("crates/server/src/fake.rs", &source, l007_only());
-        prop_assert_eq!(findings.len(), 1, "source:\n{}", source);
-        prop_assert_eq!(findings[0].lint, "L007");
-    }
-
     // ---- L009: panics in `pub` API functions ----
 
     #[test]

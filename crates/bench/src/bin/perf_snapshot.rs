@@ -30,9 +30,8 @@
 //! below it. The upper side catches regressions; the lower side catches
 //! silent drift — a search suddenly doing 10x less work than its committed
 //! baseline means the workload or the algorithm changed out from under the
-//! baseline, which must be acknowledged by regenerating it, exactly like
-//! the lint-waiver ratchet. Wall-clock fails more than 30% above baseline
-//! and never for being faster. Accuracy — mean WRR and LRR (Table 2) and
+//! baseline, which must be acknowledged by regenerating it. Wall-clock
+//! fails more than 30% above baseline and never for being faster. Accuracy — mean WRR and LRR (Table 2) and
 //! the share of exact structures (Fig. 8) — is as deterministic as the
 //! counters, so its three rates are held to the baseline on either side: a
 //! latency change that costs accuracy fails in the same run that measured

@@ -8,7 +8,6 @@ use crate::cache::SkeletonCache;
 use crate::catalog::PhoneticCatalog;
 use crate::error::{panic_message, SpeakQlError, SpeakQlResult};
 use crate::literal::{FilledLiteral, LiteralConfig, LiteralFinder, WindowEncodings};
-use parking_lot::Mutex;
 use speakql_db::Database;
 use speakql_editdist::{Dist, Weights};
 use speakql_grammar::{
@@ -17,10 +16,9 @@ use speakql_grammar::{
 };
 use speakql_index::{SearchConfig, SearchHit, StructureIndex};
 use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Fault-injection hook for robustness testing: when set on a
@@ -256,8 +254,10 @@ pub struct SpeakQl {
     /// tenant re-registered over a new index) can share it.
     catalog: Arc<PhoneticCatalog>,
     config: SpeakQlConfig,
-    /// Lazily built per-clause indexes for clause-level dictation.
-    clause_indexes: Mutex<HashMap<ClauseKind, Arc<StructureIndex>>>,
+    /// Lazily built per-clause indexes for clause-level dictation, one slot
+    /// per [`ClauseKind`] in declaration order. Each slot initializes once,
+    /// so building one kind's index never stalls another kind's lookup.
+    clause_indexes: [OnceLock<StructureIndex>; 4],
     /// Pipeline metric registry; a no-op unless [`SpeakQlConfig::observe`].
     recorder: Recorder,
     /// Cross-query skeleton-result cache; `None` unless
@@ -322,7 +322,7 @@ impl SpeakQl {
             skeleton_cache: (config.cache_capacity > 0)
                 .then(|| Arc::new(SkeletonCache::new(config.cache_capacity))),
             config,
-            clause_indexes: Mutex::new(HashMap::new()),
+            clause_indexes: Default::default(),
         }
     }
 
@@ -366,7 +366,7 @@ impl SpeakQl {
             recorder,
             skeleton_cache: Some(cache),
             config,
-            clause_indexes: Mutex::new(HashMap::new()),
+            clause_indexes: Default::default(),
         }
     }
 
@@ -433,15 +433,6 @@ impl SpeakQl {
             return Vec::new();
         }
         let workers = self.config.effective_threads().min(transcripts.len());
-        if workers <= 1 {
-            return transcripts
-                .iter()
-                .map(|t| {
-                    self.recorder.incr(CounterId::BatchJobs);
-                    self.transcribe(t)
-                })
-                .collect();
-        }
         // Queue-wait clock: jobs are submitted all at once, so a job's wait
         // is the time from here until a worker dequeues it.
         let submitted = self.recorder.is_enabled().then(Instant::now);
@@ -506,9 +497,11 @@ impl SpeakQl {
         &self,
         work: impl FnOnce() -> SpeakQlResult<Transcription>,
     ) -> SpeakQlResult<Transcription> {
-        // AssertUnwindSafe: the engine's shared state is parking_lot mutexes
-        // (no poisoning) and monotone atomics; a contained panic can leave
-        // them mid-update only in ways the next call tolerates.
+        // AssertUnwindSafe: the engine's shared state is monotone atomics,
+        // the skeleton cache's parking_lot mutex (no poisoning) and the
+        // clause-index `OnceLock`s (a panicking initializer leaves its slot
+        // empty); a contained panic can leave them mid-update only in ways
+        // the next call tolerates.
         let result = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
             Err(SpeakQlError::WorkerPanic {
                 message: panic_message(payload),
@@ -580,7 +573,7 @@ impl SpeakQl {
             if index.is_empty() {
                 return Err(SpeakQlError::EmptyIndex);
             }
-            let mut t = self.transcribe_words(&words, &index, None, start);
+            let mut t = self.transcribe_words(&words, index, None, start);
             t.transcript = transcript.to_string();
             self.recorder.incr(CounterId::Transcriptions);
             self.recorder.record_duration(SpanId::Transcribe, t.elapsed);
@@ -588,14 +581,11 @@ impl SpeakQl {
         })
     }
 
-    fn clause_index(&self, clause: ClauseKind) -> Arc<StructureIndex> {
-        let mut map = self.clause_indexes.lock();
-        map.entry(clause)
-            .or_insert_with(|| {
-                let structures = generate_clause_structures(&self.config.generator, clause);
-                Arc::new(StructureIndex::build(structures, self.config.weights))
-            })
-            .clone()
+    fn clause_index(&self, clause: ClauseKind) -> &StructureIndex {
+        self.clause_indexes[clause as usize].get_or_init(|| {
+            let structures = generate_clause_structures(&self.config.generator, clause);
+            StructureIndex::build(structures, self.config.weights)
+        })
     }
 
     /// Core pipeline over pre-tokenized transcript words. `cache` is the
@@ -935,6 +925,59 @@ mod tests {
             "select sum open parenthesis salary close parenthesis",
         ));
         assert_eq!(best(&t), "SELECT SUM ( Salary )");
+    }
+
+    #[test]
+    fn concurrent_clause_dictation_matches_sequential() {
+        let dictations = [
+            (
+                ClauseKind::Select,
+                "select sum open parenthesis salary close parenthesis",
+            ),
+            (ClauseKind::From, "from employees natural join salaries"),
+            (ClauseKind::Where, "where salary greater than 70000"),
+            (ClauseKind::Tail, "order by salary limit five"),
+        ];
+        let answers = |e: &SpeakQl, kind: ClauseKind, text: &str| -> Vec<(String, Dist)> {
+            let t = ok(e.transcribe_clause(kind, text));
+            t.candidates
+                .iter()
+                .map(|c| (c.sql.clone(), c.distance))
+                .collect()
+        };
+        let sequential: Vec<_> = dictations
+            .iter()
+            .map(|&(kind, text)| answers(engine(), kind, text))
+            .collect();
+        // A fresh engine, and a barrier so all four dictations start
+        // together: each clause index is built while the other kinds' are
+        // being built or searched.
+        let fresh = &SpeakQl::with_index(
+            &toy_db(),
+            Arc::clone(&engine().index),
+            SpeakQlConfig::small(),
+        );
+        let start = &std::sync::Barrier::new(dictations.len());
+        let concurrent: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = dictations
+                .iter()
+                .map(|&(kind, text)| {
+                    scope.spawn(move || {
+                        start.wait();
+                        answers(fresh, kind, text)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(a) => a,
+                    Err(_) => panic!("a dictation thread panicked"),
+                })
+                .collect()
+        });
+        assert_eq!(concurrent, sequential);
+        assert!(sequential.iter().all(|a| !a.is_empty()));
     }
 
     #[test]

@@ -327,7 +327,9 @@ mod tests {
                         let attr = &c.literals[gov as usize];
                         let domain = db.attribute_values(attr);
                         if !domain.is_empty() {
-                            let v = Value::parse_literal(lit).expect("parsable value");
+                            let Some(v) = Value::parse_literal(lit) else {
+                                panic!("{lit} does not parse as a value");
+                            };
                             assert!(domain.contains(&v), "{lit} not in domain of {attr}");
                             checked += 1;
                         }

@@ -20,3 +20,23 @@ pub use employees::employees_db;
 pub use genqueries::{bind_structure, generate_cases, generate_nested_cases, QueryCase};
 pub use user_study::{StudyQuery, STUDY_QUERIES};
 pub use yelp::yelp_db;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use speakql_db::{Date, Value};
+
+    #[test]
+    fn every_date_in_both_databases_is_valid() {
+        for db in [employees_db(), yelp_db()] {
+            let mut dates = 0;
+            for value in db.tables.iter().flat_map(|t| t.rows.iter().flatten()) {
+                if let Value::Date(d) = value {
+                    assert_eq!(Date::new(d.year, d.month, d.day), Some(*d), "{}", db.name);
+                    dates += 1;
+                }
+            }
+            assert!(dates > 0, "{} has no dates", db.name);
+        }
+    }
+}

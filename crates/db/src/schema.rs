@@ -228,7 +228,9 @@ mod tests {
         assert!(db.table("employees").is_some());
         assert!(db.table("EMPLOYEES").is_some());
         assert!(db.table("nope").is_none());
-        let t = db.table("Employees").unwrap();
+        let Some(t) = db.table("Employees") else {
+            panic!("Employees is in the toy database");
+        };
         assert_eq!(t.schema.column_index("firstname"), Some(1));
     }
 
@@ -252,7 +254,9 @@ mod tests {
     #[test]
     fn distinct_values_sorted_dedup() {
         let db = toy_db();
-        let t = db.table("Employees").unwrap();
+        let Some(t) = db.table("Employees") else {
+            panic!("Employees is in the toy database");
+        };
         assert_eq!(
             t.distinct_values(1),
             vec![Value::Text("Goh".into()), Value::Text("Karsten".into())]

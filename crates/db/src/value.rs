@@ -238,15 +238,12 @@ mod tests {
 
     #[test]
     fn date_parse_and_display() {
-        let d = Date::parse("1993-01-20").unwrap();
-        assert_eq!(
-            d,
-            Date {
-                year: 1993,
-                month: 1,
-                day: 20
-            }
-        );
+        let d = Date {
+            year: 1993,
+            month: 1,
+            day: 20,
+        };
+        assert_eq!(Date::parse("1993-01-20"), Some(d));
         assert_eq!(d.to_string(), "1993-01-20");
         assert!(Date::parse("1993-13-01").is_none());
         assert!(Date::parse("1993-02-30").is_none());
@@ -269,7 +266,11 @@ mod tests {
         );
         assert_eq!(
             Value::parse_literal("'1993-01-20'"),
-            Some(Value::Date(Date::parse("1993-01-20").unwrap()))
+            Some(Value::Date(Date {
+                year: 1993,
+                month: 1,
+                day: 20
+            }))
         );
         assert_eq!(Value::parse_literal("70000"), Some(Value::Int(70000)));
         assert_eq!(Value::parse_literal("3.5"), Some(Value::Float(3.5)));
@@ -301,7 +302,11 @@ mod tests {
             Value::Int(42),
             Value::Float(3.5),
             Value::Text("Engineer".into()),
-            Value::Date(Date::parse("2001-10-09").unwrap()),
+            Value::Date(Date {
+                year: 2001,
+                month: 10,
+                day: 9,
+            }),
         ] {
             assert_eq!(Value::parse_literal(&v.render_sql()), Some(v.clone()));
         }
@@ -314,7 +319,11 @@ mod tests {
             Value::Int(1),
             Value::Float(1.5),
             Value::Text("a".into()),
-            Value::Date(Date::parse("2020-01-01").unwrap()),
+            Value::Date(Date {
+                year: 2020,
+                month: 1,
+                day: 1,
+            }),
         ];
         let mut sorted = vals.to_vec();
         sorted.sort();

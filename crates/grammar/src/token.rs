@@ -107,12 +107,10 @@ impl Keyword {
             .find(|k| k.as_str().eq_ignore_ascii_case(word))
     }
 
-    /// Stable dense index in `0..19`, used for token interning.
+    /// Stable dense index in `0..19`, used for token interning: the
+    /// declaration order, which is also [`ALL_KEYWORDS`]'s.
     pub fn index(self) -> usize {
-        ALL_KEYWORDS
-            .iter()
-            .position(|&k| k == self)
-            .expect("keyword present in ALL_KEYWORDS")
+        self as usize
     }
 
     /// The aggregate keywords `AVG | SUM | MAX | MIN | COUNT` (`SEL_OP`).
@@ -190,12 +188,10 @@ impl SplChar {
             .find(|c| c.as_str().chars().eq(std::iter::once(ch)))
     }
 
-    /// Stable dense index in `0..8`, used for token interning.
+    /// Stable dense index in `0..8`, used for token interning: the
+    /// declaration order, which is also [`ALL_SPLCHARS`]'s.
     pub fn index(self) -> usize {
-        ALL_SPLCHARS
-            .iter()
-            .position(|&c| c == self)
-            .expect("splchar present in ALL_SPLCHARS")
+        self as usize
     }
 
     /// The comparison-operator members of the *prime superset* used by

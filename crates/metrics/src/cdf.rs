@@ -188,7 +188,7 @@ mod tests {
         for w in series.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-        assert_eq!(series.last().unwrap().1, 1.0);
+        assert_eq!(series.last().map(|p| p.1), Some(1.0));
     }
 
     #[test]

@@ -72,8 +72,8 @@ mod proptests {
         fn metrics_in_unit_interval(a in arb_query(), b in arb_query()) {
             let r = accuracy(&a, &b);
             for m in METRIC_NAMES {
-                let v = r.get(m).unwrap();
-                prop_assert!((0.0..=1.0).contains(&v), "{} = {}", m, v);
+                let v = r.get(m);
+                prop_assert!(v.is_some_and(|v| (0.0..=1.0).contains(&v)), "{} = {:?}", m, v);
             }
         }
     }

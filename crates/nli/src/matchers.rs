@@ -114,12 +114,15 @@ mod tests {
     #[test]
     fn value_grounding() {
         let db = employees_db();
-        let v = match_value(&db, "FirstName", "karsten").unwrap();
-        assert_eq!(v, Value::Text("Karsten".into()));
-        let v = match_value(&db, "salary", "70000").unwrap();
-        assert_eq!(v, Value::Int(70000));
-        let v = match_value(&db, "HireDate", "1996-05-10").unwrap();
-        assert!(matches!(v, Value::Date(_)));
+        assert_eq!(
+            match_value(&db, "FirstName", "karsten"),
+            Some(Value::Text("Karsten".into()))
+        );
+        assert_eq!(match_value(&db, "salary", "70000"), Some(Value::Int(70000)));
+        assert!(matches!(
+            match_value(&db, "HireDate", "1996-05-10"),
+            Some(Value::Date(_))
+        ));
     }
 
     #[test]

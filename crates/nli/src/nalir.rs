@@ -137,12 +137,12 @@ mod tests {
     #[test]
     fn grounds_a_simple_question() {
         let db = employees_db();
-        let sql = predict(
+        let Some(sql) = predict(
             &db,
             "what is the average salary of salaries where from date is 1993-01-20",
-        );
-        assert!(sql.is_some());
-        let sql = sql.unwrap();
+        ) else {
+            panic!("the question grounds to SQL");
+        };
         assert!(sql.contains("FROM Salaries"), "{sql}");
         assert!(sql.contains("AVG"), "{sql}");
     }

@@ -189,8 +189,8 @@ mod tests {
         rec.record_duration(SpanId::Tokenize, Duration::from_micros(10));
         let report = rec.report();
         assert_eq!(report.counter(CounterId::BatchJobs), 3);
-        assert_eq!(report.stage(SpanId::Tokenize).unwrap().count, 1);
-        assert_eq!(report.stage(SpanId::Render).unwrap().count, 0);
+        assert_eq!(report.stage(SpanId::Tokenize).map(|s| s.count), Some(1));
+        assert_eq!(report.stage(SpanId::Render).map(|s| s.count), Some(0));
     }
 
     #[test]

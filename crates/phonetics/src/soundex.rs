@@ -42,7 +42,7 @@ pub fn soundex(word: &str) -> String {
         }
         // Letters with the same code (possibly separated by H/W) count once.
         if k != prev_code {
-            out.push(char::from_digit(k as u32, 10).expect("digit"));
+            out.push(char::from(b'0' + k));
         }
         prev_code = k;
         if out.len() == 4 {
