@@ -16,42 +16,43 @@
 //! relies on.
 //!
 //! Invalidation is structural: hits reference structures by arena id, which
-//! is only meaningful for the [`StructureIndex`](speakql_index::StructureIndex)
-//! the search ran against, so every key carries that index's
-//! [`generation`](speakql_index::StructureIndex::generation). Generations
-//! are *content-derived* (a hash of the arena, tombstone flags, and trie
-//! segment planes), which makes invalidation exactly as fine-grained as the
-//! content changes themselves:
+//! is only meaningful for an index that returns the same hits, so every key
+//! carries the [`generation`](speakql_index::StructureIndex::generation) of
+//! the index the search ran against. The generation is derived from exactly
+//! what a search reads (the weights and the trie segments, whose terminals
+//! are the arena ids), so equal generations mean equal hits, id for id, and
+//! invalidation is exactly as fine-grained as the answers themselves:
 //!
 //! - Reloading the same persisted image — or rebuilding the identical
 //!   structure space — derives the same generation, so warm entries survive
 //!   process restarts and tenant re-registrations instead of going cold
-//!   behind a fresh counter value.
-//! - Any change that renumbers or reshapes the arena (an
-//!   [`IndexDelta`](speakql_index::IndexDelta) with removals, different
-//!   weights, a different structure space) derives a different generation,
-//!   so stale hits can never be replayed against ids that now mean
-//!   something else. Pure appends keep every existing id and keep the
-//!   generation only if content is otherwise identical — a delta'd index
-//!   gets a new generation and repopulates naturally.
+//!   behind a fresh counter value. So does a delta that only appends, or
+//!   one that tombstones only slots above its last live id, against its
+//!   compacted rebuild: neither moves a live id.
+//! - Any change to what a search returns (an
+//!   [`IndexDelta`](speakql_index::IndexDelta) that renumbers or removes a
+//!   live structure, different weights, a different structure space)
+//!   derives a different generation, so stale hits can never be replayed
+//!   against ids that now mean something else.
 //!
-//! A cache shared across engines — the multi-tenant server hands one
-//! `Arc<SkeletonCache>` to every engine — therefore lets tenants on the
-//! same index content reuse each other's warm results (however each copy
-//! was built or loaded), while tenants on different arenas can never
-//! collide because their generations differ.
+//! Each engine materializes a replayed hit from its own arena. A cache
+//! shared across engines — the multi-tenant server hands one
+//! `Arc<SkeletonCache>` to every engine — therefore lets tenants on equal
+//! indexes reuse each other's warm results (however each copy was built or
+//! loaded), while tenants on different indexes can never collide because
+//! their generations differ.
 
-use parking_lot::Mutex;
 use speakql_grammar::StructTokId;
 use speakql_index::{SearchConfig, SearchHit};
 use speakql_observe::{CounterId, Recorder};
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Upper bound on shard count; more shards than this buys no contention
 /// relief at the batch sizes the engine runs.
 const MAX_SHARDS: usize = 8;
 
-/// Cache key: the masked skeleton, the search configuration, and the arena
+/// Cache key: the masked skeleton, the search configuration, and the
 /// generation of the index the hits came from.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
@@ -115,6 +116,13 @@ impl Shard {
     }
 }
 
+/// Lock `shard`. Each critical section is one map operation, which leaves
+/// the shard valid even if it panics, so a poisoned lock is recovered
+/// rather than propagated.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A sharded, thread-safe LRU cache from masked skeletons to top-k
 /// [`SearchHit`] vectors. See the module docs for the invalidation story.
 #[derive(Debug)]
@@ -142,7 +150,7 @@ impl SkeletonCache {
 
     /// Number of entries currently cached, across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| lock(s).entries.len()).sum()
     }
 
     /// True when no search result is cached.
@@ -165,9 +173,7 @@ impl SkeletonCache {
             cfg: *cfg,
             masked: masked.to_vec(),
         };
-        // panic-safe: shard_of reduces modulo shards.len(), so the index
-        // is always in bounds.
-        let hit = self.shards[self.shard_of(&key)].lock().get(&key);
+        let hit = self.shard(&key).get(&key);
         recorder.incr(if hit.is_some() {
             CounterId::CacheSkeletonHits
         } else {
@@ -192,13 +198,15 @@ impl SkeletonCache {
             cfg: *cfg,
             masked: masked.to_vec(),
         };
+        let evicted = self.shard(&key).insert(self.shard_capacity, key, hits);
+        recorder.add(CounterId::CacheSkeletonEvictions, evicted);
+    }
+
+    /// The shard holding `key`, locked.
+    fn shard(&self, key: &Key) -> MutexGuard<'_, Shard> {
         // panic-safe: shard_of reduces modulo shards.len(), so the index
         // is always in bounds.
-        let evicted =
-            self.shards[self.shard_of(&key)]
-                .lock()
-                .insert(self.shard_capacity, key, hits);
-        recorder.add(CounterId::CacheSkeletonEvictions, evicted);
+        lock(&self.shards[self.shard_of(key)])
     }
 
     /// Deterministic shard selection: FNV-1a over the key's stable byte

@@ -328,10 +328,10 @@ impl SpeakQl {
 
     /// Build an engine around a pre-built structure index *and* an existing
     /// skeleton cache shared with other engines. Entries are keyed by the
-    /// index's arena [`generation`](StructureIndex::generation), so engines
-    /// over the same `Arc<StructureIndex>` (multi-tenant sessions on one
-    /// schema) reuse each other's warm search results, while engines over
-    /// different arenas sharing the same cache can never collide.
+    /// index's [`generation`](StructureIndex::generation), so engines over
+    /// indexes with equal generations (the same `Arc<StructureIndex>`, a
+    /// reload of its image) reuse each other's warm search results, while
+    /// engines over indexes that answer differently can never collide.
     ///
     /// The caller also supplies the [`Recorder`], so a fleet of engines can
     /// aggregate metrics into one report (the multi-tenant server does).
@@ -498,7 +498,8 @@ impl SpeakQl {
         work: impl FnOnce() -> SpeakQlResult<Transcription>,
     ) -> SpeakQlResult<Transcription> {
         // AssertUnwindSafe: the engine's shared state is monotone atomics,
-        // the skeleton cache's parking_lot mutex (no poisoning) and the
+        // the skeleton cache's shard mutexes (each critical section is one
+        // map operation, and a poisoned shard is recovered) and the
         // clause-index `OnceLock`s (a panicking initializer leaves its slot
         // empty); a contained panic can leave them mid-update only in ways
         // the next call tolerates.

@@ -4,8 +4,8 @@
 //!
 //! [`StreamingTranscriber`] maintains the best correction for the words
 //! received so far. Re-searching on every word is affordable because the
-//! structure search runs in well under a millisecond; a small stability
-//! heuristic avoids flickering between equally-distant candidates.
+//! structure search runs in well under a millisecond, and every successful
+//! refresh replaces the rendering with the new transcription.
 //!
 //! Errors never interrupt a dictation: when a refresh fails (e.g. the
 //! growing hypothesis exceeds the word cap), the previous rendering stays on
@@ -110,10 +110,6 @@ impl<'a> StreamingTranscriber<'a> {
         self.updates += 1;
         match self.engine.transcribe(&transcript) {
             Ok(next) => {
-                // Stability: keep the previous rendering when the new best is
-                // not strictly better *relative to the growing input* — i.e.
-                // when the new candidate is merely a tie that would make the
-                // display flicker.
                 self.last = Some(next);
                 self.error = None;
             }

@@ -234,6 +234,66 @@ fn reload_of_same_bytes_preserves_cache_hits() {
     );
 }
 
+/// A delta that tombstones only the last arena slot holds the same live ids
+/// in the same segments as its compacted rebuild, so the two share a
+/// generation: an engine over the delta replays, through a shared cache,
+/// the hits an engine over the rebuild left there, and answers exactly like
+/// an engine with no cache.
+#[test]
+fn tail_tombstoned_delta_replays_its_rebuilds_cache() {
+    let db = toy_db();
+    let cfg = SpeakQlConfig::small().with_threads(1);
+    let base = shared_index();
+    let last = base.arena_len() as u32 - 1;
+    let delta = speakql_index::IndexDelta::new().remove_structures([last]);
+    let (tail, _) = base.apply_delta(&delta).expect("apply delta");
+    let live: Vec<_> = (0..last).map(|id| tail.structure(id)).collect();
+    let rebuilt = StructureIndex::build(live, tail.weights());
+    assert_eq!(tail.generation(), rebuilt.generation());
+
+    let queries = [
+        "select salary from employees",
+        "select salary from employees where first name equals john",
+        "select sum open parenthesis salary close parenthesis from employees",
+    ];
+    let cache = Arc::new(speakql_core::SkeletonCache::new(64));
+    let recorder = speakql_core::Recorder::enabled();
+    let warm = SpeakQl::with_shared_cache(
+        &db,
+        Arc::new(rebuilt),
+        cache.clone(),
+        recorder.clone(),
+        cfg.clone(),
+    );
+    for q in &queries {
+        assert!(warm.transcribe(q).is_ok(), "{q:?}");
+    }
+    drop(warm);
+    let hits_before = recorder.counter(CounterId::CacheSkeletonHits);
+    let misses_before = recorder.counter(CounterId::CacheSkeletonMisses);
+
+    let tail = Arc::new(tail);
+    let on_tail =
+        SpeakQl::with_shared_cache(&db, tail.clone(), cache, recorder.clone(), cfg.clone());
+    let cacheless = SpeakQl::with_index(&db, tail, cfg.with_cache_capacity(0));
+    for q in &queries {
+        assert_eq!(
+            view(&on_tail.transcribe(q)),
+            view(&cacheless.transcribe(q)),
+            "{q:?}"
+        );
+    }
+    assert!(
+        recorder.counter(CounterId::CacheSkeletonHits) > hits_before,
+        "the delta's engine must be served by the rebuild's warm entries"
+    );
+    assert_eq!(
+        recorder.counter(CounterId::CacheSkeletonMisses),
+        misses_before,
+        "every lookup of the delta's engine must hit"
+    );
+}
+
 /// A delta'd index behind a cached engine is observationally identical to a
 /// full rebuild over its live structures behind an uncached engine — and the
 /// delta'd generation differs from the base's, so the shared cache never

@@ -1,17 +1,17 @@
-//! Content hashing shared by persistence and generation derivation.
+//! Content hashing shared by persistence, generation derivation and the
+//! duplicate-structure sweeps.
 //!
-//! Two FNV-1a-64 flavors live here:
-//!
-//! - [`checksum64`] — the persisted-format checksum: FNV-1a folded over
+//! - [`checksum64`] — the persisted-format checksum: FNV-1a-64 folded over
 //!   little-endian 64-bit words with the byte length premixed (so
 //!   zero-padded tails still bind).
-//! - [`WordFold`] — a plain word-level fold for composing *content ids*
-//!   (the arena generation rolls up per-segment ids, per-slot-range arena
-//!   digests, and the tombstone words). No length premix; callers frame
-//!   every variable-length field with an explicit length word, which is
-//!   what makes the composed stream unambiguous. [`LaneFold`] and
-//!   [`BytePack`] deal a long word or byte stream over four independent
-//!   lanes of it.
+//! - [`WordFold`] — a plain word-level FNV-1a fold for composing a *content
+//!   id* out of framed fields: the index generation folds the weights and
+//!   each segment's length, node count and checksum (see
+//!   [`crate::StructureIndex::generation`]). No length premix; callers
+//!   frame every variable-length field with an explicit count word, which
+//!   is what makes the composed stream unambiguous.
+//! - [`BuildFx`] — a fast non-cryptographic hasher for the duplicate sweeps
+//!   over a million short keys.
 //!
 //! The persisted segment checksum doubles as the segment's content id. A
 //! trie segment is sealed into its persisted byte layout once, when it is
@@ -69,115 +69,6 @@ impl WordFold {
 
     pub(crate) fn finish(self) -> u64 {
         self.h
-    }
-}
-
-/// Four-lane word fold: words are dealt round-robin onto four independent
-/// FNV lanes, breaking the serial multiply dependency chain of a single
-/// [`WordFold`] (the fold over a million-word plane is latency-bound on
-/// that chain). The word count and the lane digests fold into the parent
-/// in fixed order, so the combined digest still commits to the complete
-/// word sequence — lane assignment is a pure function of word position.
-pub(crate) struct LaneFold {
-    lanes: [WordFold; 4],
-    n: u64,
-}
-
-impl LaneFold {
-    pub(crate) fn new(tag: u64) -> LaneFold {
-        LaneFold {
-            lanes: [
-                WordFold::new(tag),
-                WordFold::new(tag ^ 1),
-                WordFold::new(tag ^ 2),
-                WordFold::new(tag ^ 3),
-            ],
-            n: 0,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn word(&mut self, w: u64) {
-        self.lanes[(self.n & 3) as usize].word(w);
-        self.n += 1;
-    }
-
-    pub(crate) fn finish(self, f: &mut WordFold) {
-        f.word(self.n);
-        for lane in self.lanes {
-            f.word(lane.finish());
-        }
-    }
-}
-
-/// A byte stream packed into little-endian `u64` words for a [`LaneFold`].
-/// The words depend only on the concatenated bytes, never on how
-/// [`BytePack::push`] calls split them, so a plane read in pieces (one per
-/// arena chunk) folds exactly like the same plane read whole. A trailing
-/// partial word is zero-padded, which is safe because callers bind the byte
-/// count through separate length framing.
-pub(crate) struct BytePack {
-    fold: LaneFold,
-    word: u64,
-    fill: u32,
-}
-
-impl BytePack {
-    pub(crate) fn new(tag: u64) -> BytePack {
-        BytePack {
-            fold: LaneFold::new(tag),
-            word: 0,
-            fill: 0,
-        }
-    }
-
-    /// Append `data`, one byte per element as `byte` maps it.
-    pub(crate) fn push<T: Copy>(&mut self, data: &[T], byte: impl Fn(T) -> u8) {
-        let mut data = data;
-        // Top up a word left partial by the previous piece.
-        while self.fill != 0 {
-            let Some((&first, rest)) = data.split_first() else {
-                return;
-            };
-            self.byte(byte(first));
-            data = rest;
-        }
-        let mut words = data.chunks_exact(8);
-        for c in &mut words {
-            if let &[a, b, c0, d, e, f, g, h] = c {
-                self.fold.word(u64::from_le_bytes([
-                    byte(a),
-                    byte(b),
-                    byte(c0),
-                    byte(d),
-                    byte(e),
-                    byte(f),
-                    byte(g),
-                    byte(h),
-                ]));
-            }
-        }
-        for &t in words.remainder() {
-            self.byte(byte(t));
-        }
-    }
-
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.word |= u64::from(b) << (8 * self.fill);
-        self.fill += 1;
-        if self.fill == 8 {
-            self.fold.word(self.word);
-            self.word = 0;
-            self.fill = 0;
-        }
-    }
-
-    pub(crate) fn finish(mut self, f: &mut WordFold) {
-        if self.fill != 0 {
-            self.fold.word(self.word);
-        }
-        self.fold.finish(f);
     }
 }
 
@@ -241,35 +132,5 @@ mod tests {
         let mut d = WordFold::new(1);
         d.word(42);
         assert_eq!(c.finish(), d.finish());
-    }
-
-    #[test]
-    fn byte_pack_ignores_how_the_stream_is_split() {
-        let bytes: Vec<u8> = (0..37u8).map(|b| b.wrapping_mul(29)).collect();
-        let digest = |cuts: &[usize]| {
-            let mut pack = BytePack::new(7);
-            let mut at = 0;
-            for &cut in cuts.iter().chain(&[bytes.len()]) {
-                pack.push(&bytes[at..cut], |b| b);
-                at = cut;
-            }
-            let mut f = WordFold::new(0);
-            pack.finish(&mut f);
-            f.finish()
-        };
-        let whole = digest(&[]);
-        for cuts in [
-            &[3usize][..],
-            &[8, 9],
-            &[1, 2, 3, 4, 5, 6, 7, 8, 20],
-            &[0, 36],
-        ] {
-            assert_eq!(digest(cuts), whole, "cuts {cuts:?}");
-        }
-        let mut pack = BytePack::new(7);
-        pack.push(&bytes[..36], |b| b);
-        let mut f = WordFold::new(0);
-        pack.finish(&mut f);
-        assert_ne!(f.finish(), whole, "the last byte binds");
     }
 }

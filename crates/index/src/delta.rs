@@ -17,11 +17,12 @@
 //!   them into groups without hashing a structure, and only the additions
 //!   are hashed, to find the group each joins. Every other segment is
 //!   carried over as-is: an O(1) refcount bump on its sealed buffer;
-//! - the generation refolds only the slot ranges the additions fall into,
-//!   plus the tombstone words and the segment ids.
+//! - the generation refolds the segment table: one length word and one
+//!   content id per segment.
 //!
 //! What a delta costs is therefore the seal of the affected segments plus
-//! O(chunks + segments + arena / 64) bookkeeping.
+//! O(chunks + segments + arena / 64) bookkeeping (the last term is the
+//! tombstone copy, paid only when the delta removes something).
 //!
 //! ## Equivalence to a full rebuild
 //!
@@ -33,11 +34,13 @@
 //! and a full rebuild over its live structures therefore return the same
 //! hits (same structures, same distances, same order) and do the same
 //! search work; the only difference is id *values* (the rebuild compacts
-//! tombstone holes away), which is also why the two derive different
-//! generations — their cached hit ids are not interchangeable. A delta
-//! that only appends leaves every id in place, so it *is* the rebuild, and
-//! derives the rebuild's generation. The property tests in this module pin
-//! the equivalence for one delta and along chains of deltas.
+//! tombstone holes away). A segment's terminals are arena ids, so the two
+//! derive the same generation exactly when the rebuild renumbers no live
+//! id — no tombstone lies below a live id, as in a delta that only appends
+//! or one that removes only the tail. Then they return the same hits id
+//! for id; otherwise their cached hit ids are not interchangeable, and
+//! their generations differ. The property tests in this module pin the
+//! equivalence for one delta and along chains of deltas.
 
 use crate::content::BuildFx;
 use crate::search::{seal_shards, Groups, StructureIndex};
@@ -279,9 +282,7 @@ impl StructureIndex {
         }
         let max_len = tries.len() - 1;
 
-        let ranges = store.refold_ranges(self.ranges(), old_arena);
-        let next =
-            StructureIndex::from_parts(store, tries, self.weights(), max_len, removed, ranges);
+        let next = StructureIndex::from_parts(store, tries, self.weights(), max_len, removed);
         record_delta(recorder, &stats);
         Ok((next, stats))
     }
@@ -466,6 +467,23 @@ mod tests {
             .collect()
     }
 
+    /// True when a compacting rebuild of `index` renumbers a live id: some
+    /// tombstone lies below a live id.
+    fn rebuild_renumbers(index: &StructureIndex) -> bool {
+        let last_live = (0..index.arena_len() as u32).rfind(|&id| !index.is_removed(id));
+        last_live.is_some_and(|last| (0..last).any(|id| index.is_removed(id)))
+    }
+
+    /// The compacting rebuild of `index`: its live structures, in arena
+    /// order, passed to a fresh [`StructureIndex::build`].
+    fn rebuild(index: &StructureIndex) -> StructureIndex {
+        let live: Vec<Structure> = (0..index.arena_len() as u32)
+            .filter(|&id| !index.is_removed(id))
+            .map(|id| index.structure(id))
+            .collect();
+        StructureIndex::build(live, index.weights())
+    }
+
     /// Every segment's node tokens, count-table sizes and terminals' token
     /// sequences in node order: the layout by content, which a delta and
     /// its rebuild share although the rebuild renumbers ids.
@@ -519,6 +537,34 @@ mod tests {
         let rebuilt = StructureIndex::build(live, Weights::PAPER);
         assert_eq!(layout(&next), layout(&rebuilt));
         assert_eq!(layout(&next)[0].3[0], vec![where_, x, from]);
+        Ok(())
+    }
+
+    /// Tombstoning only the last arena slot renumbers no live id, so the
+    /// delta holds its rebuild's segments: same generation, same raw hits.
+    /// Tombstoning slot 5 renumbers every later id, and the generation
+    /// tells the two apart.
+    #[test]
+    fn tail_tombstones_share_the_rebuilds_generation() -> Result<(), DeltaError> {
+        let base = small_index();
+        let last = base.arena_len() as u32 - 1;
+        let (tail, _) = base.apply_delta(&IndexDelta::new().remove_structures([last]))?;
+        let rebuilt = rebuild(&tail);
+        assert!(!rebuild_renumbers(&tail));
+        assert_ne!(tail.generation(), base.generation());
+        assert_eq!(tail.generation(), rebuilt.generation());
+        let cfg = SearchConfig::top_k(5);
+        for probe in [last, last - 1, 5, 40] {
+            let masked = base.structure_tokens(probe);
+            assert_eq!(
+                tail.search_with_stats(masked, &cfg),
+                rebuilt.search_with_stats(masked, &cfg)
+            );
+        }
+
+        let (inner, _) = base.apply_delta(&IndexDelta::new().remove_structures([5u32]))?;
+        assert!(rebuild_renumbers(&inner));
+        assert_ne!(inner.generation(), rebuild(&inner).generation());
         Ok(())
     }
 
@@ -719,7 +765,9 @@ mod tests {
 
         /// `apply_delta` is equivalent to a full rebuild over the live
         /// structures: identical hits (by content and distance, in the
-        /// same order) and identical work counters.
+        /// same order) and identical work counters. The two share a
+        /// generation exactly when the rebuild renumbers no live id, and
+        /// then their hits agree id for id.
         #[test]
         fn apply_delta_equals_full_rebuild(
             remove_raw in prop::collection::vec(0..2_000u32, 0..24),
@@ -744,26 +792,20 @@ mod tests {
 
             // The rebuild the delta must be indistinguishable from: live
             // structures in arena order.
-            let live: Vec<Structure> = (0..next.arena_len() as u32)
-                .filter(|&id| !next.is_removed(id))
-                .map(|id| next.structure(id))
-                .collect();
-            let rebuilt = StructureIndex::build(live, base.weights());
+            let rebuilt = rebuild(&next);
             prop_assert_eq!(next.len(), rebuilt.len());
             prop_assert_eq!(next.total_nodes(), rebuilt.total_nodes());
             prop_assert_eq!(next.segment_count(), rebuilt.segment_count());
             prop_assert_eq!(layout(&next), layout(&rebuilt));
-            if remove.is_empty() {
-                // Pure appends leave every existing id in place, so the
-                // delta'd index *is* the rebuild — same generation, and
-                // warm cache entries stay replayable.
-                prop_assert_eq!(next.generation(), rebuilt.generation());
-            } else {
-                prop_assert!(
-                    next.generation() != rebuilt.generation(),
-                    "compaction renumbers ids, so hits must not be interchangeable",
-                );
-            }
+            // Pure appends and tail removals leave every live id in place,
+            // so the delta'd index holds the rebuild's segments: same
+            // generation, and warm cache entries stay replayable. Any
+            // other removal renumbers a live id the segments name.
+            prop_assert_eq!(
+                next.generation() == rebuilt.generation(),
+                !rebuild_renumbers(&next),
+                "the generation must match the rebuild's exactly when no id moves"
+            );
 
             let cfg = SearchConfig::top_k(k);
             let (delta_hits, delta_stats) = next.search_with_stats(&masked, &cfg);
@@ -773,17 +815,19 @@ mod tests {
                 resolved(&next, &delta_hits),
                 resolved(&rebuilt, &full_hits)
             );
+            if next.generation() == rebuilt.generation() {
+                prop_assert_eq!(delta_hits, full_hits);
+            }
         }
 
-        /// A chain of deltas keeps its range digests exact: the chain's
-        /// generation is the one a from-scratch fold of its reload derives,
-        /// the reload re-serializes to the same image, a removal-free chain
-        /// is its rebuild (same generation), and every chain answers like
-        /// its rebuild, work counters included, and the chain, its reload
-        /// and its rebuild each account for every segment and carry count
-        /// tables that list exactly their terminals' multisets. The 2,000-slot
-        /// base ends inside the second 1,024-slot range, so longer chains
-        /// append across the boundary into a third.
+        /// A chain of deltas derives the generation its reload derives,
+        /// and the reload re-serializes to the same image. The chain
+        /// shares its rebuild's generation exactly when the rebuild
+        /// renumbers no live id, and then returns the rebuild's raw hits.
+        /// Every chain answers like its rebuild, work counters included,
+        /// and the chain, its reload and its rebuild each account for
+        /// every segment and carry count tables that list exactly their
+        /// terminals' multisets.
         #[test]
         fn delta_chains_fold_like_their_reload(
             steps in prop::collection::vec(
@@ -798,7 +842,6 @@ mod tests {
             let fail = |e: &dyn std::fmt::Display| TestCaseError::fail(e.to_string());
             let mut index = small_index().clone();
             let mut added = 0usize;
-            let mut removed_any = false;
             for (remove_raw, n_add) in steps {
                 let remove: std::collections::BTreeSet<u32> = remove_raw
                     .into_iter()
@@ -808,7 +851,6 @@ mod tests {
                             && !index.is_removed(id)
                     })
                     .collect();
-                removed_any |= !remove.is_empty();
                 let adds = (added..added + n_add).map(|i| synthetic(i, 7 + i % 5));
                 added += n_add;
                 let delta = IndexDelta::new()
@@ -822,21 +864,20 @@ mod tests {
             prop_assert_eq!(reloaded.generation(), index.generation());
             prop_assert_eq!(crate::to_bytes(&reloaded).map_err(|e| fail(&e))?, bytes);
 
-            let live: Vec<Structure> = (0..index.arena_len() as u32)
-                .filter(|&id| !index.is_removed(id))
-                .map(|id| index.structure(id))
-                .collect();
-            let rebuilt = StructureIndex::build(live, index.weights());
+            let rebuilt = rebuild(&index);
             prop_assert_eq!(
                 index.generation() == rebuilt.generation(),
-                !removed_any,
-                "only a removal-free chain is its rebuild"
+                !rebuild_renumbers(&index),
+                "a chain is its rebuild exactly when no live id moves"
             );
             let cfg = SearchConfig::top_k(k);
             let (hits, stats) = index.search_with_stats(&masked, &cfg);
             let (full_hits, full_stats) = rebuilt.search_with_stats(&masked, &cfg);
             prop_assert_eq!(stats, full_stats);
             prop_assert_eq!(resolved(&index, &hits), resolved(&rebuilt, &full_hits));
+            if index.generation() == rebuilt.generation() {
+                prop_assert_eq!(hits, full_hits);
+            }
             for each in [&index, &reloaded, &rebuilt] {
                 accounts_for_every_segment(each, &masked, &cfg)?;
                 crate::search::count_tables_agree(each).map_err(|e| fail(&e))?;

@@ -340,14 +340,12 @@ pub fn from_shared_observed(
     }
     recorder.incr(CounterId::IndexLoadZeroCopy);
     recorder.add(CounterId::IndexLoadSegments, header.seg_count as u64);
-    let ranges = store.refold_ranges(&[], 0);
     Ok(StructureIndex::from_parts(
         store,
         tries,
         header.weights,
         header.max_len,
         removed,
-        ranges,
     ))
 }
 

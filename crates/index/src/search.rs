@@ -32,7 +32,6 @@ use speakql_grammar::{
 use speakql_observe::{CounterId, Recorder, SpanId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 #[cfg(test)]
 mod oracle;
@@ -289,43 +288,19 @@ pub struct StructureIndex {
     removed: Tombstones,
     /// Number of live (non-tombstoned) structures.
     live: usize,
-    /// The arena's range digests (see [`StructStore::refold_ranges`]).
-    ranges: Arc<[u64]>,
-    /// Content-derived arena generation; see [`StructureIndex::generation`].
+    /// Content-derived index generation; see [`StructureIndex::generation`].
     generation: u64,
 }
 
-/// Derive the arena generation from content: a word-level FNV-1a fold over
-/// the weights, the live max length, the arena length, the arena's range
-/// digests, the tombstone words (64 slots each, across the arena width),
-/// and each trie segment's [`Trie::content_id`] in segment-table order. Two
-/// indexes hash equal iff their observable arenas are identical — same
-/// slots, same tombstones, same segment planes — so a byte-identical
-/// reload, a clone, or a rebuild over the same content all share one
-/// generation, while any delta (which perturbs tombstones, slots, or
-/// segments) derives a fresh one. A range digest frames its slots by their
-/// lengths and is cut by slot index, so how the arena is split into chunks
-/// never shows; a delta refolds only its tail range, and this fold costs
-/// O(arena / 64) words.
-fn derive_generation(
-    ranges: &[u64],
-    removed: &Tombstones,
-    arena: usize,
-    tries: &[Vec<Trie>],
-    weights: Weights,
-    max_len: usize,
-) -> u64 {
-    // Domain tag: "SQLXGEN4" — bump if the field framing below changes.
-    let mut f = WordFold::new(u64::from_be_bytes(*b"SQLXGEN4"));
+/// Derive the generation from what a search reads (see
+/// [`StructureIndex::generation`]): a word-level FNV-1a fold over the
+/// weights, then the segment table in order, each segment framed by its
+/// length and node count and named by its content id.
+fn derive_generation(tries: &[Vec<Trie>], weights: Weights) -> u64 {
+    // Domain tag: "SQLXGEN5" — bump if the field framing below changes.
+    let mut f = WordFold::new(u64::from_be_bytes(*b"SQLXGEN5"));
     f.word(weights.keyword as u64 | (weights.splchar as u64) << 32);
-    f.word(weights.literal as u64 | (max_len as u64) << 32);
-    f.word(arena as u64);
-    for &digest in ranges {
-        f.word(digest);
-    }
-    for w in 0..arena.div_ceil(64) {
-        f.word(removed.word(w));
-    }
+    f.word(weights.literal as u64);
     f.word(tries.iter().map(Vec::len).sum::<usize>() as u64);
     for (len, shards) in tries.iter().enumerate() {
         for trie in shards {
@@ -363,15 +338,7 @@ impl StructureIndex {
             .enumerate()
             .map(|(len, ids)| seal_shards(&store, len, &Groups::of(&store, ids)))
             .collect();
-        let ranges = store.refold_ranges(&[], 0);
-        StructureIndex::from_parts(
-            store,
-            tries,
-            weights,
-            max_len,
-            Tombstones::default(),
-            ranges,
-        )
+        StructureIndex::from_parts(store, tries, weights, max_len, Tombstones::default())
     }
 
     /// Generate structures from the grammar under `cfg` and index them.
@@ -383,22 +350,19 @@ impl StructureIndex {
     /// persist loader's zero-copy path (tries borrow a persisted image), and
     /// the delta path (a mix of reused and freshly sealed segments).
     /// The parts must describe the same arena a [`StructureIndex::build`]
-    /// over the live structures would produce, up to tombstoned slots, and
-    /// `ranges` must be the store's range digests; callers guarantee this by
-    /// construction. The generation is derived from the parts' content, so a
-    /// reload of the same bytes — or a delta that changes nothing —
-    /// assembles to the generation it started with.
+    /// over the live structures would produce, up to tombstoned slots;
+    /// callers guarantee this by construction. The generation is derived
+    /// from the segments, so a reload of the same bytes — or a delta that
+    /// changes nothing — assembles to the generation it started with.
     pub(crate) fn from_parts(
         store: StructStore,
         tries: Vec<Vec<Trie>>,
         weights: Weights,
         max_len: usize,
         removed: Tombstones,
-        ranges: Arc<[u64]>,
     ) -> StructureIndex {
         let live = store.len() - removed.count();
-        let generation =
-            derive_generation(&ranges, &removed, store.len(), &tries, weights, max_len);
+        let generation = derive_generation(&tries, weights);
         StructureIndex {
             store,
             tries,
@@ -406,7 +370,6 @@ impl StructureIndex {
             max_len,
             removed,
             live,
-            ranges,
             generation,
         }
     }
@@ -457,32 +420,53 @@ impl StructureIndex {
         &self.removed
     }
 
-    /// The arena's range digests (delta path).
-    pub(crate) fn ranges(&self) -> &[u64] {
-        &self.ranges
-    }
-
     /// The edit-operation weights the index was built with.
     pub fn weights(&self) -> Weights {
         self.weights
     }
 
-    /// Content-derived id of this structure arena. [`SearchHit`]s reference
-    /// structures by arena index, which is only meaningful against an arena
-    /// with identical content — callers memoizing hits across engines (the
-    /// shared skeleton cache) key on this so results can only ever be
-    /// replayed against an arena where the ids resolve to the same
-    /// structures. The id is a deterministic hash of the arena slots,
-    /// tombstone flags, and trie segment planes (see `derive_generation`),
-    /// which gives two guarantees the old process-global counter could not:
+    /// Content-derived id of the searchable index: two indexes with equal
+    /// generations return the same [`SearchHit`]s, id for id, and the same
+    /// [`SearchStats`], for every query and configuration. Callers that
+    /// memoize hits across engines (the shared skeleton cache) or decide
+    /// whether an index changed (the server's tenant registry) key on it.
     ///
-    /// - **Stability**: a byte-identical reload, a clone, or a rebuild over
-    ///   the same content derives the *same* generation, so warm cache
-    ///   entries stay valid across restarts and re-registrations.
-    /// - **Safety**: any content change — a delta's tombstones or appends,
-    ///   different weights, a different structure space — derives a
-    ///   different generation, so stale hits can never be replayed against
-    ///   an arena whose ids mean something else.
+    /// The generation is a fold over the weights and the segment table
+    /// alone: each segment's length, node count and content id, in table
+    /// order. A segment's content id is the checksum of its persisted bytes
+    /// (count table and node planes), taken when it was sealed. That is
+    /// everything a search reads:
+    ///
+    /// - the weights (the DP workspace and the count bounds);
+    /// - the order and lengths of the segment table (the schedule);
+    /// - each segment's count table and node planes, terminal arena ids
+    ///   included (the bounds and the walk), all under its checksum.
+    ///
+    /// The longest length only picks `u16` or `u32` lanes, which give equal
+    /// hits and equal stats (the kernel-parity suites), and it is the last
+    /// length with a segment in any case. Tombstones and the arena's
+    /// planes are not folded: a removed slot is absent from every segment,
+    /// and a hit names an arena id that each engine materializes from its
+    /// own arena. Two indexes with equal generations therefore replay each
+    /// other's cached hits exactly.
+    ///
+    /// - **Stability**: a byte-identical reload, a clone, an empty delta, a
+    ///   rebuild over the same structures, and a delta that only appends
+    ///   derive the *same* generation, so warm cache entries stay valid
+    ///   across restarts and re-registrations. So does a delta whose
+    ///   tombstones all lie above its last live id, against the compacted
+    ///   rebuild of it: both hold the same live ids in the same segments.
+    /// - **Safety**: any change to what a search returns derives a
+    ///   different generation: different weights, a different structure
+    ///   space, or a delta that adds or removes a live structure (it
+    ///   rebuilds a segment of that length), so stale hits can never be
+    ///   replayed against an index whose ids mean something else.
+    ///
+    /// Placeholder records are not in the segments, so two indexes whose
+    /// live structures differ only in their placeholders at the same ids
+    /// share a generation (the tenant registry would call re-registering
+    /// one over the other unchanged). No workspace path produces such a
+    /// pair: an [`crate::IndexDelta`] gives every addition a fresh id.
     pub fn generation(&self) -> u64 {
         self.generation
     }

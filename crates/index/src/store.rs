@@ -12,15 +12,11 @@
 //! additions and shares every other chunk, so a delta, a clone, or an empty
 //! delta never copies the arena.
 //!
-//! Beside the chunks live the two other pieces of arena state a delta must
-//! not copy wholesale:
-//!
-//! - [`Tombstones`], a copy-on-write bitset of removed slots;
-//! - the *range digests*: one content digest per [`RANGE_SLOTS`]
-//!   consecutive slots, cut by slot index and framed by per-slot lengths,
-//!   so chunk boundaries never show in them. The arena generation folds
-//!   these words instead of the planes, and a delta refolds only the ranges
-//!   its appended slots fall into ([`StructStore::refold_ranges`]).
+//! Beside the chunks lives [`Tombstones`], the copy-on-write bitset of
+//! removed slots, which a delta likewise copies only when it removes
+//! something. Neither is part of the index's generation: that is a fold
+//! over the segments (see [`crate::StructureIndex::generation`]), whose
+//! terminals are the arena ids a search can return.
 //!
 //! Search never materializes: the trie walk never touches the arena, and
 //! the paths that do (the brute-force scan, sealing a rebuilt segment)
@@ -28,16 +24,10 @@
 //! [`Structure`] (the engine materializes one per returned hit) get it from
 //! [`StructStore::materialize`].
 
-use crate::content::{BytePack, LaneFold, WordFold};
 use bytes::{BufMut, Bytes, BytesMut};
 use speakql_grammar::{LitCategory, Placeholder, StructTokId, Structure};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Slots per range digest. A power of two keeps the range of a slot a
-/// shift; 1,024 slots keep the refold a delta pays for its tail range in
-/// the microseconds while a 1.6M-slot arena carries only ~1,600 digests.
-pub(crate) const RANGE_SLOTS: usize = 1024;
 
 /// The placeholder record's governor value meaning "no governor".
 pub(crate) const GOVERNOR_NONE: u16 = u16::MAX;
@@ -74,18 +64,6 @@ fn plane_u32(plane: &[u8], i: usize) -> usize {
         Some(&[a, b, c, d]) => u32::from_le_bytes([a, b, c, d]) as usize,
         _ => 0,
     }
-}
-
-/// Entries `entries` of an offset table, in order.
-fn offsets(plane: &[u8], entries: Range<usize>) -> impl Iterator<Item = usize> + '_ {
-    plane
-        .get(entries.start * 4..entries.end * 4)
-        .unwrap_or(&[])
-        .chunks_exact(4)
-        .map(|c| match c {
-            &[a, b, c0, d] => u32::from_le_bytes([a, b, c0, d]) as usize,
-            _ => 0,
-        })
 }
 
 /// One immutable run of arena slots. Invariants (upheld by
@@ -127,24 +105,24 @@ impl Chunk {
         self.len
     }
 
-    /// Token window of local slots `slots` (a contiguous run).
-    fn tok_window(&self, slots: Range<usize>) -> Range<usize> {
-        plane_u32(&self.tok_offsets, slots.start)..plane_u32(&self.tok_offsets, slots.end)
+    /// Token window of local slot `i`.
+    fn tok_window(&self, i: usize) -> Range<usize> {
+        plane_u32(&self.tok_offsets, i)..plane_u32(&self.tok_offsets, i + 1)
     }
 
-    /// Placeholder-record window of local slots `slots`.
-    fn ph_window(&self, slots: Range<usize>) -> Range<usize> {
-        plane_u32(&self.ph_offsets, slots.start)..plane_u32(&self.ph_offsets, slots.end)
+    /// Placeholder-record window of local slot `i`.
+    fn ph_window(&self, i: usize) -> Range<usize> {
+        plane_u32(&self.ph_offsets, i)..plane_u32(&self.ph_offsets, i + 1)
     }
 
-    /// Tokens of local slots `slots`, concatenated.
-    pub(crate) fn tokens_of(&self, slots: Range<usize>) -> &[StructTokId] {
-        self.tokens.get(self.tok_window(slots)).unwrap_or(&[])
+    /// Tokens of local slot `i`.
+    fn tokens_of(&self, i: usize) -> &[StructTokId] {
+        self.tokens.get(self.tok_window(i)).unwrap_or(&[])
     }
 
-    /// Raw placeholder records of local slots `slots`, concatenated.
-    pub(crate) fn placeholder_bytes_of(&self, slots: Range<usize>) -> &[u8] {
-        let w = self.ph_window(slots);
+    /// Raw placeholder records of local slot `i`.
+    fn placeholder_bytes_of(&self, i: usize) -> &[u8] {
+        let w = self.ph_window(i);
         self.placeholders
             .get(w.start * PH_RECORD..w.end * PH_RECORD)
             .unwrap_or(&[])
@@ -152,22 +130,7 @@ impl Chunk {
 
     /// Token count of local slot `i`.
     fn token_len(&self, i: usize) -> usize {
-        self.tok_window(i..i + 1).len()
-    }
-
-    /// `(tokens, placeholders)` counts of each of local slots `slots`, in
-    /// one sweep over the two offset tables (half the cost of reading each
-    /// slot's two windows on a 1.6M-slot arena's full fold).
-    fn slot_lengths(&self, slots: Range<usize>) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let tok = offsets(&self.tok_offsets, slots.start..slots.end + 1);
-        let ph = offsets(&self.ph_offsets, slots.start..slots.end + 1);
-        tok.zip(ph)
-            .scan(None, |prev: &mut Option<(usize, usize)>, (t, p)| {
-                let lens = prev.map(|(t0, p0)| (t.saturating_sub(t0), p.saturating_sub(p0)));
-                *prev = Some((t, p));
-                Some(lens)
-            })
-            .flatten()
+        self.tok_window(i).len()
     }
 
     /// The whole token plane (persist writer).
@@ -296,26 +259,9 @@ impl StructStore {
         Some((self.chunks.get(k)?, id - self.starts.get(k)?))
     }
 
-    /// The chunk pieces covering arena ids `ids`: each chunk overlapping
-    /// them, with the overlap as local slots.
-    fn pieces(&self, ids: Range<usize>) -> impl Iterator<Item = (&Chunk, Range<usize>)> {
-        let first = self.starts.partition_point(|&s| s <= ids.start);
-        self.chunks
-            .iter()
-            .zip(self.starts.windows(2))
-            .skip(first.saturating_sub(1))
-            .take_while(move |(_, w)| w[0] < ids.end)
-            .map(move |(chunk, w)| {
-                let lo = ids.start.max(w[0]) - w[0];
-                let hi = ids.end.min(w[1]) - w[0];
-                (chunk.as_ref(), lo..hi)
-            })
-    }
-
     /// Token sequence of structure `id` (empty past the arena).
     pub(crate) fn tokens(&self, id: usize) -> &[StructTokId] {
-        self.locate(id)
-            .map_or(&[], |(chunk, i)| chunk.tokens_of(i..i + 1))
+        self.locate(id).map_or(&[], |(chunk, i)| chunk.tokens_of(i))
     }
 
     /// Token count of structure `id` without touching the tokens plane.
@@ -328,7 +274,7 @@ impl StructStore {
         let Some((chunk, i)) = self.locate(id) else {
             return Vec::new();
         };
-        let records = chunk.placeholder_bytes_of(i..i + 1);
+        let records = chunk.placeholder_bytes_of(i);
         let mut out = Vec::with_capacity(records.len() / PH_RECORD);
         out.extend(records.chunks_exact(PH_RECORD).filter_map(|rec| match rec {
             // A sealed or validated chunk holds only valid codes.
@@ -350,47 +296,6 @@ impl StructStore {
             tokens: self.tokens(id).to_vec(),
             placeholders: self.placeholders(id),
         }
-    }
-
-    /// Digest of slot range `r`: slots `r·RANGE_SLOTS ..` up to the next
-    /// multiple or the arena end. It folds the range's slot count, one
-    /// `tokens | placeholders << 32` length word per slot (the framing),
-    /// then the range's token bytes and placeholder records, each through
-    /// a four-lane fold. The words depend only on the slots' contents, so
-    /// the same slots digest alike however chunks split them.
-    fn range_digest(&self, r: usize) -> u64 {
-        let ids = r * RANGE_SLOTS..((r + 1) * RANGE_SLOTS).min(self.len());
-        let mut lens = LaneFold::new(u64::from_be_bytes(*b"SQLXLEN1"));
-        let mut toks = BytePack::new(u64::from_be_bytes(*b"SQLXTOK2"));
-        let mut phs = BytePack::new(u64::from_be_bytes(*b"SQLXPHR1"));
-        for (chunk, slots) in self.pieces(ids.clone()) {
-            for (t, p) in chunk.slot_lengths(slots.clone()) {
-                lens.word(t as u64 | (p as u64) << 32);
-            }
-            toks.push(chunk.tokens_of(slots.clone()), |t| t.0);
-            phs.push(chunk.placeholder_bytes_of(slots), |b| b);
-        }
-        let mut f = WordFold::new(u64::from_be_bytes(*b"SQLXRNG1"));
-        f.word(ids.len() as u64);
-        lens.finish(&mut f);
-        toks.finish(&mut f);
-        phs.finish(&mut f);
-        f.finish()
-    }
-
-    /// The range digests of this arena, given `prev`, the digests of an
-    /// arena this one extends, whose first `kept_slots` slots it shares
-    /// unchanged. Ranges wholly inside those slots are kept; the rest (at
-    /// most the one range the old tail ended in, plus the new ones) are
-    /// folded. `prev` empty and `kept_slots` 0 fold every range.
-    pub(crate) fn refold_ranges(&self, prev: &[u64], kept_slots: usize) -> Arc<[u64]> {
-        let keep = (kept_slots / RANGE_SLOTS).min(prev.len());
-        let total = self.len().div_ceil(RANGE_SLOTS);
-        prev.iter()
-            .take(keep)
-            .copied()
-            .chain((keep..total).map(|r| self.range_digest(r)))
-            .collect()
     }
 }
 
@@ -433,12 +338,9 @@ impl Tombstones {
     /// True when slot `id` is tombstoned.
     #[inline]
     pub(crate) fn contains(&self, id: usize) -> bool {
-        self.word(id / 64) >> (id % 64) & 1 == 1
-    }
-
-    /// The `w`-th flag word (slots `64w..64w+64`); 0 past the stored words.
-    pub(crate) fn word(&self, w: usize) -> u64 {
-        self.words.get(w).copied().unwrap_or(0)
+        self.words
+            .get(id / 64)
+            .is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
     /// Number of tombstoned slots.
@@ -506,30 +408,6 @@ mod tests {
                 assert_eq!(store.materialize(id), *s);
             }
         }
-    }
-
-    /// Range digests see slots, not chunks: any split of the same slots
-    /// digests alike, a refold from a shared prefix equals a full fold, and
-    /// a changed slot changes its range's digest only.
-    #[test]
-    fn range_digests_ignore_chunk_boundaries() {
-        let all = structures();
-        let whole = StructStore::from_chunk(chunk_of(&all));
-        let full = whole.refold_ranges(&[], 0);
-        assert_eq!(full.len(), all.len().div_ceil(RANGE_SLOTS));
-        for cut in [1usize, 1023, 1024, 1025, 2047, 2599] {
-            let head = StructStore::from_chunk(chunk_of(&all[..cut]));
-            let head_ranges = head.refold_ranges(&[], 0);
-            let split = head.appended(chunk_of(&all[cut..]));
-            assert_eq!(split.refold_ranges(&[], 0), full, "cut {cut}");
-            assert_eq!(split.refold_ranges(&head_ranges, cut), full, "cut {cut}");
-        }
-        let mut changed = all.clone();
-        changed[1500].tokens[0] = StructTokId(3);
-        let other = StructStore::from_chunk(chunk_of(&changed)).refold_ranges(&[], 0);
-        assert_eq!(other[0], full[0]);
-        assert_ne!(other[1], full[1]);
-        assert_eq!(other[2], full[2]);
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl Trie {
 
     /// The segment's content id. Equal segments yield equal ids whether
     /// they were built, loaded, or carried across a delta, which is what
-    /// lets the arena generation be derived from content rather than minted
+    /// lets the index generation be derived from content rather than minted
     /// per process.
     pub(crate) fn content_id(&self) -> u64 {
         self.content

@@ -435,18 +435,7 @@ mod tests {
         }
     }
 
-    /// Proptest case count: `PROPTEST_CASES` when set (CI's release parity
-    /// job raises it), the shim's default otherwise.
-    fn cases() -> u32 {
-        std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(64)
-    }
-
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(cases()))]
-
         /// The bit-parallel kernel equals the reference Levenshtein distance
         /// for empty, one-word (1–64 chars) and blocked (65–200 chars)
         /// patterns, non-ASCII pattern chars included; one pattern is

@@ -12,9 +12,9 @@
 //! the per-request latency budget *before* spending engine time on a
 //! request that has already aged out (`SpeakQlError::Timeout`).
 //!
-//! Built on `std::sync::{Mutex, Condvar}` (the vendored `parking_lot` stub
-//! has no condvar); lock poisoning is recovered by adopting the inner
-//! state, since every critical section leaves the queue structurally valid.
+//! Built on `std::sync::{Mutex, Condvar}`; lock poisoning is recovered by
+//! adopting the inner state, since every critical section leaves the queue
+//! structurally valid.
 //!
 //! [`offer`]: AdmissionQueue::offer
 

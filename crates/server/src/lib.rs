@@ -12,9 +12,9 @@
 //! - **Per-request budgets**: a request that aged out waiting in the queue
 //!   is answered with `Timeout` before any engine time is spent on it.
 //! - **Cross-engine cache sharing** ([`TenantRegistry`]): every tenant
-//!   engine shares one skeleton cache keyed by content-derived index arena
+//!   engine shares one skeleton cache keyed by the content-derived index
 //!   generation, so tenants on the same schema warm each other's structure
-//!   searches while different arenas can never collide.
+//!   searches while indexes that answer differently can never collide.
 //! - **Warm hot-swap**: a tenant can be re-registered over a new index
 //!   (e.g. after an incremental `IndexDelta`) without dropping any other
 //!   tenant's warm cache entries; re-registering the generation a tenant

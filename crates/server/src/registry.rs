@@ -2,11 +2,12 @@
 //!
 //! Each tenant is one schema (a [`Database`]) served by one [`SpeakQl`]
 //! engine. Every engine in a registry shares a single [`SkeletonCache`]:
-//! entries are keyed by the structure index's content-derived arena
-//! [`generation`](speakql_index::StructureIndex::generation), so tenants
-//! whose indexes have the same content warm each other's structure searches
-//! — however each copy was built, loaded, or re-registered — while tenants
-//! over different arenas can never replay each other's hits.
+//! entries are keyed by the structure index's
+//! [`generation`](speakql_index::StructureIndex::generation), which is
+//! derived from what a search reads, so tenants whose indexes return the
+//! same hits warm each other's structure searches — however each copy was
+//! built, loaded, or re-registered — while tenants over indexes that answer
+//! differently can never replay each other's hits.
 //!
 //! Registration takes `&self`: the tenant map lives behind an `RwLock`, so
 //! a catalog change can hot-swap one tenant's engine (say, to an index a
@@ -23,7 +24,11 @@
 //!   ([`Registration::Unchanged`]): the existing engine, its warm state,
 //!   and its `Arc` identity are all kept. Content derivation makes this the
 //!   common restart/reconcile case — reloading the same image bytes yields
-//!   the same generation. A changed database (a catalog update: a row
+//!   the same generation. Equal generations mean equal hits, id for id, but
+//!   not equal placeholder records, which the segments do not hold: an
+//!   index whose structures differ only in placeholders at the same ids
+//!   counts as unchanged. No index delta makes such a pair, since every
+//!   addition gets a fresh id. A changed database (a catalog update: a row
 //!   added, a table reshaped) swaps the engine even over an unchanged
 //!   index, because the engine's phonetic catalog is built from the rows.
 //! - An index-only swap (same database, new generation — an index delta)
@@ -34,12 +39,11 @@
 //! lock held for the duration of one `HashMap` probe; the lock is
 //! uncontended except during the (rare) swaps.
 
-use parking_lot::RwLock;
 use speakql_core::{PhoneticCatalog, Recorder, SkeletonCache, SpeakQl, SpeakQlConfig};
 use speakql_db::Database;
 use speakql_index::StructureIndex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// What [`TenantRegistry::register`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +107,7 @@ impl TenantRegistry {
     ) -> Registration {
         let incoming = index.generation();
         let same_db_catalog = {
-            let tenants = self.tenants.read();
+            let tenants = self.read();
             match tenants.get(name) {
                 Some(existing) if existing.db == *db => {
                     if existing.engine.index().generation() == incoming {
@@ -129,7 +133,7 @@ impl TenantRegistry {
             engine,
             db: db.clone(),
         };
-        let mut tenants = self.tenants.write();
+        let mut tenants = self.write();
         match tenants.insert(name.to_string(), tenant) {
             None => Registration::Inserted,
             // A racing register of the same content loses benignly: the
@@ -142,27 +146,36 @@ impl TenantRegistry {
     /// the engine for the caller even if the tenant is concurrently
     /// hot-swapped; later lookups observe the replacement.
     pub fn engine(&self, tenant: &str) -> Option<Arc<SpeakQl>> {
-        self.tenants
-            .read()
-            .get(tenant)
-            .map(|t| Arc::clone(&t.engine))
+        self.read().get(tenant).map(|t| Arc::clone(&t.engine))
     }
 
     /// Registered tenant names, sorted (for listings and reports).
     pub fn tenant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tenants.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.read().keys().cloned().collect();
         names.sort_unstable();
         names
     }
 
     /// Number of registered tenants.
     pub fn len(&self) -> usize {
-        self.tenants.read().len()
+        self.read().len()
     }
 
     /// True when no tenant is registered.
     pub fn is_empty(&self) -> bool {
-        self.tenants.read().is_empty()
+        self.read().is_empty()
+    }
+
+    /// The tenant map, read-locked. Every critical section leaves the map
+    /// valid, so a poisoned lock is recovered rather than propagated.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Tenant>> {
+        self.tenants.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The tenant map, write-locked; poisoning is recovered as in
+    /// [`TenantRegistry::read`].
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<String, Tenant>> {
+        self.tenants.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The skeleton cache shared by every registered engine.
