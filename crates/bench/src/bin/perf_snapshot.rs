@@ -38,6 +38,13 @@
 //! the latency, and one that moves it must regenerate the baseline. The Zipfian mode gates only on counters and
 //! output equality for the same reason — its wall-clock improvement is
 //! reported but never failed on.
+//!
+//! The main replay also checks two conservation laws over its counters:
+//! every search settles each segment of the index, and each non-empty
+//! length, as searched or pruned, so both sums equal the index's count
+//! times `engine.transcriptions` (and the replay makes no nested split,
+//! which would search per clause). A broken law fails the run, as a broken
+//! `--zipf` invariant does.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -115,11 +122,14 @@ fn main() -> ExitCode {
         return GATE.finish(&snapshot, pass, &out, None);
     }
     let out = out.unwrap_or_else(|| format!("BENCH_{}.json", today_utc()));
-    GATE.finish(&run_workload(), true, &out, check.as_deref())
+    let (snapshot, pass) = run_workload();
+    GATE.finish(&snapshot, pass, &out, check.as_deref())
 }
 
 /// Build the fixed-seed workload, run it, and snapshot the recorder.
-fn run_workload() -> Value {
+/// Returns the snapshot and whether the replay's counters kept the search
+/// conservation laws ([`broken_laws`]).
+fn run_workload() -> (Value, bool) {
     eprintln!("[perf_snapshot] building {MAX_STRUCTURES}-structure engine ...");
     let gen_cfg = GeneratorConfig {
         max_structures: Some(MAX_STRUCTURES),
@@ -155,6 +165,18 @@ fn run_workload() -> Value {
     let report = engine.report();
     eprint!("{}", report.render_table());
     eprintln!("[perf_snapshot] wall clock: {wall_clock_ms:.1} ms");
+    let index = engine.index();
+    let (segments, lengths) = (index.segment_count(), index.length_count());
+    let broken = broken_laws(&report, segments, lengths);
+    for law in &broken {
+        eprintln!("[perf_snapshot] FAIL: conservation law broken: {law}");
+    }
+    if broken.is_empty() {
+        eprintln!(
+            "[perf_snapshot] conservation: shards and tries searched + pruned = \
+             {segments} segments and {lengths} lengths per search"
+        );
+    }
 
     let mut counters = Map::new();
     for c in &report.counters {
@@ -195,7 +217,7 @@ fn run_workload() -> Value {
             }),
         );
     }
-    json!({
+    let snapshot = json!({
         "schema": "speakql-perf-snapshot/v1",
         "workload": {
             "max_structures": MAX_STRUCTURES,
@@ -211,7 +233,49 @@ fn run_workload() -> Value {
         },
         "counters": Value::Object(counters),
         "stages": Value::Object(stages),
-    })
+    });
+    (snapshot, broken.is_empty())
+}
+
+/// The search conservation laws of a replay of `engine.transcriptions`
+/// searches over an index of `segments` segments and `lengths` non-empty
+/// lengths. Every search settles each segment as searched or pruned, and
+/// each length likewise, so
+/// `search.shards_searched + search.shards_pruned_bdb = segments × searches`
+/// and `search.tries_searched + search.tries_pruned_bdb = lengths × searches`.
+/// A nested split would search once per clause, so the replay must make
+/// none. Returns one line per broken law.
+fn broken_laws(report: &PipelineReport, segments: usize, lengths: usize) -> Vec<String> {
+    let searches = report.counter(CounterId::Transcriptions);
+    let mut broken = Vec::new();
+    let nested = report.counter(CounterId::NestedSplits);
+    if nested != 0 {
+        broken.push(format!("engine.nested_splits = {nested}, not 0"));
+    }
+    for (unit, searched, pruned, per_search) in [
+        (
+            "shards",
+            CounterId::SearchShardsSearched,
+            CounterId::SearchShardsPruned,
+            segments,
+        ),
+        (
+            "tries",
+            CounterId::SearchTriesSearched,
+            CounterId::SearchTriesPruned,
+            lengths,
+        ),
+    ] {
+        let (searched, pruned) = (report.counter(searched), report.counter(pruned));
+        let expected = per_search as u64 * searches;
+        if searched + pruned != expected {
+            broken.push(format!(
+                "search.{unit} searched + pruned = {searched} + {pruned}, \
+                 not {per_search} × {searches} = {expected}"
+            ));
+        }
+    }
+    broken
 }
 
 /// Replay the Zipfian repeated-query workload through a cache-off and a
@@ -408,8 +472,40 @@ fn zipf_run_json(report: &PipelineReport, wall_ms: f64, hot_us: u64) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::GATE;
+    use super::{broken_laws, GATE};
     use serde_json::{json, Map, Value};
+    use speakql_core::{CounterId, Recorder};
+
+    #[test]
+    fn conservation_laws_hold_and_break() {
+        // The committed replay: 200 searches over 21 segments and 17
+        // non-empty lengths.
+        let replay = |shards: (u64, u64), tries: (u64, u64), nested: u64| {
+            let recorder = Recorder::new(true);
+            for (id, n) in [
+                (CounterId::Transcriptions, 200),
+                (CounterId::SearchShardsSearched, shards.0),
+                (CounterId::SearchShardsPruned, shards.1),
+                (CounterId::SearchTriesSearched, tries.0),
+                (CounterId::SearchTriesPruned, tries.1),
+                (CounterId::NestedSplits, nested),
+            ] {
+                recorder.add(id, n);
+            }
+            broken_laws(&recorder.report(), 21, 17).len()
+        };
+        for (shards, tries, nested, broken, what) in [
+            ((767, 3433), (682, 2718), 0, 0, "the committed replay"),
+            ((767, 3432), (682, 2718), 0, 1, "a segment unsettled"),
+            ((768, 3433), (682, 2718), 0, 1, "a segment settled twice"),
+            ((767, 3433), (683, 2718), 0, 1, "a length settled twice"),
+            ((767, 3433), (682, 2717), 0, 1, "a length unsettled"),
+            ((767, 3433), (682, 2718), 1, 1, "a nested split"),
+            ((0, 0), (0, 0), 0, 2, "no search settled"),
+        ] {
+            assert_eq!(replay(shards, tries, nested), broken, "{what}");
+        }
+    }
 
     fn baseline() -> Value {
         match serde_json::from_str(include_str!("../../../../results/bench_baseline.json")) {

@@ -43,7 +43,7 @@
 use crate::bounds::upper_bound;
 use crate::weights::{Dist, LaneWeights, Weights};
 use speakql_grammar::StructTokId;
-use std::ops::{Add, BitAnd, BitOr, Not};
+use std::ops::{Add, BitAnd, BitOr, Mul, Not, Sub};
 
 /// Sibling columns computed per [`SoaWorkspace::advance_chunk`] call. Eight
 /// `u16` lanes fill one 128-bit vector register — the widest unit portable
@@ -52,12 +52,17 @@ pub const SOA_LANES: usize = 8;
 
 /// The cell type of an [`SoaWorkspace`]: `u16` on the serving path, `u32`
 /// past its envelope. Both run the same recurrence; only the lane width
-/// differs.
+/// differs. The index's count-bound pass computes its per-group tail in the
+/// same lane as the walk, hence `Sub`, `Mul` and the widening from a count
+/// byte.
 pub trait Lane:
     Copy
     + Ord
     + Default
+    + From<u8>
     + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
     + BitAnd<Output = Self>
     + BitOr<Output = Self>
     + Not<Output = Self>

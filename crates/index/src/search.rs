@@ -12,7 +12,10 @@
 //! segment holds groups of structures with equal token multisets, every
 //! group is bounded by `Σₜ wₜ·|c_q(t) − c_s(t)|`, and segments are walked
 //! in ascending least bound until that bound exceeds the k-th best distance.
-//! Proposition 1's length bound is the one-dimensional case. The one
+//! The bound pass sums each group's per-class minima in byte lanes and
+//! computes each group's bound in the walk's own lane, `u16` or `u32`, with
+//! the same result in either. Proposition 1's length bound is the
+//! one-dimensional case. The one
 //! approximation kept here, **DAP** (diversity-aware pruning), is opt-in
 //! and runs on the same walk. The paper's other
 //! accuracy–latency tradeoff, **INV** (inverted keyword index), lost to
@@ -390,6 +393,16 @@ impl StructureIndex {
         self.tries.iter().map(Vec::len).sum()
     }
 
+    /// Number of token lengths with a non-empty segment: each search
+    /// settles every one of them as searched or pruned
+    /// ([`SearchStats::tries_searched`] + [`SearchStats::tries_pruned`]).
+    pub fn length_count(&self) -> usize {
+        self.tries
+            .iter()
+            .filter(|shards| shards.iter().any(|t| !t.is_empty()))
+            .count()
+    }
+
     /// Number of live (searchable) structures. Arena slots tombstoned by a
     /// delta are excluded; see [`StructureIndex::arena_len`].
     pub fn len(&self) -> usize {
@@ -559,7 +572,7 @@ impl StructureIndex {
     ) -> (Vec<SearchHit>, SearchStats) {
         let mut state = SearchState::new(cfg.k, self.tries.len());
         let mut schedule = Schedule::new(self, masked, cfg.bdb);
-        while let Some(unit) = schedule.next_within(state.topk.threshold()) {
+        while let Some(unit) = schedule.next_within::<L>(state.topk.threshold()) {
             state.stats.shards_searched += 1;
             state.walked[unit.len] = true;
             let _span = recorder.span(SpanId::TrieWalk);
@@ -609,7 +622,8 @@ struct Unit {
 /// `W(q)` and, for each token type it contains, that type's id, its count
 /// (capped at 255, a count plane's largest byte, which leaves every
 /// `min(c_q(t), c_s(t))` unchanged) and its class: 0 keyword, 1 special
-/// character, 2 literal.
+/// character, 2 literal. Kept as [`Dist`]s and bytes, narrowed to the
+/// walk's lane only inside [`QueryCounts::least_bound`].
 struct QueryCounts {
     len: usize,
     weight: Dist,
@@ -640,20 +654,45 @@ impl QueryCounts {
         }
     }
 
-    /// The least count bound over `trie`'s groups:
+    /// The least count bound over `trie`'s groups, computed in lane `L`:
     /// `W(q) + W(s) − 2·Σ_{t∈q} wₜ·min(c_q(t), c_s(t))`, which is
     /// `Σₜ wₜ·|c_q(t) − c_s(t)|` summed over the query's types alone. The
     /// minima are summed per class, whose types share one weight, in byte
     /// lanes: a class's sum never exceeds the group's length, at most 255.
-    /// Each group's `W(s)` comes from its keyword and special-character
-    /// totals; `shared` is scratch space, one byte per group and class.
-    fn least_bound(&self, trie: &Trie, w: Weights, shared: &mut [Vec<u8>; 3]) -> Dist {
+    /// `shared` is scratch space for those sums, one byte per group and
+    /// class. Each group's tail then reads its class sums and the trie's
+    /// two class planes as contiguous byte streams and computes, in `L`,
+    /// `W(s) = w_K·kw + w_S·spl + w_L·(n − kw − spl)` and the bound above,
+    /// every term non-negative.
+    ///
+    /// The caller picks `L` as the walk's lane: `u16` for every query
+    /// inside [`SoaWorkspace::fits`], `u32` past it. The bound is exact in
+    /// either, the same number for every group:
+    ///
+    /// - `fits(m, max_len, w)` requires that the weights lower to `u16`
+    ///   and that `(m + max_len)·w_max + (m + max_len)·w_min < 65,535`.
+    /// - For any segment of length `n ≤ max_len`, `W(q) ≤ m·w_max` and
+    ///   `W(s) ≤ n·w_max`, so `W(q) + W(s) < 65,535`.
+    /// - `kw + spl ≤ n` (a validated count table's entries sum to `n`), each
+    ///   class sum is at most `n ≤ 255`, and
+    ///   `Σ wₜ·min(c_q, c_s) ≤ min(W(q), W(s))`. So every intermediate and
+    ///   the result lie in `[0, W(q) + W(s)]`: nothing wraps or underflows.
+    /// - On `u32` lanes the same holds with `u32::MAX` for the ceiling,
+    ///   which `W(q) + W(s)` stays below as a [`Dist`] already must.
+    ///
+    /// The unit order, the walk, the hits and every counter are therefore
+    /// independent of the lane. A segment longer than 255 tokens keeps the
+    /// length bound; an empty count table bounds to [`DIST_INF`].
+    fn least_bound<L: Lane>(&self, trie: &Trie, w: Weights, shared: &mut [Vec<u8>; 3]) -> Dist {
         if trie.len > usize::from(u8::MAX) {
             // Count planes hold a byte per type; past that length only the
             // length bound is sound.
             return lower_bound(self.len, trie.len, w);
         }
         let counts = trie.counts();
+        if counts.groups() == 0 {
+            return DIST_INF;
+        }
         for class in shared.iter_mut() {
             class.clear();
             class.resize(counts.groups(), 0);
@@ -663,20 +702,24 @@ impl QueryCounts {
                 *acc += c.min(cq);
             }
         }
+        let [wk, ws, wl] = [w.keyword, w.splchar, w.literal].map(L::narrow);
         // lossy: len <= 255 here
-        let n = trie.len as Dist;
+        let (wq, n, two) = (L::narrow(self.weight), L::from(trie.len as u8), L::from(2));
+        let [kw, spl] = trie.class_totals();
         let [kw_shared, spl_shared, lit_shared] = &*shared;
-        (0..counts.groups())
-            .map(|g| {
-                let [kw, spl] = trie.classes()[g].map(Dist::from);
-                let ws = w.keyword * kw + w.splchar * spl + w.literal * n.saturating_sub(kw + spl);
-                let acc = w.keyword * Dist::from(kw_shared[g])
-                    + w.splchar * Dist::from(spl_shared[g])
-                    + w.literal * Dist::from(lit_shared[g]);
-                (self.weight + ws).saturating_sub(2 * acc)
+        kw.iter()
+            .zip(spl)
+            .zip(kw_shared)
+            .zip(spl_shared)
+            .zip(lit_shared)
+            .map(|((((&k, &s), &ks), &ss), &ls)| {
+                let (k, s) = (L::from(k), L::from(s));
+                let weight = wk * k + ws * s + wl * (n - k - s);
+                let acc = wk * L::from(ks) + ws * L::from(ss) + wl * L::from(ls);
+                wq + weight - two * acc
             })
-            .min()
-            .unwrap_or(DIST_INF)
+            .fold(L::SAT, L::min)
+            .widen()
     }
 }
 
@@ -750,8 +793,9 @@ impl<'a> Schedule<'a> {
 impl Schedule<'_> {
     /// The next unit in schedule order, or `None` once its bound exceeds
     /// `threshold`: the threshold only ever falls, so no later unit could
-    /// be walked either.
-    fn next_within(&mut self, threshold: Dist) -> Option<Unit> {
+    /// be walked either. Segments are bounded in the walk's lane `L` (see
+    /// [`QueryCounts::least_bound`]).
+    fn next_within<L: Lane>(&mut self, threshold: Dist) -> Option<Unit> {
         while let Some(&(p1, len)) = self.lengths.get(self.next_len) {
             let best = self
                 .ready
@@ -767,7 +811,7 @@ impl Schedule<'_> {
                 }
                 let bound = if self.bdb {
                     self.query
-                        .least_bound(trie, self.index.weights, &mut self.shared)
+                        .least_bound::<L>(trie, self.index.weights, &mut self.shared)
                 } else {
                     0
                 };
@@ -967,11 +1011,10 @@ pub(crate) fn count_tables_agree(index: &StructureIndex) -> Result<(), String> {
                         .map(|(_, c)| c)
                         .sum::<u8>()
                 };
-                let classes = [
-                    class_total(TokenClass::Keyword),
-                    class_total(TokenClass::SplChar),
-                ];
-                if trie.classes()[g] != classes {
+                let totals = trie.class_totals().map(|plane| plane.get(g).copied());
+                if totals
+                    != [TokenClass::Keyword, TokenClass::SplChar].map(|c| Some(class_total(c)))
+                {
                     return Err(format!("{at}: entry {g} class totals disagree"));
                 }
                 for _ in 0..counts.size(g) {
@@ -1217,30 +1260,53 @@ mod tests {
     #[test]
     fn segment_bounds_are_their_groups_least_count_bound() {
         // The table-driven bound pass computes, per segment, exactly the
-        // least `count_lower_bound` over its structures.
+        // least `count_lower_bound` over its structures, on `u16` lanes and
+        // on `u32` lanes alike: for fixed probes, for drawn queries of 0-40
+        // tokens, and for the longest all-`VAR` query the `u16` envelope
+        // admits against the index's longest length.
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRunner;
+
         let idx = small_index();
         assert_eq!(count_tables_agree(idx), Ok(()));
         let w = idx.weights();
-        for probe in [
-            "select a from t where b equals c",
-            "select sum open parenthesis salary close parenthesis from salaries",
-            "",
-        ] {
-            let masked = process_transcript_text(probe).masked;
-            let query = QueryCounts::new(&masked, w);
+        let check = |masked: &[StructTokId]| {
+            let at = format!("a {}-token query", masked.len());
+            assert!(SoaWorkspace::fits(masked.len(), idx.max_len(), w), "{at}");
+            let query = QueryCounts::new(masked, w);
             let mut scratch = Default::default();
             for trie in idx.tries.iter().flatten() {
                 let least = trie
                     .structure_ids()
                     .map(|id| {
-                        speakql_editdist::count_lower_bound(&masked, idx.structure_tokens(id), w)
+                        speakql_editdist::count_lower_bound(masked, idx.structure_tokens(id), w)
                     })
                     .min()
                     .unwrap_or(DIST_INF);
-                assert_eq!(query.least_bound(trie, w, &mut scratch), least, "{probe}");
+                let lanes = [
+                    query.least_bound::<u16>(trie, w, &mut scratch),
+                    query.least_bound::<u32>(trie, w, &mut scratch),
+                ];
+                assert_eq!(lanes, [least; 2], "u16 and u32 lanes, {at}");
                 assert!(least >= lower_bound(masked.len(), trie.len, w));
             }
+        };
+        for probe in [
+            "select a from t where b equals c",
+            "select sum open parenthesis salary close parenthesis from salaries",
+            "",
+        ] {
+            check(&process_transcript_text(probe).masked);
         }
+        let drawn = prop::collection::vec((0..STRUCT_ALPHABET as u8).prop_map(StructTokId), 0..41);
+        TestRunner::new(ProptestConfig::default(), "segment_bounds").run(|rng| {
+            check(&drawn.generate(rng));
+            Ok(())
+        });
+        let longest = (0..)
+            .find(|&m| !SoaWorkspace::fits(m + 1, idx.max_len(), w))
+            .unwrap_or(0);
+        check(&vec![StructTokId::VAR; longest]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The scalar test oracle for the trie walk: Box 2's `SearchRecursively`
 //! one DP column at a time over [`advance_column`], with DAP, driven by the
-//! production [`Schedule`]. The SoA walk must equal it on hits, on all six
-//! [`SearchStats`] fields and on every recorded fanout, on `u16` lanes and
-//! on `u32` lanes alike.
+//! production [`Schedule`] bounding segments in `u32`, as wide as [`Dist`].
+//! The SoA walk, which bounds in its own lane, must equal it on hits, on
+//! all six [`SearchStats`] fields and on every recorded fanout, on `u16`
+//! lanes and on `u32` lanes alike.
 
 use super::*;
 use proptest::prelude::*;
@@ -25,7 +26,7 @@ impl StructureIndex {
         let mut schedule = Schedule::new(self, masked, cfg.bdb);
         let mut cols = vec![Vec::new(); self.max_len + 1];
         cols[0] = base_column(masked, self.weights);
-        while let Some(unit) = schedule.next_within(state.topk.threshold()) {
+        while let Some(unit) = schedule.next_within::<u32>(state.topk.threshold()) {
             state.stats.shards_searched += 1;
             state.walked[unit.len] = true;
             TrieWalk {

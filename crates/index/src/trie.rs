@@ -33,7 +33,9 @@
 //!
 //! Search reads a trie through `Planes`, which borrows the four node planes
 //! as byte slices once per walk, and bounds it through `Counts`, which
-//! borrows the count table.
+//! borrows the count table, and the two class planes (each entry's keyword
+//! and special-character totals, derived from the count table when the trie
+//! is made and never persisted).
 
 use crate::content::checksum64;
 use bytes::Bytes;
@@ -225,11 +227,12 @@ pub struct Trie {
     /// sealed or verified when it was loaded.
     content: u64,
     segment: Bytes,
-    /// Per count-table entry, how many of its tokens are keywords and how
-    /// many are special characters: derived from the count planes when the
-    /// trie is made, so a search weighs an entry's length without summing
-    /// every plane.
-    classes: Arc<[[u8; 2]]>,
+    /// Two byte planes over the count-table entries: byte `g` of the first
+    /// counts entry `g`'s keywords, byte `g` of the second its special
+    /// characters. Derived from the count planes when the trie is made, so
+    /// the bound pass weighs an entry's length from two contiguous byte
+    /// streams without summing every plane.
+    classes: Arc<[u8]>,
 }
 
 impl Trie {
@@ -245,16 +248,17 @@ impl Trie {
         segment: Bytes,
     ) -> Trie {
         let counts = Counts::split(&segment, groups);
-        let mut classes = vec![[0u8; 2]; groups];
+        let mut classes = vec![0u8; 2 * groups];
+        let (keywords, splchars) = classes.split_at_mut(groups);
         for t in 0..STRUCT_ALPHABET {
             // lossy: t < STRUCT_ALPHABET, which fits a token id
-            let lane = match StructTokId(t as u8).class() {
-                TokenClass::Keyword => 0,
-                TokenClass::SplChar => 1,
+            let plane = match StructTokId(t as u8).class() {
+                TokenClass::Keyword => &mut *keywords,
+                TokenClass::SplChar => &mut *splchars,
                 TokenClass::Literal => continue,
             };
-            for (acc, &c) in classes.iter_mut().zip(counts.plane(t)) {
-                acc[lane] = acc[lane].wrapping_add(c);
+            for (acc, &c) in plane.iter_mut().zip(counts.plane(t)) {
+                *acc = acc.wrapping_add(c);
             }
         }
         Trie {
@@ -291,9 +295,11 @@ impl Trie {
         Counts::split(&self.segment, self.groups)
     }
 
-    /// Keyword and special-character totals of each count-table entry.
-    pub(crate) fn classes(&self) -> &[[u8; 2]] {
-        &self.classes
+    /// The class planes: each count-table entry's keyword total, then each
+    /// entry's special-character total, one byte per entry.
+    pub(crate) fn class_totals(&self) -> [&[u8]; 2] {
+        let (keywords, splchars) = self.classes.split_at(self.groups);
+        [keywords, splchars]
     }
 
     /// Materialize a node by arena index (0 = root).
@@ -595,7 +601,8 @@ mod tests {
         assert_eq!(v.counts().of(1), token_counts(&seqs[2]));
         // Keywords and special characters per entry: {SELECT, x} has one
         // keyword, {WHERE, FROM} two, and none has a special character.
-        assert_eq!(v.classes(), &[[1, 0], [1, 0], [2, 0]]);
+        assert_eq!(v.class_totals(), [&[1, 1, 2][..], &[0, 0, 0][..]]);
+        assert_eq!(v.class_totals(), t.class_totals());
         let walk = |t: &Trie| -> Vec<u32> {
             let mut out = Vec::new();
             let mut stack = vec![0u32];
