@@ -18,13 +18,19 @@
 //!    `counter()`;
 //! 4. no scanned reference names a `CounterId` variant that is not declared.
 //!
-//! All parsing runs on the lexer's code view, so counter names inside
-//! strings, comments, and doc examples never count as sites.
+//! Spans get rules 1, 2 and 4 too: every `SpanId` variant appears in
+//! `SpanId::ALL` and vice versa, and every span has at least one
+//! *recording site* — a `SpanId::X` reference preceded, in the same
+//! window, by `record_duration(`, the one way to record a span. A span
+//! with none reports an empty histogram forever.
+//!
+//! All parsing runs on the lexer's code view, so counter and span names
+//! inside strings, comments, and doc examples never count as sites.
 
 use crate::lexer::LexedFile;
 use crate::lints::Finding;
 use crate::symbols::functions;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Where the counter taxonomy is declared.
 pub const OBSERVE_PATH: &str = "crates/observe/src/lib.rs";
@@ -53,9 +59,48 @@ pub struct CoverageSummary {
     pub counters: usize,
     /// Counters with at least one increment site.
     pub covered: usize,
+    /// Declared `SpanId` variants.
+    pub spans: usize,
+    /// Spans with at least one recording site.
+    pub spans_covered: usize,
     /// Declared `SpeakQlError` variants.
     pub error_variants: usize,
 }
+
+/// One registry the lint checks: an enum with an `ALL` array, and what
+/// makes a reference to one of its variants a site that records it.
+struct Taxonomy {
+    /// The enum's name.
+    name: &'static str,
+    /// What a variant is, in messages.
+    noun: &'static str,
+    /// Openers that make a reference a site when they sit within
+    /// [`SITE_WINDOW`] before it.
+    openers: &'static [&'static str],
+    /// Whether a reference standing directly after a match-arm `=>` is a
+    /// site (a mapping whose result feeds a generic increment).
+    arm_is_site: bool,
+    /// The finding for a variant without a site.
+    unrecorded: &'static str,
+}
+
+const COUNTERS: Taxonomy = Taxonomy {
+    name: "CounterId",
+    noun: "counter",
+    openers: &["incr(", ".add("],
+    arm_is_site: true,
+    unrecorded: "has no increment site anywhere in the workspace \
+                 (its reported value can only ever be zero)",
+};
+
+const SPANS: Taxonomy = Taxonomy {
+    name: "SpanId",
+    noun: "span",
+    openers: &["record_duration("],
+    arm_is_site: false,
+    unrecorded: "has no record_duration site anywhere in the workspace \
+                 (its reported histogram can only ever be empty)",
+};
 
 /// Run the full coverage check over the given files. `files` should be the
 /// `src/` (non-test-harness) portion of the workspace, *including* the
@@ -68,73 +113,8 @@ pub fn check_coverage(files: &[CoverageFile<'_>]) -> (Vec<Finding>, CoverageSumm
         // No taxonomy in scope (fixture runs): nothing to verify.
         return (findings, summary);
     };
-
-    // 1. Enum variants vs the ALL registry array.
-    let variants = enum_variants(observe.lexed, "CounterId");
-    let all_entries = all_array_entries(observe.lexed, "CounterId");
-    summary.counters = variants.len();
-    let variant_names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
-    let all_set: BTreeSet<&str> = all_entries.iter().map(|(n, _)| n.as_str()).collect();
-    for (name, line) in &variants {
-        if !all_set.contains(name.as_str()) {
-            findings.push(Finding {
-                lint: "L008",
-                path: OBSERVE_PATH.to_string(),
-                line: *line,
-                message: format!("counter `{name}` is declared but missing from CounterId::ALL"),
-            });
-        }
-    }
-    for (name, line) in &all_entries {
-        if !variant_names.contains(name.as_str()) {
-            findings.push(Finding {
-                lint: "L008",
-                path: OBSERVE_PATH.to_string(),
-                line: *line,
-                message: format!("CounterId::ALL lists `{name}`, which is not a declared variant"),
-            });
-        }
-    }
-
-    // 2 & 4. Scan for references and classify increment sites.
-    let mut sites: BTreeMap<String, usize> = BTreeMap::new();
-    for file in files {
-        if file.rel_path.starts_with("crates/observe/") {
-            continue; // the registry itself names every counter; not usage
-        }
-        for reference in counter_refs(file.lexed) {
-            if !variant_names.contains(reference.name.as_str()) {
-                findings.push(Finding {
-                    lint: "L008",
-                    path: file.rel_path.to_string(),
-                    line: reference.line,
-                    message: format!(
-                        "reference to undeclared counter `CounterId::{}`",
-                        reference.name
-                    ),
-                });
-                continue;
-            }
-            if reference.is_increment {
-                *sites.entry(reference.name).or_insert(0) += 1;
-            }
-        }
-    }
-    for (name, line) in &variants {
-        if sites.contains_key(name) {
-            summary.covered += 1;
-        } else {
-            findings.push(Finding {
-                lint: "L008",
-                path: OBSERVE_PATH.to_string(),
-                line: *line,
-                message: format!(
-                    "counter `{name}` has no increment site anywhere in the workspace \
-                     (its reported value can only ever be zero)"
-                ),
-            });
-        }
-    }
+    (summary.counters, summary.covered) = check_taxonomy(&COUNTERS, observe, files, &mut findings);
+    (summary.spans, summary.spans_covered) = check_taxonomy(&SPANS, observe, files, &mut findings);
 
     // 3. Error variants must map through class() and counter().
     if let Some(error_file) = files.iter().find(|f| f.rel_path == ERROR_PATH) {
@@ -158,6 +138,85 @@ pub fn check_coverage(files: &[CoverageFile<'_>]) -> (Vec<Finding>, CoverageSumm
     }
 
     (findings, summary)
+}
+
+/// Rules 1, 2 and 4 for one taxonomy declared in `observe`: its variants
+/// against its `ALL` array, and a site per variant in `files`. Returns how
+/// many variants are declared and how many have a site.
+fn check_taxonomy(
+    tax: &Taxonomy,
+    observe: &CoverageFile<'_>,
+    files: &[CoverageFile<'_>],
+    findings: &mut Vec<Finding>,
+) -> (usize, usize) {
+    let (name, noun) = (tax.name, tax.noun);
+    let mut finding = |path: &str, line: usize, message: String| {
+        findings.push(Finding {
+            lint: "L008",
+            path: path.to_string(),
+            line,
+            message,
+        });
+    };
+
+    // 1. Enum variants vs the ALL registry array.
+    let variants = enum_variants(observe.lexed, name);
+    let all_entries = all_array_entries(observe.lexed, name);
+    let variant_names: BTreeSet<&str> = variants.iter().map(|(n, _)| n.as_str()).collect();
+    let all_set: BTreeSet<&str> = all_entries.iter().map(|(n, _)| n.as_str()).collect();
+    for (variant, line) in &variants {
+        if !all_set.contains(variant.as_str()) {
+            finding(
+                OBSERVE_PATH,
+                *line,
+                format!("{noun} `{variant}` is declared but missing from {name}::ALL"),
+            );
+        }
+    }
+    for (entry, line) in &all_entries {
+        if !variant_names.contains(entry.as_str()) {
+            finding(
+                OBSERVE_PATH,
+                *line,
+                format!("{name}::ALL lists `{entry}`, which is not a declared variant"),
+            );
+        }
+    }
+
+    // 2 & 4. Scan for references and classify recording sites.
+    let mut sites: BTreeSet<String> = BTreeSet::new();
+    for file in files {
+        if file.rel_path.starts_with("crates/observe/") {
+            continue; // the registry itself names every variant; not usage
+        }
+        for reference in variant_refs(file.lexed, tax) {
+            if !variant_names.contains(reference.name.as_str()) {
+                finding(
+                    file.rel_path,
+                    reference.line,
+                    format!(
+                        "reference to undeclared {noun} `{name}::{}`",
+                        reference.name
+                    ),
+                );
+                continue;
+            }
+            if reference.is_site {
+                sites.insert(reference.name);
+            }
+        }
+    }
+    for (variant, line) in &variants {
+        if !sites.contains(variant) {
+            let unrecorded = tax.unrecorded;
+            finding(
+                OBSERVE_PATH,
+                *line,
+                format!("{noun} `{variant}` {unrecorded}"),
+            );
+        }
+    }
+    (variants.len(), sites.len())
 }
 
 /// Extract the variants of `enum <name>` as `(ident, line)`, using brace
@@ -264,17 +323,18 @@ fn refs_in_fn(lexed: &LexedFile, fn_name: &str, enum_name: &str) -> BTreeSet<Str
     out
 }
 
-/// One `CounterId::X` reference found in scanned code.
-struct CounterRef {
+/// One `Enum::X` reference found in scanned code.
+struct VariantRef {
     name: String,
     line: usize,
-    is_increment: bool,
+    is_site: bool,
 }
 
-/// Scan a file's non-test code for `CounterId::X` references, classifying
-/// each as an increment site or a mere mention. `ALL`-style screaming-case
-/// associated items are not variant references and are skipped.
-fn counter_refs(lexed: &LexedFile) -> Vec<CounterRef> {
+/// Scan a file's non-test code for references to `tax`'s variants,
+/// classifying each as a recording site or a mere mention. `ALL`-style
+/// screaming-case associated items are not variant references and are
+/// skipped.
+fn variant_refs(lexed: &LexedFile, tax: &Taxonomy) -> Vec<VariantRef> {
     // Flatten the code view so backward windows cross line boundaries
     // (multi-line `incr(...)` argument lists).
     let mut flat = String::new();
@@ -293,9 +353,9 @@ fn counter_refs(lexed: &LexedFile) -> Vec<CounterRef> {
     }
 
     let mut out = Vec::new();
-    let prefix = "CounterId::";
+    let prefix = format!("{}::", tax.name);
     let mut search = 0usize;
-    while let Some(rel) = flat[search..].find(prefix) {
+    while let Some(rel) = flat[search..].find(&prefix) {
         let pos = search + rel;
         let start = pos + prefix.len();
         let name: String = flat[start..]
@@ -314,19 +374,18 @@ fn counter_refs(lexed: &LexedFile) -> Vec<CounterRef> {
             continue;
         }
         let window = &flat[pos.saturating_sub(SITE_WINDOW)..pos];
-        let is_increment = window.contains("incr(")
-            || window.contains(".add(")
-            || window.trim_end().ends_with("=>");
+        let is_site = tax.openers.iter().any(|opener| window.contains(opener))
+            || (tax.arm_is_site && window.trim_end().ends_with("=>"));
         let line = line_starts
             .iter()
             .rev()
             .find(|(off, _)| *off <= pos)
             .map(|(_, n)| *n)
             .unwrap_or(0);
-        out.push(CounterRef {
+        out.push(VariantRef {
             name,
             line,
-            is_increment,
+            is_site,
         });
     }
     out
@@ -341,6 +400,15 @@ mod tests {
          impl CounterId {\n    pub const ALL: [CounterId; 2] = [\n        CounterId::Hits,\n        \
          CounterId::Misses,\n    ];\n}\n";
 
+    /// [`OBSERVE_SRC`] with two spans.
+    fn observe_with_spans() -> LexedFile {
+        lex(&format!(
+            "{OBSERVE_SRC}pub enum SpanId {{\n    Walk,\n    Wait,\n}}\nimpl SpanId {{\n    \
+             pub const ALL: [SpanId; 2] = [\n        SpanId::Walk,\n        SpanId::Wait,\n    \
+             ];\n}}\n"
+        ))
+    }
+
     fn check(files: &[(&str, &LexedFile)]) -> (Vec<Finding>, CoverageSummary) {
         let files: Vec<CoverageFile> = files
             .iter()
@@ -354,23 +422,34 @@ mod tests {
 
     #[test]
     fn covered_counters_are_clean() {
-        let observe = lex(OBSERVE_SRC);
+        let observe = observe_with_spans();
         let user = lex("fn f(r: &Recorder) {\n    r.incr(CounterId::Hits);\n    \
-             r.add(CounterId::Misses, 2);\n}\n");
+             r.add(CounterId::Misses, 2);\n    r.record_duration(SpanId::Walk, d);\n    \
+             r.record_duration(\n        SpanId::Wait,\n        d,\n    );\n}\n");
         let (findings, summary) =
             check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!((summary.counters, summary.covered), (2, 2));
+        assert_eq!((summary.spans, summary.spans_covered), (2, 2));
     }
 
     #[test]
     fn uncovered_counter_is_flagged() {
-        let observe = lex(OBSERVE_SRC);
-        let user = lex("fn f(r: &Recorder) {\n    r.incr(CounterId::Hits);\n}\n");
-        let (findings, _) = check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);
-        assert_eq!(findings.len(), 1);
+        let observe = observe_with_spans();
+        // `Wait` is read from a report but never recorded.
+        let user = lex(
+            "fn g(report: &Report) {\n    report.stage(SpanId::Wait);\n}\n\
+             fn f(r: &Recorder) {\n    r.incr(CounterId::Hits);\n    \
+             r.record_duration(SpanId::Walk, d);\n}\n",
+        );
+        let (findings, summary) =
+            check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);
+        assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].message.contains("Misses"), "{findings:?}");
         assert!(findings[0].message.contains("no increment site"));
+        assert!(findings[1].message.contains("span `Wait`"), "{findings:?}");
+        assert!(findings[1].message.contains("no record_duration site"));
+        assert_eq!((summary.spans, summary.spans_covered), (2, 1));
     }
 
     #[test]
@@ -412,21 +491,24 @@ mod tests {
         let observe = lex(
             "pub enum CounterId {\n    Hits,\n    Misses,\n}\nimpl CounterId {\n    \
              pub const ALL: [CounterId; 2] = [\n        CounterId::Hits,\n        \
-             CounterId::Stale,\n    ];\n}\n",
+             CounterId::Stale,\n    ];\n}\npub enum SpanId {\n    Walk,\n    Wait,\n}\n\
+             impl SpanId {\n    pub const ALL: [SpanId; 2] = [\n        SpanId::Walk,\n        \
+             SpanId::Gone,\n    ];\n}\n",
         );
         let user = lex("fn f(r: &Recorder) {\n    r.incr(CounterId::Hits);\n    \
-             r.incr(CounterId::Misses);\n}\n");
+             r.incr(CounterId::Misses);\n    r.record_duration(SpanId::Walk, d);\n    \
+             r.record_duration(SpanId::Wait, d);\n}\n");
         let (findings, _) = check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);
         let msgs: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("missing from CounterId::ALL")),
-            "{msgs:?}"
-        );
-        assert!(
-            msgs.iter().any(|m| m.contains("not a declared variant")),
-            "{msgs:?}"
-        );
+        for drift in [
+            "counter `Misses` is declared but missing from CounterId::ALL",
+            "CounterId::ALL lists `Stale`, which is not a declared variant",
+            "span `Wait` is declared but missing from SpanId::ALL",
+            "SpanId::ALL lists `Gone`, which is not a declared variant",
+        ] {
+            assert!(msgs.contains(&drift), "{drift:?} not in {msgs:?}");
+        }
+        assert_eq!(msgs.len(), 4, "{msgs:?}");
     }
 
     #[test]

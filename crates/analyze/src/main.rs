@@ -229,8 +229,12 @@ fn check(root: &Path, github: bool) -> Result<i32, String> {
         }
     }
     println!(
-        "counters covered: {}/{}; error variants: {}",
-        coverage.covered, coverage.counters, coverage.error_variants
+        "counters covered: {}/{}; spans covered: {}/{}; error variants: {}",
+        coverage.covered,
+        coverage.counters,
+        coverage.spans_covered,
+        coverage.spans,
+        coverage.error_variants
     );
     println!(
         "speakql-analyze: {} lint finding(s), {} failure(s)",

@@ -1,13 +1,14 @@
 //! Roundtrip test pinning the coverage lint's textual extraction against the
-//! real `speakql-observe` crate: the number of `CounterId` variants the lint
-//! parses out of `crates/observe/src/lib.rs` must equal
-//! `CounterId::ALL.len()` as compiled, and the workspace at HEAD must be
-//! fully covered (every counter incremented somewhere, every error variant
-//! mapped, no undeclared references).
+//! real `speakql-observe` crate: the numbers of `CounterId` and `SpanId`
+//! variants the lint parses out of `crates/observe/src/lib.rs` must equal
+//! `CounterId::ALL.len()` and `SpanId::ALL.len()` as compiled, and the
+//! workspace at HEAD must be fully covered (every counter incremented and
+//! every span recorded somewhere, every error variant mapped, no undeclared
+//! references).
 
 use speakql_analyze::coverage::{check_coverage, CoverageFile};
 use speakql_analyze::{discover_sources, lex, LexedFile};
-use speakql_observe::CounterId;
+use speakql_observe::{CounterId, SpanId};
 
 #[test]
 fn coverage_extraction_matches_compiled_counter_id() {
@@ -42,11 +43,23 @@ fn coverage_extraction_matches_compiled_counter_id() {
         CounterId::ALL.len()
     );
 
+    assert_eq!(
+        summary.spans,
+        SpanId::ALL.len(),
+        "coverage lint parsed {} SpanId variants, but SpanId::ALL has {}",
+        summary.spans,
+        SpanId::ALL.len()
+    );
+
     // At HEAD the workspace is fully covered: this is the L008 acceptance
     // bar, enforced here as well as by `--check` in CI.
     assert_eq!(
         summary.covered, summary.counters,
         "every counter must have an increment site"
+    );
+    assert_eq!(
+        summary.spans_covered, summary.spans,
+        "every span must have a record_duration site"
     );
     assert!(
         summary.error_variants > 0,

@@ -13,10 +13,9 @@
 //!   churned length and its segments are identical), must apply in under
 //!   twice the time, best of 7 each. An apply that copies or refolds the
 //!   whole arena grows with it.
-//! - **Counter-proven segment reuse**: the `DeltaStats` counter-proof (and
-//!   the matching `index.delta.*` recorder counters) must show exactly one
-//!   affected length, every segment either rebuilt or reused, and ≥ 95% of
-//!   segments reused.
+//! - **Counter-proven segment reuse**: the `DeltaStats` counter-proof must
+//!   show exactly one affected length, every segment either rebuilt or
+//!   reused, and ≥ 95% of segments reused.
 //! - **Equivalence**: the delta'd index and the full rebuild return the
 //!   same hits (resolved to token sequences — the rebuild compacts ids) on
 //!   a deterministic probe workload.
@@ -236,11 +235,10 @@ fn run_churn(n: usize) -> (Value, bool) {
     let delta = churn_delta(dom, &adds);
     let remove = churned_ids(dom);
 
-    // Counted apply (once), then best-of-7 timing on the uncounted path
-    // (apply is ~2 ms, so the extra attempts are cheap insurance against
-    // a noisy-neighbor minute on the CI runner).
-    let rec = Recorder::enabled();
-    let (delta_idx, stats) = match base.apply_delta_observed(&delta, &rec) {
+    // One apply for the index and its stats, then best-of-7 timing (apply
+    // is ~1 ms, so the extra attempts are cheap insurance against a
+    // noisy-neighbor minute on the CI runner).
+    let (delta_idx, stats) = match base.apply_delta(&delta) {
         Ok(r) => r,
         Err(e) => {
             gate(false, format!("apply_delta: {e}"));
@@ -314,7 +312,7 @@ fn run_churn(n: usize) -> (Value, bool) {
     );
 
     // Counter-proof: one affected length, every segment accounted for,
-    // reuse fraction at the floor, recorder agreeing with the stats.
+    // reuse fraction at the floor.
     gate(
         stats.lengths_affected == 1,
         format!("{} lengths affected (want 1)", stats.lengths_affected),
@@ -334,12 +332,6 @@ fn run_churn(n: usize) -> (Value, bool) {
     gate(
         reuse_fraction >= MIN_REUSE_FRACTION,
         format!("only {:.1}% of segments reused", reuse_fraction * 100.0),
-    );
-    gate(
-        rec.counter(CounterId::IndexDeltaApplied) == 1
-            && rec.counter(CounterId::IndexDeltaSegmentsRebuilt) == stats.segments_rebuilt as u64
-            && rec.counter(CounterId::IndexDeltaSegmentsReused) == stats.segments_reused as u64,
-        "index.delta.* counters disagree with DeltaStats".to_string(),
     );
 
     // Equivalence: same hits as the full rebuild, resolved to tokens (the

@@ -45,6 +45,14 @@
 //! times `engine.transcriptions` (and the replay makes no nested split,
 //! which would search per clause). A broken law fails the run, as a broken
 //! `--zipf` invariant does.
+//!
+//! It then gates what observability costs. Two more engines share the
+//! replay's index, one recording and one not, and replay the same
+//! transcripts in [`COST_PASSES`] passes, alternating the engines
+//! transcript by transcript. Each engine's cost is the sum of its best time
+//! per transcript. The run fails when the recording engine's is more than
+//! [`MAX_RECORDER_COST`] times the other's. The ratio is printed and
+//! written to the snapshot as `recorder_cost`, which no baseline reads.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -53,6 +61,7 @@ use speakql_asr::{AsrEngine, AsrProfile};
 use speakql_bench::gate::{take_flag, today_utc, Gate, Rule};
 use speakql_core::{CounterId, PipelineReport, SpanId, SpeakQl, SpeakQlConfig};
 use speakql_data::{employees_db, generate_cases, training_vocabulary};
+use speakql_db::Database;
 use speakql_grammar::{tokenize_sql, GeneratorConfig, StructTokId, Structure};
 use speakql_index::StructureIndex;
 use std::process::ExitCode;
@@ -105,6 +114,14 @@ const ZIPF_SEED: u64 = 0x21F5;
 const ZIPF_CACHE_CAPACITY: usize = 256;
 /// Minimum acceptable skeleton-cache hit rate over the Zipfian replay.
 const ZIPF_MIN_HIT_RATE: f64 = 0.5;
+/// Timed passes per engine in the recorder-cost check.
+const COST_PASSES: usize = 11;
+/// Largest accepted cost ratio of the recording engine to the
+/// non-recording one. Over eleven runs each on a 2-vCPU VM, the ratio read
+/// 0.99–1.03 with the index recording nothing, and 1.11–1.21 when every
+/// search also recorded a fanout sample per trie node and a span per
+/// walked segment.
+const MAX_RECORDER_COST: f64 = 1.07;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -128,7 +145,8 @@ fn main() -> ExitCode {
 
 /// Build the fixed-seed workload, run it, and snapshot the recorder.
 /// Returns the snapshot and whether the replay's counters kept the search
-/// conservation laws ([`broken_laws`]).
+/// conservation laws ([`broken_laws`]) and the recorder stayed within
+/// [`MAX_RECORDER_COST`].
 fn run_workload() -> (Value, bool) {
     eprintln!("[perf_snapshot] building {MAX_STRUCTURES}-structure engine ...");
     let gen_cfg = GeneratorConfig {
@@ -142,7 +160,8 @@ fn run_workload() -> (Value, bool) {
     }
     .with_threads(1)
     .with_observability(true);
-    let engine = SpeakQl::new(&db, cfg);
+    let index = Arc::new(StructureIndex::from_grammar(&cfg.generator, cfg.weights));
+    let engine = SpeakQl::with_index(&db, Arc::clone(&index), cfg.clone());
 
     eprintln!("[perf_snapshot] generating {NUM_TRANSCRIPTS} transcripts ...");
     let cases = generate_cases(&db, &GeneratorConfig::small(), NUM_TRANSCRIPTS, CASE_SEED);
@@ -165,7 +184,6 @@ fn run_workload() -> (Value, bool) {
     let report = engine.report();
     eprint!("{}", report.render_table());
     eprintln!("[perf_snapshot] wall clock: {wall_clock_ms:.1} ms");
-    let index = engine.index();
     let (segments, lengths) = (index.segment_count(), index.length_count());
     let broken = broken_laws(&report, segments, lengths);
     for law in &broken {
@@ -175,6 +193,26 @@ fn run_workload() -> (Value, bool) {
         eprintln!(
             "[perf_snapshot] conservation: shards and tries searched + pruned = \
              {segments} segments and {lengths} lengths per search"
+        );
+    }
+
+    eprintln!(
+        "[perf_snapshot] timing {COST_PASSES} alternating passes with the recorder on and off ..."
+    );
+    let cost = RecorderCost::measure(&db, index, &cfg, &batch);
+    let cost_ok = cost.holds();
+    eprintln!(
+        "[perf_snapshot] recorder cost: best per transcript {:.2} ms on / {:.2} ms off = {:.3} \
+         (at most {MAX_RECORDER_COST:.2})",
+        cost.on_ms,
+        cost.off_ms,
+        cost.ratio()
+    );
+    if !cost_ok {
+        eprintln!(
+            "[perf_snapshot] FAIL: recording costs {:.3}x the unrecorded replay, \
+             above {MAX_RECORDER_COST:.2}x",
+            cost.ratio()
         );
     }
 
@@ -233,8 +271,72 @@ fn run_workload() -> (Value, bool) {
         },
         "counters": Value::Object(counters),
         "stages": Value::Object(stages),
+        "recorder_cost": {
+            "passes": COST_PASSES,
+            "best_on_ms": cost.on_ms,
+            "best_off_ms": cost.off_ms,
+            "ratio": cost.ratio(),
+            "max_ratio": MAX_RECORDER_COST,
+        },
     });
-    (snapshot, broken.is_empty())
+    (snapshot, broken.is_empty() && cost_ok)
+}
+
+/// The same replay through a recording and a non-recording engine: each
+/// engine's best time per transcript, summed.
+#[derive(Debug, Clone, Copy)]
+struct RecorderCost {
+    on_ms: f64,
+    off_ms: f64,
+}
+
+impl RecorderCost {
+    /// Replay `batch` [`COST_PASSES`] times through each of two fresh
+    /// engines over `index`, built from `cfg` with observability on and
+    /// off. The engines alternate transcript by transcript, and which one
+    /// goes first alternates pass by pass, so drift in the machine's speed
+    /// falls on both; a per-transcript minimum drops the passes an
+    /// interruption slowed.
+    fn measure(
+        db: &Database,
+        index: Arc<StructureIndex>,
+        cfg: &SpeakQlConfig,
+        batch: &[&str],
+    ) -> RecorderCost {
+        let on = SpeakQl::with_index(db, Arc::clone(&index), cfg.clone().with_observability(true));
+        let off = SpeakQl::with_index(db, index, cfg.clone().with_observability(false));
+        let mut best = vec![[f64::INFINITY; 2]; batch.len()];
+        let time = |engine: &SpeakQl, transcript: &str, best: &mut f64| {
+            let start = Instant::now();
+            // Only the time matters; the counted replay checked the output.
+            let _ = engine.transcribe(transcript);
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        };
+        for pass in 0..COST_PASSES {
+            for (&transcript, [on_best, off_best]) in batch.iter().zip(&mut best) {
+                if pass % 2 == 0 {
+                    time(&on, transcript, on_best);
+                    time(&off, transcript, off_best);
+                } else {
+                    time(&off, transcript, off_best);
+                    time(&on, transcript, on_best);
+                }
+            }
+        }
+        RecorderCost {
+            on_ms: best.iter().map(|b| b[0]).sum(),
+            off_ms: best.iter().map(|b| b[1]).sum(),
+        }
+    }
+
+    fn ratio(self) -> f64 {
+        self.on_ms / self.off_ms
+    }
+
+    /// True when recording costs at most [`MAX_RECORDER_COST`].
+    fn holds(self) -> bool {
+        self.ratio() <= MAX_RECORDER_COST
+    }
 }
 
 /// The search conservation laws of a replay of `engine.transcriptions`
@@ -472,7 +574,7 @@ fn zipf_run_json(report: &PipelineReport, wall_ms: f64, hot_us: u64) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::{broken_laws, GATE};
+    use super::{broken_laws, RecorderCost, GATE, MAX_RECORDER_COST};
     use serde_json::{json, Map, Value};
     use speakql_core::{CounterId, Recorder};
 
@@ -505,6 +607,19 @@ mod tests {
         ] {
             assert_eq!(replay(shards, tries, nested), broken, "{what}");
         }
+    }
+
+    #[test]
+    fn recorder_cost_fails_only_above_its_ratio() {
+        let cost = |on_ms: f64| RecorderCost {
+            on_ms,
+            off_ms: 40.0,
+        };
+        assert!(cost(40.0).holds());
+        assert!(cost(36.0).holds(), "recording faster than not passes");
+        assert!(cost(40.0 * MAX_RECORDER_COST).holds());
+        assert!(!cost(40.0 * MAX_RECORDER_COST + 0.01).holds());
+        assert!(!cost(f64::INFINITY).holds());
     }
 
     fn baseline() -> Value {

@@ -115,6 +115,34 @@ fn take_flag(args: &[String], flag: &str) -> (Vec<String>, Option<String>) {
     (rest, value)
 }
 
+/// Per-command usage lines, printed after a usage error.
+const TRANSCRIBE_USAGE: &str = "usage: speakql transcribe <transcript...> [--cache N] [--index-cache FILE] [--report FILE] (or --batch <file> [--threads N] with the same flags)";
+const SPEAK_USAGE: &str = "usage: speakql speak <sql...> [--seed N]";
+const DATASET_USAGE: &str = "usage: speakql dataset <n> [--seed N] [--transcripts]";
+const SERVE_USAGE: &str =
+    "usage: speakql serve [--addr A] [--workers N] [--queue N] [--timeout-ms N] [--cache N]";
+
+/// The value of numeric argument `name`, or `default` when it is absent.
+/// A value that does not parse is a usage error: it is reported with
+/// `usage`, and `None` tells the command to exit 2 before doing any work.
+fn numeric<T: std::str::FromStr>(
+    name: &str,
+    value: Option<&str>,
+    default: T,
+    usage: &str,
+) -> Option<T> {
+    match value {
+        None => Some(default),
+        Some(v) => {
+            let parsed = v.parse().ok();
+            if parsed.is_none() {
+                eprintln!("error: {name} expects a non-negative integer, got {v:?}\n{usage}");
+            }
+            parsed
+        }
+    }
+}
+
 fn engine() -> SpeakQl {
     engine_with(1, false, 0)
 }
@@ -222,8 +250,12 @@ fn cmd_transcribe(args: &[String]) -> ExitCode {
     let (rest, cache) = take_flag(&rest, "--cache");
     let (rest, report) = take_flag(&rest, "--report");
     let (rest, index_cache) = take_flag(&rest, "--index-cache");
-    let threads: usize = threads.and_then(|s| s.parse().ok()).unwrap_or(1);
-    let cache: usize = cache.and_then(|s| s.parse().ok()).unwrap_or(0);
+    let Some(threads) = numeric("--threads", threads.as_deref(), 1, TRANSCRIBE_USAGE) else {
+        return ExitCode::from(2);
+    };
+    let Some(cache) = numeric("--cache", cache.as_deref(), 0, TRANSCRIBE_USAGE) else {
+        return ExitCode::from(2);
+    };
     if let Some(path) = batch {
         return cmd_transcribe_batch(
             &path,
@@ -234,9 +266,7 @@ fn cmd_transcribe(args: &[String]) -> ExitCode {
         );
     }
     if rest.is_empty() {
-        eprintln!(
-            "usage: speakql transcribe <transcript...> [--cache N] [--index-cache FILE] [--report FILE] (or --batch <file> [--threads N] with the same flags)"
-        );
+        eprintln!("{TRANSCRIBE_USAGE}");
         return ExitCode::from(2);
     }
     let transcript = rest.join(" ");
@@ -312,12 +342,14 @@ fn cmd_transcribe_batch(
 
 fn cmd_speak(args: &[String]) -> ExitCode {
     let (rest, seed) = take_flag(args, "--seed");
+    let Some(seed) = numeric("--seed", seed.as_deref(), 42u64, SPEAK_USAGE) else {
+        return ExitCode::from(2);
+    };
     if rest.is_empty() {
-        eprintln!("usage: speakql speak <sql...> [--seed N]");
+        eprintln!("{SPEAK_USAGE}");
         return ExitCode::from(2);
     }
     let sql = rest.join(" ");
-    let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(42);
     let db = employees_db();
     let train = generate_cases(&db, &scale_config(), 100, 0xA11CE);
     let asr = AsrEngine::new(AsrProfile::acs_trained(), training_vocabulary(&db, &train));
@@ -332,12 +364,13 @@ fn cmd_speak(args: &[String]) -> ExitCode {
 fn cmd_dataset(args: &[String]) -> ExitCode {
     let (rest, seed) = take_flag(args, "--seed");
     let with_transcripts = rest.iter().any(|a| a == "--transcripts");
-    let n: usize = rest
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
-    let seed: u64 = seed.and_then(|s| s.parse().ok()).unwrap_or(0xA11CE);
+    let n = rest.iter().find(|a| !a.starts_with("--"));
+    let Some(n) = numeric("<n>", n.map(String::as_str), 10usize, DATASET_USAGE) else {
+        return ExitCode::from(2);
+    };
+    let Some(seed) = numeric("--seed", seed.as_deref(), 0xA11CEu64, DATASET_USAGE) else {
+        return ExitCode::from(2);
+    };
     let db = employees_db();
     let cases = generate_cases(&db, &scale_config(), n, seed);
     if !with_transcripts {
@@ -438,16 +471,27 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let (rest, timeout_ms) = take_flag(&rest, "--timeout-ms");
     let (rest, cache) = take_flag(&rest, "--cache");
     if !rest.is_empty() {
-        eprintln!(
-            "usage: speakql serve [--addr A] [--workers N] [--queue N] [--timeout-ms N] [--cache N]"
-        );
+        eprintln!("{SERVE_USAGE}");
         return ExitCode::from(2);
     }
     let addr = addr.unwrap_or_else(|| "127.0.0.1:5717".to_string());
-    let workers: usize = workers.and_then(|s| s.parse().ok()).unwrap_or(4);
-    let queue: usize = queue.and_then(|s| s.parse().ok()).unwrap_or(64);
-    let timeout_ms: u64 = timeout_ms.and_then(|s| s.parse().ok()).unwrap_or(30_000);
-    let cache: usize = cache.and_then(|s| s.parse().ok()).unwrap_or(1024);
+    let Some(workers) = numeric("--workers", workers.as_deref(), 4usize, SERVE_USAGE) else {
+        return ExitCode::from(2);
+    };
+    let Some(queue) = numeric("--queue", queue.as_deref(), 64usize, SERVE_USAGE) else {
+        return ExitCode::from(2);
+    };
+    let Some(timeout_ms) = numeric(
+        "--timeout-ms",
+        timeout_ms.as_deref(),
+        30_000u64,
+        SERVE_USAGE,
+    ) else {
+        return ExitCode::from(2);
+    };
+    let Some(cache) = numeric("--cache", cache.as_deref(), 1024usize, SERVE_USAGE) else {
+        return ExitCode::from(2);
+    };
 
     eprintln!("[speakql] building shared structure index ...");
     let config = SpeakQlConfig {

@@ -81,6 +81,47 @@ fn batch_with_poisoned_line_reports_per_slot_errors() {
 }
 
 #[test]
+fn malformed_numeric_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join("speakql-fault-cli");
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("threads.txt");
+    std::fs::write(&path, "select salary from employees\n").expect("write batch file");
+    let batch = path.to_str().expect("utf-8 path");
+    let cases = [
+        (
+            vec!["transcribe", "--batch", batch, "--threads", "abc"],
+            "--threads",
+            "\"abc\"",
+        ),
+        (
+            vec![
+                "speak", "SELECT", "salary", "FROM", "Salaries", "--seed", "x",
+            ],
+            "--seed",
+            "\"x\"",
+        ),
+    ];
+    let outs: Vec<Output> = cases.iter().map(|(args, ..)| speakql(args)).collect();
+    std::fs::remove_file(&path).ok();
+    for ((args, flag, value), out) in cases.iter().zip(&outs) {
+        assert_no_panic(out, flag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A usage error, reported before any index is built or any
+        // transcript is read, not a silent fallback to the default.
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "error must name the flag and value:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("usage: speakql"),
+            "no usage line:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
 fn corrupted_index_file_is_a_typed_error() {
     let dir = std::env::temp_dir().join("speakql-fault-cli");
     std::fs::create_dir_all(&dir).expect("create temp dir");

@@ -14,7 +14,7 @@ use speakql_grammar::{
     generate_clause_structures, process_transcript, tokenize_transcript, ClauseKind,
     GeneratorConfig, ProcessedTranscript, Structure,
 };
-use speakql_index::{SearchConfig, SearchHit, StructureIndex};
+use speakql_index::{SearchConfig, SearchHit, SearchStats, StructureIndex};
 use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -283,33 +283,27 @@ impl SpeakQl {
     /// Build an engine around a structure index persisted at `path`,
     /// loading it through the zero-copy validate-then-borrow path (see
     /// `speakql_index::persist`): no per-node rebuild, O(segments)
-    /// validation plus linear checksums. Load failures surface as the typed
-    /// [`SpeakQlError::IndexLoad`] — carrying the persist layer's stable
-    /// error class — and increment `engine.errors.index_load` on the
-    /// engine-to-be's recorder semantics (a fresh recorder honoring
-    /// `config.observe`, since there is no engine yet to own one).
+    /// validation plus linear checksums. The new engine's recorder counts
+    /// the load (`index.load.zero_copy`) and the segments it validated
+    /// (`index.load.segments_validated`). Load failures surface as the
+    /// typed [`SpeakQlError::IndexLoad`], carrying the persist layer's
+    /// stable error class; with no engine built, no recorder holds them.
     pub fn with_persisted_index(
         db: &Database,
         path: impl AsRef<std::path::Path>,
         config: SpeakQlConfig,
     ) -> SpeakQlResult<SpeakQl> {
-        let recorder = Recorder::new(config.observe);
-        match speakql_index::load_from_path_observed(path, &recorder) {
-            Ok(index) => {
-                let mut engine = SpeakQl::with_index(db, Arc::new(index), config);
-                // Keep the load counters: the engine adopts the recorder
-                // that observed its own index load.
-                engine.recorder = recorder;
-                Ok(engine)
-            }
-            Err(e) => {
-                recorder.incr(CounterId::ErrorsIndexLoad);
-                Err(SpeakQlError::IndexLoad {
-                    class: e.class(),
-                    message: e.to_string(),
-                })
-            }
-        }
+        let index = speakql_index::load_from_path(path).map_err(|e| SpeakQlError::IndexLoad {
+            class: e.class(),
+            message: e.to_string(),
+        })?;
+        let engine = SpeakQl::with_index(db, Arc::new(index), config);
+        engine.recorder.incr(CounterId::IndexLoadZeroCopy);
+        engine.recorder.add(
+            CounterId::IndexLoadSegments,
+            engine.index.segment_count() as u64,
+        );
+        Ok(engine)
     }
 
     /// Build an engine around a pre-built structure index (lets experiments
@@ -614,8 +608,8 @@ impl SpeakQl {
         let hits = match cached {
             Some(hits) => hits,
             None => {
-                let (hits, _) =
-                    index.search_observed(&processed.masked, search_cfg, &self.recorder);
+                let (hits, stats) = index.search_with_stats(&processed.masked, search_cfg);
+                record_search(&self.recorder, &stats);
                 if let Some(c) = cache {
                     c.insert(
                         generation,
@@ -812,6 +806,26 @@ impl SpeakQl {
             stages: inner.stages + outer.stages,
         })
     }
+}
+
+/// Publish one search's work into `recorder`: the index returns its
+/// [`SearchStats`], and the engine owns the counters.
+fn record_search(recorder: &Recorder, stats: &SearchStats) {
+    recorder.add(CounterId::SearchNodesVisited, stats.nodes_visited);
+    recorder.add(
+        CounterId::SearchTriesSearched,
+        u64::from(stats.tries_searched),
+    );
+    recorder.add(CounterId::SearchTriesPruned, u64::from(stats.tries_pruned));
+    recorder.add(CounterId::EditDistCells, stats.cells_evaluated);
+    recorder.add(
+        CounterId::SearchShardsSearched,
+        u64::from(stats.shards_searched),
+    );
+    recorder.add(
+        CounterId::SearchShardsPruned,
+        u64::from(stats.shards_pruned),
+    );
 }
 
 /// Render a structure with filled literals to SQL text.
@@ -1168,23 +1182,42 @@ mod tests {
     fn report_reflects_pipeline_work() {
         let engine = SpeakQl::new(&toy_db(), SpeakQlConfig::small().with_observability(true));
         assert!(engine.recorder().is_enabled());
-        ok(engine.transcribe("select salary from employees where first name equals john"));
+        let t = ok(engine.transcribe("select salary from employees where first name equals john"));
         let report = engine.report();
         assert_eq!(report.counter(CounterId::Transcriptions), 1);
-        assert!(report.counter(CounterId::SearchNodesVisited) > 0);
-        assert!(report.counter(CounterId::EditDistCells) > 0);
         assert!(report.counter(CounterId::VoteComparisons) > 0);
         assert_eq!(report.counter(CounterId::CandidatesBuilt), 5);
+        // The cache is off, so this is the one search the engine ran: its
+        // six search counters are exactly the stats the index returned.
+        let (_, stats) = engine
+            .index()
+            .search_with_stats(&t.processed.masked, &engine.config().search);
+        assert!(stats.nodes_visited > 0 && stats.cells_evaluated > 0);
+        let published = [
+            CounterId::SearchNodesVisited,
+            CounterId::SearchTriesSearched,
+            CounterId::SearchTriesPruned,
+            CounterId::EditDistCells,
+            CounterId::SearchShardsSearched,
+            CounterId::SearchShardsPruned,
+        ]
+        .map(|id| report.counter(id));
+        assert_eq!(
+            published,
+            [
+                stats.nodes_visited,
+                u64::from(stats.tries_searched),
+                u64::from(stats.tries_pruned),
+                stats.cells_evaluated,
+                u64::from(stats.shards_searched),
+                u64::from(stats.shards_pruned),
+            ]
+        );
         let search = match report.stage(SpanId::Search) {
             Some(s) => s,
             None => panic!("search stage missing from report"),
         };
         assert_eq!(search.count, 1);
-        let walks = match report.stage(SpanId::TrieWalk) {
-            Some(s) => s,
-            None => panic!("trie-walk stage missing from report"),
-        };
-        assert!(walks.count > 0);
         // Batch counters stay untouched outside transcribe_batch.
         assert_eq!(report.counter(CounterId::BatchJobs), 0);
     }

@@ -47,7 +47,6 @@ use crate::search::{seal_shards, Groups, StructureIndex};
 use crate::store::{ChunkBuilder, StructStore, Tombstones};
 use crate::trie::{token_counts, TokenCounts, Trie};
 use speakql_grammar::{StructTokId, Structure};
-use speakql_observe::{CounterId, Recorder};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -177,16 +176,6 @@ impl StructureIndex {
         &self,
         delta: &IndexDelta,
     ) -> Result<(StructureIndex, DeltaStats), DeltaError> {
-        self.apply_delta_observed(delta, &Recorder::disabled())
-    }
-
-    /// [`StructureIndex::apply_delta`] publishing `index.delta.*` counters
-    /// into `recorder`.
-    pub fn apply_delta_observed(
-        &self,
-        delta: &IndexDelta,
-        recorder: &Recorder,
-    ) -> Result<(StructureIndex, DeltaStats), DeltaError> {
         if delta.is_empty() {
             // Nothing changes: the clone shares the arena, every segment,
             // and — because generations are content-derived — the
@@ -195,7 +184,6 @@ impl StructureIndex {
                 segments_reused: self.segment_count(),
                 ..DeltaStats::default()
             };
-            record_delta(recorder, &stats);
             return Ok((self.clone(), stats));
         }
 
@@ -283,7 +271,6 @@ impl StructureIndex {
         let max_len = tries.len() - 1;
 
         let next = StructureIndex::from_parts(store, tries, self.weights(), max_len, removed);
-        record_delta(recorder, &stats);
         Ok((next, stats))
     }
 }
@@ -385,18 +372,6 @@ fn regroup(
         groups.sizes.push((run.old.len() + run.added.len()) as u32);
     }
     Ok(groups)
-}
-
-fn record_delta(recorder: &Recorder, stats: &DeltaStats) {
-    recorder.incr(CounterId::IndexDeltaApplied);
-    recorder.add(
-        CounterId::IndexDeltaSegmentsRebuilt,
-        stats.segments_rebuilt as u64,
-    );
-    recorder.add(
-        CounterId::IndexDeltaSegmentsReused,
-        stats.segments_reused as u64,
-    );
 }
 
 #[cfg(test)]
@@ -683,23 +658,13 @@ mod tests {
     }
 
     #[test]
-    fn observed_counters_match_stats() -> Result<(), DeltaError> {
+    fn stats_account_for_every_segment() -> Result<(), DeltaError> {
         let base = small_index();
         let delta = IndexDelta::new()
             .remove_structures([2u32, 9])
             .add_structures([synthetic(0, 9), synthetic(1, 13)]);
-        let rec = Recorder::enabled();
-        let (next, stats) = base.apply_delta_observed(&delta, &rec)?;
-        let report = rec.report();
-        assert_eq!(report.counter(CounterId::IndexDeltaApplied), 1);
-        assert_eq!(
-            report.counter(CounterId::IndexDeltaSegmentsRebuilt),
-            stats.segments_rebuilt as u64
-        );
-        assert_eq!(
-            report.counter(CounterId::IndexDeltaSegmentsReused),
-            stats.segments_reused as u64
-        );
+        let (next, stats) = base.apply_delta(&delta)?;
+        assert_eq!((stats.structures_removed, stats.structures_added), (2, 2));
         // Every segment of the new index is accounted for exactly once:
         // carried over from an unaffected length or rebuilt for an
         // affected one.
@@ -707,7 +672,21 @@ mod tests {
             stats.segments_rebuilt + stats.segments_reused,
             next.segment_count()
         );
-        assert!(stats.lengths_affected >= 2);
+        // The reused segments are exactly the base's segments at the
+        // lengths the delta did not touch.
+        let mut affected: Vec<usize> = [2u32, 9]
+            .iter()
+            .map(|&id| base.structure_tokens(id).len())
+            .chain([9, 13])
+            .collect();
+        affected.sort_unstable();
+        affected.dedup();
+        assert_eq!(stats.lengths_affected, affected.len());
+        let untouched: usize = (base.tries().iter().enumerate())
+            .filter(|(len, _)| !affected.contains(len))
+            .map(|(_, shards)| shards.len())
+            .sum();
+        assert_eq!(stats.segments_reused, untouched);
         Ok(())
     }
 

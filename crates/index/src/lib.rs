@@ -13,6 +13,11 @@
 //!   the opt-in **DAP** accuracy–latency tradeoff,
 //! - [`IndexDelta`]: incremental maintenance whose cost follows the change,
 //!   not the arena.
+//!
+//! The crate is a pure library: it keeps no metrics. Search, load and delta
+//! return their work as values — [`SearchStats`], [`DeltaStats`] and the
+//! loaded index's [`StructureIndex::segment_count`] — and the caller that
+//! owns a recorder (the engine in `speakql-core`) publishes them.
 
 #![forbid(unsafe_code)]
 
@@ -25,8 +30,8 @@ pub mod trie;
 
 pub use delta::{DeltaError, DeltaStats, IndexDelta};
 pub use persist::{
-    from_bytes, from_bytes_rebuilt, from_bytes_rebuilt_observed, from_shared, from_shared_observed,
-    load_from_path, load_from_path_observed, save_to_path, to_bytes, PersistError,
+    from_bytes, from_bytes_rebuilt, from_shared, load_from_path, save_to_path, to_bytes,
+    PersistError,
 };
 pub use search::{SearchConfig, SearchHit, SearchStats, StructureIndex};
 pub use trie::Trie;

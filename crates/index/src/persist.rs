@@ -83,7 +83,6 @@ use crate::trie::{segment_len, Trie, NONE};
 use bytes::{BufMut, Bytes, BytesMut};
 use speakql_editdist::Weights;
 use speakql_grammar::{StructTokId, Structure, STRUCT_ALPHABET};
-use speakql_observe::{CounterId, Recorder};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -305,15 +304,7 @@ fn read_u64_le(data: &Bytes, pos: &mut usize, what: &'static str) -> Result<u64,
 /// run the zero-copy [`from_shared`] path. Callers that already hold a
 /// [`Bytes`] (e.g. [`load_from_path`]) skip even that single copy.
 pub fn from_bytes(data: &[u8]) -> Result<StructureIndex, PersistError> {
-    from_bytes_observed(data, &Recorder::disabled())
-}
-
-/// [`from_bytes`] publishing `index.load.*` counters into `recorder`.
-pub fn from_bytes_observed(
-    data: &[u8],
-    recorder: &Recorder,
-) -> Result<StructureIndex, PersistError> {
-    from_shared_observed(Bytes::copy_from_slice(data), recorder)
+    from_shared(Bytes::copy_from_slice(data))
 }
 
 /// Zero-copy load: validate the segmented image and borrow its planes.
@@ -321,16 +312,10 @@ pub fn from_bytes_observed(
 /// The buffer is refcounted, so the returned index (and its clones) keep
 /// the image alive; no node is rebuilt, and the token plane is the only
 /// plane copied (into typed tokens). Validation is O(segments) bounds
-/// checks plus linear checksum and structural passes over the raw bytes.
+/// checks plus linear checksum and structural passes over the raw bytes;
+/// the loaded index's [`StructureIndex::segment_count`] is the number of
+/// segments validated.
 pub fn from_shared(data: Bytes) -> Result<StructureIndex, PersistError> {
-    from_shared_observed(data, &Recorder::disabled())
-}
-
-/// [`from_shared`] publishing `index.load.*` counters into `recorder`.
-pub fn from_shared_observed(
-    data: Bytes,
-    recorder: &Recorder,
-) -> Result<StructureIndex, PersistError> {
     let header = Header::parse(&data)?;
     let mut pos = HEADER_LEN;
     let (store, removed) = decode_block_a(&data, &mut pos, &header)?;
@@ -338,8 +323,6 @@ pub fn from_shared_observed(
     if pos != data.len() {
         return Err(PersistError::Corrupt("trailing bytes"));
     }
-    recorder.incr(CounterId::IndexLoadZeroCopy);
-    recorder.add(CounterId::IndexLoadSegments, header.seg_count as u64);
     Ok(StructureIndex::from_parts(
         store,
         tries,
@@ -354,14 +337,6 @@ pub fn from_shared_observed(
 /// scale benchmark measures the zero-copy path against this one; production
 /// loads should prefer [`from_shared`].
 pub fn from_bytes_rebuilt(data: &[u8]) -> Result<StructureIndex, PersistError> {
-    from_bytes_rebuilt_observed(data, &Recorder::disabled())
-}
-
-/// [`from_bytes_rebuilt`] publishing `index.load.*` counters into `recorder`.
-pub fn from_bytes_rebuilt_observed(
-    data: &[u8],
-    recorder: &Recorder,
-) -> Result<StructureIndex, PersistError> {
     let shared = Bytes::copy_from_slice(data);
     let header = Header::parse(&shared)?;
     let mut pos = HEADER_LEN;
@@ -380,7 +355,6 @@ pub fn from_bytes_rebuilt_observed(
         .filter(|&i| !is_rm(i))
         .map(|i| store.materialize(i))
         .collect();
-    recorder.incr(CounterId::IndexLoadRebuild);
     Ok(StructureIndex::build(structures, header.weights))
 }
 
@@ -750,16 +724,8 @@ pub fn save_to_path(index: &StructureIndex, path: impl AsRef<Path>) -> Result<()
 /// Load from a file through the zero-copy path (one read into a shared
 /// buffer, then validate-then-borrow; see [`from_shared`]).
 pub fn load_from_path(path: impl AsRef<Path>) -> Result<StructureIndex, PersistError> {
-    load_from_path_observed(path, &Recorder::disabled())
-}
-
-/// [`load_from_path`] publishing `index.load.*` counters into `recorder`.
-pub fn load_from_path_observed(
-    path: impl AsRef<Path>,
-    recorder: &Recorder,
-) -> Result<StructureIndex, PersistError> {
     let data = fs::read(path)?;
-    from_shared_observed(Bytes::from(data), recorder)
+    from_shared(Bytes::from(data))
 }
 
 #[cfg(test)]
@@ -818,24 +784,29 @@ mod tests {
         Ok(())
     }
 
+    /// The engine counts a persisted load as `index.load.zero_copy` and
+    /// `index.load.segments_validated` = `segment_count()`. Both hold only
+    /// because the zero-copy path borrows every segment it validated from
+    /// the image, where the rebuild reference borrows none.
     #[test]
     fn load_counters_distinguish_paths() -> Result<(), PersistError> {
         let index = small_index();
         let bytes = to_bytes(&index)?;
-        let rec = Recorder::enabled();
-        let loaded = from_shared_observed(bytes.clone(), &rec)?;
-        let report = rec.report();
-        assert_eq!(report.counter(CounterId::IndexLoadZeroCopy), 1);
-        assert_eq!(report.counter(CounterId::IndexLoadRebuild), 0);
-        assert_eq!(
-            report.counter(CounterId::IndexLoadSegments),
-            loaded.segment_count() as u64
-        );
-        let rec = Recorder::enabled();
-        from_bytes_rebuilt_observed(&bytes, &rec)?;
-        let report = rec.report();
-        assert_eq!(report.counter(CounterId::IndexLoadZeroCopy), 0);
-        assert_eq!(report.counter(CounterId::IndexLoadRebuild), 1);
+        let validated = Header::parse(&bytes)?.seg_count;
+        let image = bytes.as_ptr_range();
+        let borrowed = |idx: &StructureIndex| {
+            idx.tries()
+                .iter()
+                .flatten()
+                .filter(|t| image.contains(&t.segment().as_ptr()))
+                .count()
+        };
+        let loaded = from_shared(bytes.clone())?;
+        assert_eq!(loaded.segment_count(), validated);
+        assert_eq!(borrowed(&loaded), validated);
+        let rebuilt = from_bytes_rebuilt(&bytes)?;
+        assert_eq!(rebuilt.segment_count(), validated);
+        assert_eq!(borrowed(&rebuilt), 0);
         Ok(())
     }
 

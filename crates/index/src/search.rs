@@ -32,7 +32,6 @@ use speakql_grammar::{
     generate_structures, GeneratorConfig, StructTok, StructTokId, Structure, TokenClass,
     STRUCT_ALPHABET,
 };
-use speakql_observe::{CounterId, Recorder, SpanId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -190,21 +189,6 @@ pub struct SearchStats {
     pub shards_searched: u32,
     /// Non-empty trie shards skipped by the count bound.
     pub shards_pruned: u32,
-}
-
-impl SearchStats {
-    /// Publish this search's work counters into a [`Recorder`].
-    fn record_into(&self, recorder: &Recorder) {
-        if !recorder.is_enabled() {
-            return;
-        }
-        recorder.add(CounterId::SearchNodesVisited, self.nodes_visited);
-        recorder.add(CounterId::SearchTriesSearched, self.tries_searched as u64);
-        recorder.add(CounterId::SearchTriesPruned, self.tries_pruned as u64);
-        recorder.add(CounterId::EditDistCells, self.cells_evaluated);
-        recorder.add(CounterId::SearchShardsSearched, self.shards_searched as u64);
-        recorder.add(CounterId::SearchShardsPruned, self.shards_pruned as u64);
-    }
 }
 
 /// Bounded top-k accumulator ordered by `(distance, structure id)` — the
@@ -513,76 +497,52 @@ impl StructureIndex {
         self.search_with_stats(masked, cfg).0
     }
 
-    /// Top-k search returning work counters.
+    /// Top-k search returning the work it did. The index records nothing
+    /// itself: a caller that keeps metrics (the engine) publishes these
+    /// [`SearchStats`].
+    ///
+    /// The lanes are `u16` when the query fits their envelope, `u32`
+    /// otherwise. A workspace is allocated per search rather than pooled:
+    /// that costs a few microseconds against a search of a millisecond or
+    /// more, and keeps every counter independent of what earlier searches
+    /// left behind.
     pub fn search_with_stats(
         &self,
         masked: &[StructTokId],
         cfg: &SearchConfig,
     ) -> (Vec<SearchHit>, SearchStats) {
-        self.search_observed(masked, cfg, &Recorder::disabled())
-    }
-
-    /// Top-k search that additionally publishes work counters and per-trie
-    /// walk latencies into `recorder` (a strict no-op when the recorder is
-    /// disabled — the hits are byte-identical either way).
-    pub fn search_observed(
-        &self,
-        masked: &[StructTokId],
-        cfg: &SearchConfig,
-        recorder: &Recorder,
-    ) -> (Vec<SearchHit>, SearchStats) {
-        let (hits, stats) = self.search_inner(masked, cfg, recorder);
-        stats.record_into(recorder);
-        (hits, stats)
-    }
-
-    /// Pick the lanes: `u16` when the query fits their envelope, `u32`
-    /// otherwise. A workspace is allocated per search rather than pooled:
-    /// that costs a few microseconds against a search of a millisecond or
-    /// more, and keeps every counter independent of what earlier searches
-    /// left behind.
-    fn search_inner(
-        &self,
-        masked: &[StructTokId],
-        cfg: &SearchConfig,
-        recorder: &Recorder,
-    ) -> (Vec<SearchHit>, SearchStats) {
         if self.store.len() == 0 {
             return (Vec::new(), SearchStats::default());
         }
         match SoaWorkspace::new(masked, self.weights, self.max_len) {
-            Some(cols) => self.search_on(cols, masked, cfg, recorder),
+            Some(cols) => self.search_on(cols, masked, cfg),
             None => {
                 let cols = SoaWorkspace::wide(masked, self.weights, self.max_len);
-                self.search_on(cols, masked, cfg, recorder)
+                self.search_on(cols, masked, cfg)
             }
         }
     }
 
     /// Walk the schedule's segments on `cols`, in bound order, until the
-    /// next segment's bound exceeds the k-th best. Each walked shard
-    /// records one `search.trie_walk` latency sample; the per-length and
+    /// next segment's bound exceeds the k-th best. The per-length and
     /// pruned counters are settled once the search ends.
     fn search_on<L: Lane>(
         &self,
         mut cols: SoaWorkspace<L>,
         masked: &[StructTokId],
         cfg: &SearchConfig,
-        recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
         let mut state = SearchState::new(cfg.k, self.tries.len());
         let mut schedule = Schedule::new(self, masked, cfg.bdb);
         while let Some(unit) = schedule.next_within::<L>(state.topk.threshold()) {
             state.stats.shards_searched += 1;
             state.walked[unit.len] = true;
-            let _span = recorder.span(SpanId::TrieWalk);
             SoaTrieWalk {
                 trie: self.tries[unit.len][unit.shard].planes(),
                 target_len: unit.len,
                 dap: cfg.dap,
                 state: &mut state,
                 cols: &mut cols,
-                recorder,
             }
             .visit_children(0, 0, 0);
         }
@@ -848,7 +808,6 @@ struct SoaTrieWalk<'a, 'b, L> {
     dap: bool,
     state: &'b mut SearchState,
     cols: &'b mut SoaWorkspace<L>,
-    recorder: &'a Recorder,
 }
 
 impl<L: Lane> SoaTrieWalk<'_, '_, L> {
@@ -858,32 +817,29 @@ impl<L: Lane> SoaTrieWalk<'_, '_, L> {
     /// the chunk's sibling columns stay intact across recursion.
     fn visit_children(&mut self, node: u32, depth: usize, parent_lane: usize) {
         let rem = self.target_len - (depth + 1);
-        let fanout = if self.dap {
-            self.visit_dap(node, depth, parent_lane, rem)
+        if self.dap {
+            self.visit_dap(node, depth, parent_lane, rem);
         } else {
-            self.visit_all(self.trie.children(node), depth, parent_lane, rem)
-        };
-        self.recorder.record_value(SpanId::TrieFanout, fanout);
+            self.visit_all(self.trie.children(node), depth, parent_lane, rem);
+        }
     }
 
-    /// Advance, offer and descend into each of `children` in order;
-    /// returns how many there were.
+    /// Advance, offer and descend into each of `children` in order.
     fn visit_all(
         &mut self,
         mut children: impl Iterator<Item = u32>,
         depth: usize,
         parent_lane: usize,
         rem: usize,
-    ) -> u64 {
-        let mut fanout: u64 = 0;
+    ) {
         let mut pending = children.next();
         while let Some(first) = pending {
             pending = children.next();
-            // Fanout-1 nodes dominate real tries; route them through the
-            // padless single-column kernel with no gather arrays and no
-            // ChunkStats round-trip through memory.
-            if pending.is_none() && fanout == 0 {
-                fanout = 1;
+            // A chunk of one: fanout-1 nodes dominate real tries, and a
+            // wider node may leave one child for its last chunk. Route it
+            // through the padless single-column kernel with no gather
+            // arrays and no ChunkStats round-trip through memory.
+            if pending.is_none() {
                 let tok = self.trie.token(first);
                 let (last, bound) = self.cols.advance_single(depth, parent_lane, tok, rem);
                 self.visit_one(first, depth, 0, last, bound);
@@ -903,18 +859,11 @@ impl<L: Lane> SoaTrieWalk<'_, '_, L> {
                     break;
                 }
             }
-            fanout += n as u64;
-            if n == 1 {
-                let (last, bound) = self.cols.advance_single(depth, parent_lane, toks[0], rem);
-                self.visit_one(ids[0], depth, 0, last, bound);
-                continue;
-            }
             let chunk = self.cols.advance_chunk(depth, parent_lane, &toks[..n], rem);
             for (c, &child) in ids[..n].iter().enumerate() {
                 self.visit_one(child, depth, c, chunk.last[c], chunk.bound[c]);
             }
         }
-        fanout
     }
 
     /// DAP (App. D.3): among sibling children whose tokens are in the prime
@@ -923,13 +872,11 @@ impl<L: Lane> SoaTrieWalk<'_, '_, L> {
     /// advanced in chunks once to pick it, then the non-prime children and
     /// the pick are walked in sibling order as without DAP. The pick's
     /// column is thus computed (and counted) twice, which keeps every
-    /// counter equal to the one-column-at-a-time walk's. Returns the node's
-    /// full fanout.
-    fn visit_dap(&mut self, node: u32, depth: usize, parent_lane: usize, rem: usize) -> u64 {
+    /// counter equal to the one-column-at-a-time walk's.
+    fn visit_dap(&mut self, node: u32, depth: usize, parent_lane: usize, rem: usize) {
         let trie = self.trie;
         let mut primes = trie.children(node).filter(|&c| is_prime(trie.token(c)));
         let mut best: Option<(Dist, u32)> = None;
-        let mut prime_count: u64 = 0;
         loop {
             let mut ids = [0u32; SOA_LANES];
             let mut toks = [StructTokId(0); SOA_LANES];
@@ -942,7 +889,6 @@ impl<L: Lane> SoaTrieWalk<'_, '_, L> {
             if n == 0 {
                 break;
             }
-            prime_count += n as u64;
             self.state.stats.nodes_visited += n as u64;
             let chunk = self.cols.advance_chunk(depth, parent_lane, &toks[..n], rem);
             for (c, &child) in ids[..n].iter().enumerate() {
@@ -955,8 +901,7 @@ impl<L: Lane> SoaTrieWalk<'_, '_, L> {
         let kept = trie
             .children(node)
             .filter(|&c| Some(c) == pick || !is_prime(trie.token(c)));
-        let walked = self.visit_all(kept, depth, parent_lane, rem);
-        walked + prime_count - u64::from(pick.is_some())
+        self.visit_all(kept, depth, parent_lane, rem);
     }
 
     /// Offer-and-descend for one freshly advanced child column.

@@ -1,9 +1,9 @@
 //! The scalar test oracle for the trie walk: Box 2's `SearchRecursively`
 //! one DP column at a time over [`advance_column`], with DAP, driven by the
 //! production [`Schedule`] bounding segments in `u32`, as wide as [`Dist`].
-//! The SoA walk, which bounds in its own lane, must equal it on hits, on
-//! all six [`SearchStats`] fields and on every recorded fanout, on `u16`
-//! lanes and on `u32` lanes alike.
+//! The SoA walk, which bounds in its own lane, must equal it on hits and
+//! on all six [`SearchStats`] fields, on `u16` lanes and on `u32` lanes
+//! alike.
 
 use super::*;
 use proptest::prelude::*;
@@ -17,7 +17,6 @@ impl StructureIndex {
         &self,
         masked: &[StructTokId],
         cfg: &SearchConfig,
-        recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
         if self.store.len() == 0 {
             return (Vec::new(), SearchStats::default());
@@ -37,7 +36,6 @@ impl StructureIndex {
                 dap: cfg.dap,
                 state: &mut state,
                 cols: &mut cols,
-                recorder,
             }
             .visit_children(0, 0);
         }
@@ -49,13 +47,12 @@ impl StructureIndex {
         &self,
         masked: &[StructTokId],
         cfg: &SearchConfig,
-        recorder: &Recorder,
     ) -> (Vec<SearchHit>, SearchStats) {
         if self.store.len() == 0 {
             return (Vec::new(), SearchStats::default());
         }
         let cols = SoaWorkspace::wide(masked, self.weights, self.max_len);
-        self.search_on(cols, masked, cfg, recorder)
+        self.search_on(cols, masked, cfg)
     }
 }
 
@@ -70,7 +67,6 @@ struct TrieWalk<'a, 'b> {
     state: &'b mut SearchState,
     /// `cols[d]`: the DP column of the depth-`d` node on the current path.
     cols: &'b mut [Vec<Dist>],
-    recorder: &'a Recorder,
 }
 
 impl TrieWalk<'_, '_> {
@@ -105,9 +101,7 @@ impl TrieWalk<'_, '_> {
             None
         };
 
-        let mut fanout: u64 = 0;
         for child in self.trie.children(node) {
-            fanout += 1;
             let tok = self.trie.token(child);
             if self.dap && is_prime(tok) && Some(child) != chosen_prime {
                 continue;
@@ -143,7 +137,6 @@ impl TrieWalk<'_, '_> {
                 self.visit_children(child, depth + 1);
             }
         }
-        self.recorder.record_value(SpanId::TrieFanout, fanout);
     }
 }
 
@@ -178,31 +171,18 @@ mod tests {
         })
     }
 
-    /// One search's hits and stats, plus its fanout samples' count and sum.
-    type Observed = (Vec<SearchHit>, SearchStats, (u64, u64));
-
-    fn observed(search: impl FnOnce(&Recorder) -> (Vec<SearchHit>, SearchStats)) -> Observed {
-        let recorder = Recorder::new(true);
-        let (hits, stats) = search(&recorder);
-        let report = recorder.report();
-        let fanout = report
-            .stage(SpanId::TrieFanout)
-            .map_or((0, 0), |s| (s.count, s.sum_micros));
-        (hits, stats, fanout)
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
         /// The SoA walk on `u16` lanes equals the oracle: same hits, same
-        /// six work counters, same fanout samples.
+        /// six work counters.
         #[test]
         fn oracle_equals_u16_walk(masked in arb_masked()) {
             let idx = small_index();
             prop_assert!(SoaWorkspace::fits(masked.len(), idx.max_len(), idx.weights()));
             for cfg in configs() {
-                let oracle = observed(|r| idx.oracle_search(&masked, &cfg, r));
-                let walk = observed(|r| idx.search_observed(&masked, &cfg, r));
+                let oracle = idx.oracle_search(&masked, &cfg);
+                let walk = idx.search_with_stats(&masked, &cfg);
                 prop_assert_eq!(&walk, &oracle, "{:?}", cfg);
             }
         }
@@ -212,8 +192,8 @@ mod tests {
         fn oracle_equals_u32_walk(masked in arb_masked()) {
             let idx = small_index();
             for cfg in configs() {
-                let oracle = observed(|r| idx.oracle_search(&masked, &cfg, r));
-                let walk = observed(|r| idx.search_wide(&masked, &cfg, r));
+                let oracle = idx.oracle_search(&masked, &cfg);
+                let walk = idx.search_wide(&masked, &cfg);
                 prop_assert_eq!(&walk, &oracle, "{:?}", cfg);
             }
         }
@@ -241,9 +221,6 @@ mod tests {
         let (hits, stats) = idx.search_with_stats(&masked, &cfg);
         assert_eq!(hits.len(), 5);
         assert_eq!(hits, idx.scan(&masked, cfg.k));
-        assert_eq!(
-            (hits, stats),
-            idx.oracle_search(&masked, &cfg, &Recorder::disabled())
-        );
+        assert_eq!((hits, stats), idx.oracle_search(&masked, &cfg));
     }
 }

@@ -2,23 +2,23 @@
 //!
 //! Zero-dependency observability for the SpeakQL pipeline: thread-safe
 //! [counters](CounterId) and fixed-bucket latency [histograms](Histogram)
-//! (p50/p95/p99), scoped [span timers](Span), and a serializable
-//! [`PipelineReport`] — all behind a cheaply clonable [`Recorder`] handle
-//! that is a strict no-op when disabled.
+//! (p50/p95/p99) per [span](SpanId), and a serializable [`PipelineReport`]
+//! — all behind a cheaply clonable [`Recorder`] handle that is a strict
+//! no-op when disabled.
 //!
-//! The crate sits at the bottom of the workspace dependency graph so every
-//! hot path (trie search, literal voting, DP cell evaluation, the engine
-//! stages) can record into one shared registry:
+//! The recorder belongs to the layers that own a request: the engine
+//! (`speakql-core`) and the server. The structure index below them records
+//! nothing; its search, load and delta return their work as values
+//! (`SearchStats`, `DeltaStats`, the loaded index's segment count), and the
+//! engine publishes those values into its recorder:
 //!
 //! ```
 //! use speakql_observe::{CounterId, Recorder, SpanId};
 //! use std::time::Duration;
 //!
 //! let rec = Recorder::enabled();
-//! {
-//!     let _span = rec.span(SpanId::Search); // records on drop
-//!     rec.add(CounterId::SearchNodesVisited, 42);
-//! }
+//! rec.add(CounterId::SearchNodesVisited, 42);
+//! rec.record_duration(SpanId::Search, Duration::from_micros(120));
 //! rec.record_duration(SpanId::Tokenize, Duration::from_micros(7));
 //! let report = rec.report();
 //! assert_eq!(report.counter(CounterId::SearchNodesVisited), 42);
@@ -37,7 +37,7 @@ pub mod recorder;
 pub mod report;
 
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
-pub use recorder::{Recorder, Span};
+pub use recorder::Recorder;
 pub use report::{CounterReport, PipelineReport, StageReport};
 
 /// Work counters recorded by the pipeline. Each id names one monotonically
@@ -110,27 +110,16 @@ pub enum CounterId {
     SearchShardsSearched,
     /// Trie shards skipped by BDB's count bound before walking.
     SearchShardsPruned,
-    /// Persisted indexes loaded through the zero-copy validate-then-borrow
-    /// path (every production load): no per-node trie rebuild occurred.
+    /// Persisted indexes an engine loaded through the zero-copy
+    /// validate-then-borrow path (every production load): no per-node trie
+    /// rebuild occurred.
     IndexLoadZeroCopy,
-    /// Persisted indexes loaded by decoding the arena and rebuilding the
-    /// tries (the explicit `from_bytes_rebuilt` reference path).
-    IndexLoadRebuild,
     /// Trie segments bounds/checksum/structure-validated during zero-copy
     /// index loads.
     IndexLoadSegments,
     /// Engine constructions that failed to load a persisted index (bad
     /// magic/version/checksum/truncation), surfaced as typed errors.
     ErrorsIndexLoad,
-    /// Incremental index deltas applied (`StructureIndex::apply_delta`).
-    IndexDeltaApplied,
-    /// Trie segments rebuilt by delta application (segments of the lengths
-    /// the delta touched).
-    IndexDeltaSegmentsRebuilt,
-    /// Trie segments carried into the delta'd index unchanged (an O(1)
-    /// clone for zero-copy views), proving the untouched lengths were not
-    /// re-generated.
-    IndexDeltaSegmentsReused,
 }
 
 /// Number of distinct [`CounterId`]s.
@@ -138,7 +127,7 @@ pub const COUNTER_COUNT: usize = CounterId::ALL.len();
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 34] = [
+    pub const ALL: [CounterId; 30] = [
         CounterId::SearchNodesVisited,
         CounterId::SearchTriesSearched,
         CounterId::SearchTriesPruned,
@@ -167,12 +156,8 @@ impl CounterId {
         CounterId::SearchShardsSearched,
         CounterId::SearchShardsPruned,
         CounterId::IndexLoadZeroCopy,
-        CounterId::IndexLoadRebuild,
         CounterId::IndexLoadSegments,
         CounterId::ErrorsIndexLoad,
-        CounterId::IndexDeltaApplied,
-        CounterId::IndexDeltaSegmentsRebuilt,
-        CounterId::IndexDeltaSegmentsReused,
     ];
 
     /// Stable dotted name used in reports and `BENCH_*.json`.
@@ -206,12 +191,8 @@ impl CounterId {
             CounterId::SearchShardsSearched => "search.shards_searched",
             CounterId::SearchShardsPruned => "search.shards_pruned_bdb",
             CounterId::IndexLoadZeroCopy => "index.load.zero_copy",
-            CounterId::IndexLoadRebuild => "index.load.rebuild",
             CounterId::IndexLoadSegments => "index.load.segments_validated",
             CounterId::ErrorsIndexLoad => "engine.errors.index_load",
-            CounterId::IndexDeltaApplied => "index.delta.applied",
-            CounterId::IndexDeltaSegmentsRebuilt => "index.delta.segments_rebuilt",
-            CounterId::IndexDeltaSegmentsReused => "index.delta.segments_reused",
         }
     }
 }
@@ -231,14 +212,8 @@ pub enum SpanId {
     Render,
     /// End-to-end transcription latency.
     Transcribe,
-    /// One trie shard walk inside structure search.
-    TrieWalk,
     /// Time a batch job waited in the queue before a worker picked it up.
     BatchQueueWait,
-    /// Fan-out (child count) of each trie node visited during search — a
-    /// value distribution, not a latency: one unitless sample per visited
-    /// node, so the "micros" fields of its report read as child counts.
-    TrieFanout,
     /// Time a server request waited in the admission queue before a worker
     /// dequeued it (the backpressure signal under load).
     ServerQueueWait,
@@ -254,15 +229,13 @@ pub const SPAN_COUNT: usize = SpanId::ALL.len();
 
 impl SpanId {
     /// Every span, in registry order.
-    pub const ALL: [SpanId; 10] = [
+    pub const ALL: [SpanId; 8] = [
         SpanId::Tokenize,
         SpanId::Search,
         SpanId::Literal,
         SpanId::Render,
         SpanId::Transcribe,
-        SpanId::TrieWalk,
         SpanId::BatchQueueWait,
-        SpanId::TrieFanout,
         SpanId::ServerQueueWait,
         SpanId::ServerHandle,
     ];
@@ -275,9 +248,7 @@ impl SpanId {
             SpanId::Literal => "stage.literal",
             SpanId::Render => "stage.render",
             SpanId::Transcribe => "stage.transcribe",
-            SpanId::TrieWalk => "search.trie_walk",
             SpanId::BatchQueueWait => "engine.batch_queue_wait",
-            SpanId::TrieFanout => "search.trie_fanout",
             SpanId::ServerQueueWait => "server.queue_wait",
             SpanId::ServerHandle => "server.handle",
         }

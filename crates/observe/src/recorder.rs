@@ -3,17 +3,18 @@
 //!
 //! A disabled recorder holds no registry at all — every operation is a
 //! branch on `Option::None`, with no clock reads, no atomics, and no
-//! allocation — so leaving instrumentation wired through the hot paths
-//! costs nothing when observability is off. An enabled recorder is an
-//! `Arc` around fixed arrays of atomics, so clones are cheap and every
-//! clone (one per search or batch worker) feeds the same totals.
+//! allocation — so leaving instrumentation wired through the engine's
+//! stages costs nothing when observability is off. An enabled recorder is
+//! an `Arc` around fixed arrays of atomics, so clones are cheap and every
+//! clone (one per engine, candidate or server worker) feeds the same
+//! totals.
 
 use crate::hist::Histogram;
 use crate::report::{CounterReport, PipelineReport, StageReport};
 use crate::{CounterId, SpanId, COUNTER_COUNT, SPAN_COUNT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The shared metric registry behind an enabled [`Recorder`].
 #[derive(Debug)]
@@ -94,26 +95,6 @@ impl Recorder {
         }
     }
 
-    /// Record one raw value sample into a span histogram. Used for value
-    /// distributions (e.g. trie fan-out) that share the histogram machinery
-    /// with latencies; the sample lands in the bucket its magnitude selects,
-    /// exactly as a microsecond latency of the same value would.
-    #[inline]
-    pub fn record_value(&self, id: SpanId, value: u64) {
-        if let Some(reg) = &self.inner {
-            reg.spans[id as usize].record_micros(value);
-        }
-    }
-
-    /// Start a scoped span timer; the elapsed time is recorded when the
-    /// returned guard drops. When disabled, the clock is never read.
-    #[inline]
-    pub fn span(&self, id: SpanId) -> Span<'_> {
-        Span {
-            active: self.inner.as_deref().map(|reg| (reg, id, Instant::now())),
-        }
-    }
-
     /// Snapshot every counter and span histogram into a serializable report.
     /// A disabled recorder reports every metric as zero/empty.
     pub fn report(&self) -> PipelineReport {
@@ -149,28 +130,6 @@ impl Recorder {
     }
 }
 
-/// Scoped span guard returned by [`Recorder::span`]; records the elapsed
-/// time into the span's histogram on drop.
-#[derive(Debug)]
-pub struct Span<'a> {
-    active: Option<(&'a Registry, SpanId, Instant)>,
-}
-
-impl Span<'_> {
-    /// Abandon the span without recording it.
-    pub fn cancel(mut self) {
-        self.active = None;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some((reg, id, start)) = self.active.take() {
-            reg.spans[id as usize].record(start.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +141,6 @@ mod tests {
         rec.incr(CounterId::Transcriptions);
         rec.add(CounterId::SearchNodesVisited, 10);
         rec.record_duration(SpanId::Search, Duration::from_millis(5));
-        drop(rec.span(SpanId::Tokenize));
         let report = rec.report();
         assert!(report.counters.iter().all(|c| c.total == 0));
         assert!(report.stages.iter().all(|s| s.count == 0));
@@ -195,23 +153,6 @@ mod tests {
         rec.add(CounterId::VoteComparisons, 3);
         clone.add(CounterId::VoteComparisons, 4);
         assert_eq!(rec.counter(CounterId::VoteComparisons), 7);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop() {
-        let rec = Recorder::enabled();
-        {
-            let _span = rec.span(SpanId::Render);
-        }
-        let report = rec.report();
-        assert_eq!(report.stage(SpanId::Render).map(|s| s.count), Some(1));
-    }
-
-    #[test]
-    fn cancelled_span_records_nothing() {
-        let rec = Recorder::enabled();
-        rec.span(SpanId::Render).cancel();
-        assert_eq!(rec.report().stage(SpanId::Render).map(|s| s.count), Some(0));
     }
 
     #[test]
@@ -236,14 +177,14 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..500 {
                         rec.incr(CounterId::EditDistCells);
-                        rec.record_duration(SpanId::TrieWalk, Duration::from_micros(3));
+                        rec.record_duration(SpanId::Search, Duration::from_micros(3));
                     }
                 });
             }
         });
         assert_eq!(rec.counter(CounterId::EditDistCells), 4000);
         assert_eq!(
-            rec.report().stage(SpanId::TrieWalk).map(|s| s.count),
+            rec.report().stage(SpanId::Search).map(|s| s.count),
             Some(4000)
         );
     }

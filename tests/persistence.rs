@@ -4,7 +4,7 @@
 //! must surface a [`PersistError`] rather than panic.
 
 use proptest::prelude::*;
-use speakql_core::{SpeakQl, SpeakQlConfig, SpeakQlError};
+use speakql_core::{CounterId, SpeakQl, SpeakQlConfig, SpeakQlError};
 use speakql_data::employees_db;
 use speakql_editdist::Weights;
 use speakql_grammar::{GeneratorConfig, LitCategory, Placeholder, StructTokId, Structure};
@@ -33,10 +33,18 @@ fn reloaded_index_drives_identical_engine() {
     };
     let original = SpeakQl::with_index(&db, Arc::new(index), engine_cfg.clone());
     // The restored engine goes through the engine-level persisted-index
-    // entry point, i.e. the zero-copy validate-then-borrow load path.
-    let restored = SpeakQl::with_persisted_index(&db, &path, engine_cfg)
+    // entry point, i.e. the zero-copy validate-then-borrow load path, and
+    // observes: recording must not change a single answer.
+    let restored = SpeakQl::with_persisted_index(&db, &path, engine_cfg.with_observability(true))
         .expect("load persisted index into engine");
     std::fs::remove_file(&path).ok();
+    // The engine counts its one load and every segment the load validated.
+    let report = restored.report();
+    assert_eq!(report.counter(CounterId::IndexLoadZeroCopy), 1);
+    assert_eq!(
+        report.counter(CounterId::IndexLoadSegments),
+        restored.index().segment_count() as u64
+    );
 
     for transcript in [
         "select salary from salaries",
