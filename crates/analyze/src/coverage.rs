@@ -10,19 +10,20 @@
 //!
 //! 1. every `CounterId` variant appears in `CounterId::ALL` and vice versa;
 //! 2. every counter has at least one *increment site* in non-test workspace
-//!    code — a `CounterId::X` reference preceded (within the same
-//!    ~120-character window) by `incr(` or `.add(`, or standing directly
-//!    after a match-arm `=>` (the `SpeakQlError::counter()` mapping, whose
-//!    result feeds a generic increment);
+//!    code — a `CounterId::X` reference inside the argument list of the
+//!    nearest `incr(` or `.add(` call opened within the preceding
+//!    ~120 characters (its parenthesis still open at the reference), or
+//!    standing directly after a match-arm `=>` (the `SpeakQlError::counter()`
+//!    mapping, whose result feeds a generic increment);
 //! 3. every `SpeakQlError` variant is mapped by both `class()` and
 //!    `counter()`;
 //! 4. no scanned reference names a `CounterId` variant that is not declared.
 //!
 //! Spans get rules 1, 2 and 4 too: every `SpanId` variant appears in
 //! `SpanId::ALL` and vice versa, and every span has at least one
-//! *recording site* — a `SpanId::X` reference preceded, in the same
-//! window, by `record_duration(`, the one way to record a span. A span
-//! with none reports an empty histogram forever.
+//! *recording site* — a `SpanId::X` reference inside the argument list of
+//! the nearest `record_duration(` call in the same window, the one way to
+//! record a span. A span with none reports an empty histogram forever.
 //!
 //! All parsing runs on the lexer's code view, so counter and span names
 //! inside strings, comments, and doc examples never count as sites.
@@ -39,9 +40,9 @@ pub const ERROR_PATH: &str = "crates/core/src/error.rs";
 
 /// How far back (in flattened code characters) an `incr(`/`.add(` opener
 /// may sit from the `CounterId::X` it covers. Wide enough for a multi-line
-/// `incr(if hit { CounterId::A } else { CounterId::B })`, narrow enough
-/// that an increment in one statement cannot vouch for a reference several
-/// statements later.
+/// `incr(if hit { CounterId::A } else { CounterId::B })`. A reference counts
+/// only while the opener's parenthesis is still open, so a closed call on
+/// the line before never vouches for it.
 const SITE_WINDOW: usize = 120;
 
 /// One file offered to the coverage scan.
@@ -74,8 +75,8 @@ struct Taxonomy {
     name: &'static str,
     /// What a variant is, in messages.
     noun: &'static str,
-    /// Openers that make a reference a site when they sit within
-    /// [`SITE_WINDOW`] before it.
+    /// Openers that make a reference a site when the nearest of them sits
+    /// within [`SITE_WINDOW`] before it and is still open there.
     openers: &'static [&'static str],
     /// Whether a reference standing directly after a match-arm `=>` is a
     /// site (a mapping whose result feeds a generic increment).
@@ -374,7 +375,7 @@ fn variant_refs(lexed: &LexedFile, tax: &Taxonomy) -> Vec<VariantRef> {
             continue;
         }
         let window = &flat[pos.saturating_sub(SITE_WINDOW)..pos];
-        let is_site = tax.openers.iter().any(|opener| window.contains(opener))
+        let is_site = still_open(window, tax.openers)
             || (tax.arm_is_site && window.trim_end().ends_with("=>"));
         let line = line_starts
             .iter()
@@ -389,6 +390,33 @@ fn variant_refs(lexed: &LexedFile, tax: &Taxonomy) -> Vec<VariantRef> {
         });
     }
     out
+}
+
+/// True when the nearest of `openers` in `window` (the code just before a
+/// reference) is still open at its end: counting parentheses from the
+/// opener's own `(`, the depth never returns to zero.
+fn still_open(window: &str, openers: &[&str]) -> bool {
+    let Some(args) = openers
+        .iter()
+        .filter_map(|opener| window.rfind(opener).map(|at| at + opener.len()))
+        .max()
+    else {
+        return false;
+    };
+    let mut depth = 1usize;
+    for c in window[args..].chars() {
+        match c {
+            '(' => depth += 1,
+            ')' => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            _ => {}
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -423,24 +451,32 @@ mod tests {
     #[test]
     fn covered_counters_are_clean() {
         let observe = observe_with_spans();
-        let user = lex("fn f(r: &Recorder) {\n    r.incr(CounterId::Hits);\n    \
-             r.add(CounterId::Misses, 2);\n    r.record_duration(SpanId::Walk, d);\n    \
-             r.record_duration(\n        SpanId::Wait,\n        d,\n    );\n}\n");
-        let (findings, summary) =
-            check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);
-        assert!(findings.is_empty(), "{findings:?}");
-        assert_eq!((summary.counters, summary.covered), (2, 2));
-        assert_eq!((summary.spans, summary.spans_covered), (2, 2));
+        let spans = "    r.record_duration(SpanId::Walk, d);\n    \
+             r.record_duration(\n        SpanId::Wait,\n        d,\n    );\n";
+        for counters in [
+            "    r.incr(CounterId::Hits);\n    r.add(CounterId::Misses, 2);\n",
+            // One multi-line increment covers both arms of its branch.
+            "    r.incr(if hit.then_some(()).is_some() {\n        CounterId::Hits\n    } else {\n        \
+             CounterId::Misses\n    });\n",
+        ] {
+            let user = lex(&format!("fn f(r: &Recorder) {{\n{counters}{spans}}}\n"));
+            let (findings, summary) =
+                check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);
+            assert!(findings.is_empty(), "{findings:?}");
+            assert_eq!((summary.counters, summary.covered), (2, 2));
+            assert_eq!((summary.spans, summary.spans_covered), (2, 2));
+        }
     }
 
     #[test]
     fn uncovered_counter_is_flagged() {
         let observe = observe_with_spans();
-        // `Wait` is read from a report but never recorded.
+        // `Misses` and `Wait` are only read, each on the line after another
+        // variant's closed record call.
         let user = lex(
-            "fn g(report: &Report) {\n    report.stage(SpanId::Wait);\n}\n\
-             fn f(r: &Recorder) {\n    r.incr(CounterId::Hits);\n    \
-             r.record_duration(SpanId::Walk, d);\n}\n",
+            "fn f(r: &Recorder, report: &Report) {\n    r.incr(CounterId::Hits);\n    \
+             r.counter(CounterId::Misses);\n    r.record_duration(SpanId::Walk, d);\n    \
+             report.stage(SpanId::Wait);\n}\n",
         );
         let (findings, summary) =
             check(&[(OBSERVE_PATH, &observe), ("crates/x/src/lib.rs", &user)]);

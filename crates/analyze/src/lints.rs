@@ -311,16 +311,20 @@ fn l009_api_panics(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
         }
         // Indexing: a `[` whose previous non-space character ends an
         // expression (identifier, `]`, or `)`). Attribute `#[`, macro
-        // `vec![`, and type positions `&[u8]` / `: [u8; N]` all fail that
-        // test and never fire.
+        // `vec![`, and type positions `&[u8]` / `&'a [u8]` / `: [u8; N]`
+        // all fail that test and never fire: a lifetime ends in identifier
+        // characters, but its `'` marks it as a type.
         let chars: Vec<char> = line.code.chars().collect();
         for (i, c) in chars.iter().enumerate() {
             if *c != '[' {
                 continue;
             }
+            let before = chars[..i].iter().rev().skip_while(|p| p.is_whitespace());
+            let mut word = before.skip_while(|p| p.is_alphanumeric() || **p == '_');
+            let lifetime = word.next() == Some(&'\'');
             let prev = chars[..i].iter().rev().find(|p| !p.is_whitespace());
-            let indexes_expr =
-                prev.is_some_and(|p| p.is_alphanumeric() || *p == '_' || *p == ']' || *p == ')');
+            let indexes_expr = !lifetime
+                && prev.is_some_and(|p| p.is_alphanumeric() || *p == '_' || *p == ']' || *p == ')');
             if indexes_expr {
                 out.push(Finding {
                     lint: "L009",
@@ -485,6 +489,9 @@ mod tests {
             "/// Doc.\npub fn api(v: &[u8]) -> Vec<u8> {\n    #[allow(unused)]\n    \
              let x: [u8; 2] = [0, 1];\n    vec![1, 2]\n}\n",
         );
+        assert!(f.is_empty(), "{f:?}");
+        // Nor is a slice type behind a lifetime.
+        let f = lint("/// Doc.\npub fn api<'a>(v: &'a [u8]) -> &'a [u8] {\n    v\n}\n");
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -44,7 +44,7 @@ use speakql_bench::gate::{take_flag, Gate, Rule};
 use speakql_bench::synthetic::{
     best_of, encode, queries, structures, DOMINANT_LEN, QUERIES, TAIL_LENS,
 };
-use speakql_core::{CounterId, Recorder, SkeletonCache};
+use speakql_core::{CounterId, SkeletonCache, Tally};
 use speakql_editdist::Weights;
 use speakql_grammar::{StructTokId, Structure};
 use speakql_index::{from_shared, to_bytes, IndexDelta, SearchConfig, StructureIndex};
@@ -135,20 +135,38 @@ fn resolved(
         .collect()
 }
 
+/// Look up `q` in `cache` under `generation`, counting the hit or miss into
+/// `lookups` (the cache returns its outcome and records nothing).
+fn lookup(
+    cache: &SkeletonCache,
+    generation: u64,
+    cfg: &SearchConfig,
+    q: &[StructTokId],
+    lookups: &mut Tally,
+) -> Option<Vec<speakql_index::SearchHit>> {
+    let hits = cache.get(generation, cfg, q);
+    lookups.incr(if hits.is_some() {
+        CounterId::CacheSkeletonHits
+    } else {
+        CounterId::CacheSkeletonMisses
+    });
+    hits
+}
+
 /// Replay every probe as a cache lookup under `generation`, returning the
-/// hit rate of exactly this window (measured through the recorder).
+/// hit rate of exactly this window.
 fn replay_hit_rate(
     cache: &SkeletonCache,
     generation: u64,
     cfg: &SearchConfig,
     qs: &[Vec<StructTokId>],
-    rec: &Recorder,
+    lookups: &mut Tally,
 ) -> f64 {
-    let h0 = rec.counter(CounterId::CacheSkeletonHits);
+    let h0 = lookups.get(CounterId::CacheSkeletonHits);
     for q in qs {
-        cache.get(generation, cfg, q, rec);
+        lookup(cache, generation, cfg, q, lookups);
     }
-    let hits = rec.counter(CounterId::CacheSkeletonHits) - h0;
+    let hits = lookups.get(CounterId::CacheSkeletonHits) - h0;
     hits as f64 / qs.len() as f64
 }
 
@@ -382,26 +400,20 @@ fn run_churn(n: usize) -> (Value, bool) {
     // must not move more than 5 points — and reloading A's image bytes
     // must keep hitting the same entries (content-derived generations).
     let cache = SkeletonCache::new(4 * QUERIES.max(1));
-    let crec = Recorder::enabled();
+    let mut lookups = Tally::default();
     for q in &qs {
-        if cache.get(base.generation(), &cfg, q, &crec).is_none() {
-            cache.insert(base.generation(), &cfg, q, base.search(q, &cfg), &crec);
+        if lookup(&cache, base.generation(), &cfg, q, &mut lookups).is_none() {
+            cache.insert(base.generation(), &cfg, q, base.search(q, &cfg));
         }
     }
-    let pre_rate = replay_hit_rate(&cache, base.generation(), &cfg, &qs, &crec);
+    let pre_rate = replay_hit_rate(&cache, base.generation(), &cfg, &qs, &mut lookups);
     // Tenant B's swap: its searches populate the new generation's entries.
     for q in &qs {
-        if cache.get(delta_idx.generation(), &cfg, q, &crec).is_none() {
-            cache.insert(
-                delta_idx.generation(),
-                &cfg,
-                q,
-                delta_idx.search(q, &cfg),
-                &crec,
-            );
+        if lookup(&cache, delta_idx.generation(), &cfg, q, &mut lookups).is_none() {
+            cache.insert(delta_idx.generation(), &cfg, q, delta_idx.search(q, &cfg));
         }
     }
-    let post_rate = replay_hit_rate(&cache, base.generation(), &cfg, &qs, &crec);
+    let post_rate = replay_hit_rate(&cache, base.generation(), &cfg, &qs, &mut lookups);
     gate(
         (post_rate - pre_rate).abs() <= MAX_HIT_RATE_DELTA,
         format!(
@@ -417,7 +429,7 @@ fn run_churn(n: usize) -> (Value, bool) {
                 reloaded.generation() == base.generation(),
                 "reload of identical bytes derived a different generation".to_string(),
             );
-            replay_hit_rate(&cache, reloaded.generation(), &cfg, &qs, &crec)
+            replay_hit_rate(&cache, reloaded.generation(), &cfg, &qs, &mut lookups)
         }
         Err(e) => {
             gate(false, format!("reload of base image: {e}"));
@@ -450,11 +462,11 @@ fn run_churn(n: usize) -> (Value, bool) {
     );
     counters.insert(
         "cache.skeleton_hits".into(),
-        json!(crec.counter(CounterId::CacheSkeletonHits)),
+        json!(lookups.get(CounterId::CacheSkeletonHits)),
     );
     counters.insert(
         "cache.skeleton_misses".into(),
-        json!(crec.counter(CounterId::CacheSkeletonMisses)),
+        json!(lookups.get(CounterId::CacheSkeletonMisses)),
     );
     let snapshot = json!({
         "schema": "speakql-delta-churn/v1",

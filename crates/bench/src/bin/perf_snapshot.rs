@@ -39,11 +39,17 @@
 //! output equality for the same reason — its wall-clock improvement is
 //! reported but never failed on.
 //!
-//! The main replay also checks two conservation laws over its counters:
-//! every search settles each segment of the index, and each non-empty
-//! length, as searched or pruned, so both sums equal the index's count
-//! times `engine.transcriptions` (and the replay makes no nested split,
-//! which would search per clause). A broken law fails the run, as a broken
+//! The main replay also checks conservation laws over its counters. Every
+//! search settles each segment of the index, and each non-empty length, as
+//! searched or pruned, so both sums equal the index's count times
+//! `engine.transcriptions` (and the replay makes no nested split, which
+//! would search per clause). The engine publishes each transcription once,
+//! so every stage span holds one sample per transcription, and every
+//! counter but `engine.batch_jobs` (which the batch pool counts) equals the
+//! sum of the results' [`Transcription::work`](speakql_core::Transcription)
+//! tallies. `--zipf` adds the cache's law: each transcription of the
+//! cache-on engine looks the cache up once (twice if nested-split), and the
+//! cache-off engine never does. A broken law fails the run, as a broken
 //! `--zipf` invariant does.
 //!
 //! It then gates what observability costs. Two more engines share the
@@ -59,9 +65,10 @@ use rand_chacha::ChaCha8Rng;
 use serde_json::{json, Map, Value};
 use speakql_asr::{AsrEngine, AsrProfile};
 use speakql_bench::gate::{take_flag, today_utc, Gate, Rule};
-use speakql_core::{CounterId, PipelineReport, SpanId, SpeakQl, SpeakQlConfig};
+use speakql_core::{CounterId, PipelineReport, SpanId, SpeakQl, SpeakQlConfig, Tally};
 use speakql_data::{employees_db, generate_cases, training_vocabulary};
 use speakql_db::Database;
+use speakql_editdist::Weights;
 use speakql_grammar::{tokenize_sql, GeneratorConfig, StructTokId, Structure};
 use speakql_index::StructureIndex;
 use std::process::ExitCode;
@@ -144,7 +151,7 @@ fn main() -> ExitCode {
 }
 
 /// Build the fixed-seed workload, run it, and snapshot the recorder.
-/// Returns the snapshot and whether the replay's counters kept the search
+/// Returns the snapshot and whether the replay's counters kept the
 /// conservation laws ([`broken_laws`]) and the recorder stayed within
 /// [`MAX_RECORDER_COST`].
 fn run_workload() -> (Value, bool) {
@@ -160,7 +167,7 @@ fn run_workload() -> (Value, bool) {
     }
     .with_threads(1)
     .with_observability(true);
-    let index = Arc::new(StructureIndex::from_grammar(&cfg.generator, cfg.weights));
+    let index = Arc::new(StructureIndex::from_grammar(&cfg.generator, Weights::PAPER));
     let engine = SpeakQl::with_index(&db, Arc::clone(&index), cfg.clone());
 
     eprintln!("[perf_snapshot] generating {NUM_TRANSCRIPTS} transcripts ...");
@@ -185,14 +192,19 @@ fn run_workload() -> (Value, bool) {
     eprint!("{}", report.render_table());
     eprintln!("[perf_snapshot] wall clock: {wall_clock_ms:.1} ms");
     let (segments, lengths) = (index.segment_count(), index.length_count());
-    let broken = broken_laws(&report, segments, lengths);
+    let mut work = Tally::default();
+    for t in results.iter().flatten() {
+        work += t.work;
+    }
+    let broken = broken_laws(&report, &work, segments, lengths);
     for law in &broken {
         eprintln!("[perf_snapshot] FAIL: conservation law broken: {law}");
     }
     if broken.is_empty() {
         eprintln!(
             "[perf_snapshot] conservation: shards and tries searched + pruned = \
-             {segments} segments and {lengths} lengths per search"
+             {segments} segments and {lengths} lengths per search; one sample per \
+             stage per transcription; counters = the results' summed work"
         );
     }
 
@@ -339,15 +351,37 @@ impl RecorderCost {
     }
 }
 
-/// The search conservation laws of a replay of `engine.transcriptions`
-/// searches over an index of `segments` segments and `lengths` non-empty
-/// lengths. Every search settles each segment as searched or pruned, and
-/// each length likewise, so
-/// `search.shards_searched + search.shards_pruned_bdb = segments × searches`
-/// and `search.tries_searched + search.tries_pruned_bdb = lengths × searches`.
-/// A nested split would search once per clause, so the replay must make
-/// none. Returns one line per broken law.
-fn broken_laws(report: &PipelineReport, segments: usize, lengths: usize) -> Vec<String> {
+/// Stage spans the engine samples once per published transcription.
+const STAGES: [SpanId; 5] = [
+    SpanId::Tokenize,
+    SpanId::Search,
+    SpanId::Literal,
+    SpanId::Render,
+    SpanId::Transcribe,
+];
+
+/// The conservation laws of a replay of `engine.transcriptions` searches
+/// over an index of `segments` segments and `lengths` non-empty lengths,
+/// whose results' work tallies sum to `work`.
+///
+/// - Every search settles each segment as searched or pruned, and each
+///   length likewise, so
+///   `search.shards_searched + search.shards_pruned_bdb = segments × searches`
+///   and `search.tries_searched + search.tries_pruned_bdb = lengths × searches`.
+///   A nested split would search once per clause, so the replay must make
+///   none.
+/// - The engine publishes each transcription once, so each of [`STAGES`]
+///   holds `engine.transcriptions` samples.
+/// - Every counter but `engine.batch_jobs`, which the batch pool counts
+///   outside any transcription, equals `work`'s.
+///
+/// Returns one line per broken law.
+fn broken_laws(
+    report: &PipelineReport,
+    work: &Tally,
+    segments: usize,
+    lengths: usize,
+) -> Vec<String> {
     let searches = report.counter(CounterId::Transcriptions);
     let mut broken = Vec::new();
     let nested = report.counter(CounterId::NestedSplits);
@@ -377,6 +411,46 @@ fn broken_laws(report: &PipelineReport, segments: usize, lengths: usize) -> Vec<
             ));
         }
     }
+    for span in STAGES {
+        let samples = report.stage(span).map_or(0, |s| s.count);
+        if samples != searches {
+            broken.push(format!(
+                "{} holds {samples} samples, not one per transcription ({searches})",
+                span.name()
+            ));
+        }
+    }
+    for id in CounterId::ALL {
+        let (published, summed) = (report.counter(id), work.get(id));
+        if id != CounterId::BatchJobs && published != summed {
+            broken.push(format!(
+                "{} = {published}, not the results' summed work {summed}",
+                id.name()
+            ));
+        }
+    }
+    broken
+}
+
+/// The skeleton cache's conservation law over a `--zipf` replay: each
+/// transcription of the cache-on engine looks the cache up once, and a
+/// nested split once per part, while the cache-off engine never looks it
+/// up. Returns one line per broken law.
+fn broken_cache_laws(cold: &PipelineReport, warm: &PipelineReport) -> Vec<String> {
+    let lookups = |r: &PipelineReport| {
+        r.counter(CounterId::CacheSkeletonHits) + r.counter(CounterId::CacheSkeletonMisses)
+    };
+    let mut broken = Vec::new();
+    let expected = warm.counter(CounterId::Transcriptions) + warm.counter(CounterId::NestedSplits);
+    if lookups(warm) != expected {
+        broken.push(format!(
+            "cache-on lookups (hits + misses) = {}, not transcriptions + nested splits = {expected}",
+            lookups(warm)
+        ));
+    }
+    if lookups(cold) != 0 {
+        broken.push(format!("cache-off lookups = {}, not 0", lookups(cold)));
+    }
     broken
 }
 
@@ -399,7 +473,7 @@ fn run_zipf_workload() -> (Value, bool) {
     let db = employees_db();
     let index = Arc::new(StructureIndex::from_grammar(
         &base_cfg.generator,
-        base_cfg.weights,
+        Weights::PAPER,
     ));
     let cold = SpeakQl::with_index(&db, index.clone(), base_cfg.clone());
     let warm = SpeakQl::with_index(
@@ -495,6 +569,10 @@ fn run_zipf_workload() -> (Value, bool) {
     );
 
     let mut pass = true;
+    for law in broken_cache_laws(&cold_report, &warm_report) {
+        eprintln!("[perf_snapshot] FAIL: conservation law broken: {law}");
+        pass = false;
+    }
     if mismatches > 0 {
         eprintln!(
             "[perf_snapshot] FAIL: {mismatches}/{ZIPF_DRAWS} cached transcriptions \
@@ -574,16 +652,17 @@ fn zipf_run_json(report: &PipelineReport, wall_ms: f64, hot_us: u64) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::{broken_laws, RecorderCost, GATE, MAX_RECORDER_COST};
+    use super::{broken_cache_laws, broken_laws, RecorderCost, GATE, MAX_RECORDER_COST, STAGES};
     use serde_json::{json, Map, Value};
-    use speakql_core::{CounterId, Recorder};
+    use speakql_core::{CounterId, Recorder, SpanId, Tally};
+    use std::time::Duration;
 
     #[test]
     fn conservation_laws_hold_and_break() {
         // The committed replay: 200 searches over 21 segments and 17
-        // non-empty lengths.
-        let replay = |shards: (u64, u64), tries: (u64, u64), nested: u64| {
-            let recorder = Recorder::new(true);
+        // non-empty lengths, published as one record per transcription.
+        let replay = |shards: (u64, u64), tries: (u64, u64), nested: u64, drift: Drift| {
+            let mut work = Tally::default();
             for (id, n) in [
                 (CounterId::Transcriptions, 200),
                 (CounterId::SearchShardsSearched, shards.0),
@@ -592,9 +671,24 @@ mod tests {
                 (CounterId::SearchTriesPruned, tries.1),
                 (CounterId::NestedSplits, nested),
             ] {
-                recorder.add(id, n);
+                work.add(id, n);
             }
-            broken_laws(&recorder.report(), 21, 17).len()
+            let recorder = Recorder::new(true);
+            recorder.absorb(&work);
+            recorder.add(CounterId::BatchJobs, 200);
+            for span in STAGES {
+                let extra = u64::from(drift == Drift::Stage && span == SpanId::Search);
+                for _ in 0..200 + extra {
+                    recorder.record_duration(span, Duration::from_micros(5));
+                }
+            }
+            if drift == Drift::Twice {
+                recorder.absorb(&work);
+            }
+            if drift == Drift::Lost {
+                work.add(CounterId::VoteComparisons, 1);
+            }
+            broken_laws(&recorder.report(), &work, 21, 17).len()
         };
         for (shards, tries, nested, broken, what) in [
             ((767, 3433), (682, 2718), 0, 0, "the committed replay"),
@@ -605,8 +699,40 @@ mod tests {
             ((767, 3433), (682, 2718), 1, 1, "a nested split"),
             ((0, 0), (0, 0), 0, 2, "no search settled"),
         ] {
-            assert_eq!(replay(shards, tries, nested), broken, "{what}");
+            assert_eq!(replay(shards, tries, nested, Drift::None), broken, "{what}");
         }
+        let committed = |drift| replay((767, 3433), (682, 2718), 0, drift);
+        assert_eq!(committed(Drift::Stage), 1, "a stage sampled twice");
+        assert_eq!(committed(Drift::Lost), 1, "work not published");
+        // Publishing twice doubles the five counters the replay touched; the
+        // search laws scale with them and hold, while each of the five
+        // stages has half a sample per transcription.
+        assert_eq!(committed(Drift::Twice), 10, "work published twice");
+
+        // --zipf: 400 lookups for 400 transcriptions on the cache-on engine,
+        // none on the cache-off one.
+        let zipf = |hits: u64, misses: u64, cold_misses: u64| {
+            let report = |hits: u64, misses: u64| {
+                let recorder = Recorder::new(true);
+                recorder.add(CounterId::Transcriptions, 400);
+                recorder.add(CounterId::CacheSkeletonHits, hits);
+                recorder.add(CounterId::CacheSkeletonMisses, misses);
+                recorder.report()
+            };
+            broken_cache_laws(&report(0, cold_misses), &report(hits, misses)).len()
+        };
+        assert_eq!(zipf(361, 39, 0), 0, "the committed zipf replay");
+        assert_eq!(zipf(361, 38, 0), 1, "a cache-on lookup missing");
+        assert_eq!(zipf(361, 39, 1), 1, "a cache-off lookup");
+    }
+
+    /// How a test replay's published record departs from its results.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Drift {
+        None,
+        Stage,
+        Lost,
+        Twice,
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use speakql_asr::{AsrEngine, AsrProfile, Vocabulary};
 use speakql_core::{SpeakQl, SpeakQlConfig};
 use speakql_data::SpokenSqlDataset;
+use speakql_editdist::Weights;
 use speakql_grammar::GeneratorConfig;
 use speakql_index::StructureIndex;
 use std::sync::Arc;
@@ -78,7 +79,7 @@ impl Context {
         };
         let index = Arc::new(StructureIndex::from_grammar(
             &config.generator,
-            config.weights,
+            Weights::PAPER,
         ));
         eprintln!(
             "[context] index: {} structures, {} trie nodes",

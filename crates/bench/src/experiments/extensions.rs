@@ -167,7 +167,7 @@ pub fn baseline_parsing(suite: &Suite) {
 /// ground-truth structure fixed, under Metaphone / Soundex / raw-string
 /// keys. Isolates Literal Determination from structure errors.
 pub fn ablation_phonetics(suite: &Suite) {
-    use speakql_core::{LiteralConfig, LiteralFinder, PhoneticCatalog};
+    use speakql_core::{LiteralFinder, PhoneticCatalog};
     use speakql_phonetics::PhoneticAlgorithm;
     println!("== Extension: phonetic-algorithm ablation (literal determination only) ==");
     let runs = suite.employees_test();
@@ -181,12 +181,15 @@ pub fn ablation_phonetics(suite: &Suite) {
         ("raw string", PhoneticAlgorithm::Identity),
     ] {
         let catalog = PhoneticCatalog::build_with(db, algo);
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
         let mut hit = 0usize;
         let mut total = 0usize;
         for r in runs {
             let p = process_transcript_text(&r.transcript);
-            let filled = finder.fill_aligned(&p.words, &p.masked, &r.gt_structure, Weights::PAPER);
+            let filled = LiteralFinder::new(&catalog, &p.words).fill_aligned(
+                &p.masked,
+                &r.gt_structure,
+                Weights::PAPER,
+            );
             for (f, gt) in filled.iter().zip(&r.gt_literals) {
                 total += 1;
                 if f.literal.eq_ignore_ascii_case(gt) {

@@ -13,6 +13,7 @@ use speakql_core::{
     CounterId, FaultHook, SpeakQl, SpeakQlConfig, SpeakQlError, StreamingTranscriber,
 };
 use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
+use speakql_editdist::Weights;
 use speakql_grammar::{ClauseKind, Keyword, StructTok, StructTokId};
 use speakql_index::StructureIndex;
 use speakql_server::{
@@ -379,7 +380,7 @@ fn fault_tenant_config() -> SpeakQlConfig {
 /// port.
 fn fault_server(workers: usize, io_timeout: Duration) -> (Server, Option<std::net::SocketAddr>) {
     let cfg = fault_tenant_config();
-    let index = Arc::new(StructureIndex::from_grammar(&cfg.generator, cfg.weights));
+    let index = Arc::new(StructureIndex::from_grammar(&cfg.generator, Weights::PAPER));
     let registry = TenantRegistry::new(64, true);
     registry.register("fault", &harness_db(), index, cfg);
     let mut server = Server::serve(
@@ -594,7 +595,7 @@ fn run_server_fault_cases() -> Vec<CaseOutcome> {
         let (server, addr) = fault_server(2, Duration::from_secs(5));
         let got = trap(|| {
             let cfg = SpeakQlConfig::small();
-            let index = StructureIndex::from_grammar(&cfg.generator, cfg.weights);
+            let index = StructureIndex::from_grammar(&cfg.generator, Weights::PAPER);
             let mut bytes = match speakql_index::to_bytes(&index) {
                 Ok(b) => b.to_vec(),
                 Err(e) => return format!("serialize failed: {e}"),
@@ -733,7 +734,7 @@ fn run_server_fault_cases() -> Vec<CaseOutcome> {
 /// set — never a panic, never a successful decode.
 fn run_corrupted_index_cases() -> Vec<CaseOutcome> {
     let cfg = SpeakQlConfig::small();
-    let index = StructureIndex::from_grammar(&cfg.generator, cfg.weights);
+    let index = StructureIndex::from_grammar(&cfg.generator, Weights::PAPER);
     let bytes = match speakql_index::to_bytes(&index) {
         Ok(b) => b,
         Err(e) => {
@@ -825,9 +826,8 @@ fn run_corrupted_index_cases() -> Vec<CaseOutcome> {
     check("garbage".to_string(), vec![0xAB; 256], &["bad_magic"]);
 
     // Engine boundary: loading a corrupted persisted index through
-    // `SpeakQl::with_persisted_index` surfaces the typed `IndexLoad` error
-    // carrying the persist layer's class, instead of panicking or yielding
-    // an engine over garbage.
+    // `SpeakQl::with_persisted_index` returns the persist layer's typed
+    // error, instead of panicking or yielding an engine over garbage.
     {
         let got = trap(|| {
             let dir = std::env::temp_dir().join("speakql-fault-index");
@@ -846,8 +846,7 @@ fn run_corrupted_index_cases() -> Vec<CaseOutcome> {
                 SpeakQlConfig::small().with_observability(true),
             ) {
                 Ok(_) => "engine built over corrupt index".to_string(),
-                Err(SpeakQlError::IndexLoad { class, .. }) => format!("index_load:{class}"),
-                Err(e) => format!("wrong error: {}", e.class()),
+                Err(e) => e.class().to_string(),
             };
             std::fs::remove_file(&path).ok();
             out
@@ -855,7 +854,7 @@ fn run_corrupted_index_cases() -> Vec<CaseOutcome> {
         outcomes.push(CaseOutcome {
             case: "engine_index_load".to_string(),
             layer: "engine",
-            pass: got == "index_load:bad_checksum",
+            pass: got == "bad_checksum",
             observed: got,
         });
     }
@@ -1076,7 +1075,7 @@ fn run_delta_corruption_cases() -> Vec<CaseOutcome> {
 
     // A delta'd index with tombstones: its image carries a removed list.
     let cfg = SpeakQlConfig::small();
-    let base = StructureIndex::from_grammar(&cfg.generator, cfg.weights);
+    let base = StructureIndex::from_grammar(&cfg.generator, Weights::PAPER);
     let delta = speakql_index::IndexDelta::new().remove_structures([5u32, 10]);
     let delta_idx = match base.apply_delta(&delta) {
         Ok((idx, _)) => idx,

@@ -38,6 +38,7 @@ use speakql_asr::{AsrEngine, AsrProfile};
 use speakql_core::{CounterId, FaultHook, SpeakQl, SpeakQlConfig};
 use speakql_data::{employees_db, generate_cases, training_vocabulary, yelp_db};
 use speakql_db::Database;
+use speakql_editdist::Weights;
 use speakql_grammar::GeneratorConfig;
 use speakql_index::StructureIndex;
 use speakql_server::{
@@ -296,7 +297,7 @@ pub fn run_load() -> (Value, bool) {
     let config = tenant_config();
     let index = Arc::new(StructureIndex::from_grammar(
         &config.generator,
-        config.weights,
+        Weights::PAPER,
     ));
     let dbs = [employees_db(), yelp_db()];
 

@@ -501,7 +501,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     .with_threads(1);
     let index = std::sync::Arc::new(speakql_index::StructureIndex::from_grammar(
         &config.generator,
-        config.weights,
+        speakql_editdist::Weights::PAPER,
     ));
     let registry = TenantRegistry::new(cache, true);
     registry.register(

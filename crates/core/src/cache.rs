@@ -41,10 +41,14 @@
 //! indexes reuse each other's warm results (however each copy was built or
 //! loaded), while tenants on different indexes can never collide because
 //! their generations differ.
+//!
+//! The cache records no metrics. A lookup returns the hits or `None`, and an
+//! insert returns how many entries it evicted; the engine counts both into
+//! the transcription's work tally (`cache.skeleton_hits`,
+//! `cache.skeleton_misses`, `cache.skeleton_evictions`).
 
 use speakql_grammar::StructTokId;
 use speakql_index::{SearchConfig, SearchHit};
-use speakql_observe::{CounterId, Recorder};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -158,48 +162,39 @@ impl SkeletonCache {
         self.len() == 0
     }
 
-    /// Look up the memoized hits for `masked` under `cfg` against the index
-    /// arena identified by `generation`, bumping the LRU stamp and the
-    /// hit/miss counters.
+    /// The memoized hits for `masked` under `cfg` against the index arena
+    /// identified by `generation` (bumping the entry's LRU stamp), or `None`
+    /// on a miss.
     pub fn get(
         &self,
         generation: u64,
         cfg: &SearchConfig,
         masked: &[StructTokId],
-        recorder: &Recorder,
     ) -> Option<Vec<SearchHit>> {
         let key = Key {
             generation,
             cfg: *cfg,
             masked: masked.to_vec(),
         };
-        let hit = self.shard(&key).get(&key);
-        recorder.incr(if hit.is_some() {
-            CounterId::CacheSkeletonHits
-        } else {
-            CounterId::CacheSkeletonMisses
-        });
-        hit
+        self.shard(&key).get(&key)
     }
 
     /// Memoize `hits` for `masked` under `cfg` against the index arena
     /// identified by `generation`, evicting the shard's least-recently-used
-    /// entries if it is full (counted in `cache.skeleton_evictions`).
+    /// entries if it is full. Returns how many entries it evicted.
     pub fn insert(
         &self,
         generation: u64,
         cfg: &SearchConfig,
         masked: &[StructTokId],
         hits: Vec<SearchHit>,
-        recorder: &Recorder,
-    ) {
+    ) -> u64 {
         let key = Key {
             generation,
             cfg: *cfg,
             masked: masked.to_vec(),
         };
-        let evicted = self.shard(&key).insert(self.shard_capacity, key, hits);
-        recorder.add(CounterId::CacheSkeletonEvictions, evicted);
+        self.shard(&key).insert(self.shard_capacity, key, hits)
     }
 
     /// The shard holding `key`, locked.
@@ -253,30 +248,25 @@ mod tests {
     fn get_returns_what_insert_stored() {
         let cache = SkeletonCache::new(16);
         let cfg = SearchConfig::top_k(5);
-        let rec = Recorder::disabled();
-        assert!(cache.get(7, &cfg, &skeleton(4), &rec).is_none());
-        cache.insert(7, &cfg, &skeleton(4), vec![hit(1), hit(2)], &rec);
-        assert_eq!(
-            cache.get(7, &cfg, &skeleton(4), &rec),
-            Some(vec![hit(1), hit(2)])
-        );
+        assert!(cache.get(7, &cfg, &skeleton(4)).is_none());
+        cache.insert(7, &cfg, &skeleton(4), vec![hit(1), hit(2)]);
+        assert_eq!(cache.get(7, &cfg, &skeleton(4)), Some(vec![hit(1), hit(2)]));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn distinct_configs_do_not_collide() {
         let cache = SkeletonCache::new(16);
-        let rec = Recorder::disabled();
         let top1 = SearchConfig::top_k(1);
         let top5 = SearchConfig::top_k(5);
-        cache.insert(7, &top1, &skeleton(4), vec![hit(1)], &rec);
-        assert!(cache.get(7, &top5, &skeleton(4), &rec).is_none());
+        cache.insert(7, &top1, &skeleton(4), vec![hit(1)]);
+        assert!(cache.get(7, &top5, &skeleton(4)).is_none());
         let dap = SearchConfig {
             dap: true,
             ..SearchConfig::top_k(1)
         };
-        assert!(cache.get(7, &dap, &skeleton(4), &rec).is_none());
-        assert_eq!(cache.get(7, &top1, &skeleton(4), &rec), Some(vec![hit(1)]));
+        assert!(cache.get(7, &dap, &skeleton(4)).is_none());
+        assert_eq!(cache.get(7, &top1, &skeleton(4)), Some(vec![hit(1)]));
     }
 
     #[test]
@@ -285,28 +275,27 @@ mod tests {
         // arenas: each generation sees only its own entry.
         let cache = SkeletonCache::new(16);
         let cfg = SearchConfig::top_k(3);
-        let rec = Recorder::disabled();
-        cache.insert(1, &cfg, &skeleton(5), vec![hit(10)], &rec);
-        cache.insert(2, &cfg, &skeleton(5), vec![hit(20)], &rec);
-        assert_eq!(cache.get(1, &cfg, &skeleton(5), &rec), Some(vec![hit(10)]));
-        assert_eq!(cache.get(2, &cfg, &skeleton(5), &rec), Some(vec![hit(20)]));
-        assert!(cache.get(3, &cfg, &skeleton(5), &rec).is_none());
+        cache.insert(1, &cfg, &skeleton(5), vec![hit(10)]);
+        cache.insert(2, &cfg, &skeleton(5), vec![hit(20)]);
+        assert_eq!(cache.get(1, &cfg, &skeleton(5)), Some(vec![hit(10)]));
+        assert_eq!(cache.get(2, &cfg, &skeleton(5)), Some(vec![hit(20)]));
+        assert!(cache.get(3, &cfg, &skeleton(5)).is_none());
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn lru_evicts_the_stalest_entry() {
-        // Capacity 2 → 2 shards × 1 entry. Drive one shard with three keys
-        // and check the count of survivors; whichever keys collide, total
-        // occupancy can never exceed 2 and evictions must be reported.
+        // Capacity 2 → 2 shards × 1 entry. Insert six distinct keys and
+        // check the survivors; whichever keys collide, total occupancy can
+        // never exceed 2, and every entry that left was reported evicted.
         let cache = SkeletonCache::new(2);
         let cfg = SearchConfig::top_k(1);
-        let rec = Recorder::new(true);
-        for n in 1..=6 {
-            cache.insert(7, &cfg, &skeleton(n), vec![hit(n as u32)], &rec);
-        }
+        let evicted: u64 = (1..=6)
+            .map(|n| cache.insert(7, &cfg, &skeleton(n), vec![hit(n as u32)]))
+            .sum();
         assert!(cache.len() <= 2);
-        assert!(rec.counter(CounterId::CacheSkeletonEvictions) >= 4);
+        assert_eq!(evicted, 6 - cache.len() as u64);
+        assert!(evicted >= 4);
     }
 
     #[test]
@@ -320,51 +309,66 @@ mod tests {
             shard_capacity: 2,
         };
         let cfg = SearchConfig::top_k(1);
-        let rec = Recorder::disabled();
-        cache.insert(7, &cfg, &skeleton(1), vec![hit(1)], &rec); // A
-        cache.insert(7, &cfg, &skeleton(2), vec![hit(2)], &rec); // B
-        assert!(cache.get(7, &cfg, &skeleton(1), &rec).is_some()); // touch A
-        cache.insert(7, &cfg, &skeleton(3), vec![hit(3)], &rec); // C evicts B
-        assert!(cache.get(7, &cfg, &skeleton(1), &rec).is_some());
-        assert!(cache.get(7, &cfg, &skeleton(2), &rec).is_none());
-        assert!(cache.get(7, &cfg, &skeleton(3), &rec).is_some());
+        assert_eq!(cache.insert(7, &cfg, &skeleton(1), vec![hit(1)]), 0); // A
+        assert_eq!(cache.insert(7, &cfg, &skeleton(2), vec![hit(2)]), 0); // B
+        assert!(cache.get(7, &cfg, &skeleton(1)).is_some()); // touch A
+        assert_eq!(cache.insert(7, &cfg, &skeleton(3), vec![hit(3)]), 1); // C evicts B
+        assert!(cache.get(7, &cfg, &skeleton(1)).is_some());
+        assert!(cache.get(7, &cfg, &skeleton(2)).is_none());
+        assert!(cache.get(7, &cfg, &skeleton(3)).is_some());
     }
 
     #[test]
     fn counters_track_hits_misses_and_evictions() {
-        let cache = SkeletonCache::new(2);
+        let cache = SkeletonCache::new(1);
         let cfg = SearchConfig::top_k(1);
-        let rec = Recorder::new(true);
-        cache.get(7, &cfg, &skeleton(1), &rec); // miss
-        cache.insert(7, &cfg, &skeleton(1), vec![hit(1)], &rec);
-        cache.get(7, &cfg, &skeleton(1), &rec); // hit
-        assert_eq!(rec.counter(CounterId::CacheSkeletonHits), 1);
-        assert_eq!(rec.counter(CounterId::CacheSkeletonMisses), 1);
+        assert_eq!(cache.get(7, &cfg, &skeleton(1)), None); // miss
+        assert_eq!(cache.insert(7, &cfg, &skeleton(1), vec![hit(1)]), 0);
+        assert_eq!(cache.get(7, &cfg, &skeleton(1)), Some(vec![hit(1)])); // hit
+                                                                          // An overwrite refreshes in place; a new key evicts the old one.
+        assert_eq!(cache.insert(7, &cfg, &skeleton(1), vec![hit(2)]), 0);
+        assert_eq!(cache.insert(7, &cfg, &skeleton(2), vec![hit(3)]), 1);
+        assert_eq!(cache.get(7, &cfg, &skeleton(1)), None);
     }
 
     #[test]
     fn concurrent_access_is_safe_and_bounded() {
         let cache = SkeletonCache::new(8);
         let cfg = SearchConfig::top_k(3);
-        let rec = Recorder::new(true);
-        std::thread::scope(|s| {
-            for w in 0..4u32 {
-                let cache = &cache;
-                let cfg = &cfg;
-                let rec = rec.clone();
-                s.spawn(move || {
-                    for i in 0..64u32 {
-                        let sk = skeleton(((w * 64 + i) % 13) as usize + 1);
-                        if cache.get(7, cfg, &sk, &rec).is_none() {
-                            cache.insert(7, cfg, &sk, vec![hit(i)], &rec);
+        // Each worker's (hits, misses, evictions).
+        let counts: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4u32)
+                .map(|w| {
+                    let (cache, cfg) = (&cache, &cfg);
+                    s.spawn(move || {
+                        let (mut hits, mut misses, mut evicted) = (0, 0, 0);
+                        for i in 0..64u32 {
+                            let sk = skeleton(((w * 64 + i) % 13) as usize + 1);
+                            if cache.get(7, cfg, &sk).is_some() {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                                evicted += cache.insert(7, cfg, &sk, vec![hit(i)]);
+                            }
                         }
-                    }
-                });
-            }
+                        (hits, misses, evicted)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_default())
+                .collect()
         });
         assert!(cache.len() <= 8 + MAX_SHARDS); // capacity, rounded up per shard
-        let total =
-            rec.counter(CounterId::CacheSkeletonHits) + rec.counter(CounterId::CacheSkeletonMisses);
+        let total: u64 = counts.iter().map(|&(h, m, _)| h + m).sum();
         assert_eq!(total, 4 * 64);
+        // Every entry ever inserted is either resident or was evicted. A
+        // miss that raced another worker's insert of the same key
+        // overwrites it, so inserts can exceed distinct keys but never
+        // fall short of residents plus evictions.
+        let misses: u64 = counts.iter().map(|&(_, m, _)| m).sum();
+        let evicted: u64 = counts.iter().map(|&(_, _, e)| e).sum();
+        assert!(cache.len() as u64 + evicted <= misses);
     }
 }

@@ -3,19 +3,27 @@
 //! `ASR transcription → SplChar handling + masking → structure search →
 //! literal determination → ranked SQL candidates`, with clause-level
 //! transcription (§5) and the one-level nested-query heuristic (App. F.8).
+//!
+//! Full and clause dictation share one checked path. Each transcription
+//! counts its work into its own [`Tally`] as it goes: the index's
+//! [`SearchStats`], the skeleton cache's hit, miss and eviction counts, and
+//! the literal finder's voting tally. The finished tally travels on
+//! [`Transcription::work`], and the engine publishes a completed
+//! transcription once: it absorbs the tally into its [`Recorder`] and
+//! records one sample per stage span.
 
 use crate::cache::SkeletonCache;
 use crate::catalog::PhoneticCatalog;
 use crate::error::{panic_message, SpeakQlError, SpeakQlResult};
-use crate::literal::{FilledLiteral, LiteralConfig, LiteralFinder, WindowEncodings};
+use crate::literal::{FilledLiteral, LiteralFinder};
 use speakql_db::Database;
 use speakql_editdist::{Dist, Weights};
 use speakql_grammar::{
     generate_clause_structures, process_transcript, tokenize_transcript, ClauseKind,
-    GeneratorConfig, ProcessedTranscript, Structure,
+    GeneratorConfig, ProcessedTranscript, StructTokId, Structure,
 };
-use speakql_index::{SearchConfig, SearchHit, SearchStats, StructureIndex};
-use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId};
+use speakql_index::{PersistError, SearchConfig, SearchHit, SearchStats, StructureIndex};
+use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId, Tally};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -56,20 +64,16 @@ pub struct SpeakQlConfig {
     pub generator: GeneratorConfig,
     /// Search configuration (top-k, BDB/DAP).
     pub search: SearchConfig,
-    /// Edit-operation weights (§3.4).
-    pub weights: Weights,
-    /// Literal-determination window and alternative count (§4).
-    pub literal: LiteralConfig,
     /// Worker threads behind [`SpeakQl::transcribe_batch`]: `1` (the
     /// default) transcribes a batch sequentially, `0` means one worker per
     /// available core. This is the engine's only thread knob: every
     /// transcription, batched or not, runs its search and candidate
     /// construction on the thread that called it.
     pub threads: usize,
-    /// Record pipeline observability metrics (stage latencies, search and
-    /// voting work counters) into the engine's [`Recorder`], retrievable via
-    /// [`SpeakQl::report`]. `false` (the default) makes every metric hook a
-    /// no-op; the transcriptions produced are identical either way.
+    /// Publish each transcription's work tally and stage latencies into the
+    /// engine's [`Recorder`], retrievable via [`SpeakQl::report`]. `false`
+    /// (the default) makes publishing a no-op; the transcriptions produced,
+    /// their [`Transcription::work`] included, are identical either way.
     pub observe: bool,
     /// Capacity (in entries) of the cross-query [`SkeletonCache`] memoizing
     /// structure-search results by masked skeleton. `0` (the default)
@@ -100,8 +104,6 @@ impl SpeakQlConfig {
                 k: 5,
                 ..SearchConfig::default()
             },
-            weights: Weights::PAPER,
-            literal: LiteralConfig::default(),
             threads: 1,
             observe: false,
             cache_capacity: 0,
@@ -238,6 +240,12 @@ pub struct Transcription {
     pub elapsed: Duration,
     /// Per-stage latency breakdown.
     pub stages: StageTimings,
+    /// The work this transcription did, per counter: its searches, skeleton
+    /// cache lookups, literal voting and candidates, `engine.transcriptions`
+    /// = 1, and `engine.nested_splits` = 1 when the nested-query heuristic
+    /// split it (a split transcription's work is its inner part plus its
+    /// outer part). It does not depend on [`SpeakQlConfig::observe`].
+    pub work: Tally,
 }
 
 impl Transcription {
@@ -270,12 +278,12 @@ pub struct SpeakQl {
 
 impl SpeakQl {
     /// Build an engine for a database (generates and indexes the structure
-    /// space — expensive for the paper-scale configuration; reuse the engine
-    /// across queries).
+    /// space under the paper's edit weights, [`Weights::PAPER`] — expensive
+    /// for the paper-scale configuration; reuse the engine across queries).
     pub fn new(db: &Database, config: SpeakQlConfig) -> SpeakQl {
         let index = Arc::new(StructureIndex::from_grammar(
             &config.generator,
-            config.weights,
+            Weights::PAPER,
         ));
         SpeakQl::with_index(db, index, config)
     }
@@ -285,18 +293,15 @@ impl SpeakQl {
     /// `speakql_index::persist`): no per-node rebuild, O(segments)
     /// validation plus linear checksums. The new engine's recorder counts
     /// the load (`index.load.zero_copy`) and the segments it validated
-    /// (`index.load.segments_validated`). Load failures surface as the
-    /// typed [`SpeakQlError::IndexLoad`], carrying the persist layer's
-    /// stable error class; with no engine built, no recorder holds them.
+    /// (`index.load.segments_validated`). A load failure returns the
+    /// persist layer's typed [`PersistError`], whose `class()` names it;
+    /// with no engine built, no recorder counts it.
     pub fn with_persisted_index(
         db: &Database,
         path: impl AsRef<std::path::Path>,
         config: SpeakQlConfig,
-    ) -> SpeakQlResult<SpeakQl> {
-        let index = speakql_index::load_from_path(path).map_err(|e| SpeakQlError::IndexLoad {
-            class: e.class(),
-            message: e.to_string(),
-        })?;
+    ) -> Result<SpeakQl, PersistError> {
+        let index = speakql_index::load_from_path(path)?;
         let engine = SpeakQl::with_index(db, Arc::new(index), config);
         engine.recorder.incr(CounterId::IndexLoadZeroCopy);
         engine.recorder.add(
@@ -307,7 +312,9 @@ impl SpeakQl {
     }
 
     /// Build an engine around a pre-built structure index (lets experiments
-    /// share one index across many databases/configs).
+    /// share one index across many databases/configs). Literal alignment
+    /// and the clause indexes use the index's own
+    /// [`weights`](StructureIndex::weights).
     pub fn with_index(db: &Database, index: Arc<StructureIndex>, config: SpeakQlConfig) -> SpeakQl {
         SpeakQl {
             index,
@@ -320,33 +327,22 @@ impl SpeakQl {
         }
     }
 
-    /// Build an engine around a pre-built structure index *and* an existing
-    /// skeleton cache shared with other engines. Entries are keyed by the
-    /// index's [`generation`](StructureIndex::generation), so engines over
-    /// indexes with equal generations (the same `Arc<StructureIndex>`, a
-    /// reload of its image) reuse each other's warm search results, while
-    /// engines over indexes that answer differently can never collide.
+    /// Build an engine around a pre-built structure index, an already-built
+    /// phonetic catalog and an existing skeleton cache, each shared with
+    /// other engines. The catalog can be another engine's
+    /// ([`SpeakQl::catalog`]) when the database is unchanged and only the
+    /// index moved, which skips rebuilding it from every row. Cache entries
+    /// are keyed by the index's [`generation`](StructureIndex::generation),
+    /// so engines over indexes with equal generations (the same
+    /// `Arc<StructureIndex>`, a reload of its image) reuse each other's warm
+    /// search results, while engines over indexes that answer differently
+    /// can never collide.
     ///
     /// The caller also supplies the [`Recorder`], so a fleet of engines can
     /// aggregate metrics into one report (the multi-tenant server does).
     /// [`SpeakQlConfig::cache_capacity`] and [`SpeakQlConfig::observe`] are
     /// ignored here: the shared cache's capacity and the passed recorder's
     /// enabled-ness govern.
-    pub fn with_shared_cache(
-        db: &Database,
-        index: Arc<StructureIndex>,
-        cache: Arc<SkeletonCache>,
-        recorder: Recorder,
-        config: SpeakQlConfig,
-    ) -> SpeakQl {
-        let catalog = Arc::new(PhoneticCatalog::build(db));
-        SpeakQl::with_shared_catalog(catalog, index, cache, recorder, config)
-    }
-
-    /// [`SpeakQl::with_shared_cache`] over an already-built phonetic
-    /// catalog — another engine's ([`SpeakQl::catalog`]) when the database
-    /// is unchanged and only the index moved, which skips rebuilding the
-    /// catalog from every row.
     pub fn with_shared_catalog(
         catalog: Arc<PhoneticCatalog>,
         index: Arc<StructureIndex>,
@@ -407,7 +403,7 @@ impl SpeakQl {
     /// this boundary and returned as [`SpeakQlError::WorkerPanic`]. Each
     /// error class increments its `engine.errors.*` counter.
     pub fn transcribe(&self, transcript: &str) -> SpeakQlResult<Transcription> {
-        self.contain(|| self.transcribe_checked(transcript))
+        self.contain(transcript, None)
     }
 
     /// Transcribe many transcripts on a bounded worker pool of
@@ -484,12 +480,27 @@ impl SpeakQl {
             .collect()
     }
 
+    /// Clause-level transcription (§5): search only the structures of one
+    /// clause kind, e.g. re-dictating just the WHERE clause. Shares
+    /// [`SpeakQl::transcribe`]'s checked path and error contract: typed
+    /// errors, contained panics, never an unwind into the caller.
+    pub fn transcribe_clause(
+        &self,
+        clause: ClauseKind,
+        transcript: &str,
+    ) -> SpeakQlResult<Transcription> {
+        self.contain(transcript, Some(clause))
+    }
+
     /// Containment boundary shared by every public transcription entry
-    /// point: runs `work` under `catch_unwind`, converts an escaped panic to
-    /// [`SpeakQlError::WorkerPanic`], and counts every error class.
+    /// point: runs [`SpeakQl::transcribe_checked`] under `catch_unwind`,
+    /// converts an escaped panic to [`SpeakQlError::WorkerPanic`], and
+    /// records the outcome once — a completed transcription is published,
+    /// an error is counted by class.
     fn contain(
         &self,
-        work: impl FnOnce() -> SpeakQlResult<Transcription>,
+        transcript: &str,
+        clause: Option<ClauseKind>,
     ) -> SpeakQlResult<Transcription> {
         // AssertUnwindSafe: the engine's shared state is monotone atomics,
         // the skeleton cache's shard mutexes (each critical section is one
@@ -497,93 +508,98 @@ impl SpeakQl {
         // clause-index `OnceLock`s (a panicking initializer leaves its slot
         // empty); a contained panic can leave them mid-update only in ways
         // the next call tolerates.
-        let result = catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            self.transcribe_checked(transcript, clause)
+        }))
+        .unwrap_or_else(|payload| {
             Err(SpeakQlError::WorkerPanic {
                 message: panic_message(payload),
             })
         });
-        if let Err(e) = &result {
-            self.recorder.incr(e.counter());
+        match &result {
+            Ok(t) => self.publish(t),
+            Err(e) => self.recorder.incr(e.counter()),
         }
         result
     }
 
-    /// Input validation plus the full pipeline; panics raised below here are
+    /// Publish one completed transcription into the recorder: its work
+    /// tally in one step, and one sample per stage span.
+    fn publish(&self, t: &Transcription) {
+        self.recorder.absorb(&t.work);
+        self.recorder
+            .record_duration(SpanId::Tokenize, t.stages.tokenize);
+        self.recorder
+            .record_duration(SpanId::Search, t.stages.search);
+        self.recorder
+            .record_duration(SpanId::Literal, t.stages.literal);
+        self.recorder
+            .record_duration(SpanId::Render, t.stages.render);
+        self.recorder.record_duration(SpanId::Transcribe, t.elapsed);
+    }
+
+    /// Input validation plus the full pipeline, over the main index or, for
+    /// clause dictation, `clause`'s index; panics raised below here are
     /// contained by [`SpeakQl::contain`].
-    fn transcribe_checked(&self, transcript: &str) -> SpeakQlResult<Transcription> {
+    fn transcribe_checked(
+        &self,
+        transcript: &str,
+        clause: Option<ClauseKind>,
+    ) -> SpeakQlResult<Transcription> {
         if let Some(hook) = &self.config.fault_hook {
             hook.fire(transcript);
         }
         let start = Instant::now();
         let words = tokenize_transcript(transcript);
-        self.validate(&words)?;
-        if self.index.is_empty() {
-            return Err(SpeakQlError::EmptyIndex);
-        }
-        let t = if let Some(result) = self.try_nested(transcript, &words, start) {
-            self.recorder.incr(CounterId::NestedSplits);
-            result
-        } else {
-            let mut t =
-                self.transcribe_words(&words, &self.index, self.skeleton_cache.as_deref(), start);
-            t.transcript = transcript.to_string();
-            t
-        };
-        self.recorder.incr(CounterId::Transcriptions);
-        self.recorder.record_duration(SpanId::Transcribe, t.elapsed);
-        Ok(t)
-    }
-
-    /// Shared transcript validation: word presence and the length cap.
-    fn validate(&self, words: &[String]) -> SpeakQlResult<()> {
         if words.is_empty() {
             return Err(SpeakQlError::EmptyTranscript);
         }
-        if words.len() > self.config.max_transcript_words {
+        let max = self.config.max_transcript_words;
+        if words.len() > max {
             return Err(SpeakQlError::TranscriptTooLong {
                 words: words.len(),
-                max: self.config.max_transcript_words,
+                max,
             });
         }
-        Ok(())
-    }
-
-    /// Clause-level transcription (§5): search only the structures of one
-    /// clause kind, e.g. re-dictating just the WHERE clause. Shares
-    /// [`SpeakQl::transcribe`]'s error contract: typed errors, contained
-    /// panics, never an unwind into the caller.
-    pub fn transcribe_clause(
-        &self,
-        clause: ClauseKind,
-        transcript: &str,
-    ) -> SpeakQlResult<Transcription> {
-        self.contain(|| {
-            if let Some(hook) = &self.config.fault_hook {
-                hook.fire(transcript);
-            }
-            let start = Instant::now();
-            let words = tokenize_transcript(transcript);
-            self.validate(&words)?;
-            let index = self.clause_index(clause);
-            if index.is_empty() {
-                return Err(SpeakQlError::EmptyIndex);
-            }
-            let mut t = self.transcribe_words(&words, index, None, start);
-            t.transcript = transcript.to_string();
-            self.recorder.incr(CounterId::Transcriptions);
-            self.recorder.record_duration(SpanId::Transcribe, t.elapsed);
-            Ok(t)
+        // Clause indexes hold different structure arenas, so their hits
+        // must never share the skeleton cache's keys with the main index's.
+        let (index, cache) = match clause {
+            Some(kind) => (self.clause_index(kind), None),
+            None => (&*self.index, self.skeleton_cache.as_deref()),
+        };
+        if index.is_empty() {
+            return Err(SpeakQlError::EmptyIndex);
+        }
+        let mut work = Tally::default();
+        let mut stages = StageTimings::default();
+        let nested = match clause {
+            Some(_) => None,
+            None => self.try_nested(&words, &mut work, &mut stages),
+        };
+        let (processed, candidates) = match nested {
+            Some(done) => done,
+            None => self.transcribe_words(&words, index, cache, &mut work, &mut stages),
+        };
+        work.incr(CounterId::Transcriptions);
+        Ok(Transcription {
+            transcript: transcript.to_string(),
+            processed,
+            candidates,
+            elapsed: start.elapsed(),
+            stages,
+            work,
         })
     }
 
     fn clause_index(&self, clause: ClauseKind) -> &StructureIndex {
         self.clause_indexes[clause as usize].get_or_init(|| {
             let structures = generate_clause_structures(&self.config.generator, clause);
-            StructureIndex::build(structures, self.config.weights)
+            StructureIndex::build(structures, self.index.weights())
         })
     }
 
-    /// Core pipeline over pre-tokenized transcript words. `cache` is the
+    /// Core pipeline over pre-tokenized transcript words, adding its work
+    /// into `work` and its stage times into `stages`. `cache` is the
     /// skeleton-result cache to consult for the structure search, or `None`
     /// when the results would not be reusable (clause-level indexes, or
     /// caching disabled).
@@ -592,62 +608,48 @@ impl SpeakQl {
         words: &[String],
         index: &StructureIndex,
         cache: Option<&SkeletonCache>,
-        start: Instant,
-    ) -> Transcription {
-        let mut stages = StageTimings::default();
-
+        work: &mut Tally,
+        stages: &mut StageTimings,
+    ) -> (ProcessedTranscript, Vec<Candidate>) {
         let t0 = Instant::now();
         let processed = process_transcript(words);
-        stages.tokenize = t0.elapsed();
+        stages.tokenize += t0.elapsed();
 
         let search_cfg = &self.config.search;
         let t1 = Instant::now();
         let generation = index.generation();
-        let cached =
-            cache.and_then(|c| c.get(generation, search_cfg, &processed.masked, &self.recorder));
+        let cached = cache.and_then(|c| c.get(generation, search_cfg, &processed.masked));
+        if cache.is_some() {
+            work.incr(if cached.is_some() {
+                CounterId::CacheSkeletonHits
+            } else {
+                CounterId::CacheSkeletonMisses
+            });
+        }
         let hits = match cached {
             Some(hits) => hits,
             None => {
                 let (hits, stats) = index.search_with_stats(&processed.masked, search_cfg);
-                record_search(&self.recorder, &stats);
+                record_search(work, &stats);
                 if let Some(c) = cache {
-                    c.insert(
-                        generation,
-                        search_cfg,
-                        &processed.masked,
-                        hits.clone(),
-                        &self.recorder,
-                    );
+                    let evicted = c.insert(generation, search_cfg, &processed.masked, hits.clone());
+                    work.add(CounterId::CacheSkeletonEvictions, evicted);
                 }
                 hits
             }
         };
-        stages.search = t1.elapsed();
+        stages.search += t1.elapsed();
 
-        // One window-encoding memo per transcription: the top-k candidates
-        // repeatedly enumerate the same transcript windows.
-        let encodings = WindowEncodings::new();
+        // One finder per transcript: the top-k candidates repeatedly land
+        // their placeholders on the same windows, so they share its memos.
+        let mut finder = LiteralFinder::new(&self.catalog, &processed.words);
         let candidates: Vec<Candidate> = hits
             .into_iter()
-            .map(|hit| self.build_candidate(index, &processed, &encodings, hit, &mut stages))
+            .map(|hit| self.build_candidate(index, &processed.masked, &mut finder, hit, stages))
             .collect();
-
-        self.recorder
-            .add(CounterId::CandidatesBuilt, candidates.len() as u64);
-        self.recorder
-            .record_duration(SpanId::Tokenize, stages.tokenize);
-        self.recorder.record_duration(SpanId::Search, stages.search);
-        self.recorder
-            .record_duration(SpanId::Literal, stages.literal);
-        self.recorder.record_duration(SpanId::Render, stages.render);
-
-        Transcription {
-            transcript: words.join(" "),
-            processed,
-            candidates,
-            elapsed: start.elapsed(),
-            stages,
-        }
+        *work += *finder.tally();
+        work.add(CounterId::CandidatesBuilt, candidates.len() as u64);
+        (processed, candidates)
     }
 
     /// Build one candidate from a search hit: literal determination plus SQL
@@ -655,22 +657,14 @@ impl SpeakQl {
     fn build_candidate(
         &self,
         index: &StructureIndex,
-        processed: &ProcessedTranscript,
-        encodings: &WindowEncodings,
+        masked: &[StructTokId],
+        finder: &mut LiteralFinder<'_>,
         hit: SearchHit,
         stages: &mut StageTimings,
     ) -> Candidate {
-        let finder = LiteralFinder::new(&self.catalog, self.config.literal)
-            .with_recorder(self.recorder.clone())
-            .with_encodings(encodings);
         let structure = index.structure(hit.structure);
         let t0 = Instant::now();
-        let literals = finder.fill_aligned(
-            &processed.words,
-            &processed.masked,
-            &structure,
-            self.config.weights,
-        );
+        let literals = finder.fill_aligned(masked, &structure, index.weights());
         stages.literal += t0.elapsed();
         let t1 = Instant::now();
         let sql = render_candidate(&structure, &literals);
@@ -686,13 +680,15 @@ impl SpeakQl {
     /// Nested-query heuristic (App. F.8): if a second SELECT appears, split
     /// the transcript there, transcribe inner and outer independently, and
     /// splice the inner SQL into the placeholder the outer assigned to the
-    /// subquery span.
+    /// subquery span. Both parts add into `work` and `stages`; so does a
+    /// split that then finds nothing to splice and returns `None`, since its
+    /// work was done.
     fn try_nested(
         &self,
-        transcript: &str,
         words: &[String],
-        start: Instant,
-    ) -> Option<Transcription> {
+        work: &mut Tally,
+        stages: &mut StageTimings,
+    ) -> Option<(ProcessedTranscript, Vec<Candidate>)> {
         let selects: Vec<usize> = words
             .iter()
             .enumerate()
@@ -743,15 +739,15 @@ impl SpeakQl {
         outer_words.push(")".to_string());
 
         let cache = self.skeleton_cache.as_deref();
-        let inner = self.transcribe_words(&inner_words, &self.index, cache, Instant::now());
-        let outer = self.transcribe_words(&outer_words, &self.index, cache, Instant::now());
-        let inner_sql = inner.best_sql()?.to_string();
+        let (_, inner) = self.transcribe_words(&inner_words, &self.index, cache, work, stages);
+        let (processed, outer) =
+            self.transcribe_words(&outer_words, &self.index, cache, work, stages);
+        let inner_sql = inner.first()?.sql.clone();
 
         // Splice: in each outer candidate, the placeholder whose window
         // contains the sentinel becomes the parenthesized inner query.
-        let sentinel_pos = outer.processed.words.iter().position(|w| w == SENTINEL)?;
+        let sentinel_pos = processed.words.iter().position(|w| w == SENTINEL)?;
         let candidates: Vec<Candidate> = outer
-            .candidates
             .into_iter()
             .map(|mut c| {
                 let target = c
@@ -797,32 +793,26 @@ impl SpeakQl {
                 c
             })
             .collect();
-
-        Some(Transcription {
-            transcript: transcript.to_string(),
-            processed: outer.processed,
-            candidates,
-            elapsed: start.elapsed(),
-            stages: inner.stages + outer.stages,
-        })
+        work.incr(CounterId::NestedSplits);
+        Some((processed, candidates))
     }
 }
 
-/// Publish one search's work into `recorder`: the index returns its
+/// Add one search's work into `work`: the index returns its
 /// [`SearchStats`], and the engine owns the counters.
-fn record_search(recorder: &Recorder, stats: &SearchStats) {
-    recorder.add(CounterId::SearchNodesVisited, stats.nodes_visited);
-    recorder.add(
+fn record_search(work: &mut Tally, stats: &SearchStats) {
+    work.add(CounterId::SearchNodesVisited, stats.nodes_visited);
+    work.add(
         CounterId::SearchTriesSearched,
         u64::from(stats.tries_searched),
     );
-    recorder.add(CounterId::SearchTriesPruned, u64::from(stats.tries_pruned));
-    recorder.add(CounterId::EditDistCells, stats.cells_evaluated);
-    recorder.add(
+    work.add(CounterId::SearchTriesPruned, u64::from(stats.tries_pruned));
+    work.add(CounterId::EditDistCells, stats.cells_evaluated);
+    work.add(
         CounterId::SearchShardsSearched,
         u64::from(stats.shards_searched),
     );
-    recorder.add(
+    work.add(
         CounterId::SearchShardsPruned,
         u64::from(stats.shards_pruned),
     );
@@ -1006,6 +996,55 @@ mod tests {
         assert!(best.ends_with(')'), "got: {best}");
         // The inner query must itself be well-formed.
         assert!(best.matches("SELECT").count() == 2, "got: {best}");
+    }
+
+    /// A split transcription is one transcription: its tally holds both
+    /// parts' work, and the engine publishes it once, with one sample per
+    /// stage.
+    #[test]
+    fn nested_transcription_publishes_one_record() {
+        let engine = SpeakQl::new(&toy_db(), SpeakQlConfig::small().with_observability(true));
+        let t = ok(engine.transcribe(
+            "select first name from employees where employee number in open parenthesis \
+             select employee number from salaries where salary greater than 70000 close parenthesis",
+        ));
+        let k = engine.config().search.k as u64;
+        assert_eq!(t.work.get(CounterId::Transcriptions), 1);
+        assert_eq!(t.work.get(CounterId::NestedSplits), 1);
+        // The inner and the outer part each build k candidates.
+        assert_eq!(t.work.get(CounterId::CandidatesBuilt), 2 * k);
+        let report = engine.report();
+        for id in CounterId::ALL {
+            assert_eq!(report.counter(id), t.work.get(id), "{}", id.name());
+        }
+        for id in [
+            SpanId::Tokenize,
+            SpanId::Search,
+            SpanId::Literal,
+            SpanId::Render,
+            SpanId::Transcribe,
+        ] {
+            let count = report.stage(id).map(|s| s.count);
+            assert_eq!(count, Some(1), "{}", id.name());
+        }
+    }
+
+    /// Literal alignment and the clause indexes use the weights of the index
+    /// the engine was built over.
+    #[test]
+    fn clause_indexes_inherit_the_index_weights() {
+        let index = StructureIndex::from_grammar(&GeneratorConfig::small(), Weights::UNIFORM);
+        let engine = SpeakQl::with_index(&toy_db(), Arc::new(index), SpeakQlConfig::small());
+        for kind in [
+            ClauseKind::Select,
+            ClauseKind::From,
+            ClauseKind::Where,
+            ClauseKind::Tail,
+        ] {
+            assert_eq!(engine.clause_index(kind).weights(), Weights::UNIFORM);
+        }
+        let t = ok(engine.transcribe_clause(ClauseKind::Where, "where salary greater than 70000"));
+        assert!(best(&t).starts_with("WHERE"), "got {}", best(&t));
     }
 
     #[test]
@@ -1218,6 +1257,10 @@ mod tests {
             None => panic!("search stage missing from report"),
         };
         assert_eq!(search.count, 1);
+        // The report holds exactly this one transcription's work.
+        for id in CounterId::ALL {
+            assert_eq!(report.counter(id), t.work.get(id), "{}", id.name());
+        }
         // Batch counters stay untouched outside transcribe_batch.
         assert_eq!(report.counter(CounterId::BatchJobs), 0);
     }

@@ -66,18 +66,6 @@ pub enum SpeakQlError {
         /// The configured per-request budget, in milliseconds.
         budget_ms: u64,
     },
-    /// A persisted structure index failed to load (bad magic, unsupported
-    /// version, checksum mismatch, truncation, or structural corruption).
-    /// Carries the persist layer's stable error class plus its rendered
-    /// message; the `PersistError` itself wraps `io::Error` and so cannot
-    /// live in this `Clone + Eq` enum.
-    IndexLoad {
-        /// Stable class from `PersistError::class()` (`"io"`, `"bad_magic"`,
-        /// `"bad_version"`, `"bad_checksum"`, `"corrupt"`, `"too_large"`).
-        class: &'static str,
-        /// Human-readable detail (the persist error's `Display`).
-        message: String,
-    },
 }
 
 impl SpeakQlError {
@@ -91,7 +79,6 @@ impl SpeakQlError {
             SpeakQlError::WorkerPanic { .. } => "worker_panic",
             SpeakQlError::Overloaded { .. } => "overloaded",
             SpeakQlError::Timeout { .. } => "timeout",
-            SpeakQlError::IndexLoad { .. } => "index_load",
         }
     }
 
@@ -104,7 +91,6 @@ impl SpeakQlError {
             SpeakQlError::WorkerPanic { .. } => CounterId::ErrorsWorkerPanic,
             SpeakQlError::Overloaded { .. } => CounterId::ErrorsOverloaded,
             SpeakQlError::Timeout { .. } => CounterId::ErrorsTimeout,
-            SpeakQlError::IndexLoad { .. } => CounterId::ErrorsIndexLoad,
         }
     }
 }
@@ -141,9 +127,6 @@ impl std::fmt::Display for SpeakQlError {
                     f,
                     "request timed out after {waited_ms}ms (budget {budget_ms}ms)"
                 )
-            }
-            SpeakQlError::IndexLoad { class, message } => {
-                write!(f, "index load failed ({class}): {message}")
             }
         }
     }
@@ -196,10 +179,6 @@ mod tests {
             SpeakQlError::Timeout {
                 waited_ms: 120,
                 budget_ms: 100,
-            },
-            SpeakQlError::IndexLoad {
-                class: "bad_magic",
-                message: "not a SpeakQL index file".into(),
             },
         ];
         for (i, a) in errors.iter().enumerate() {

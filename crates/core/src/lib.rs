@@ -28,13 +28,12 @@ pub use catalog::PhoneticCatalog;
 pub use engine::{Candidate, FaultHook, SpeakQl, SpeakQlConfig, StageTimings, Transcription};
 pub use error::{SpeakQlError, SpeakQlResult};
 pub use literal::{
-    enumerate_strings, enumerate_strings_with, parse_number_words, FilledLiteral, LiteralConfig,
-    LiteralFinder, WindowEncodings,
+    enumerate_strings, parse_number_words, FilledLiteral, LiteralFinder, ALTERNATIVES, WINDOW_SIZE,
 };
 pub use streaming::StreamingTranscriber;
 // Re-exported so downstream crates can drive observability without a direct
 // speakql-observe dependency.
-pub use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId, StageReport};
+pub use speakql_observe::{CounterId, PipelineReport, Recorder, SpanId, StageReport, Tally};
 
 #[cfg(test)]
 mod fuzz {

@@ -7,17 +7,31 @@
 //!    the grammar derivation stored with the structure (§4.1).
 //! 2. **Transcription segmentation** — a window of non-dictionary tokens is
 //!    located for each placeholder, and all sub-token concatenations up to
-//!    `window_size` are enumerated as candidate spoken forms (§4.2).
+//!    [`WINDOW_SIZE`] are enumerated as candidate spoken forms (§4.2).
 //! 3. **Literal voting** — each enumerated string votes for its phonetically
 //!    closest candidate literal; the most-voted literal wins, ties resolved
 //!    lexicographically (§4.3, worked examples in App. E.2).
+//!
+//! A [`LiteralFinder`] is built over one transcript and fills the
+//! placeholders of every candidate structure of that transcription. It
+//! memoizes window encodings and finished fills, since the top-k candidates
+//! land their placeholders on the same few windows, and it counts its voting
+//! work into its own [`Tally`], which the engine adds to the transcription's
+//! work.
 
 use crate::catalog::{CandidateSet, PhoneticCatalog};
 use speakql_grammar::{in_dictionaries, LitCategory, Structure};
-use speakql_observe::{CounterId, Recorder};
-use std::cell::RefCell;
+use speakql_observe::{CounterId, Tally};
 use std::collections::HashMap;
 use std::rc::Rc;
+
+/// Maximum number of adjacent tokens concatenated per enumerated string
+/// (`WindowSize` in Box 3).
+pub const WINDOW_SIZE: usize = 3;
+
+/// How many runner-up literals each placeholder keeps, for top-k display and
+/// the SQL Keyboard's suggestion list.
+pub const ALTERNATIVES: usize = 5;
 
 /// One filled placeholder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,56 +45,11 @@ pub struct FilledLiteral {
     pub window: (usize, usize),
 }
 
-/// Configuration of the literal-determination pass.
-#[derive(Debug, Clone, Copy)]
-pub struct LiteralConfig {
-    /// Maximum number of adjacent tokens concatenated per enumerated string
-    /// (`WindowSize` in Box 3).
-    pub window_size: usize,
-    /// How many alternatives to keep per placeholder.
-    pub alternatives: usize,
-}
-
-impl Default for LiteralConfig {
-    fn default() -> Self {
-        LiteralConfig {
-            window_size: 3,
-            alternatives: 5,
-        }
-    }
-}
-
-/// A per-transcript memo of enumerated window encodings and completed
-/// placeholder fills, shared by every candidate of one transcription. A
-/// transcription runs on one thread, so the memo is a pair of `RefCell`d
-/// maps, with no locks.
-///
-/// The enumeration of a window `[begin, end)` depends only on the transcript
-/// words, the window size, and the phonetic algorithm — all fixed for the
-/// lifetime of one transcription — while the top-k candidates repeatedly
-/// land their placeholders on the same few windows. Memoizing by `(begin,
-/// end)` means each distinct window is keyed exactly once no matter how many
-/// candidates consume it; results are identical to recomputing, so filled
-/// literals are unaffected.
-///
-/// The fill memo goes one level higher: the entire voting result of one
-/// placeholder is a pure function of its window, its T/A/V/N category, and
-/// the governing attribute restricting candidate set B — and the top-k
-/// candidates are near-identical structures whose placeholders land on the
-/// same `(window, category, governor)` triples over and over. Memoizing the
-/// finished [`FilledLiteral`] ingredients skips the whole enumerate-and-vote
-/// pass for every repeat, not just the enumeration.
-#[derive(Debug, Default)]
-pub struct WindowEncodings {
-    memo: RefCell<HashMap<(usize, usize), SharedEncodings>>,
-    fills: RefCell<HashMap<FillKey, Fill>>,
-}
-
 /// One window's enumerated `(string, word_count)` encodings, shared between
 /// the candidates that consume the window.
 type SharedEncodings = Rc<Vec<(String, usize)>>;
 
-/// Everything a placeholder fill depends on within one transcription: the
+/// Everything a placeholder fill depends on within one transcript: the
 /// window, the category code (`T`/`A`/`V`/`N`), and the governing attribute
 /// (which selects candidate set B for values).
 type FillKey = (usize, usize, char, Option<String>);
@@ -89,110 +58,73 @@ type FillKey = (usize, usize, char, Option<String>);
 /// `assign_phonetic`/`assign_number` return it.
 type Fill = (String, Vec<String>, usize);
 
-impl WindowEncodings {
-    /// An empty memo for one transcription.
-    pub fn new() -> WindowEncodings {
-        WindowEncodings::default()
-    }
-
-    /// The memoized encodings for `[begin, end)`, computing them with
-    /// `compute` on first use, so each window is encoded exactly once —
-    /// which keeps the `literal.strings_enumerated` counter exact.
-    fn get_or_compute(
-        &self,
-        begin: usize,
-        end: usize,
-        compute: impl FnOnce() -> Vec<(String, usize)>,
-    ) -> SharedEncodings {
-        if let Some(set) = self.memo.borrow().get(&(begin, end)) {
-            return Rc::clone(set);
-        }
-        let set = Rc::new(compute());
-        self.memo.borrow_mut().insert((begin, end), Rc::clone(&set));
-        set
-    }
-
-    /// The memoized fill for `key`, computing it with `compute` on first
-    /// use; the `bool` reports whether this was a memo hit. Each distinct
-    /// key is voted exactly once, so the voting counters and the hit count
-    /// stay exact. No borrow is held while `compute` runs: a fill encodes
-    /// its window through the encodings memo.
-    fn fill_or_compute(&self, key: FillKey, compute: impl FnOnce() -> Fill) -> (Fill, bool) {
-        if let Some(fill) = self.fills.borrow().get(&key) {
-            return (fill.clone(), true);
-        }
-        let fill = compute();
-        self.fills.borrow_mut().insert(key, fill.clone());
-        (fill, false)
-    }
-}
-
-/// The Literal Determination component.
-#[derive(Debug, Clone)]
+/// The Literal Determination component, over one transcript's words.
+///
+/// The enumeration of a window `[begin, end)` depends only on the words, the
+/// window size and the phonetic algorithm, so each distinct window is
+/// encoded once however many candidates consume it. A whole placeholder
+/// fill is a pure function of its window, its T/A/V/N category and the
+/// governing attribute restricting candidate set B, so each distinct
+/// `(window, category, governor)` is voted once too. Both memos return
+/// exactly what recomputing would, so filled literals are unaffected, and
+/// both keep the voting counters exact: `literal.strings_enumerated` counts
+/// each window once, `literal.fill_memo_hits` counts each repeat.
+#[derive(Debug)]
 pub struct LiteralFinder<'a> {
     catalog: &'a PhoneticCatalog,
-    config: LiteralConfig,
-    recorder: Recorder,
-    encodings: Option<&'a WindowEncodings>,
+    words: &'a [String],
+    windows: HashMap<(usize, usize), SharedEncodings>,
+    fills: HashMap<FillKey, Fill>,
+    tally: Tally,
 }
 
 impl<'a> LiteralFinder<'a> {
-    /// Build a finder voting literals out of `catalog` under `config`, with
-    /// observability off and no shared window-encoding memo.
-    pub fn new(catalog: &'a PhoneticCatalog, config: LiteralConfig) -> LiteralFinder<'a> {
+    /// A finder voting literals out of `catalog` for the transcript `words`
+    /// (the word stream after SplChar handling), with empty memos.
+    pub fn new(catalog: &'a PhoneticCatalog, words: &'a [String]) -> LiteralFinder<'a> {
         LiteralFinder {
             catalog,
-            config,
-            recorder: Recorder::disabled(),
-            encodings: None,
+            words,
+            windows: HashMap::new(),
+            fills: HashMap::new(),
+            tally: Tally::default(),
         }
     }
 
-    /// This finder publishing voting work (`literal.vote_comparisons`,
-    /// `literal.strings_enumerated`) into `recorder`. The filled literals
-    /// are identical with or without a recorder attached.
-    pub fn with_recorder(mut self, recorder: Recorder) -> LiteralFinder<'a> {
-        self.recorder = recorder;
-        self
+    /// The voting work of every fill so far: `literal.vote_comparisons`,
+    /// `phonetics.exact_hits`, `literal.strings_enumerated` and
+    /// `literal.fill_memo_hits`.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
-    /// This finder reading and filling the shared per-transcript window
-    /// memo instead of re-enumerating every window per candidate. The filled
-    /// literals are identical with or without a memo attached.
-    pub fn with_encodings(mut self, encodings: &'a WindowEncodings) -> LiteralFinder<'a> {
-        self.encodings = Some(encodings);
-        self
-    }
-
-    /// Fill every placeholder of `structure` from `trans_out` (the word
-    /// stream after SplChar handling). Box 3's `LiteralFinder`, sequential
-    /// windows only (no alignment anchors).
-    pub fn fill(&self, trans_out: &[String], structure: &Structure) -> Vec<FilledLiteral> {
-        self.fill_with_anchors(trans_out, structure, &vec![None; structure.var_count()])
+    /// Fill every placeholder of `structure`. Box 3's `LiteralFinder`,
+    /// sequential windows only (no alignment anchors).
+    pub fn fill(&mut self, structure: &Structure) -> Vec<FilledLiteral> {
+        self.fill_with_anchors(structure, &vec![None; structure.var_count()])
     }
 
     /// Box 3's `LiteralFinder` with alignment-derived window anchors: the
-    /// search engine's DP alignment tells us which transcript token each
-    /// placeholder matched, making the paper's `RightNonLiteral` window
-    /// boundary precise when several placeholders share one run of
-    /// non-dictionary tokens.
+    /// search engine's DP alignment of `masked` against `structure` under
+    /// `weights` tells us which transcript token each placeholder matched,
+    /// making the paper's `RightNonLiteral` window boundary precise when
+    /// several placeholders share one run of non-dictionary tokens.
     pub fn fill_aligned(
-        &self,
-        trans_out: &[String],
+        &mut self,
         masked: &[speakql_grammar::StructTokId],
         structure: &Structure,
         weights: speakql_editdist::Weights,
     ) -> Vec<FilledLiteral> {
         let anchors = crate::align::align_vars(masked, structure, weights);
-        self.fill_with_anchors(trans_out, structure, &anchors)
+        self.fill_with_anchors(structure, &anchors)
     }
 
     fn fill_with_anchors(
-        &self,
-        trans_out: &[String],
+        &mut self,
         structure: &Structure,
         anchors: &[Option<usize>],
     ) -> Vec<FilledLiteral> {
+        let trans_out = self.words;
         let n = trans_out.len();
         let mut filled: Vec<FilledLiteral> = Vec::with_capacity(structure.var_count());
         let mut running = 0usize;
@@ -230,7 +162,7 @@ impl<'a> LiteralFinder<'a> {
                     .map(|f: &FilledLiteral| strip_quotes(&f.literal).to_string())
             });
             let (literal, alternatives, consumed_to) =
-                self.assign(trans_out, begin, end, ph.category, governed);
+                self.assign(begin, end, ph.category, governed);
 
             filled.push(FilledLiteral {
                 literal,
@@ -242,50 +174,42 @@ impl<'a> LiteralFinder<'a> {
         filled
     }
 
-    /// Fill one placeholder, via the shared per-transcript fill memo when
-    /// one is attached. The fill is a pure function of the key (window ×
-    /// category × governor) given the fixed transcript, catalog, and config,
-    /// so memoized repeats — the common case across near-identical top-k
-    /// candidates — return the identical result without re-voting. Memo hits
-    /// count into `literal.fill_memo_hits`.
+    /// Fill one placeholder through the fill memo. The fill is a pure
+    /// function of the key (window × category × governor) given the fixed
+    /// transcript and catalog, so memoized repeats — the common case across
+    /// near-identical top-k candidates — return the identical result without
+    /// re-voting. Memo hits count into `literal.fill_memo_hits`.
     fn assign(
-        &self,
-        trans_out: &[String],
+        &mut self,
         begin: usize,
         end: usize,
         category: LitCategory,
         governed: Option<String>,
     ) -> (String, Vec<String>, usize) {
-        let compute = |governed: Option<&str>| {
-            let candidates = self.catalog.candidates(category, governed);
-            if category == LitCategory::Number {
-                self.assign_number(trans_out, begin, end)
-            } else {
-                self.assign_phonetic(trans_out, begin, end, candidates)
-            }
-        };
-        match self.encodings {
-            Some(memo) => {
-                let key = (begin, end, category.code(), governed);
-                let (fill, hit) = memo.fill_or_compute(key.clone(), || compute(key.3.as_deref()));
-                if hit {
-                    self.recorder.add(CounterId::LiteralFillMemoHits, 1);
-                }
-                fill
-            }
-            None => compute(governed.as_deref()),
+        let key = (begin, end, category.code(), governed);
+        if let Some(fill) = self.fills.get(&key) {
+            self.tally.incr(CounterId::LiteralFillMemoHits);
+            return fill.clone();
         }
+        let fill = if category == LitCategory::Number {
+            self.assign_number(begin, end)
+        } else {
+            let candidates = self.catalog.candidates(category, key.3.as_deref());
+            self.assign_phonetic(begin, end, candidates)
+        };
+        self.fills.insert(key, fill.clone());
+        fill
     }
 
     /// EnumerateStrings + LiteralAssignment (Box 3). Returns the winner, the
     /// ranked alternatives, and the index just past the last consumed token.
     fn assign_phonetic(
-        &self,
-        trans_out: &[String],
+        &mut self,
         begin: usize,
         end: usize,
         candidates: &CandidateSet,
     ) -> (String, Vec<String>, usize) {
+        let trans_out = self.words;
         let entries = candidates.index().entries();
         if entries.is_empty() {
             // Nothing to vote for: echo the raw window (or a placeholder).
@@ -304,7 +228,7 @@ impl<'a> LiteralFinder<'a> {
                 }
             }
         }
-        let set_a = self.window_encodings(trans_out, begin, end);
+        let set_a = self.window_encodings(begin, end);
         if set_a.is_empty() {
             // Empty window: fall back to the lexicographically first
             // candidate (deterministic, matches the tie rule).
@@ -330,8 +254,8 @@ impl<'a> LiteralFinder<'a> {
                 tally.cast(bi, *last_pos);
             }
         }
-        self.recorder.add(CounterId::VoteComparisons, comparisons);
-        self.recorder.add(CounterId::PhoneticExactHits, exact_hits);
+        self.tally.add(CounterId::VoteComparisons, comparisons);
+        self.tally.add(CounterId::PhoneticExactHits, exact_hits);
 
         let ranked = tally.ranked();
         let winner = ranked[0];
@@ -339,46 +263,39 @@ impl<'a> LiteralFinder<'a> {
         let alternatives: Vec<String> = ranked
             .iter()
             .skip(1)
-            .take(self.config.alternatives)
+            .take(ALTERNATIVES)
             .map(|&bi| entries[bi].literal.clone())
             .collect();
         let consumed_to = tally.last[winner] + 1;
         (literal, alternatives, consumed_to)
     }
 
-    /// Enumerated encodings for one window, via the shared memo when one is
-    /// attached. `literal.strings_enumerated` counts actual enumeration
-    /// work, so memoized re-reads of an already-encoded window do not
-    /// re-count.
-    fn window_encodings(&self, trans_out: &[String], begin: usize, end: usize) -> SharedEncodings {
-        let compute = || {
-            let set = enumerate_strings_with(
-                trans_out,
-                begin,
-                end,
-                self.config.window_size,
-                self.catalog.algorithm(),
-            );
-            self.recorder
-                .add(CounterId::VoteEnumerations, set.len() as u64);
-            set
-        };
-        match self.encodings {
-            Some(memo) => memo.get_or_compute(begin, end, compute),
-            None => Rc::new(compute()),
+    /// Enumerated encodings for one window through the window memo.
+    /// `literal.strings_enumerated` counts actual enumeration work, so
+    /// re-reads of an already-encoded window do not re-count.
+    fn window_encodings(&mut self, begin: usize, end: usize) -> SharedEncodings {
+        if let Some(set) = self.windows.get(&(begin, end)) {
+            return Rc::clone(set);
         }
+        let set = Rc::new(enumerate_strings(
+            self.words,
+            begin,
+            end,
+            WINDOW_SIZE,
+            self.catalog.algorithm(),
+        ));
+        self.tally
+            .add(CounterId::VoteEnumerations, set.len() as u64);
+        self.windows.insert((begin, end), Rc::clone(&set));
+        set
     }
 
     /// Number placeholders (the LIMIT argument): take the first numeric
     /// token in the window, merging adjacent numerals split by the ASR;
     /// falls back to parsing spoken number words ("seventy thousand") when
     /// the channel never recombined them.
-    fn assign_number(
-        &self,
-        trans_out: &[String],
-        begin: usize,
-        end: usize,
-    ) -> (String, Vec<String>, usize) {
+    fn assign_number(&self, begin: usize, end: usize) -> (String, Vec<String>, usize) {
+        let trans_out = self.words;
         if !trans_out[begin..end]
             .iter()
             .any(|w| !w.is_empty() && w.chars().all(|c| c.is_ascii_digit()))
@@ -453,28 +370,11 @@ impl VoteTally {
 }
 
 /// EnumerateStrings (Box 3): all concatenations of up to `window_size`
-/// adjacent tokens within `[begin, end)`, as phonetic keys, each with the
-/// index of its last token.
-pub fn enumerate_strings(
-    trans_out: &[String],
-    begin: usize,
-    end: usize,
-    window_size: usize,
-) -> Vec<(String, usize)> {
-    enumerate_strings_with(
-        trans_out,
-        begin,
-        end,
-        window_size,
-        speakql_phonetics::PhoneticAlgorithm::Metaphone,
-    )
-}
-
-/// [`enumerate_strings`] with an explicit phonetic algorithm (ablations).
-/// An `end` past the transcript is clamped, so no window can index out of
-/// bounds.
+/// adjacent tokens within `[begin, end)`, as `algo`'s phonetic keys, each
+/// with the index of its last token. An `end` past the transcript is
+/// clamped, so no window can index out of bounds.
 #[allow(clippy::needless_range_loop)] // index arithmetic is the clearer form here
-pub fn enumerate_strings_with(
+pub fn enumerate_strings(
     trans_out: &[String],
     begin: usize,
     end: usize,
@@ -739,7 +639,7 @@ mod tests {
     use super::*;
     use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
     use speakql_grammar::{Keyword, Placeholder, SplChar, StructTok};
-    use speakql_phonetics::PhoneticIndex;
+    use speakql_phonetics::{PhoneticAlgorithm, PhoneticIndex};
 
     fn words(s: &str) -> Vec<String> {
         s.split_whitespace().map(|w| w.to_string()).collect()
@@ -778,11 +678,61 @@ mod tests {
             ],
             vec![Placeholder::attribute(), Placeholder::table()],
         );
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
-        let filled = finder.fill(&words("select first name from employers"), &s);
+        let trans = words("select first name from employers");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[0].literal, "FirstName");
         assert_eq!(filled[1].literal, "Employees");
         assert_eq!(filled[0].window, (1, 3));
+    }
+
+    /// The finder's tally counts exactly the votes its fills cast: each
+    /// distinct window's strings once, each string's comparisons and exact
+    /// bucket hit, and a repeated fill as one memo hit per placeholder that
+    /// votes nothing.
+    #[test]
+    fn tally_counts_each_vote_once_and_each_repeat_as_a_memo_hit() {
+        let db = fig4_db();
+        let catalog = PhoneticCatalog::build(&db);
+        let s = Structure::new(
+            vec![
+                StructTok::Keyword(Keyword::Select),
+                StructTok::Var,
+                StructTok::Keyword(Keyword::From),
+                StructTok::Var,
+            ],
+            vec![Placeholder::attribute(), Placeholder::table()],
+        );
+        let trans = words("select first name from employers");
+        let mut finder = LiteralFinder::new(&catalog, &trans);
+        let filled = finder.fill(&s);
+        // Recount independently: enumerate each window and vote each string.
+        let mut expected = Tally::default();
+        for (f, category) in filled
+            .iter()
+            .zip([LitCategory::Attribute, LitCategory::Table])
+        {
+            let (begin, end) = f.window;
+            let set = enumerate_strings(&trans, begin, end, WINDOW_SIZE, catalog.algorithm());
+            expected.add(CounterId::VoteEnumerations, set.len() as u64);
+            for (key, _) in &set {
+                if let Some(vote) = catalog.candidates(category, None).index().nearest(key) {
+                    expected.add(CounterId::VoteComparisons, vote.comparisons);
+                    expected.add(CounterId::PhoneticExactHits, u64::from(vote.exact));
+                }
+            }
+        }
+        // Distinct totals, so a finder that swapped two counters fails.
+        let counts = [
+            CounterId::VoteEnumerations,
+            CounterId::VoteComparisons,
+            CounterId::PhoneticExactHits,
+        ]
+        .map(|id| expected.get(id));
+        assert!(counts[0] != counts[1] && counts[1] != counts[2] && counts[0] != counts[2]);
+        assert_eq!(*finder.tally(), expected);
+        assert_eq!(finder.fill(&s), filled);
+        expected.add(CounterId::LiteralFillMemoHits, 2);
+        assert_eq!(*finder.tally(), expected);
     }
 
     /// Paper App. E.2 Example 1: A = {FRONT, DATE, FRONTDATE},
@@ -792,7 +742,7 @@ mod tests {
     fn appendix_e2_example1_voting_beats_all_pairs() {
         let idx = PhoneticIndex::build(["FROMDATE", "TODATE"]);
         let trans = words("front date");
-        let set_a = enumerate_strings(&trans, 0, 2, 3);
+        let set_a = enumerate_strings(&trans, 0, 2, 3, PhoneticAlgorithm::Metaphone);
         // A = front (FRNT), frontdate (FRNTTT), date (TT)
         assert_eq!(set_a.len(), 3);
         // Run the voting logic through the finder on a catalog-free path by
@@ -817,8 +767,8 @@ mod tests {
             ],
             vec![Placeholder::attribute(), Placeholder::table()],
         );
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
-        let filled = finder.fill(&words("select front date from t"), &s);
+        let trans = words("select front date from t");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[0].literal, "FROMDATE");
         drop(idx);
     }
@@ -845,8 +795,8 @@ mod tests {
             ],
             vec![Placeholder::attribute(), Placeholder::table()],
         );
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
-        let filled = finder.fill(&words("select rum date from t"), &s);
+        let trans = words("select rum date from t");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[0].literal, "FROMDATE");
     }
 
@@ -875,9 +825,8 @@ mod tests {
                 Placeholder::value(Some(2)),
             ],
         );
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
         let trans = words("select last name from employers where first name = jon");
-        let filled = finder.fill(&trans, &s);
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[0].literal, "LastName");
         assert_eq!(filled[1].literal, "Employees");
         assert_eq!(filled[2].literal, "FirstName");
@@ -888,7 +837,6 @@ mod tests {
     fn number_placeholder_merges_split_numerals() {
         let db = fig4_db();
         let catalog = PhoneticCatalog::build(&db);
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
         let s = Structure::new(
             vec![
                 StructTok::Keyword(Keyword::Select),
@@ -904,7 +852,8 @@ mod tests {
                 Placeholder::number(),
             ],
         );
-        let filled = finder.fill(&words("select salary from salaries limit 45000 412"), &s);
+        let trans = words("select salary from salaries limit 45000 412");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[2].literal, "45412");
     }
 
@@ -912,7 +861,6 @@ mod tests {
     fn more_placeholders_than_windows_still_fills() {
         let db = fig4_db();
         let catalog = PhoneticCatalog::build(&db);
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
         let s = Structure::new(
             vec![
                 StructTok::Keyword(Keyword::Select),
@@ -923,7 +871,8 @@ mod tests {
             vec![Placeholder::attribute(), Placeholder::table()],
         );
         // Transcript has no literal tokens at all.
-        let filled = finder.fill(&words("select from"), &s);
+        let trans = words("select from");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled.len(), 2);
         assert!(!filled[0].literal.is_empty());
         assert!(!filled[1].literal.is_empty());
@@ -974,7 +923,6 @@ mod tests {
         t.push_row(vec![Value::Date(date("1991-05-07"))]);
         db.add_table(t);
         let catalog = PhoneticCatalog::build(&db);
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
         let s = Structure::new(
             vec![
                 StructTok::Keyword(Keyword::Select),
@@ -993,10 +941,8 @@ mod tests {
                 Placeholder::value(Some(2)),
             ],
         );
-        let filled = finder.fill(
-            &words("select from date from t where from date = may 07 19 91"),
-            &s,
-        );
+        let trans = words("select from date from t where from date = may 07 19 91");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[3].literal, "'1991-05-07'");
     }
 
@@ -1022,7 +968,6 @@ mod tests {
     fn limit_from_unrecombined_number_words() {
         let db = fig4_db();
         let catalog = PhoneticCatalog::build(&db);
-        let finder = LiteralFinder::new(&catalog, LiteralConfig::default());
         let s = Structure::new(
             vec![
                 StructTok::Keyword(Keyword::Select),
@@ -1038,17 +983,18 @@ mod tests {
                 Placeholder::number(),
             ],
         );
-        let filled = finder.fill(&words("select salary from salaries limit twenty five"), &s);
+        let trans = words("select salary from salaries limit twenty five");
+        let filled = LiteralFinder::new(&catalog, &trans).fill(&s);
         assert_eq!(filled[2].literal, "25");
     }
 
     #[test]
     fn enumerate_strings_window_cap() {
         let trans = words("a b c d");
-        let set = enumerate_strings(&trans, 0, 4, 2);
+        let set = enumerate_strings(&trans, 0, 4, 2, PhoneticAlgorithm::Metaphone);
         // 4 singletons + 3 pairs
         assert_eq!(set.len(), 7);
-        let set3 = enumerate_strings(&trans, 0, 4, 3);
+        let set3 = enumerate_strings(&trans, 0, 4, 3, PhoneticAlgorithm::Metaphone);
         assert_eq!(set3.len(), 9);
     }
 

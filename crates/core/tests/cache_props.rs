@@ -8,9 +8,11 @@
 
 use proptest::prelude::*;
 use speakql_core::{
-    Candidate, CounterId, SpeakQl, SpeakQlConfig, SpeakQlError, SpeakQlResult, Transcription,
+    Candidate, CounterId, PhoneticCatalog, SpeakQl, SpeakQlConfig, SpeakQlError, SpeakQlResult,
+    Transcription,
 };
 use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
+use speakql_editdist::Weights;
 use speakql_index::StructureIndex;
 use std::sync::{Arc, OnceLock};
 
@@ -85,7 +87,7 @@ fn shared_index() -> Arc<StructureIndex> {
     INDEX
         .get_or_init(|| {
             let cfg = SpeakQlConfig::small();
-            Arc::new(StructureIndex::from_grammar(&cfg.generator, cfg.weights))
+            Arc::new(StructureIndex::from_grammar(&cfg.generator, Weights::PAPER))
         })
         .clone()
 }
@@ -207,8 +209,9 @@ fn reload_of_same_bytes_preserves_cache_hits() {
     let recorder = speakql_core::Recorder::enabled();
 
     let first_load = Arc::new(speakql_index::from_shared(bytes.clone()).expect("load index"));
-    let engine = SpeakQl::with_shared_cache(
-        &db,
+    let catalog = Arc::new(PhoneticCatalog::build(&db));
+    let engine = SpeakQl::with_shared_catalog(
+        catalog.clone(),
         first_load,
         cache.clone(),
         recorder.clone(),
@@ -225,7 +228,7 @@ fn reload_of_same_bytes_preserves_cache_hits() {
     // "Restart": a fresh load of the same bytes, a fresh engine, the
     // surviving cache.
     let second_load = Arc::new(speakql_index::from_shared(bytes).expect("reload index"));
-    let reloaded = SpeakQl::with_shared_cache(&db, second_load, cache, recorder.clone(), cfg);
+    let reloaded = SpeakQl::with_shared_catalog(catalog, second_load, cache, recorder.clone(), cfg);
     let warm = reloaded.transcribe(query);
     assert_eq!(view(&expect), view(&warm));
     assert!(
@@ -258,8 +261,9 @@ fn tail_tombstoned_delta_replays_its_rebuilds_cache() {
     ];
     let cache = Arc::new(speakql_core::SkeletonCache::new(64));
     let recorder = speakql_core::Recorder::enabled();
-    let warm = SpeakQl::with_shared_cache(
-        &db,
+    let catalog = Arc::new(PhoneticCatalog::build(&db));
+    let warm = SpeakQl::with_shared_catalog(
+        catalog.clone(),
         Arc::new(rebuilt),
         cache.clone(),
         recorder.clone(),
@@ -274,7 +278,7 @@ fn tail_tombstoned_delta_replays_its_rebuilds_cache() {
 
     let tail = Arc::new(tail);
     let on_tail =
-        SpeakQl::with_shared_cache(&db, tail.clone(), cache, recorder.clone(), cfg.clone());
+        SpeakQl::with_shared_catalog(catalog, tail.clone(), cache, recorder.clone(), cfg.clone());
     let cacheless = SpeakQl::with_index(&db, tail, cfg.with_cache_capacity(0));
     for q in &queries {
         assert_eq!(

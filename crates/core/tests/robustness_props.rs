@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use speakql_core::{SpeakQl, SpeakQlConfig, SpeakQlError, SpeakQlResult, Transcription};
 use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
+use speakql_editdist::Weights;
 use speakql_index::StructureIndex;
 use std::sync::{Arc, OnceLock};
 
@@ -33,7 +34,10 @@ fn engines() -> &'static Vec<SpeakQl> {
     E.get_or_init(|| {
         let db = toy_db();
         let base = SpeakQlConfig::small().with_max_transcript_words(64);
-        let index = Arc::new(StructureIndex::from_grammar(&base.generator, base.weights));
+        let index = Arc::new(StructureIndex::from_grammar(
+            &base.generator,
+            Weights::PAPER,
+        ));
         let mut engines = Vec::new();
         for threads in [1usize, 2, 8] {
             for cache in [0usize, 32] {

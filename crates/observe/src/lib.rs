@@ -7,26 +7,32 @@
 //! no-op when disabled.
 //!
 //! The recorder belongs to the layers that own a request: the engine
-//! (`speakql-core`) and the server. The structure index below them records
-//! nothing; its search, load and delta return their work as values
-//! (`SearchStats`, `DeltaStats`, the loaded index's segment count), and the
-//! engine publishes those values into its recorder:
+//! (`speakql-core`) and the server. Nothing below them holds one. The
+//! structure index returns its work as values (`SearchStats`, `DeltaStats`,
+//! the loaded index's segment count), and the skeleton cache and the literal
+//! finder return theirs too. One transcription adds all of it into one
+//! [`Tally`], plain integers keyed by [`CounterId`], and the engine
+//! publishes a finished transcription once: [`Recorder::absorb`] for its
+//! tally, one span sample per stage.
 //!
 //! ```
-//! use speakql_observe::{CounterId, Recorder, SpanId};
+//! use speakql_observe::{CounterId, Recorder, SpanId, Tally};
 //! use std::time::Duration;
 //!
+//! let mut work = Tally::default();
+//! work.add(CounterId::SearchNodesVisited, 42);
+//! work.incr(CounterId::Transcriptions);
+//!
 //! let rec = Recorder::enabled();
-//! rec.add(CounterId::SearchNodesVisited, 42);
+//! rec.absorb(&work);
 //! rec.record_duration(SpanId::Search, Duration::from_micros(120));
-//! rec.record_duration(SpanId::Tokenize, Duration::from_micros(7));
 //! let report = rec.report();
 //! assert_eq!(report.counter(CounterId::SearchNodesVisited), 42);
 //! assert!(report.to_json().contains("search.nodes_visited"));
 //!
 //! // Disabled recorders never touch the clock or any atomic.
 //! let off = Recorder::disabled();
-//! off.add(CounterId::SearchNodesVisited, 42);
+//! off.absorb(&work);
 //! assert_eq!(off.report().counter(CounterId::SearchNodesVisited), 0);
 //! ```
 
@@ -35,10 +41,12 @@
 pub mod hist;
 pub mod recorder;
 pub mod report;
+pub mod tally;
 
 pub use hist::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use recorder::Recorder;
 pub use report::{CounterReport, PipelineReport, StageReport};
+pub use tally::Tally;
 
 /// Work counters recorded by the pipeline. Each id names one monotonically
 /// increasing total; the set is closed so the registry can be a fixed array
@@ -117,9 +125,6 @@ pub enum CounterId {
     /// Trie segments bounds/checksum/structure-validated during zero-copy
     /// index loads.
     IndexLoadSegments,
-    /// Engine constructions that failed to load a persisted index (bad
-    /// magic/version/checksum/truncation), surfaced as typed errors.
-    ErrorsIndexLoad,
 }
 
 /// Number of distinct [`CounterId`]s.
@@ -127,7 +132,7 @@ pub const COUNTER_COUNT: usize = CounterId::ALL.len();
 
 impl CounterId {
     /// Every counter, in registry order.
-    pub const ALL: [CounterId; 30] = [
+    pub const ALL: [CounterId; 29] = [
         CounterId::SearchNodesVisited,
         CounterId::SearchTriesSearched,
         CounterId::SearchTriesPruned,
@@ -157,7 +162,6 @@ impl CounterId {
         CounterId::SearchShardsPruned,
         CounterId::IndexLoadZeroCopy,
         CounterId::IndexLoadSegments,
-        CounterId::ErrorsIndexLoad,
     ];
 
     /// Stable dotted name used in reports and `BENCH_*.json`.
@@ -192,7 +196,6 @@ impl CounterId {
             CounterId::SearchShardsPruned => "search.shards_pruned_bdb",
             CounterId::IndexLoadZeroCopy => "index.load.zero_copy",
             CounterId::IndexLoadSegments => "index.load.segments_validated",
-            CounterId::ErrorsIndexLoad => "engine.errors.index_load",
         }
     }
 }

@@ -6,12 +6,11 @@
 //! allocation — so leaving instrumentation wired through the engine's
 //! stages costs nothing when observability is off. An enabled recorder is
 //! an `Arc` around fixed arrays of atomics, so clones are cheap and every
-//! clone (one per engine, candidate or server worker) feeds the same
-//! totals.
+//! clone (one per engine or server worker) feeds the same totals.
 
 use crate::hist::Histogram;
 use crate::report::{CounterReport, PipelineReport, StageReport};
-use crate::{CounterId, SpanId, COUNTER_COUNT, SPAN_COUNT};
+use crate::{CounterId, SpanId, Tally, COUNTER_COUNT, SPAN_COUNT};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,6 +79,19 @@ impl Recorder {
         self.add(id, 1);
     }
 
+    /// Add every counter of `tally` in one step: one atomic add per counter
+    /// the tally touched, none when disabled.
+    pub fn absorb(&self, tally: &Tally) {
+        if let Some(reg) = &self.inner {
+            for (counter, &id) in reg.counters.iter().zip(&CounterId::ALL) {
+                let n = tally.get(id);
+                if n != 0 {
+                    counter.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
     /// Current total of a counter (0 when disabled).
     pub fn counter(&self, id: CounterId) -> u64 {
         self.inner
@@ -144,6 +156,23 @@ mod tests {
         let report = rec.report();
         assert!(report.counters.iter().all(|c| c.total == 0));
         assert!(report.stages.iter().all(|s| s.count == 0));
+    }
+
+    #[test]
+    fn absorb_adds_a_tally_when_enabled_only() {
+        let mut tally = Tally::default();
+        tally.add(CounterId::VoteComparisons, 3);
+        tally.incr(CounterId::Transcriptions);
+        let rec = Recorder::enabled();
+        rec.incr(CounterId::Transcriptions);
+        rec.absorb(&tally);
+        rec.absorb(&tally);
+        assert_eq!(rec.counter(CounterId::VoteComparisons), 6);
+        assert_eq!(rec.counter(CounterId::Transcriptions), 3);
+        assert_eq!(rec.counter(CounterId::CandidatesBuilt), 0);
+        let off = Recorder::disabled();
+        off.absorb(&tally);
+        assert!(off.report().counters.iter().all(|c| c.total == 0));
     }
 
     #[test]

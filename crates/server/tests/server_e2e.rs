@@ -27,8 +27,9 @@ fn small_config() -> SpeakQlConfig {
 fn shared_index() -> Arc<StructureIndex> {
     static INDEX: OnceLock<Arc<StructureIndex>> = OnceLock::new();
     Arc::clone(INDEX.get_or_init(|| {
-        let cfg = small_config();
-        Arc::new(StructureIndex::from_grammar(&cfg.generator, cfg.weights))
+        // The index an engine builds for itself: the paper's weights.
+        let engine = SpeakQl::new(&employees_db(), small_config());
+        Arc::new(engine.index().clone())
     }))
 }
 
@@ -323,7 +324,7 @@ fn different_arena_tenants_never_reuse_each_others_hits() {
             max_structures: Some(1_000),
             ..GeneratorConfig::small()
         },
-        other_cfg.weights,
+        shared_index().weights(),
     ));
     assert_ne!(other_index.generation(), shared_index().generation());
     registry.register("employees-staging", &employees_db(), other_index, other_cfg);

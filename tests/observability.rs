@@ -1,12 +1,13 @@
 //! Observability must be a pure observer: an engine with the recorder
 //! enabled and an identically configured engine with it disabled must
-//! produce byte-identical transcriptions on any input, while only the
-//! enabled engine accumulates counters.
+//! produce byte-identical transcriptions, work tallies included, on any
+//! input, while only the enabled engine accumulates counters, and it
+//! accumulates exactly the tallies it returned.
 
 use proptest::prelude::*;
 use speakql_core::{CounterId, SpanId, SpeakQl, SpeakQlConfig};
 use speakql_db::{Column, Database, Table, TableSchema, Value, ValueType};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A pair of engines differing only in the `observe` flag.
 fn engines() -> &'static (SpeakQl, SpeakQl) {
@@ -36,6 +37,14 @@ fn engines() -> &'static (SpeakQl, SpeakQl) {
     })
 }
 
+/// Held while a test transcribes on the shared observed engine and reads
+/// its report, so one test's transcriptions never land between another's
+/// before and after snapshots.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn arb_transcript() -> impl Strategy<Value = String> {
     let word = prop_oneof![
         Just("select".to_string()),
@@ -60,11 +69,18 @@ proptest! {
 
     /// Recorder-enabled and recorder-disabled engines are observationally
     /// equivalent: same candidates, same SQL, same distances, same literals,
-    /// in the same order.
+    /// in the same order, and the same work tally. The enabled engine's
+    /// counters grow by exactly that tally (or, for an error, by one on its
+    /// class's counter).
     #[test]
     fn observability_never_changes_output(t in arb_transcript()) {
         let (plain, observed) = engines();
-        match (plain.transcribe(&t), observed.transcribe(&t)) {
+        let _serial = serial();
+        let before = observed.report();
+        let (a, b) = (plain.transcribe(&t), observed.transcribe(&t));
+        let after = observed.report();
+        let grew = |id: CounterId| after.counter(id) - before.counter(id);
+        match (a, b) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(a.best_sql(), b.best_sql(), "best_sql diverged on '{}'", &t);
                 prop_assert_eq!(a.candidates.len(), b.candidates.len());
@@ -73,9 +89,19 @@ proptest! {
                     prop_assert_eq!(ca.distance, cb.distance);
                     prop_assert_eq!(&ca.literals, &cb.literals);
                 }
+                prop_assert_eq!(a.work, b.work, "work diverged on '{}'", &t);
+                for id in CounterId::ALL {
+                    prop_assert_eq!(grew(id), b.work.get(id), "{} on '{}'", id.name(), &t);
+                }
             }
             // Error classification must be observation-independent too.
-            (Err(ea), Err(eb)) => prop_assert_eq!(ea, eb, "error class diverged on '{}'", &t),
+            (Err(ea), Err(eb)) => {
+                prop_assert_eq!(&ea, &eb, "error class diverged on '{}'", &t);
+                for id in CounterId::ALL {
+                    let expected = u64::from(id == eb.counter());
+                    prop_assert_eq!(grew(id), expected, "{} on '{}'", id.name(), &t);
+                }
+            }
             (a, b) => prop_assert!(false, "ok/err diverged on '{}': {:?} vs {:?}", &t, a, b),
         }
     }
@@ -84,6 +110,7 @@ proptest! {
 #[test]
 fn only_the_enabled_engine_accumulates_metrics() {
     let (plain, observed) = engines();
+    let _serial = serial();
     assert!(plain.transcribe("select salary from employees").is_ok());
     assert!(observed.transcribe("select salary from employees").is_ok());
 

@@ -4,7 +4,7 @@
 //! must surface a [`PersistError`] rather than panic.
 
 use proptest::prelude::*;
-use speakql_core::{CounterId, SpeakQl, SpeakQlConfig, SpeakQlError};
+use speakql_core::{CounterId, SpeakQl, SpeakQlConfig};
 use speakql_data::employees_db;
 use speakql_editdist::Weights;
 use speakql_grammar::{GeneratorConfig, LitCategory, Placeholder, StructTokId, Structure};
@@ -309,14 +309,10 @@ fn engine_surfaces_typed_index_load_errors() {
         panic!("garbage must not build an engine");
     };
     std::fs::remove_file(&path).ok();
-    match &err {
-        SpeakQlError::IndexLoad { class, message } => {
-            assert_eq!(*class, "bad_magic");
-            assert!(message.contains("not a SpeakQL index file"), "{message}");
-        }
-        other => panic!("expected IndexLoad, got {other:?}"),
-    }
-    assert_eq!(err.class(), "index_load");
+    assert!(matches!(err, PersistError::BadMagic), "{err:?}");
+    assert_eq!(err.class(), "bad_magic");
+    let message = err.to_string();
+    assert!(message.contains("not a SpeakQL index file"), "{message}");
 
     let Err(missing) = SpeakQl::with_persisted_index(
         &employees_db(),
@@ -325,10 +321,7 @@ fn engine_surfaces_typed_index_load_errors() {
     ) else {
         panic!("missing file must not build an engine");
     };
-    match missing {
-        SpeakQlError::IndexLoad { class, .. } => assert_eq!(class, "io"),
-        other => panic!("expected IndexLoad, got {other:?}"),
-    }
+    assert_eq!(missing.class(), "io", "{missing:?}");
 }
 
 #[test]
